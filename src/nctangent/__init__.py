@@ -14,7 +14,6 @@ from nctangent.minkowski import (
     hopf_axiom_check,
     integral_star_oracle,
     module_law_sides,
-    star_multiply,
 )
 from nctangent.algebras import StarAlgebra, center, characters, derivations
 from nctangent.covering import Covering, ideal_from_declaration, verify_covering
@@ -91,7 +90,6 @@ __all__ = [
     "nabla",
     "product_partition",
     "reconstruction_check",
-    "star_multiply",
     "verify_adapted",
     "verify_covering",
     "verify_partition",

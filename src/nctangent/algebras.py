@@ -19,11 +19,11 @@ from __future__ import annotations
 from nctangent.scalars import (
     Matrix,
     ONE,
+    QuotientSpace,
     Scalar,
     Subspace,
     ZERO,
     nullspace,
-    quotient_with_section,
     solve_linear,
     unit_vec,
     vec_add,
@@ -287,7 +287,7 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
     Structure constants are transported through the section; the result
     is independent of the section because the subspace is an ideal.
     """
-    Q = quotient_with_section(A.dim, ideal_subspace)
+    Q = QuotientSpace(A.dim, ideal_subspace)
     qdim = Q.dim
     labels = ["%s%d" % (labels_prefix, i) for i in range(qdim)]
     lifted = [Q.lift(unit_vec(qdim, i)) for i in range(qdim)]
@@ -373,20 +373,6 @@ def derivations(A):
     for v in ker:
         out.append(Matrix([[v[r * n + c] for c in range(n)] for r in range(n)]))
     return out
-
-
-def is_derivation(A, D):
-    """None when D obeys Leibniz on all basis pairs, else a label-pair
-    witness."""
-    for i in range(A.dim):
-        ei = unit_vec(A.dim, i)
-        for j in range(A.dim):
-            ej = unit_vec(A.dim, j)
-            lhs = D.apply(A.multiply(ei, ej))
-            rhs = vec_add(A.multiply(D.apply(ei), ej), A.multiply(ei, D.apply(ej)))
-            if lhs != rhs:
-                return (A.labels[i], A.labels[j])
-    return None
 
 
 # ---------------------------------------------------------------------------

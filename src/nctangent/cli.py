@@ -2,15 +2,19 @@
 
 Scenarios are JSON files naming an algebra model and optional covering,
 partition, action, and connection sections.  Every command loads and
-fully validates the scenario, runs one family of checks, prints a JSON
-report with one record per check, and exits 0 when everything passed,
-1 when some check failed, and 2 on usage or scenario errors.
+fully validates the scenario, runs check families from the `FAMILIES`
+table (one family, or for `all` every family whose sections are
+present), prints a JSON report with one record per check, and exits 0
+when everything passed, 1 when some check failed, and 2 on usage or
+scenario errors, including a library error raised while a family runs.
 """
 
 import json
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 
 import click
 
@@ -39,8 +43,7 @@ from nctangent.forms import (
     koszul_d,
     wedge_compat_check,
 )
-from nctangent.minkowski import PBWElement, star_multiply
-from nctangent.minkowski import hopf_axiom_check
+from nctangent.minkowski import PBWElement, hopf_axiom_check
 from nctangent.partition import (
     Partition,
     _block_sizes,
@@ -51,14 +54,15 @@ from nctangent.partition import (
 from nctangent.scalars import Scalar, vec_add, vec_scale, zero_vec
 from nctangent.tangent import (
     ActionAssignment,
+    LocalDerivation,
     canonical_inner_model,
     decompose,
     glue,
     leibniz_failures,
-    local_derivation,
 )
 
 REPORT_VERSION = "1"
+DEFAULT_MAX_DEGREE = 3
 
 
 class ScenarioError(click.UsageError):
@@ -228,7 +232,22 @@ def _build_connection(assign, spec, rng):
     )
 
 
+def _degree_bound(value, where):
+    """A Hopf sweep bound: a nonnegative integer (or integer string)."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError(value)
+        bound = int(value)
+    except ValueError:
+        raise ScenarioError("%s must be an integer, got %r" % (where, value))
+    if bound < 0:
+        raise ScenarioError("%s must be at least 0, got %d" % (where, bound))
+    return bound
+
+
 class Scenario:
+    """A loaded scenario; attributes are named after its sections."""
+
     __slots__ = (
         "kappa",
         "d",
@@ -238,8 +257,15 @@ class Scenario:
         "partition",
         "action",
         "actions",
-        "connection_spec",
+        "connection",
+        "_glued",
     )
+
+    def glued(self):
+        """The glued basis and the chart bases, built once per report."""
+        if self._glued is None:
+            self._glued = glued_basis(self.covering, self.partition, self.actions)
+        return self._glued
 
 
 def load_scenario(path):
@@ -265,15 +291,16 @@ def load_scenario(path):
         raise ScenarioError("d must be an integer")
     if scn.d < 1:
         raise ScenarioError("d must be at least 1")
-    scn.max_degree = data.get("max_degree")
-    if scn.max_degree is not None:
-        scn.max_degree = int(scn.max_degree)
+    scn.max_degree = DEFAULT_MAX_DEGREE
+    if data.get("max_degree") is not None:
+        scn.max_degree = _degree_bound(data["max_degree"], "max_degree")
     scn.algebra = None
     scn.covering = None
     scn.partition = None
     scn.action = None
     scn.actions = None
-    scn.connection_spec = data.get("connection")
+    scn.connection = data.get("connection")
+    scn._glued = None
     if "algebra" in data:
         scn.algebra = _build_algebra(data["algebra"])
     if "covering" in data:
@@ -316,7 +343,7 @@ def load_scenario(path):
             )
             for alpha, spec in enumerate(specs)
         ]
-    if scn.connection_spec is not None and scn.action is None:
+    if scn.connection is not None and scn.action is None:
         raise ScenarioError("connection section needs an action section")
     return scn
 
@@ -329,13 +356,6 @@ def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     return str(obj)
-
-
-def _need(scn, field, command):
-    if getattr(scn, field) is None:
-        raise ScenarioError(
-            "scenario lacks the %r section required by %s" % (field, command)
-        )
 
 
 class Recorder:
@@ -361,13 +381,13 @@ def _first(items):
     return items[0] if items else None
 
 
-def _check_hopf(scn, rec, seed, max_degree):
-    degree = max_degree or scn.max_degree or 3
+def _check_hopf(scn, rec, seed):
+    """Coalgebra axioms and defining commutators of the deformed space."""
     cache = {}
 
     def sweep():
         if "failures" not in cache:
-            cache["failures"] = hopf_axiom_check(scn.d, scn.kappa, degree)
+            cache["failures"] = hopf_axiom_check(scn.d, scn.kappa, scn.max_degree)
         return cache["failures"]
 
     def family_witness(family):
@@ -386,13 +406,13 @@ def _check_hopf(scn, rec, seed, max_degree):
         for j in range(1, scn.d + 1):
             p0 = PBWElement.generator(scn.d, kappa, 0)
             pj = PBWElement.generator(scn.d, kappa, j)
-            comm = star_multiply(p0, pj) - star_multiply(pj, p0)
+            comm = p0.star(pj) - pj.star(p0)
             want = pj.scale(Scalar(0, Fraction(1) / kappa))
             if comm != want:
                 return ("time-space", j)
             for k in range(j + 1, scn.d + 1):
                 pk = PBWElement.generator(scn.d, kappa, k)
-                if not (star_multiply(pj, pk) - star_multiply(pk, pj)).is_zero():
+                if not (pj.star(pk) - pk.star(pj)).is_zero():
                     return ("space-space", j, k)
         return None
 
@@ -400,6 +420,8 @@ def _check_hopf(scn, rec, seed, max_degree):
 
 
 def _check_partition(scn, rec, seed):
+    """Partition-of-unity conditions, plus reconstruction when a covering
+    is present."""
     report = verify_partition(scn.algebra, scn.partition)
     for name, ok, witness in report:
         rec.run(
@@ -424,6 +446,7 @@ _COVERING_LAWS = (
 
 
 def _check_covering(scn, rec, seed):
+    """Covering laws: projections, sections, overlaps, injectivity."""
     failures = verify_covering(scn.covering)
     for law in _COVERING_LAWS:
         hits = [w for name, w in failures if name == law]
@@ -431,6 +454,8 @@ def _check_covering(scn, rec, seed):
 
 
 def _check_adapted(scn, rec, seed):
+    """Character subordination of the partition to the covering, in both
+    the literal and closure variants."""
     for variant in ("closure", "literal"):
         rows = verify_adapted(scn.partition, scn.covering, variant=variant)
         bad = [row for row in rows if not row[1]]
@@ -449,14 +474,16 @@ def _chart_samples(assign, rng, count):
             )
             for _ in range(assign.d + 1)
         ]
-        out.append(local_derivation(assign, coeffs))
+        out.append(LocalDerivation(assign, coeffs))
     return out
 
 
 def _check_glue(scn, rec, seed):
+    """Glue chart derivations and verify Leibniz plus coefficient
+    recovery."""
     cov, P = scn.covering, scn.partition
     rng = random.Random(seed)
-    gbasis, _ = glued_basis(cov, P, scn.actions)
+    gbasis, _ = scn.glued()
 
     def leibniz():
         for mu, op in enumerate(gbasis.operators):
@@ -489,8 +516,6 @@ def _random_element(rng, dim, span=2):
 
 
 def _random_form(rng, basis, degree):
-    from itertools import combinations
-
     entries = {}
     for key in combinations(range(basis.rank), degree):
         entries[key] = _random_element(rng, basis.algebra.dim)
@@ -498,28 +523,23 @@ def _random_form(rng, basis, degree):
 
 
 def _check_forms(scn, rec, seed):
+    """Differential calculus: nilpotent differential, wedge
+    compatibility, locality, duality rank."""
     rng = random.Random(seed)
     if scn.actions is not None:
-        gbasis, locals_ = glued_basis(scn.covering, scn.partition, scn.actions)
-        bases = [gbasis]
-    elif scn.action is not None:
-        gbasis, locals_ = kappa_basis(scn.action), None
-        bases = [gbasis]
+        gbasis, locals_ = scn.glued()
     else:
-        raise ScenarioError(
-            "scenario lacks the action sections required by forms-check"
-        )
+        gbasis, locals_ = kappa_basis(scn.action), None
 
     def dd_zero():
-        for basis in bases:
-            for _ in range(10):
-                a = _random_element(rng, basis.algebra.dim)
-                if not koszul_d(differential_of(basis, a)).is_zero():
-                    return ("zero-form",)
-            for _ in range(10):
-                rho = _random_form(rng, basis, 1)
-                if not koszul_d(koszul_d(rho)).is_zero():
-                    return ("one-form",)
+        for _ in range(10):
+            a = _random_element(rng, gbasis.algebra.dim)
+            if not koszul_d(differential_of(gbasis, a)).is_zero():
+                return ("zero-form",)
+        for _ in range(10):
+            rho = _random_form(rng, gbasis, 1)
+            if not koszul_d(koszul_d(rho)).is_zero():
+                return ("one-form",)
         return None
 
     rec.run("forms:dd-zero", dd_zero)
@@ -563,12 +583,10 @@ def _check_forms(scn, rec, seed):
 
 
 def _check_curvature(scn, rec, seed):
+    """Connection validity, axioms, and the two-route curvature
+    comparison."""
     rng = random.Random(seed)
-    if scn.connection_spec is None:
-        raise ScenarioError(
-            "scenario lacks the 'connection' section required by curvature"
-        )
-    gamma = _build_connection(scn.action, scn.connection_spec, rng)
+    gamma = _build_connection(scn.action, scn.connection, rng)
     rec.run(
         "curvature:coefficients",
         lambda: _first(coefficient_failures(gamma)),
@@ -590,53 +608,60 @@ def _check_curvature(scn, rec, seed):
     )
 
 
-def _dispatch(command, scn, seed, max_degree):
+# A check family: the command that runs it alone, the scenario sections
+# it needs ("a|b" when either will do) and the runner that records its
+# checks.  The runner's docstring is the command's help.
+Family = namedtuple("Family", "command needs runner")
+
+# In the order `all` runs them.
+FAMILIES = (
+    Family("hopf-check", (), _check_hopf),
+    Family("partition-check", ("algebra", "partition"), _check_partition),
+    Family("covering-check", ("covering",), _check_covering),
+    Family("adapted-check", ("covering", "partition"), _check_adapted),
+    Family("glue-derivations", ("covering", "partition", "actions"), _check_glue),
+    Family("forms-check", ("action|actions",), _check_forms),
+    Family("curvature", ("action", "connection"), _check_curvature),
+)
+
+
+def _missing(family, scn):
+    """The first section the family needs that the scenario lacks, or None."""
+    for need in family.needs:
+        names = need.split("|")
+        if all(getattr(scn, name) is None for name in names):
+            return " or ".join(repr(name) for name in names)
+    return None
+
+
+def _records(families, scn, seed, strict):
+    """Run the families on one scenario.  A family whose sections are
+    missing is skipped, or is a scenario error when `strict`."""
     rec = Recorder()
-    if command == "hopf-check":
-        _check_hopf(scn, rec, seed, max_degree)
-    elif command == "partition-check":
-        _need(scn, "algebra", command)
-        _need(scn, "partition", command)
-        _check_partition(scn, rec, seed)
-    elif command == "covering-check":
-        _need(scn, "covering", command)
-        _check_covering(scn, rec, seed)
-    elif command == "adapted-check":
-        _need(scn, "covering", command)
-        _need(scn, "partition", command)
-        _check_adapted(scn, rec, seed)
-    elif command == "glue-derivations":
-        _need(scn, "covering", command)
-        _need(scn, "partition", command)
-        _need(scn, "actions", command)
-        _check_glue(scn, rec, seed)
-    elif command == "forms-check":
-        _check_forms(scn, rec, seed)
-    elif command == "curvature":
-        _need(scn, "action", command)
-        _check_curvature(scn, rec, seed)
-    elif command == "all":
-        _check_hopf(scn, rec, seed, max_degree)
-        if scn.partition is not None and scn.algebra is not None:
-            _check_partition(scn, rec, seed)
-        if scn.covering is not None:
-            _check_covering(scn, rec, seed)
-        if scn.covering is not None and scn.partition is not None:
-            _check_adapted(scn, rec, seed)
-        if scn.actions is not None and scn.partition is not None:
-            _check_glue(scn, rec, seed)
-        if scn.actions is not None or scn.action is not None:
-            _check_forms(scn, rec, seed)
-        if scn.connection_spec is not None:
-            _check_curvature(scn, rec, seed)
-    else:
-        raise ScenarioError("unknown command %r" % command)
+    for family in families:
+        missing = _missing(family, scn)
+        if missing is not None:
+            if strict:
+                raise ScenarioError(
+                    "scenario lacks the %s section required by %s"
+                    % (missing, family.command)
+                )
+            continue
+        try:
+            family.runner(scn, rec, seed)
+        except AlgebraError as err:
+            raise ScenarioError(
+                "%s cannot run on this scenario: %s: %s"
+                % (family.command, type(err).__name__, err)
+            )
     return rec.records
 
 
-def _run(command, scenario, seed, max_degree, out):
+def _run(families, strict, scenario, seed, max_degree, out):
     scn = load_scenario(scenario)
-    records = _dispatch(command, scn, seed, max_degree)
+    if max_degree is not None:
+        scn.max_degree = _degree_bound(max_degree, "--max-degree")
+    records = _records(families, scn, seed, strict)
     records.sort(key=lambda r: r["id"])
     report = {"version": REPORT_VERSION, "seed": seed, "checks": records}
     text = json.dumps(report, indent=2)
@@ -674,62 +699,17 @@ def main():
     """Exact verification of the deformed tangent-space machinery."""
 
 
-@main.command("hopf-check")
-@_common
-def hopf_check(scenario, seed, max_degree, out):
-    """Coalgebra axioms and defining commutators of the deformed space."""
-    _run("hopf-check", scenario, seed, max_degree, out)
+def _add_command(name, families, strict, help):
+    @main.command(name, help=help)
+    @_common
+    def command(scenario, seed, max_degree, out):
+        _run(families, strict, scenario, seed, max_degree, out)
 
 
-@main.command("partition-check")
-@_common
-def partition_check(scenario, seed, max_degree, out):
-    """Partition-of-unity conditions, plus reconstruction when a covering
-    is present."""
-    _run("partition-check", scenario, seed, max_degree, out)
+for _family in FAMILIES:
+    _add_command(_family.command, (_family,), True, _family.runner.__doc__)
+_add_command("all", FAMILIES, False, "Run every check family the scenario supports.")
 
 
-@main.command("covering-check")
-@_common
-def covering_check(scenario, seed, max_degree, out):
-    """Covering laws: projections, sections, overlaps, injectivity."""
-    _run("covering-check", scenario, seed, max_degree, out)
-
-
-@main.command("adapted-check")
-@_common
-def adapted_check(scenario, seed, max_degree, out):
-    """Character subordination of the partition to the covering, in both
-    the literal and closure variants."""
-    _run("adapted-check", scenario, seed, max_degree, out)
-
-
-@main.command("glue-derivations")
-@_common
-def glue_derivations(scenario, seed, max_degree, out):
-    """Glue chart derivations and verify Leibniz plus coefficient
-    recovery."""
-    _run("glue-derivations", scenario, seed, max_degree, out)
-
-
-@main.command("forms-check")
-@_common
-def forms_check(scenario, seed, max_degree, out):
-    """Differential calculus: nilpotent differential, wedge
-    compatibility, locality, duality rank."""
-    _run("forms-check", scenario, seed, max_degree, out)
-
-
-@main.command("curvature")
-@_common
-def curvature(scenario, seed, max_degree, out):
-    """Connection validity, axioms, and the two-route curvature
-    comparison."""
-    _run("curvature", scenario, seed, max_degree, out)
-
-
-@main.command("all")
-@_common
-def run_all(scenario, seed, max_degree, out):
-    """Run every check family the scenario supports."""
-    _run("all", scenario, seed, max_degree, out)
+if __name__ == "__main__":
+    main()

@@ -204,18 +204,6 @@ class Covering:
         return joint_proj @ self.section(alpha)
 
 
-def check_covering(algebra, ideals):
-    return Covering(algebra, ideals)
-
-
-def project(cov, alpha, vector):
-    return cov.project(alpha, vector)
-
-
-def section(cov, alpha, local_vector):
-    return cov.lift(alpha, local_vector)
-
-
 def overlap_maps(cov, alpha, beta):
     alg = cov.overlap_algebra(alpha, beta)
     return (

@@ -13,9 +13,7 @@ is only defined when the basis closes under commutator with scalar
 structure constants, which the basis constructor verifies once.
 """
 
-from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations
 
 from nctangent.algebras import AlgebraError, center
 from nctangent.partition import functional
@@ -170,15 +168,6 @@ def _sort_key(key):
     return tuple(key[i] for i in order), sign
 
 
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def _increasing_tuples(rank, length):
     return list(combinations(range(rank), length))
 
@@ -280,24 +269,27 @@ def form0(basis, a):
 
 
 def wedge(rho, eta):
-    """Antisymmetrized product with the 1/(n! m!) normalization."""
+    """Antisymmetrized product with the 1/(n! m!) normalization.
+
+    Of the (n+m)! orderings of an index tuple, the n! m! that reorder
+    within each side give equal terms, so the sum runs over the
+    (n, m)-shuffles: the increasing n-subsets going to rho, each with the
+    sign of putting the two sides back in order."""
     if rho.basis is not eta.basis:
         raise AlgebraError("forms live over different bases")
     basis = rho.basis
     A = basis.algebra
     n, m = rho.degree, eta.degree
-    norm = Scalar(Fraction(1, factorial(n) * factorial(m)))
     out = {}
     for key in _increasing_tuples(basis.rank, n + m):
         total = zero_vec(A.dim)
-        for perm in permutations(range(n + m)):
-            left = tuple(key[p] for p in perm[:n])
-            right = tuple(key[p] for p in perm[n:])
+        for left in combinations(key, n):
+            right = tuple(k for k in key if k not in left)
             value = A.multiply(rho.coefficient(left), eta.coefficient(right))
-            if _perm_sign(perm) < 0:
+            if _sort_key(left + right)[1] < 0:
                 value = vec_scale(MINUS_ONE, value)
             total = vec_add(total, value)
-        out[key] = vec_scale(norm, total)
+        out[key] = total
     return FormN(basis, n + m, out)
 
 
@@ -349,9 +341,7 @@ def form_glob2loc(rho, cov, P, alpha, local_basis):
     on the chart, matching the hypothesis under which the localization
     is multilinear."""
     functional(P, cov, alpha)
-    proj = cov.projection(alpha)
-    entries = {key: proj.apply(v) for key, v in rho.entries.items()}
-    return FormN(local_basis, rho.degree, entries)
+    return restrict_form(rho, cov, alpha, local_basis)
 
 
 def form_loc2glob(rho_alpha, cov, P, alpha, global_basis):

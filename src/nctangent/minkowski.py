@@ -233,10 +233,6 @@ class PBWElement:
         return out
 
 
-def star_multiply(f, g):
-    return f.star(g)
-
-
 def integral_star_oracle(f, g):
     """Closed-form product on the polynomial class; independent of the
     rewriting route.

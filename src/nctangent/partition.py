@@ -147,10 +147,6 @@ def partition_ok(report):
     return all(ok for _, ok, _ in report)
 
 
-def bullet(element, a):
-    return element.bullet(a)
-
-
 def product_partition(P, Q, keep_zero=False):
     """Bullet each element of P through each chi of Q.
 

@@ -541,7 +541,3 @@ class QuotientSpace:
 
     def lift(self, x):
         return self.section.apply(x)
-
-
-def quotient_with_section(ambient_dim, subspace):
-    return QuotientSpace(ambient_dim, subspace)

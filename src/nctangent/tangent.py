@@ -127,17 +127,8 @@ def verify_action(assign):
     failures = []
     A = assign.algebra
     for mu, D in enumerate(assign.operators):
-        for i in range(A.dim):
-            a = A.basis_vector(i)
-            Da = D.apply(a)
-            for j in range(A.dim):
-                b = A.basis_vector(j)
-                lhs = D.apply(A.multiply(a, b))
-                rhs = vec_add(A.multiply(Da, b), A.multiply(a, D.apply(b)))
-                if lhs != rhs:
-                    failures.append(
-                        ("leibniz", (mu, A.labels[i], A.labels[j]))
-                    )
+        for left, right in leibniz_failures(A, D):
+            failures.append(("leibniz", (mu, left, right)))
     D0 = assign.operators[0]
     ik = Scalar(0, Fraction(1) / assign.kappa)
     for j in range(1, assign.d + 1):
@@ -189,10 +180,6 @@ class LocalDerivation:
         for z, D in zip(self.coefficients, self.assignment.operators):
             total = total + A.left_mult_matrix(z) @ D
         return total
-
-
-def local_derivation(assign, coefficients, check=True):
-    return LocalDerivation(assign, coefficients, check=check)
 
 
 def bracket(X, Y):

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from nctangent import cli
 from nctangent.cli import main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(*args):
@@ -223,3 +229,110 @@ def test_malformed_json_rejected(tmp_path):
     result = run("all", "--scenario", str(path))
     assert result.exit_code == 2
     assert "not valid JSON" in result.output
+
+
+def write_scenario(tmp_path, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in SCENARIOS.glob("*.json"))
+)
+def test_all_matches_golden_report(name):
+    # tests/golden holds `verify all --seed 0` on each shipped scenario,
+    # with the timing field stripped
+    result = run("all", "--scenario", str(SCENARIOS / ("%s.json" % name)))
+    got = report_of(result)
+    for check in got["checks"]:
+        del check["millis"]
+    want = json.loads((GOLDEN / ("%s.json" % name)).read_text())
+    assert got == want
+    failed = any(c["status"] != "pass" for c in want["checks"])
+    assert result.exit_code == (1 if failed else 0)
+
+
+def test_module_entry_point_runs_checks():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "nctangent.cli", "all", "--scenario",
+         "scenarios/matrix_partition.json"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert "partition:sum-law" in {c["id"] for c in checks}
+
+
+def test_max_degree_zero_is_honoured(monkeypatch):
+    degrees = []
+    real = cli.hopf_axiom_check
+
+    def spy(d, kappa, degree):
+        degrees.append(degree)
+        return real(d, kappa, degree)
+
+    monkeypatch.setattr(cli, "hopf_axiom_check", spy)
+    result = run(
+        "hopf-check", "--scenario", str(SCENARIOS / "hopf_d3.json"),
+        "--max-degree", "0",
+    )
+    assert result.exit_code == 0
+    assert degrees == [0]
+
+
+def test_negative_max_degree_rejected():
+    result = run(
+        "hopf-check", "--scenario", str(SCENARIOS / "hopf_d3.json"),
+        "--max-degree", "-1",
+    )
+    assert result.exit_code == 2
+    assert "--max-degree must be at least 0" in result.output
+
+
+@pytest.mark.parametrize("bound", ["x", -1, 2.5])
+def test_bad_scenario_max_degree_rejected(tmp_path, bound):
+    path = write_scenario(tmp_path, {"d": 1, "max_degree": bound})
+    result = run("hopf-check", "--scenario", path)
+    assert result.exit_code == 2
+    assert "max_degree must be" in result.output
+
+
+def test_library_error_inside_a_family_exits_2(tmp_path):
+    # the zetas are block-diagonal in both blocks at once, so chi does
+    # not kill either chart ideal and reconstruction cannot be set up
+    path = write_scenario(
+        tmp_path,
+        {
+            "d": 1,
+            "algebra": {
+                "model": "sum",
+                "terms": [{"model": "matrix", "n": 2}, {"model": "matrix", "n": 2}],
+            },
+            "covering": {
+                "ideals": [
+                    {"type": "blocks", "kill": ["2"]},
+                    {"type": "blocks", "kill": ["1"]},
+                ]
+            },
+            "partition": {
+                "zetas": [
+                    ["1", "0", "0", "0", "1", "0", "0", "0"],
+                    ["0", "0", "0", "1", "0", "0", "0", "1"],
+                ]
+            },
+        },
+    )
+    for command in ("all", "partition-check"):
+        result = run(command, "--scenario", path)
+        assert result.exit_code == 2
+        assert "partition-check cannot run on this scenario" in result.output
+        assert "chi does not kill the chart ideal" in result.output

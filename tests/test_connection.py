@@ -21,9 +21,9 @@ from nctangent.connection import (
 from nctangent.scalars import Scalar, sc, vec_add, vec_is_zero, vec_scale, zero_vec
 from nctangent.tangent import (
     ActionAssignment,
+    LocalDerivation,
     canonical_generator_vectors,
     canonical_inner_model,
-    local_derivation,
 )
 
 
@@ -40,7 +40,7 @@ def central_samples(assign, rng, count=4):
     A = assign.algebra
     out = []
     for _ in range(count):
-        X = local_derivation(
+        X = LocalDerivation(
             assign,
             [
                 vec_scale(
@@ -53,7 +53,7 @@ def central_samples(assign, rng, count=4):
                 for _ in range(assign.d + 1)
             ],
         )
-        Y = local_derivation(
+        Y = LocalDerivation(
             assign,
             [
                 vec_scale(
@@ -120,8 +120,8 @@ def test_nabla_derivative_term_on_sum_model():
     gamma = ConnectionCoefficients.constant(assign, sc(0, 1))
     u1 = vec_add(A.basis_vector(0), A.basis_vector(3))
     u2 = vec_add(A.basis_vector(4), A.basis_vector(7))
-    X = local_derivation(assign, [A.unit, u1])
-    Y = local_derivation(assign, [u2, vec_scale(sc(2), u1)])
+    X = LocalDerivation(assign, [A.unit, u1])
+    Y = LocalDerivation(assign, [u2, vec_scale(sc(2), u1)])
     out = nabla(gamma, X, Y)
     # reassemble: Gamma contraction plus first argument acting on the
     # second argument's coefficients, computed by hand
@@ -165,8 +165,8 @@ def test_axioms_pass_on_sum_model_center():
     u1 = vec_add(A.basis_vector(0), A.basis_vector(3))
     u2 = vec_add(A.basis_vector(4), A.basis_vector(7))
     z = vec_add(vec_scale(sc(2), u1), vec_scale(sc(0, -1), u2))
-    X = local_derivation(assign, [u1, u2])
-    Y = local_derivation(assign, [A.unit, vec_scale(sc(3), u2)])
+    X = LocalDerivation(assign, [u1, u2])
+    Y = LocalDerivation(assign, [A.unit, vec_scale(sc(3), u2)])
     samples.append((X, Y, z))
     assert verify_connection_axioms(gamma, samples) == []
 
@@ -240,7 +240,7 @@ def test_curvature_operator_antisymmetric_arguments():
 def test_star_derivation_involution():
     assign = canonical_inner_model(2, 1, 1)
     A = assign.algebra
-    X = local_derivation(assign, [vec_scale(sc(1, 2), A.unit), A.unit])
+    X = LocalDerivation(assign, [vec_scale(sc(1, 2), A.unit), A.unit])
     again = star_derivation(star_derivation(X))
     assert again.coefficients == X.coefficients
 

@@ -9,13 +9,10 @@ from nctangent.covering import (
     Covering,
     IntersectionNonzero,
     NotAnIdeal,
-    check_covering,
     ideal_from_declaration,
     ideal_from_generators,
     ideal_span,
     overlap_maps,
-    project,
-    section,
     verify_covering,
     verify_ideal,
 )
@@ -58,7 +55,7 @@ def test_ideal_from_generators_closure():
 def test_block_covering():
     A, block1, block2 = block_model()
     # killing block 2 leaves the M_2 chart
-    cov = check_covering(A, [block2, block1])
+    cov = Covering(A, [block2, block1])
     assert cov.size == 2
     assert cov.chart(0).dim == 4
     assert cov.chart(1).dim == 9
@@ -105,7 +102,7 @@ def test_projection_section_roundtrip():
     cov = Covering(A, [i1, Subspace(4, [])])
     for x in range(cov.chart(0).dim):
         e = cov.chart(0).basis_vector(x)
-        assert project(cov, 0, section(cov, 0, e)) == e
+        assert cov.project(0, cov.lift(0, e)) == e
     # trivial ideal gives a full-size chart
     assert cov.chart(1).dim == 4
     assert cov.overlap_algebra(0, 0).dim == cov.chart(0).dim

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
@@ -34,7 +36,7 @@ from nctangent.scalars import (
     vec_scale,
     zero_vec,
 )
-from nctangent.tangent import ActionAssignment, canonical_inner_model, local_derivation
+from nctangent.tangent import ActionAssignment, LocalDerivation, canonical_inner_model
 
 
 def m2_basis(kappa=Fraction(1)):
@@ -178,6 +180,28 @@ def test_wedge_associative_on_central_coefficients():
     assert wedge(wedge(rho, eta), theta) == wedge(rho, wedge(eta, theta))
 
 
+def test_wedge_matches_full_permutation_sum():
+    # the definition: all (n+m)! orderings, signed and scaled by 1/(n! m!)
+    _, basis = m3_basis()
+    A = basis.algebra
+    rng = random.Random(3)
+    for n, m in ((0, 2), (1, 1), (1, 2), (2, 1)):
+        rho = rand_form(rng, basis, n)
+        eta = rand_form(rng, basis, m)
+        norm = Scalar(Fraction(1, factorial(n) * factorial(m)))
+        for key in combinations(range(basis.rank), n + m):
+            want = zero_vec(A.dim)
+            for perm in permutations(key):
+                inversions = sum(
+                    perm[i] > perm[j]
+                    for i in range(n + m)
+                    for j in range(i + 1, n + m)
+                )
+                term = A.multiply(rho.coefficient(perm[:n]), eta.coefficient(perm[n:]))
+                want = vec_add(want, vec_scale(sc(-1) if inversions % 2 else sc(1), term))
+            assert wedge(rho, eta).coefficient(key) == vec_scale(norm, want)
+
+
 def test_wedge_rejects_basis_mismatch():
     _, b1 = m2_basis()
     _, b2 = m2_basis()
@@ -304,7 +328,7 @@ def test_one_form_differential_coefficients():
     rho = OneFormR.from_differential(basis, a)
     for mu, D in enumerate(basis.operators):
         assert rho.coefficients[mu] == tuple(D.apply(a))
-    X = local_derivation(assign, [A.unit, A.unit])
+    X = LocalDerivation(assign, [A.unit, A.unit])
     direct = vec_add(
         basis.operators[0].apply(a), basis.operators[1].apply(a)
     )

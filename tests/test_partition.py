@@ -14,7 +14,6 @@ from nctangent.partition import (
     IllDefined,
     Partition,
     PartitionElement,
-    bullet,
     centrality_check,
     functional,
     functional_module_check,
@@ -119,14 +118,14 @@ def test_bullet():
     A = make_matrix_algebra(2)
     unit_el = PartitionElement(A, A.unit)
     a = A.basis_vector(1)
-    assert bullet(unit_el, a) == a
+    assert unit_el.bullet(a) == a
     e11 = PartitionElement(A, A.basis_vector(0))
     # E_11 E_12 E_11 = 0
-    assert bullet(e11, a) == zero_vec(4)
+    assert e11.bullet(a) == zero_vec(4)
     F = make_function_algebra(3)
     el = PartitionElement(F, vec(Fraction(3, 5), 1, 0))
     x = vec(5, 7, 11)
-    assert bullet(el, x) == F.multiply(el.chi, x)
+    assert el.bullet(x) == F.multiply(el.chi, x)
 
 
 def test_product_with_unit_partition():

@@ -10,10 +10,10 @@ from nctangent.scalars import (
     ONE,
     ZERO,
     Matrix,
+    QuotientSpace,
     Scalar,
     Subspace,
     nullspace,
-    quotient_with_section,
     rref,
     sc,
     solve_linear,
@@ -146,7 +146,7 @@ def test_dimension_formula(n, data):
 
 
 def test_quotient_trivial_subspace():
-    Q = quotient_with_section(3, Subspace(3, []))
+    Q = QuotientSpace(3, Subspace(3, []))
     assert Q.dim == 3
     for k in range(3):
         e = unit_vec(3, k)
@@ -154,13 +154,13 @@ def test_quotient_trivial_subspace():
 
 
 def test_quotient_full_subspace():
-    Q = quotient_with_section(2, Subspace(2, [vec(1, 0), vec(0, 1)]))
+    Q = QuotientSpace(2, Subspace(2, [vec(1, 0), vec(0, 1)]))
     assert Q.dim == 0
     assert Q.project(vec(5, 7)) == ()
 
 
 def test_quotient_identifies_e1_e2():
-    Q = quotient_with_section(3, Subspace(3, [vec(1, -1, 0)]))
+    Q = QuotientSpace(3, Subspace(3, [vec(1, -1, 0)]))
     assert Q.dim == 2
     assert Q.project(unit_vec(3, 0)) == Q.project(unit_vec(3, 1))
     # projection composed with section is the identity on the quotient
@@ -177,7 +177,7 @@ def test_quotient_kernel_is_subspace(n, data):
         for _ in range(count)
     ]
     S = Subspace(n, vecs)
-    Q = quotient_with_section(n, S)
+    Q = QuotientSpace(n, S)
     assert Q.dim == n - S.dim
     # every subspace vector projects to zero and projection is onto
     for v in S.basis:

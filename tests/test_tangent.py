@@ -32,7 +32,6 @@ from nctangent.tangent import (
     decompose,
     glue,
     leibniz_failures,
-    local_derivation,
     project_global,
     restrict,
     verify_action,
@@ -109,10 +108,10 @@ def test_zero_action_is_valid():
 def test_local_derivation_apply():
     assign = canonical_inner_model(2, 1, 1)
     A = assign.algebra
-    X = local_derivation(assign, [A.unit, zero_vec(A.dim)])
+    X = LocalDerivation(assign, [A.unit, zero_vec(A.dim)])
     a = A.basis_vector(1)
     assert X.apply(a) == vec_scale(sc(0, 1), a)
-    Y = local_derivation(assign, [A.unit, A.unit])
+    Y = LocalDerivation(assign, [A.unit, A.unit])
     want = vec_add(
         assign.operators[0].apply(a), assign.operators[1].apply(a)
     )
@@ -124,10 +123,10 @@ def test_non_central_coefficient_rejected():
     assign = canonical_inner_model(2, 1, 1)
     A = assign.algebra
     with pytest.raises(NonCentralCoefficient) as err:
-        local_derivation(assign, [A.basis_vector(0), zero_vec(A.dim)])
+        LocalDerivation(assign, [A.basis_vector(0), zero_vec(A.dim)])
     assert err.value.witness is not None
     # the unchecked constructor lets it through for negative controls
-    X = local_derivation(
+    X = LocalDerivation(
         assign, [A.basis_vector(0), zero_vec(A.dim)], check=False
     )
     assert X.coefficients[0] == A.basis_vector(0)
@@ -148,7 +147,7 @@ def test_blockwise_central_scaling():
         vec_scale(Scalar(2), vec_add(A.basis_vector(0), A.basis_vector(3))),
         vec_scale(Scalar(3), vec_add(A.basis_vector(4), A.basis_vector(7))),
     )
-    X = local_derivation(assign, [z, zero_vec(A.dim)])
+    X = LocalDerivation(assign, [z, zero_vec(A.dim)])
     e12_first = A.basis_vector(1)
     e12_second = A.basis_vector(5)
     assert X.apply(e12_first) == vec_scale(sc(0, 2), e12_first)
@@ -158,8 +157,8 @@ def test_blockwise_central_scaling():
 def test_bracket_constant_coefficients():
     assign = canonical_inner_model(2, 1, Fraction(2))
     A = assign.algebra
-    X = local_derivation(assign, [A.unit, zero_vec(A.dim)])
-    Y = local_derivation(assign, [zero_vec(A.dim), A.unit])
+    X = LocalDerivation(assign, [A.unit, zero_vec(A.dim)])
+    Y = LocalDerivation(assign, [zero_vec(A.dim), A.unit])
     B = bracket(X, Y)
     # only the structure-constant term survives: (i/kappa) in the
     # spatial slot
@@ -185,8 +184,8 @@ def test_bracket_matches_operator_commutator():
         return out
 
     for _ in range(6):
-        X = local_derivation(assign, [random_central(), random_central()])
-        Y = local_derivation(assign, [random_central(), random_central()])
+        X = LocalDerivation(assign, [random_central(), random_central()])
+        Y = LocalDerivation(assign, [random_central(), random_central()])
         B = bracket(X, Y)
         Xm, Ym = X.as_matrix(), Y.as_matrix()
         assert (Xm @ Ym - Ym @ Xm).entries == B.as_matrix().entries
@@ -198,10 +197,10 @@ def test_bracket_noncentral_mismatch():
     # coefficient formula: the operator commutator is the truth
     assign = canonical_inner_model(2, 1, 1)
     A = assign.algebra
-    X = local_derivation(
+    X = LocalDerivation(
         assign, [A.basis_vector(1), zero_vec(A.dim)], check=False
     )
-    Y = local_derivation(
+    Y = LocalDerivation(
         assign, [A.basis_vector(2), zero_vec(A.dim)], check=False
     )
     B = bracket(X, Y)
@@ -215,7 +214,7 @@ def test_glue_block_model():
     for alpha, assign in enumerate(assigns):
         Aq = assign.algebra
         scalorz = unit_scaled(Aq, Scalar(2 + alpha))
-        locs.append(local_derivation(assign, [scalorz, Aq.unit]))
+        locs.append(LocalDerivation(assign, [scalorz, Aq.unit]))
     X = glue(cov, P, locs)
     assert leibniz_failures(A, X.matrix) == []
     for alpha in (0, 1):
@@ -240,7 +239,7 @@ def test_glue_decompose_roundtrip():
     for assign, (c0, c1) in zip(assigns, coeff_values):
         Aq = assign.algebra
         locs.append(
-            local_derivation(
+            LocalDerivation(
                 assign, [unit_scaled(Aq, c0), unit_scaled(Aq, c1)]
             )
         )
@@ -257,19 +256,19 @@ def test_glue_single_trivial_chart():
     A = assign.algebra
     cov = Covering(A, [Subspace(A.dim, [])])
     P = Partition.from_zetas(A, [A.unit])
-    loc = local_derivation(assign, [A.unit, A.unit])
+    loc = LocalDerivation(assign, [A.unit, A.unit])
     # the chart is the quotient by zero, whose table equals A's
     chart_assign = ActionAssignment(
         cov.chart(0), 1, 1, assign.operators
     )
-    X = glue(cov, P, [local_derivation(chart_assign, [cov.chart(0).unit] * 2)])
+    X = glue(cov, P, [LocalDerivation(chart_assign, [cov.chart(0).unit] * 2)])
     assert X.matrix.entries == loc.as_matrix().entries
 
 
 def test_zmodule_action():
     A, cov, P, assigns = block_setup()
     locs = [
-        local_derivation(a, [a.algebra.unit, a.algebra.unit]) for a in assigns
+        LocalDerivation(a, [a.algebra.unit, a.algebra.unit]) for a in assigns
     ]
     X = glue(cov, P, locs)
     cU = A.unit
@@ -342,7 +341,7 @@ def test_smash_degree_overflow():
 
 def test_glue_rejects_wrong_chart():
     A, cov, P, assigns = block_setup()
-    loc0 = local_derivation(
+    loc0 = LocalDerivation(
         assigns[0], [assigns[0].algebra.unit, assigns[0].algebra.unit]
     )
     with pytest.raises(AlgebraError):
