@@ -534,7 +534,8 @@ def _split_common_eigenvalues(B):
             for b in basis:
                 image = T.apply(b)
                 sol = solve_linear(Bcols, image)
-                assert sol is not None, "dual block not invariant"
+                if sol is None:
+                    raise AlgebraError("dual block not invariant")
                 restricted_cols.append(sol[0])
             M = Matrix.from_columns(restricted_cols, rows=len(basis))
             for root, sub in _eigensplit(M, basis):

@@ -85,14 +85,30 @@ def _parse_vec(items, dim, where):
 
 
 def _parse_ideal_decl(A, decl):
-    """Vector-valued declarations carry scalar literals that need parsing."""
-    if isinstance(decl, dict) and decl.get("type") in ("span", "generators"):
+    """Check the shape of one ideal declaration.  Vector-valued
+    declarations carry scalar literals that need parsing."""
+    if not isinstance(decl, dict):
+        raise ScenarioError("each covering ideal must be an object, got %r" % (decl,))
+    kind = decl.get("type")
+    if kind in ("span", "generators"):
+        vectors = decl.get("vectors", [])
+        if not isinstance(vectors, list):
+            raise ScenarioError("%s ideal needs a 'vectors' list" % kind)
         out = dict(decl)
         out["vectors"] = [
-            _parse_vec(v, A.dim, "covering ideal vector")
-            for v in decl.get("vectors", [])
+            _parse_vec(v, A.dim, "covering ideal vector") for v in vectors
         ]
         return out
+    if kind == "blocks" and not isinstance(decl.get("kill"), list):
+        raise ScenarioError("blocks ideal needs a 'kill' list of block prefixes")
+    if kind == "vanishing_on":
+        points = decl.get("points")
+        try:
+            if isinstance(points, list):
+                return dict(decl, points=[_integer(p) for p in points])
+        except ValueError:
+            pass
+        raise ScenarioError("vanishing_on ideal needs a 'points' list of integers")
     return decl
 
 
@@ -153,6 +169,8 @@ def _block_zetas(A):
 def _build_partition(A, spec):
     try:
         if isinstance(spec, dict) and "zetas" in spec:
+            if not isinstance(spec["zetas"], list):
+                raise ScenarioError("partition 'zetas' must be a list of vectors")
             zetas = [
                 _parse_vec(z, A.dim, "partition zeta %d" % k)
                 for k, z in enumerate(spec["zetas"])
@@ -194,6 +212,20 @@ def _connection_entry(value, A, where):
     return vec_scale(_parse_scalar(value, where), A.unit)
 
 
+def _is_cube(grid, n):
+    """Whether grid is a list of n lists of n lists of n entries."""
+    return (
+        isinstance(grid, list)
+        and len(grid) == n
+        and all(
+            isinstance(plane, list)
+            and len(plane) == n
+            and all(isinstance(row, list) and len(row) == n for row in plane)
+            for plane in grid
+        )
+    )
+
+
 def _build_connection(assign, spec, rng):
     A = assign.algebra
     n = assign.d + 1
@@ -211,7 +243,7 @@ def _build_connection(assign, spec, rng):
         return random_connection(assign, rng)
     if isinstance(spec, dict) and "grid" in spec:
         grid = spec["grid"]
-        if len(grid) != n:
+        if not _is_cube(grid, n):
             raise ScenarioError("connection grid must be (d+1) cubed")
         built = []
         for mu, plane in enumerate(grid):
@@ -232,12 +264,18 @@ def _build_connection(assign, spec, rng):
     )
 
 
+def _integer(value):
+    """A JSON integer or integer string as an int; ValueError for anything
+    else, so 2.5 or true is never read as a whole number."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(value)
+    return int(value)
+
+
 def _degree_bound(value, where):
     """A Hopf sweep bound: a nonnegative integer (or integer string)."""
     try:
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise ValueError(value)
-        bound = int(value)
+        bound = _integer(value)
     except ValueError:
         raise ScenarioError("%s must be an integer, got %r" % (where, value))
     if bound < 0:
@@ -307,7 +345,7 @@ def load_scenario(path):
         if scn.algebra is None:
             raise ScenarioError("covering section needs an algebra section")
         spec = data["covering"]
-        if not isinstance(spec, dict) or "ideals" not in spec:
+        if not isinstance(spec, dict) or not isinstance(spec.get("ideals"), list):
             raise ScenarioError("covering section needs an 'ideals' list")
         try:
             ideals = [
@@ -330,7 +368,12 @@ def load_scenario(path):
     if "actions" in data:
         if scn.covering is None:
             raise ScenarioError("actions section needs a covering section")
+        if scn.partition is None:
+            # the glued forms of every family that reads `actions` need it
+            raise ScenarioError("actions section needs a partition section")
         specs = data["actions"]
+        if not isinstance(specs, list):
+            raise ScenarioError("actions section must be a list")
         if len(specs) != scn.covering.size:
             raise ScenarioError("need one action per chart")
         scn.actions = [

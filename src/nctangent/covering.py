@@ -5,7 +5,7 @@ Each ideal yields a local quotient algebra with a canonical projection
 and a fixed linear section; each pair yields an overlap quotient by the
 sum ideal.  The chart-to-overlap maps are built as projection-after-
 section and the commuting diagram (both composites against the base
-algebra agree with the joint projection) is asserted at construction
+algebra agree with the joint projection) is checked at construction
 and re-checkable on demand.
 """
 
@@ -153,7 +153,11 @@ class Covering:
                 # recovers the joint projection, from both sides
                 for side in (a, b):
                     via = (proj @ self._charts[side][2]) @ self._charts[side][1]
-                    assert via.entries == proj.entries
+                    if via.entries != proj.entries:
+                        raise AlgebraError(
+                            "overlap diagram does not commute for charts "
+                            "(%d, %d) via chart %d" % (a, b, side)
+                        )
         object.__setattr__(self, "_overlaps", overlaps)
 
     def __setattr__(self, *a):

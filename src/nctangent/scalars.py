@@ -1,8 +1,10 @@
 """Exact Gaussian-rational arithmetic and the dense linear algebra under it.
 
-Everything downstream runs over Q(i): complex numbers whose real and
-imaginary parts are `fractions.Fraction` values.  Equality is exact
-everywhere; the package has no notion of tolerance.
+Everything downstream runs over Q(i).  A `Scalar` is held as three
+Python ints (a, b, q) meaning (a + b*i)/q, with q > 0 and
+gcd(a, b, q) = 1, so each value has exactly one representation; its
+real and imaginary parts are available as `fractions.Fraction` values.
+Equality is exact everywhere; the package has no notion of tolerance.
 
 Three layers live here:
 
@@ -16,6 +18,7 @@ Three layers live here:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def _frac(x):
@@ -29,45 +32,91 @@ def _frac(x):
 
 
 class Scalar:
-    """A Gaussian rational re + im*i with exact Fraction parts."""
+    """A Gaussian rational (a + b*i)/q held as reduced ints.
 
-    __slots__ = ("re", "im")
+    q > 0 and gcd(a, b, q) = 1, so zero is (0, 0, 1) and two Scalars are
+    equal exactly when their triples are.  `re` and `im` return the
+    parts as `Fraction` values.  Results of arithmetic are built straight
+    from ints, without going through `Fraction` or `__init__`; a zero
+    term, or a factor of zero or one, hands back an operand unchanged,
+    which is safe because Scalars are immutable.
+    """
+
+    __slots__ = ("_a", "_b", "_q")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        re = _frac(re)
+        im = _frac(im)
+        q, q2 = re.denominator, im.denominator
+        a, b = re.numerator, im.numerator
+        if q != q2:
+            # over the lcm of two reduced denominators the triple is reduced
+            g = gcd(q, q2)
+            a *= q2 // g
+            b *= q // g
+            q *= q2 // g
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_q(self, q)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self):
+        return Fraction(self._a, self._q)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._q)
 
     @classmethod
     def promote(cls, x):
         if isinstance(x, Scalar):
             return x
-        return cls(_frac(x))
+        x = _frac(x)
+        return _make(x.numerator, 0, x.denominator)
 
     def __add__(self, other):
-        other = Scalar.promote(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if other.__class__ is not Scalar:
+            other = Scalar.promote(other)
+        if not (other._a or other._b):
+            return self
+        if not (self._a or self._b):
+            return other
+        return _sum(self, other._a, other._b, other._q)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Scalar.promote(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if other.__class__ is not Scalar:
+            other = Scalar.promote(other)
+        if not (other._a or other._b):
+            return self
+        return _sum(self, -other._a, -other._b, other._q)
 
     def __rsub__(self, other):
         return Scalar.promote(other) - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._q)
 
     def __mul__(self, other):
-        other = Scalar.promote(other)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not Scalar:
+            other = Scalar.promote(other)
+        a1, b1, q1 = self._a, self._b, self._q
+        a2, b2, q2 = other._a, other._b, other._q
+        if not (a1 or b1) or (a2 == 1 and q2 == 1 and not b2):
+            return self
+        if not (a2 or b2) or (a1 == 1 and q1 == 1 and not b1):
+            return other
+        if b1 or b2:
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+        else:
+            a = a1 * a2
+            b = 0
+        return _reduced(a, b, q1 * q2)
 
     __rmul__ = __mul__
 
@@ -79,41 +128,55 @@ class Scalar:
         return Scalar.promote(other) / self
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
+        # q / (a + b*i) = q (a - b*i) / (a^2 + b^2)
+        a, b, q = self._a, self._b, self._q
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Scalar(self.re / n, -self.im / n)
+        return _reduced(q * a, -q * b, n)
 
     def conjugate(self):
-        return Scalar(self.re, -self.im)
+        return _make(self._a, -self._b, self._q)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def is_zero(self):
         return not self
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, Scalar):
+            return (
+                self._a == other._a and self._b == other._b and self._q == other._q
+            )
+        if isinstance(other, int):
+            return self._b == 0 and self._q == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (
+                self._b == 0
+                and self._q == other.denominator
+                and self._a == other.numerator
+            )
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self._b == 0:
+            # equal to an int or Fraction of the same value, so hash alike
+            return hash(self.re)
+        return hash((self._a, self._b, self._q))
 
     def __repr__(self):
         return "Scalar(%s)" % str(self)
 
     def __str__(self):
         # compact human form: "0", "3/5", "i", "-2i", "1+2i", "1-1/2i"
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return "%s%s%s" % (self.re, sign, _imag_str(abs(self.im)).lstrip("+"))
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return _imag_str(im)
+        sign = "+" if im > 0 else "-"
+        return "%s%s%s" % (re, sign, _imag_str(abs(im)).lstrip("+"))
 
     @classmethod
     def parse(cls, text):
@@ -141,6 +204,41 @@ class Scalar:
             im = Fraction(im_part)
         re = Fraction(re_part) if re_part else Fraction(0)
         return cls(re, im)
+
+
+_new = object.__new__
+_set_a = Scalar._a.__set__
+_set_b = Scalar._b.__set__
+_set_q = Scalar._q.__set__
+
+
+def _make(a, b, q):
+    """The Scalar (a + b*i)/q; the caller guarantees q > 0 and
+    gcd(a, b, q) = 1."""
+    s = _new(Scalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_q(s, q)
+    return s
+
+
+def _reduced(a, b, q):
+    """The Scalar (a + b*i)/q for any q > 0."""
+    if q != 1:
+        g = gcd(a, b, q)
+        if g != 1:
+            a //= g
+            b //= g
+            q //= g
+    return _make(a, b, q)
+
+
+def _sum(x, a, b, q):
+    """The Scalar x + (a + b*i)/q, for any q > 0."""
+    q1 = x._q
+    if q1 == q:
+        return _reduced(x._a + a, x._b + b, q)
+    return _reduced(x._a * q + a * q1, x._b * q + b * q1, q1 * q)
 
 
 def _imag_str(f):
@@ -511,7 +609,10 @@ class QuotientSpace:
             if not Subspace(ambient_dim, current).contains(cand):
                 chosen.append(idx)
                 current.append(cand)
-        assert len(chosen) == q
+        if len(chosen) != q:
+            raise ValueError(
+                "complement has %d vectors, the quotient needs %d" % (len(chosen), q)
+            )
         columns = [tuple(v) for v in subspace.basis] + [
             unit_vec(ambient_dim, idx) for idx in chosen
         ]

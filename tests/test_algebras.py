@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nctangent.algebras import (
+    AlgebraError,
     Character,
     StarAlgebra,
     UnsupportedCharacters,
@@ -323,3 +324,12 @@ def test_is_character_guards():
     assert is_character(A, vec(1, 0))
     assert not is_character(A, vec(0, 0))
     assert not is_character(A, vec(2, 0))
+
+
+def test_non_invariant_dual_block_raises_a_typed_error(monkeypatch):
+    # the invariance check must not be an assert, which `python -O` strips
+    import nctangent.algebras as algebras
+
+    monkeypatch.setattr(algebras, "solve_linear", lambda A, b: None)
+    with pytest.raises(AlgebraError, match="dual block not invariant"):
+        algebras._split_common_eigenvalues(make_function_algebra(2))

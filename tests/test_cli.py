@@ -253,20 +253,24 @@ def test_all_matches_golden_report(name):
     assert result.exit_code == (1 if failed else 0)
 
 
-def test_module_entry_point_runs_checks():
+def run_module(*args, flags=()):
+    """`python [flags] -m nctangent.cli args...` from the repository root."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "nctangent.cli", "all", "--scenario",
-         "scenarios/matrix_partition.json"],
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "nctangent.cli", *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_module_entry_point_runs_checks():
+    proc = run_module("all", "--scenario", "scenarios/matrix_partition.json")
     assert proc.returncode == 0, proc.stderr
     checks = json.loads(proc.stdout)["checks"]
     assert "partition:sum-law" in {c["id"] for c in checks}
@@ -336,3 +340,90 @@ def test_library_error_inside_a_family_exits_2(tmp_path):
         assert result.exit_code == 2
         assert "partition-check cannot run on this scenario" in result.output
         assert "chi does not kill the chart ideal" in result.output
+
+
+def block_scenario(**changes):
+    """block_model.json with some sections replaced (None drops one)."""
+    scenario = json.loads((SCENARIOS / "block_model.json").read_text())
+    for key, value in changes.items():
+        if value is None:
+            del scenario[key]
+        else:
+            scenario[key] = value
+    return scenario
+
+
+@pytest.mark.parametrize("command", ["all", "forms-check", "glue-derivations"])
+def test_actions_without_partition_rejected(tmp_path, command):
+    path = write_scenario(tmp_path, block_scenario(partition=None))
+    result = run(command, "--scenario", path)
+    assert result.exit_code == 2
+    assert "actions section needs a partition section" in result.output
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"covering": {"ideals": 5}}, "covering section needs an 'ideals' list"),
+        ({"covering": {"ideals": ["blocks"]}}, "each covering ideal must be an object"),
+        ({"covering": {"ideals": [{"type": "blocks"}]}}, "needs a 'kill' list"),
+        (
+            {"covering": {"ideals": [{"type": "span", "vectors": 3}]}},
+            "span ideal needs a 'vectors' list",
+        ),
+        ({"partition": {"zetas": 7}}, "partition 'zetas' must be a list"),
+        ({"actions": {"type": "canonical", "N": 2}}, "actions section must be a list"),
+    ],
+)
+def test_malformed_section_exits_2_without_traceback(tmp_path, changes, message):
+    path = write_scenario(tmp_path, block_scenario(**changes))
+    proc = run_module("all", "--scenario", path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("points", [None, "12", ["x"], [1.5, 3], [True]])
+def test_malformed_vanishing_on_points_rejected(tmp_path, points):
+    ideal = {"type": "vanishing_on"}
+    if points is not None:
+        ideal["points"] = points
+    path = write_scenario(
+        tmp_path,
+        {"algebra": {"model": "function", "points": 3}, "covering": {"ideals": [ideal]}},
+    )
+    result = run("covering-check", "--scenario", path)
+    assert result.exit_code == 2
+    assert "'points' list of integers" in result.output
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [3, [[[0, 0], [0, 0]]], [[0, 0], [0, 0]], [[[0, 0], [0]], [[0, 0], [0, 0]]]],
+)
+def test_malformed_connection_grid_rejected(tmp_path, grid):
+    # d = 1, so the grid must be 2 x 2 x 2
+    path = write_scenario(
+        tmp_path,
+        {
+            "d": 1,
+            "algebra": {"model": "matrix", "n": 2},
+            "action": {"type": "canonical", "N": 2},
+            "connection": {"grid": grid},
+        },
+    )
+    result = run("curvature", "--scenario", path)
+    assert result.exit_code == 2
+    assert "connection grid must be (d+1) cubed" in result.output
+
+
+def test_optimized_python_matches_golden_reports():
+    # `python -O` strips assert statements; no check may depend on them
+    for path in sorted(SCENARIOS.glob("*.json")):
+        proc = run_module("all", "--scenario", str(path), flags=("-O",))
+        got = json.loads(proc.stdout)
+        for check in got["checks"]:
+            del check["millis"]
+        assert got == json.loads((GOLDEN / path.name).read_text()), path.name
+        failed = any(c["status"] != "pass" for c in got["checks"])
+        assert proc.returncode == (1 if failed else 0), proc.stderr

@@ -1,6 +1,7 @@
 import pytest
 
 from nctangent.algebras import (
+    AlgebraError,
     direct_sum,
     make_function_algebra,
     make_matrix_algebra,
@@ -135,3 +136,19 @@ def test_declaration_errors():
     F = make_function_algebra(3)
     with pytest.raises(Exception):
         ideal_from_declaration(F, {"type": "vanishing_on", "points": [9]})
+
+
+def test_broken_overlap_diagram_raises_a_typed_error(monkeypatch):
+    # the diagram check must not be an assert, which `python -O` strips
+    import nctangent.covering as covering
+
+    real = covering.quotient_algebra
+
+    def doubled_section(algebra, ideal, labels_prefix):
+        alg, proj, sect = real(algebra, ideal, labels_prefix=labels_prefix)
+        return alg, proj, sect.scale(2)
+
+    A, block1, block2 = block_model()
+    monkeypatch.setattr(covering, "quotient_algebra", doubled_section)
+    with pytest.raises(AlgebraError, match="overlap diagram does not commute"):
+        Covering(A, [block1, block2])

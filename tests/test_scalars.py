@@ -1,10 +1,13 @@
 """Substrate checks: field axioms, elimination, subspaces, quotients."""
 
+import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nctangent.cli import _jsonable
 from nctangent.scalars import (
     I,
     ONE,
@@ -25,6 +28,133 @@ from nctangent.scalars import (
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 scalars = st.builds(Scalar, rationals, rationals)
+
+
+class PairRef:
+    """Reference Gaussian rational: a plain pair of Fractions, the slow
+    and obvious route that the int kernel of `Scalar` must agree with."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other):
+        return PairRef(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return PairRef(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return PairRef(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return PairRef(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return PairRef(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def conjugate(self):
+        return PairRef(self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __str__(self):
+        def imag(f):
+            return {1: "i", -1: "-i"}.get(f, "%si" % f)
+
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return imag(self.im)
+        sign = "+" if self.im > 0 else "-"
+        return "%s%s%s" % (self.re, sign, imag(abs(self.im)))
+
+
+# raw numerator/denominator pairs, so Fraction sees negative denominators
+# and reduces large ones itself
+big_rationals = st.builds(
+    Fraction,
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 10**6) | st.integers(-(10**6), -1),
+)
+parts = st.one_of(big_rationals, st.integers(-5, 5), st.sampled_from([Fraction(0), Fraction(-1, 2)]))
+pairs = st.tuples(parts, parts)
+
+
+def assert_agrees(s, ref):
+    assert isinstance(s, Scalar)
+    assert type(s.re) is Fraction and type(s.im) is Fraction
+    assert (s.re, s.im) == (ref.re, ref.im)
+    # one representation per value: equal to the Scalar built from parts
+    assert s == Scalar(ref.re, ref.im)
+    assert hash(s) == hash(Scalar(ref.re, ref.im))
+    assert str(s) == str(ref)
+    assert bool(s) is bool(ref)
+
+
+@given(pairs, pairs)
+@settings(max_examples=300)
+def test_scalar_matches_fraction_pair_reference(x, y):
+    s, t = Scalar(*x), Scalar(*y)
+    r, u = PairRef(*x), PairRef(*y)
+    assert_agrees(s, r)
+    assert_agrees(s + t, r + u)
+    assert_agrees(s - t, r - u)
+    assert_agrees(s * t, r * u)
+    assert_agrees(-s, -r)
+    assert_agrees(s.conjugate(), r.conjugate())
+    if u:
+        assert_agrees(s / t, r / u)
+        assert_agrees(t.inverse(), u.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            t.inverse()
+    assert (s == t) is ((r.re, r.im) == (u.re, u.im))
+    assert Scalar.parse(str(s)) == s
+
+
+@given(pairs, parts)
+@settings(max_examples=200)
+def test_scalar_mixes_with_int_and_fraction(x, c):
+    s, r, rc = Scalar(*x), PairRef(*x), PairRef(c)
+    assert_agrees(s + c, r + rc)
+    assert_agrees(c + s, rc + r)
+    assert_agrees(s - c, r - rc)
+    assert_agrees(c - s, rc - r)
+    assert_agrees(s * c, r * rc)
+    assert_agrees(c * s, rc * r)
+    if c:
+        assert_agrees(s / c, r / rc)
+    if r:
+        assert_agrees(c / s, rc / r)
+    real = Scalar(c)
+    assert real == c and c == real
+    assert (s == c) is (r.im == 0 and r.re == c)
+    assert (s == Fraction(c)) is (s == c)
+    assert hash(real) == hash(c)
+
+
+def test_scalar_stays_a_plain_immutable_object():
+    s = sc(Fraction(9, 25))
+    assert not isinstance(s, tuple)
+    with pytest.raises(AttributeError):
+        s.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    # reports write a Scalar as its string, never as an array
+    assert json.dumps(_jsonable(("phi_1", s))) == '["phi_1", "9/25"]'
+    with pytest.raises(TypeError):
+        Scalar(1.5)
 
 
 @given(scalars, scalars, scalars)
@@ -194,3 +324,11 @@ def test_nullspace_matches_rank():
     assert len(ker) == 2
     for v in ker:
         assert vec_is_zero(A.apply(v))
+
+
+def test_short_complement_raises_a_typed_error(monkeypatch):
+    # the complement size check must not be an assert, which `python -O`
+    # strips; a membership test that accepts everything leaves it empty
+    monkeypatch.setattr(Subspace, "contains", lambda self, v: True)
+    with pytest.raises(ValueError, match="complement has 0 vectors"):
+        QuotientSpace(2, Subspace(2, []))
