@@ -51,9 +51,15 @@ class StarAlgebra:
     involution acts antilinearly: conjugate the coordinates, then apply
     `involution` as a matrix.  `unit` is a coordinate vector or None for
     a non-unital algebra.
+
+    `terms` is the sparse form of `table`, built once here: `terms[i]`
+    holds one `(j, ((m, c), ...))` entry per nonzero cell `table[i][j]`,
+    listing only its nonzero coefficients c at coordinates m.  `multiply`,
+    `center` and `is_character` read the structure constants through it,
+    so zero cells cost nothing (M_n has n^3 nonzero cells of n^6).
     """
 
-    __slots__ = ("dim", "labels", "table", "involution", "unit", "model")
+    __slots__ = ("dim", "labels", "table", "terms", "involution", "unit", "model")
 
     def __init__(self, labels, table, involution, unit, model=None):
         dim = len(labels)
@@ -75,7 +81,16 @@ class StarAlgebra:
                 raise AlgebraError("unit vector has wrong length")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", tuple(labels))
+        terms = []
+        for row in table:
+            entries = []
+            for j, cell in enumerate(row):
+                nonzero = tuple((m, c) for m, c in enumerate(cell) if c)
+                if nonzero:
+                    entries.append((j, nonzero))
+            terms.append(tuple(entries))
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "involution", involution)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "model", model)
@@ -92,18 +107,16 @@ class StarAlgebra:
         if len(u) != self.dim or len(v) != self.dim:
             raise AlgebraError("element length mismatch")
         out = list(zero_vec(self.dim))
-        for i, x in enumerate(u):
+        for x, row in zip(u, self.terms):
             if not x:
                 continue
-            row = self.table[i]
-            for j, y in enumerate(v):
+            for j, cell in row:
+                y = v[j]
                 if not y:
                     continue
                 f = x * y
-                cell = row[j]
-                for m, c in enumerate(cell):
-                    if c:
-                        out[m] = out[m] + f * c
+                for m, c in cell:
+                    out[m] = out[m] + f * c
         return tuple(out)
 
     def involute(self, v):
@@ -313,16 +326,24 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
 
 
 def center(A):
-    """Exact solution space of [z, b_i] = 0 for every basis element."""
-    rows = []
-    for i in range(A.dim):
-        bi = unit_vec(A.dim, i)
-        C = A.right_mult_matrix(bi) - A.left_mult_matrix(bi)
-        rows.extend(C.entries)
-    if not rows:
-        return Subspace(A.dim, [unit_vec(A.dim, 0)] if A.dim else [])
-    ker = nullspace(Matrix(rows, cols=A.dim))
-    return Subspace(A.dim, ker)
+    """Exact solution space of [z, b_i] = 0 for every basis element.
+
+    Equation row (i, m) is the m-th coordinate of z b_i - b_i z, that is
+    sum over k of z_k (table[k][i][m] - table[i][k][m]); each nonzero
+    structure constant table[k][j][m] = c enters two rows.
+    """
+    n = A.dim
+    if not n:
+        return Subspace(0, [])
+    rows = [[ZERO] * n for _ in range(n * n)]
+    for k, row in enumerate(A.terms):
+        for j, cell in row:
+            for m, c in cell:
+                zb = rows[j * n + m]
+                zb[k] = zb[k] + c
+                bz = rows[k * n + m]
+                bz[j] = bz[j] - c
+    return Subspace(n, nullspace(Matrix(rows, cols=n)))
 
 
 def is_central(A, v):
@@ -415,10 +436,15 @@ def is_character(A, coords):
     phi = Character(coords, "?")
     if all(not c for c in coords):
         return False
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if phi(A.table[i][j]) != coords[i] * coords[j]:
-                return False
+    values = phi.coords
+    for x, row in zip(values, A.terms):
+        # phi(b_i b_j) - phi(b_i) phi(b_j) for every j; zero cells add nothing
+        defect = [-(x * y) for y in values]
+        for j, cell in row:
+            for m, c in cell:
+                defect[j] = defect[j] + values[m] * c
+        if any(defect):
+            return False
     if A.unit is not None and phi(A.unit) != ONE:
         return False
     return True
@@ -584,7 +610,7 @@ def _minimal_polynomial(M):
                 return [(-c) for c in coeffs[:-1]] + [ONE]
         power = power @ M
         if len(flats) > k + 1:
-            raise AssertionError("minimal polynomial search exceeded dimension")
+            raise AlgebraError("minimal polynomial search exceeded dimension")
 
 
 def _linear_roots(coeffs):

@@ -345,32 +345,28 @@ def curvature_cross_check(gamma):
     return failures
 
 
-def random_antihermitian_central(A, rng, span=3):
-    """Seeded anti-hermitian element of the center: imaginary rational
-    combinations of hermitized center basis vectors."""
+def random_connection(assign, rng, span=3):
+    """Seeded valid connection: every entry an independent draw of an
+    anti-hermitian central element, an imaginary rational combination of
+    hermitized center basis vectors.  The center is solved once."""
     from nctangent.algebras import center
 
-    out = zero_vec(A.dim)
+    n = assign.d + 1
+    A = assign.algebra
+    hermitian = []
     for c in center(A).basis:
         h = vec_add(c, A.involute(c))
         if vec_is_zero(h):
             # anti-hermitian basis vector: i times it is hermitian
             h = vec_scale(Scalar(0, 1), c)
-        t = Fraction(rng.randint(-span, span))
-        out = vec_add(out, vec_scale(Scalar(0, t), h))
-    return out
+        hermitian.append(h)
 
+    def draw():
+        out = zero_vec(A.dim)
+        for h in hermitian:
+            t = Fraction(rng.randint(-span, span))
+            out = vec_add(out, vec_scale(Scalar(0, t), h))
+        return out
 
-def random_connection(assign, rng, span=3):
-    """Seeded valid connection: every entry an independent draw of an
-    anti-hermitian central element."""
-    n = assign.d + 1
-    A = assign.algebra
-    grid = [
-        [
-            [random_antihermitian_central(A, rng, span) for _ in range(n)]
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
+    grid = [[[draw() for _ in range(n)] for _ in range(n)] for _ in range(n)]
     return ConnectionCoefficients(assign, grid)

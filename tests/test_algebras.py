@@ -31,6 +31,7 @@ from nctangent.scalars import (
     Scalar,
     Subspace,
     ZERO,
+    nullspace,
     sc,
     unit_vec,
     vec,
@@ -333,3 +334,183 @@ def test_non_invariant_dual_block_raises_a_typed_error(monkeypatch):
     monkeypatch.setattr(algebras, "solve_linear", lambda A, b: None)
     with pytest.raises(AlgebraError, match="dual block not invariant"):
         algebras._split_common_eigenvalues(make_function_algebra(2))
+
+
+def test_runaway_minimal_polynomial_raises_a_typed_error(monkeypatch):
+    # the CLI turns AlgebraError into exit 2; a bare AssertionError would
+    # give a traceback
+    import nctangent.algebras as algebras
+
+    monkeypatch.setattr(algebras, "solve_linear", lambda A, b: None)
+    with pytest.raises(AlgebraError, match="minimal polynomial search exceeded"):
+        algebras._minimal_polynomial(Matrix.identity(2))
+
+
+# -- sparse structure constants against the dense reference ----------------
+#
+# `multiply`, `center` and `is_character` read the sparse `terms`; the
+# functions below are the dense routes they replaced, kept here only as
+# oracles.
+
+
+def dense_multiply(A, u, v):
+    """Walk every (i, j, m) cell of `table` and skip the zero ones."""
+    out = [ZERO] * A.dim
+    for i, x in enumerate(u):
+        if not x:
+            continue
+        row = A.table[i]
+        for j, y in enumerate(v):
+            if not y:
+                continue
+            f = x * y
+            for m, c in enumerate(row[j]):
+                if c:
+                    out[m] = out[m] + f * c
+    return tuple(out)
+
+
+def dense_center(A):
+    """Nullspace of the stacked R(b_i) - L(b_i), built with dense_multiply."""
+    n = A.dim
+    rows = []
+    for i in range(n):
+        bi = unit_vec(n, i)
+        R = Matrix.from_columns([dense_multiply(A, unit_vec(n, j), bi) for j in range(n)], rows=n)
+        L = Matrix.from_columns([dense_multiply(A, bi, unit_vec(n, j)) for j in range(n)], rows=n)
+        rows.extend((R - L).entries)
+    return Subspace(n, nullspace(Matrix(rows, cols=n)))
+
+
+def dense_is_character(A, coords):
+    """Pair phi with all dim^2 cells of `table`."""
+    phi = Character(coords, "?")
+    if all(not c for c in coords):
+        return False
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if phi(A.table[i][j]) != coords[i] * coords[j]:
+                return False
+    return A.unit is None or phi(A.unit) == ONE
+
+
+def model_algebras():
+    M2, M3 = make_matrix_algebra(2), make_matrix_algebra(3)
+    block_sum = direct_sum(M2, M3)
+    quotient, _, _ = quotient_algebra(
+        block_sum, Subspace(13, [unit_vec(13, 4 + k) for k in range(9)])
+    )
+    F3 = make_function_algebra(3)
+    restricted, _, _ = quotient_algebra(F3, Subspace(3, [unit_vec(3, 1)]))
+    # functions on 2 points in the basis {u, w} with w*w = u/4 (see
+    # test_generic_path_on_scaled_function_basis)
+    mixed = StarAlgebra(
+        ["u", "w"],
+        [[vec(1, 0), vec(0, 1)], [vec(0, 1), vec(Fraction(1, 4), 0)]],
+        Matrix.identity(2),
+        vec(1, 0),
+    )
+    return [
+        make_matrix_algebra(1), M2, M3, make_matrix_algebra(4),
+        make_moyal_truncation(2), make_function_algebra(1), F3,
+        make_function_algebra(5), block_sum,
+        direct_sum(make_function_algebra(2), M2), quotient, restricted, mixed,
+    ]
+
+
+MODELS = model_algebras()
+
+
+def random_scalar():
+    return st.builds(
+        lambda a, b, q: Scalar(Fraction(a, q), Fraction(b, q)),
+        st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4),
+    )
+
+
+def sparse_scalar():
+    return st.one_of(st.just(ZERO), st.just(ZERO), random_scalar())
+
+
+def vectors(n):
+    return st.lists(sparse_scalar(), min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def random_algebra(draw):
+    """Any bilinear product on Q(i)^n, n <= 4: often sparse, sometimes
+    all zero, in general not associative."""
+    n = draw(st.integers(1, 4))
+    cells = draw(st.one_of(
+        st.just([ZERO] * n ** 3),
+        st.lists(sparse_scalar(), min_size=n ** 3, max_size=n ** 3),
+    ))
+    table = [[cells[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    return StarAlgebra(["b%d" % i for i in range(n)], table, Matrix.identity(n), None)
+
+
+def test_terms_list_exactly_the_nonzero_cells():
+    for A in MODELS:
+        for i, row in enumerate(A.terms):
+            dense = {
+                j: tuple((m, c) for m, c in enumerate(cell) if c)
+                for j, cell in enumerate(A.table[i])
+                if any(cell)
+            }
+            assert dict(row) == dense
+            assert [j for j, _ in row] == sorted(dense)
+    M3 = make_matrix_algebra(3)
+    assert sum(len(cell) for row in M3.terms for _, cell in row) == 27
+
+
+@given(random_algebra(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_multiply_matches_dense_reference_on_random_tables(A, data):
+    u = data.draw(vectors(A.dim))
+    v = data.draw(vectors(A.dim))
+    assert A.multiply(u, v) == dense_multiply(A, u, v)
+
+
+@given(st.sampled_from(MODELS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_multiply_matches_dense_reference_on_models(A, data):
+    u = data.draw(vectors(A.dim))
+    v = data.draw(vectors(A.dim))
+    assert A.multiply(u, v) == dense_multiply(A, u, v)
+
+
+def test_multiply_matches_dense_reference_on_model_basis_pairs():
+    for A in MODELS:
+        for i in range(A.dim):
+            for j in range(A.dim):
+                ei, ej = unit_vec(A.dim, i), unit_vec(A.dim, j)
+                assert A.multiply(ei, ej) == dense_multiply(A, ei, ej) == A.table[i][j]
+
+
+def test_center_matches_dense_reference_on_models():
+    for A in MODELS:
+        assert center(A) == dense_center(A), A
+
+
+@given(random_algebra())
+@settings(max_examples=80, deadline=None)
+def test_center_matches_dense_reference_on_random_tables(A):
+    assert center(A) == dense_center(A)
+
+
+def test_is_character_matches_dense_reference_on_models():
+    for A in MODELS:
+        candidates = [phi.coords for phi in characters(A)]
+        candidates += [unit_vec(A.dim, i) for i in range(A.dim)]
+        candidates += [zero_vec(A.dim), tuple(ONE for _ in range(A.dim))]
+        if A.labels == ("u", "w"):
+            candidates += [vec(1, Fraction(1, 2)), vec(1, Fraction(-1, 2)), vec(1, 1)]
+        for coords in candidates:
+            assert is_character(A, coords) == dense_is_character(A, coords)
+
+
+@given(random_algebra(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_character_matches_dense_reference_on_random_tables(A, data):
+    coords = data.draw(vectors(A.dim))
+    assert is_character(A, coords) == dense_is_character(A, coords)

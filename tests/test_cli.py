@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nctangent import cli
 from nctangent.cli import main
@@ -427,3 +429,51 @@ def test_optimized_python_matches_golden_reports():
         assert got == json.loads((GOLDEN / path.name).read_text()), path.name
         failed = any(c["status"] != "pass" for c in got["checks"])
         assert proc.returncode == (1 if failed else 0), proc.stderr
+
+
+# scenarios cheap enough to run `all --max-degree 1` many times
+LIGHT_SCENARIOS = [
+    "block_model", "curvature_kappa", "hopf_d3", "matrix_partition", "moyal_truncated",
+]
+WRONG_VALUES = [None, True, "x", "", -1, 2.5, [], [[]], {}, {"type": 1}]
+
+
+def key_paths(node, prefix=()):
+    """Every key path into a JSON document, outermost first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_scenario(draw):
+    """A light shipped scenario with one key path replaced by a value of
+    the wrong type."""
+    name = draw(st.sampled_from(LIGHT_SCENARIOS))
+    scenario = json.loads((SCENARIOS / ("%s.json" % name)).read_text())
+    path = draw(st.sampled_from(list(key_paths(scenario))))
+    value = draw(st.sampled_from(WRONG_VALUES))
+    node = scenario
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return scenario
+
+
+@given(mutated_scenario())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_mutated_scenario_keeps_the_exit_code_contract(tmp_path_factory, scenario):
+    path = write_scenario(tmp_path_factory.mktemp("mutant"), scenario)
+    result = run("all", "--scenario", path, "--max-degree", "1")
+    assert result.exit_code in (0, 1, 2), result.output
+    # an exception that escapes the CLI would be a traceback in a shell
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        scenario, result.exception,
+    )
+    assert "Traceback" not in result.output

@@ -251,3 +251,46 @@ def test_nabla_rejects_foreign_derivation():
     gamma = ConnectionCoefficients.zero(assign)
     with pytest.raises(AlgebraError):
         nabla(gamma, generator_derivation(other, 0), generator_derivation(assign, 0))
+
+
+def per_entry_random_grid(assign, rng, span=3):
+    """The seeded grid drawn entry by entry, solving the center for each
+    entry: the reference for the draw order of random_connection."""
+    from nctangent.algebras import center
+
+    A = assign.algebra
+    n = assign.d + 1
+
+    def draw():
+        out = zero_vec(A.dim)
+        for c in center(A).basis:
+            h = vec_add(c, A.involute(c))
+            if vec_is_zero(h):
+                h = vec_scale(sc(0, 1), c)
+            out = vec_add(out, vec_scale(Scalar(0, Fraction(rng.randint(-span, span))), h))
+        return out
+
+    return [[[draw() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "make_assign",
+    [
+        lambda: canonical_inner_model(2, 1, Fraction(2, 3)),
+        lambda: canonical_inner_model(3, 2, 1),
+        sum_model,
+    ],
+)
+def test_random_connection_solves_the_center_once(monkeypatch, make_assign):
+    import nctangent.algebras as algebras
+
+    assign = make_assign()
+    for seed in range(4):
+        want = per_entry_random_grid(assign, random.Random(seed))
+        calls = []
+        real = algebras.center
+        monkeypatch.setattr(algebras, "center", lambda A: calls.append(A) or real(A))
+        gamma = random_connection(assign, random.Random(seed))
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert [[list(row) for row in plane] for plane in gamma.grid] == want
