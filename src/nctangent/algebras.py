@@ -10,13 +10,17 @@ Characters are enumerated model-aware where a closed description exists;
 otherwise a generic path abelianizes the algebra (characters kill every
 commutator) and splits the dual of the quotient into common eigenspaces
 of the multiplication operators.  Eigenvalues are extracted exactly from
-minimal polynomials; an algebra whose characters would need values
-outside Q(i) raises rather than returning a partial list.
+minimal polynomials by the rational root theorem over the Gaussian
+integers; an algebra whose characters would need values outside Q(i)
+raises rather than returning a partial list.
 """
 
 from __future__ import annotations
 
+from math import isqrt, lcm
+
 from nctangent.scalars import (
+    I,
     Matrix,
     ONE,
     QuotientSpace,
@@ -453,9 +457,13 @@ def is_character(A, coords):
 def characters(A, bound=CHARACTER_DIM_BOUND):
     """Complete character list.
 
-    Model-aware where possible; the generic path proves emptiness through
-    the abelianization or enumerates exactly, and raises
-    UnsupportedCharacters when exact enumeration is impossible.
+    Model-aware where possible (matrix, Moyal, function and sum models).
+    Otherwise the generic path proves emptiness through the
+    abelianization, or enumerates exactly: the values come from the
+    common eigenvalues of the multiplication operators of the commutative
+    quotient, found as roots over Q(i) of their minimal polynomials by
+    `_linear_roots`.  Raises UnsupportedCharacters when a character value
+    would lie outside Q(i) or the dimension exceeds `bound`.
     """
     model = A.model[0] if A.model else None
     if model in ("matrix", "moyal"):
@@ -545,8 +553,10 @@ def _split_common_eigenvalues(B):
     operators of a commutative algebra, over Q(i).
 
     Splits the dual space into exact common eigenspaces one operator at a
-    time.  Minimal polynomials that do not factor into linear pieces over
-    Q(i) mean character values would be irrational; that raises.
+    time, with eigenvalues from `_linear_roots` on each restricted
+    operator's minimal polynomial.  A minimal polynomial that does not
+    split into linear factors over Q(i) means some character value lies
+    outside Q(i); that raises UnsupportedCharacters.
     """
     n = B.dim
     blocks = [([unit_vec(n, r) for r in range(n)], ())]
@@ -614,43 +624,120 @@ def _minimal_polynomial(M):
 
 
 def _linear_roots(coeffs):
-    """All Q(i) roots of the polynomial, or raise if it fails to split
-    into linear factors over Q(i)."""
-    import sympy
+    """The distinct roots in Q(i) of the polynomial with low-to-high
+    coefficients `coeffs` (the last one nonzero), in no set order.
 
-    t = sympy.Symbol("t")
-    expr = sympy.Integer(0)
-    for s, c in enumerate(coeffs):
-        if c:
-            expr += (sympy.Rational(c.re.numerator, c.re.denominator)
-                     + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)) * t**s
-    poly = sympy.Poly(expr, t, domain="QQ_I")
+    Raises UnsupportedCharacters unless the polynomial splits into linear
+    factors over Q(i).  Exact and complete: each root comes from
+    `_next_root` (the rational root theorem over Z[i]) and is divided out
+    for as long as it divides.  The root 0 and a linear remainder cost no
+    factoring, so t^k (a t + b) is solved at any coefficient size.  A
+    remainder of degree 2 or more has the norms of its end coefficients
+    factored by trial division, which runs up to the square root of what
+    is left of a norm once its small primes are removed: an end
+    coefficient that is a prime near 10^12 (norm near 10^24) does not
+    finish in practice.
+    """
+    p = list(coeffs)
     roots = []
-    for factor, _multiplicity in poly.factor_list()[1]:
-        if factor.degree() == 1:
-            a, b = factor.all_coeffs()
-            root = sympy.together(-b / a)
-            re, im = root.as_real_imag()
-            roots.append(
-                Scalar(
-                    _fraction_of(sympy.nsimplify(re)),
-                    _fraction_of(sympy.nsimplify(im)),
-                )
-            )
-        elif factor.degree() > 1:
+    while len(p) > 1:
+        root = _next_root(p)
+        if root is None:
             raise UnsupportedCharacters(
-                "character values are not Gaussian rational (irreducible factor "
-                "of degree %d)" % factor.degree()
+                "character values are not Gaussian rational (a factor of "
+                "degree %d has no root in Q(i))" % (len(p) - 1)
             )
+        roots.append(root)
+        quotient, rest = _divide_linear(p, root)
+        while not rest:
+            p = quotient
+            quotient, rest = _divide_linear(p, root)
     return roots
 
 
-def _fraction_of(x):
-    from fractions import Fraction
-    import sympy
+def _next_root(p):
+    """A root in Q(i) of p (degree at least 1), or None when it has none.
 
-    r = sympy.Rational(x)
-    return Fraction(r.p, r.q)
+    A zero constant term is the root 0 and a linear p has the root
+    -p[0]/p[1].  Otherwise, Z[i] being a unique factorization domain, once
+    p is scaled to Gaussian integers P a root u/w in lowest terms has u
+    dividing P[0] and w dividing P[-1]; each such u/w is tested with
+    Horner's rule.
+    """
+    if not p[0]:
+        return ZERO
+    if len(p) == 2:
+        return -p[0] / p[1]
+    scale = lcm(*(c.denominator for c in p))
+    for w in _gaussian_divisors(p[-1] * scale):
+        for d in _gaussian_divisors(p[0] * scale):
+            for u in (d, d * I, -d, -d * I):
+                r = u / w
+                if not _divide_linear(p, r)[1]:
+                    return r
+    return None
+
+
+def _divide_linear(p, r):
+    """Synthetic division of p (low-to-high) by t - r: the quotient and
+    the remainder p(r), by Horner's rule."""
+    acc = p[-1]
+    quotient = [acc]
+    for c in reversed(p[:-1]):
+        acc = c + acc * r
+        quotient.append(acc)
+    rest = quotient.pop()
+    quotient.reverse()
+    return quotient, rest
+
+
+def _gaussian_divisors(z):
+    """The divisors of the nonzero Gaussian integer z, one per class of
+    associates, smallest norm first."""
+    divisors = [ONE]
+    for prime in _prime_factors(_norm(z)):
+        if prime == 2:
+            gaussian_primes = [Scalar(1, 1)]
+        elif prime % 4 == 3:
+            gaussian_primes = [Scalar(prime)]
+        else:
+            # prime = x^2 + y^2 splits as (x + yi)(x - yi), not associates
+            x = next(
+                x for x in range(1, isqrt(prime) + 1)
+                if isqrt(prime - x * x) ** 2 == prime - x * x
+            )
+            y = isqrt(prime - x * x)
+            gaussian_primes = [Scalar(x, y), Scalar(x, -y)]
+        for pi in gaussian_primes:
+            powers = [ONE]
+            quotient = z / pi
+            while quotient.denominator == 1:
+                z = quotient
+                powers.append(powers[-1] * pi)
+                quotient = z / pi
+            divisors = [d * e for d in divisors for e in powers]
+    return sorted(divisors, key=lambda d: (_norm(d), d.re, d.im))
+
+
+def _norm(z):
+    """|z|^2 of the Gaussian integer z, as an int."""
+    return (z * z.conjugate()).re.numerator
+
+
+def _prime_factors(n):
+    """The distinct primes dividing the positive integer n, by trial
+    division."""
+    primes = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def support(a, A, bound=CHARACTER_DIM_BOUND):

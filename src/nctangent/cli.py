@@ -359,6 +359,12 @@ def load_scenario(path):
         if scn.algebra is None:
             raise ScenarioError("partition section needs an algebra section")
         scn.partition = _build_partition(scn.algebra, data["partition"])
+        if scn.covering is not None and len(scn.partition) != scn.covering.size:
+            # reconstruction and adaptedness pair element k with chart k
+            raise ScenarioError(
+                "partition has %d elements but the covering has %d charts"
+                % (len(scn.partition), scn.covering.size)
+            )
     if "action" in data:
         if scn.algebra is None:
             raise ScenarioError("action section needs an algebra section")

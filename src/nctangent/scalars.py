@@ -70,6 +70,11 @@ class Scalar:
     def im(self):
         return Fraction(self._b, self._q)
 
+    @property
+    def denominator(self):
+        """The least q > 0 with q * self in Z[i]."""
+        return self._q
+
     @classmethod
     def promote(cls, x):
         if isinstance(x, Scalar):

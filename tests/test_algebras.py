@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nctangent import algebras
 from nctangent.algebras import (
     AlgebraError,
     Character,
@@ -245,8 +246,38 @@ def test_generic_path_raises_on_irrational_values():
         [vec(0, 1), vec(2, 0)],
     ]
     B = StarAlgebra(["one", "t"], table, Matrix.identity(2), vec(1, 0), model=None)
-    with pytest.raises(UnsupportedCharacters):
+    with pytest.raises(
+        UnsupportedCharacters,
+        match=r"not Gaussian rational \(a factor of degree 2 has no root in Q\(i\)\)",
+    ):
         characters(B)
+
+
+def test_generic_path_finds_gaussian_character_values():
+    # C[t]/(t^2 + 1): t*t = -1, so the two characters send t to i and -i;
+    # a root finder over Q alone would find none
+    table = [
+        [vec(1, 0), vec(0, 1)],
+        [vec(0, 1), vec(-1, 0)],
+    ]
+    B = StarAlgebra(["one", "t"], table, Matrix.identity(2), vec(1, 0), model=None)
+    assert B.check_axioms() == []
+    got = {phi.coords for phi in characters(B)}
+    assert got == {(ONE, Scalar(0, 1)), (ONE, Scalar(0, -1))}
+
+
+def test_generic_path_finds_a_large_prime_character_value():
+    # t*t = c*t: the characters send t to 0 and to c.  Once the root 0 is
+    # divided out, t - c is solved directly, without factoring c's norm.
+    c = 10**12 + 39  # prime
+    table = [
+        [vec(1, 0), vec(0, 1)],
+        [vec(0, 1), vec(0, c)],
+    ]
+    B = StarAlgebra(["one", "t"], table, Matrix.identity(2), vec(1, 0), model=None)
+    assert B.check_axioms() == []
+    got = {phi.coords for phi in characters(B)}
+    assert got == {(ONE, ZERO), (ONE, sc(c))}
 
 
 def test_character_dimension_bound():
@@ -329,8 +360,6 @@ def test_is_character_guards():
 
 def test_non_invariant_dual_block_raises_a_typed_error(monkeypatch):
     # the invariance check must not be an assert, which `python -O` strips
-    import nctangent.algebras as algebras
-
     monkeypatch.setattr(algebras, "solve_linear", lambda A, b: None)
     with pytest.raises(AlgebraError, match="dual block not invariant"):
         algebras._split_common_eigenvalues(make_function_algebra(2))
@@ -339,8 +368,6 @@ def test_non_invariant_dual_block_raises_a_typed_error(monkeypatch):
 def test_runaway_minimal_polynomial_raises_a_typed_error(monkeypatch):
     # the CLI turns AlgebraError into exit 2; a bare AssertionError would
     # give a traceback
-    import nctangent.algebras as algebras
-
     monkeypatch.setattr(algebras, "solve_linear", lambda A, b: None)
     with pytest.raises(AlgebraError, match="minimal polynomial search exceeded"):
         algebras._minimal_polynomial(Matrix.identity(2))
@@ -514,3 +541,124 @@ def test_is_character_matches_dense_reference_on_models():
 def test_is_character_matches_dense_reference_on_random_tables(A, data):
     coords = data.draw(vectors(A.dim))
     assert is_character(A, coords) == dense_is_character(A, coords)
+
+
+# -- exact roots over Q(i) against the sympy factorization -----------------
+#
+# `_linear_roots` finds roots by the rational root theorem over Z[i]; the
+# sympy `factor_list` route it replaced is kept here only as the oracle.
+
+
+def sympy_linear_roots(coeffs):
+    """Roots from a factorization over QQ_I; raise UnsupportedCharacters
+    on an irreducible factor of degree above 1."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    expr = sum(
+        (sympy.Rational(c.re.numerator, c.re.denominator)
+         + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)) * t ** s
+        for s, c in enumerate(coeffs)
+    )
+    roots = []
+    for factor, _multiplicity in sympy.Poly(expr, t, domain="QQ_I").factor_list()[1]:
+        if factor.degree() > 1:
+            raise UnsupportedCharacters("irreducible factor of degree %d" % factor.degree())
+        a, b = factor.all_coeffs()
+        re, im = sympy.together(-b / a).as_real_imag()
+        roots.append(Scalar(Fraction(str(re)), Fraction(str(im))))
+    return roots
+
+
+def poly_product(*factors):
+    """Product of low-to-high coefficient lists."""
+    out = [ONE]
+    for f in factors:
+        prod = [ZERO] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] = prod[i + j] + x * y
+        out = prod
+    return out
+
+
+def root_set_or_raise(finder, coeffs):
+    try:
+        roots = finder(coeffs)
+    except UnsupportedCharacters:
+        return "raises"
+    assert len(roots) == len(set(roots))
+    return set(roots)
+
+
+# t^2 - 2, t^2 - 3, t^2 + t + 1, t^2 + i, t^3 - 2: no root in Q(i)
+IRREDUCIBLE = [
+    [sc(-2), ZERO, ONE], [sc(-3), ZERO, ONE], [ONE, ONE, ONE],
+    [Scalar(0, 1), ZERO, ONE], [sc(-2), ZERO, ZERO, ONE],
+]
+
+
+def gaussian_root():
+    return st.one_of(
+        st.just(ZERO),
+        st.builds(
+            lambda a, b, q: Scalar(Fraction(a, q), Fraction(b, q)),
+            st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 6),
+        ),
+    )
+
+
+def split_polynomial():
+    """A nonzero multiple of a product of Gaussian-rational linear factors
+    of multiplicity 1-3, sometimes times a factor with no root in Q(i):
+    (coefficients, the set of roots or "raises")."""
+    return st.builds(
+        lambda roots, irreducible, lead: (
+            [lead * c for c in poly_product(
+                *[[-r, ONE] for r, mult in roots for _ in range(mult)], *irreducible
+            )],
+            "raises" if irreducible else {r for r, _ in roots},
+        ),
+        st.lists(st.tuples(gaussian_root(), st.integers(1, 3)), min_size=1, max_size=3),
+        st.lists(st.sampled_from(IRREDUCIBLE), max_size=1),
+        random_scalar().filter(bool),
+    )
+
+
+@given(split_polynomial())
+@settings(max_examples=150, deadline=None)
+def test_linear_roots_find_exactly_the_constructed_roots(case):
+    coeffs, want = case
+    assert root_set_or_raise(algebras._linear_roots, coeffs) == want
+
+
+@given(split_polynomial())
+@settings(max_examples=25, deadline=None)
+def test_linear_roots_match_sympy_factorization(case):
+    coeffs, _ = case
+    want = root_set_or_raise(sympy_linear_roots, coeffs)
+    assert root_set_or_raise(algebras._linear_roots, coeffs) == want
+
+
+@pytest.mark.parametrize(
+    "factors, want",
+    [
+        ([[ONE, ZERO, ONE]], {Scalar(0, 1), Scalar(0, -1)}),  # t^2 + 1
+        ([[sc("-1/2"), ONE]] * 3 + [[Scalar(0, 1), ONE]], {sc("1/2"), Scalar(0, -1)}),
+        ([[ZERO, ONE]] * 3 + [[sc(-2), ONE]], {ZERO, sc(2)}),  # t^3 (t - 2)
+        ([[sc(-2), ZERO, ONE], [sc(-3), ZERO, ONE]], "raises"),
+    ],
+    ids=["t^2+1", "repeated-root", "root-0-with-multiplicity", "(t^2-2)(t^2-3)"],
+)
+def test_linear_roots_named_cases(factors, want):
+    coeffs = poly_product(*factors)
+    assert root_set_or_raise(algebras._linear_roots, coeffs) == want
+    assert root_set_or_raise(sympy_linear_roots, coeffs) == want
+
+
+def test_rootless_factor_is_named_by_its_degree():
+    coeffs = poly_product([sc(-2), ZERO, ONE], [sc(-3), ZERO, ONE], [sc(-1), ONE])
+    with pytest.raises(
+        UnsupportedCharacters, match=r"a factor of degree 4 has no root in Q\(i\)"
+    ):
+        algebras._linear_roots(coeffs)

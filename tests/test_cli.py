@@ -255,20 +255,26 @@ def test_all_matches_golden_report(name):
     assert result.exit_code == (1 if failed else 0)
 
 
-def run_module(*args, flags=()):
-    """`python [flags] -m nctangent.cli args...` from the repository root."""
+def run_python(*args, flags=()):
+    """`python [flags] args...` from the repository root, with `src` on
+    the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, *flags, "-m", "nctangent.cli", *args],
+        [sys.executable, *flags, *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_module(*args, flags=()):
+    """`python [flags] -m nctangent.cli args...` from the repository root."""
+    return run_python("-m", "nctangent.cli", *args, flags=flags)
 
 
 def test_module_entry_point_runs_checks():
@@ -477,3 +483,72 @@ def test_mutated_scenario_keeps_the_exit_code_contract(tmp_path_factory, scenari
         scenario, result.exception,
     )
     assert "Traceback" not in result.output
+
+
+def test_partition_size_must_match_covering_size(tmp_path):
+    scenario = json.loads((SCENARIOS / "function_4pt.json").read_text())
+    zetas = scenario["partition"]["zetas"]
+    for wrong, count in ((zetas[:1], 1), (zetas + zetas[1:], 3)):
+        scenario["partition"]["zetas"] = wrong
+        result = run("covering-check", "--scenario", write_scenario(tmp_path, scenario))
+        assert result.exit_code == 2
+        assert "partition has %d elements but the covering has 2 charts" % count in (
+            result.output
+        )
+
+
+# same-type mutations: each keeps the JSON type of what it replaces but
+# breaks its meaning (an index out of range, a wrong length or count)
+MEANING_MUTATIONS = [
+    ("function_4pt", ("covering", "ideals", 0, "points", 0), 0),
+    ("function_4pt", ("covering", "ideals", 0, "points", 0), -1),
+    ("function_4pt", ("covering", "ideals", 0, "points", 0), 99),
+    ("function_4pt", ("partition", "zetas", 0), ["1", "1", "3/5"]),
+    ("function_4pt", ("partition", "zetas"), [["1", "1", "1", "1"]]),
+    ("function_4pt", ("partition", "zetas"), [["1", "0", "0", "0"]] * 3),
+    ("function_4pt", ("algebra", "points"), 0),
+    ("function_4pt", ("algebra", "points"), -2),
+    ("function_4pt", ("d",), 0),
+    ("function_4pt", ("kappa",), "0"),
+    ("function_4pt", ("covering", "ideals"), []),
+    ("block_model", ("covering", "ideals"), []),
+    ("block_model", ("covering", "ideals", 0, "kill"), ["9"]),
+    ("block_model", ("covering", "ideals", 0, "kill"), []),
+    ("block_model", ("actions",), [{"type": "canonical", "N": 2}]),
+    ("block_model", ("actions", 0, "N"), 0),
+    ("block_model", ("actions", 0, "N"), 5),
+    ("block_model", ("algebra", "terms", 0, "n"), 0),
+    ("block_model", ("algebra", "terms"), [{"model": "matrix", "n": 2}]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    MEANING_MUTATIONS,
+    ids=["%s:%s=%s" % (n, "/".join(map(str, p)), json.dumps(v)) for n, p, v in MEANING_MUTATIONS],
+)
+def test_meaning_mutation_exits_2_without_traceback(tmp_path, name, path, value):
+    scenario = json.loads((SCENARIOS / ("%s.json" % name)).read_text())
+    node = scenario
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    result = run("all", "--scenario", write_scenario(tmp_path, scenario))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+
+
+def test_verify_all_leaves_sympy_unimported():
+    # sympy is a test-only dependency: the verify path must not load it
+    code = (
+        "import json, sys\n"
+        "from click.testing import CliRunner\n"
+        "from nctangent.cli import main\n"
+        "codes = [CliRunner().invoke(main, ['all', '--scenario', path]).exit_code\n"
+        "         for path in sys.argv[1:]]\n"
+        "print(json.dumps([codes, 'sympy' in sys.modules]))\n"
+    )
+    proc = run_python("-c", code, "scenarios/function_4pt.json", "scenarios/block_model.json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[1, 0], False]
