@@ -324,8 +324,8 @@ def load_scenario(path):
     if scn.kappa <= 0:
         raise ScenarioError("kappa must be positive")
     try:
-        scn.d = int(data.get("d", 1))
-    except (TypeError, ValueError):
+        scn.d = _integer(data.get("d", 1))
+    except ValueError:
         raise ScenarioError("d must be an integer")
     if scn.d < 1:
         raise ScenarioError("d must be at least 1")

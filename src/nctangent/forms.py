@@ -424,13 +424,6 @@ class OneFormR:
             out = vec_add(out, A.multiply(z, r))
         return out
 
-    def as_form(self):
-        return FormN(
-            self.basis,
-            1,
-            {(mu,): c for mu, c in enumerate(self.coefficients)},
-        )
-
     def left_mult(self, a):
         A = self.basis.algebra
         return OneFormR(

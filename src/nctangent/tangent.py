@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from nctangent.algebras import AlgebraError, center, noncentral_witness
-from nctangent.minkowski import PBWElement
+from nctangent.minkowski import PBWElement, _i_over, _star_monomials
 from nctangent.partition import functional
 from nctangent.scalars import (
     Matrix,
@@ -406,18 +406,14 @@ class SmashAlgebra:
     """Smash product of a local algebra with the polynomial symmetry
     labels, truncated at a hard degree bound."""
 
-    __slots__ = ("assignment", "bound", "_probe")
+    __slots__ = ("assignment", "bound", "_ik")
 
     def __init__(self, assignment, bound):
         if bound < 0:
             raise ValueError("bound must be nonnegative")
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(
-            self,
-            "_probe",
-            PBWElement.zero(assignment.d, assignment.kappa),
-        )
+        object.__setattr__(self, "_ik", _i_over(assignment.kappa))
 
     def __setattr__(self, *a):
         raise AttributeError("SmashAlgebra is immutable")
@@ -475,7 +471,7 @@ class SmashAlgebra:
                 for (k1, k2), c3 in delta.terms.items():
                     acted = self._act_monomial(k1, b)
                     av = A.multiply(A.basis_vector(i), acted)
-                    tail = self._probe._star_monomials(k2, qkey)
+                    tail = _star_monomials(k2, qkey, self._ik)
                     for lkey, c4 in tail.items():
                         if sum(lkey[0]) + lkey[1] > self.bound:
                             raise DegreeOverflow(

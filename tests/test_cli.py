@@ -318,6 +318,15 @@ def test_bad_scenario_max_degree_rejected(tmp_path, bound):
     assert "max_degree must be" in result.output
 
 
+@pytest.mark.parametrize("d", ["x", 1.5, True, [1]])
+def test_bad_scenario_d_rejected(tmp_path, d):
+    # 1.5 and true must not be read as d = 1
+    path = write_scenario(tmp_path, {"d": d})
+    result = run("hopf-check", "--scenario", path)
+    assert result.exit_code == 2
+    assert "d must be an integer" in result.output
+
+
 def test_library_error_inside_a_family_exits_2(tmp_path):
     # the zetas are block-diagonal in both blocks at once, so chi does
     # not kill either chart ideal and reconstruction cannot be set up

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nctangent import minkowski
 from nctangent.minkowski import (
     PBWElement,
     PoincareGenerator,
@@ -170,6 +172,48 @@ def test_coproduct_frozen():
     assert delta == want
 
 
+def multiplicative_coproduct(f):
+    """The coproduct as an algebra map, one generator at a time: the
+    route the closed form replaced, kept here as its oracle."""
+    d, kappa = f.d, f.kappa
+    unit_key = ((0,) * d, 0)
+    out = TensorElement(d, kappa, {})
+    for (beta, n), c in f.terms.items():
+        acc = TensorElement(d, kappa, {(unit_key, unit_key): ONE})
+        word = []
+        for j, b in enumerate(beta):
+            word.extend([j + 1] * b)
+        word.extend([0] * n)
+        for mu in word:
+            gkey = next(iter(gen(d, kappa, mu).terms))
+            prim = TensorElement(
+                d, kappa, {(gkey, unit_key): ONE, (unit_key, gkey): ONE}
+            )
+            acc = acc.multiply(prim)
+        out = out + acc.scale(c)
+    return out
+
+
+KAPPAS = (Fraction(1), Fraction(2, 3), Fraction(5, 2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_form_coproduct_matches_multiplicative_route(d):
+    for kappa in KAPPAS:
+        for beta, n in monomials_up_to(d, 5):
+            f = mono(d, kappa, beta, n)
+            assert coproduct(f) == multiplicative_coproduct(f), (kappa, beta, n)
+
+
+def test_closed_form_coproduct_matches_on_random_elements():
+    rng = random.Random(23)
+    for kappa in KAPPAS:
+        for d in (1, 2, 3):
+            for _ in range(6):
+                f = random_element(rng, d, kappa, 4, max_terms=4)
+                assert coproduct(f) == multiplicative_coproduct(f)
+
+
 def test_coproduct_is_star_homomorphism():
     rng = random.Random(11)
     for _ in range(6):
@@ -198,6 +242,92 @@ def test_monomials_up_to_count():
 
 def test_hopf_axioms_sweep():
     assert hopf_axiom_check(2, Fraction(1, 2), 3) == []
+
+
+SWEEP = (2, Fraction(2, 3), 3)
+
+
+def test_sweep_catches_dropped_binomial_factors(monkeypatch):
+    assert hopf_axiom_check(*SWEEP) == []
+    monkeypatch.setattr(minkowski, "comb", lambda n, k: 1)
+    assert coproduct(mono(2, SWEEP[1], (0, 0), 2)).terms[
+        (((0, 0), 1), ((0, 0), 1))
+    ] == ONE
+    assert hopf_axiom_check(*SWEEP) != []
+
+
+def test_sweep_catches_antipode_without_reordering(monkeypatch):
+    # (-1)^g times the word itself: the reversed word with the i/kappa
+    # terms of its normal ordering dropped
+    def unordered(f):
+        return PBWElement(
+            f.d,
+            f.kappa,
+            {k: (-c if (k[1] + sum(k[0])) % 2 else c) for k, c in f.terms.items()},
+        )
+
+    monkeypatch.setattr(minkowski, "antipode", unordered)
+    failures = hopf_axiom_check(*SWEEP)
+    assert failures != []
+    assert {name for name, _ in failures} <= {"antipode slot 1", "antipode slot 2"}
+
+
+def test_sweep_catches_one_flipped_coproduct_term(monkeypatch):
+    real = minkowski.coproduct
+
+    def flipped(f):
+        delta = real(f)
+        cross = sorted(
+            (k1, k2) for k1, k2 in delta.terms if sum(k1[0]) + k1[1] and sum(k2[0]) + k2[1]
+        )
+        if not cross:
+            return delta
+        terms = dict(delta.terms)
+        terms[cross[0]] = -terms[cross[0]]
+        return TensorElement(f.d, f.kappa, terms)
+
+    monkeypatch.setattr(minkowski, "coproduct", flipped)
+    failures = hopf_axiom_check(*SWEEP)
+    assert failures != []
+    # a flipped cross term keeps the counit law, so another axiom caught it
+    assert all(name != "counit" for name, _ in failures)
+
+
+def spy(monkeypatch, name, seen):
+    real = getattr(minkowski, name)
+
+    def recording(f):
+        (key,) = f.terms
+        seen.append((name, f.kappa, key))
+        return real(f)
+
+    monkeypatch.setattr(minkowski, name, recording)
+
+
+def test_sweep_builds_each_coproduct_and_antipode_once(monkeypatch):
+    seen = []
+    spy(monkeypatch, "coproduct", seen)
+    spy(monkeypatch, "antipode", seen)
+    assert hopf_axiom_check(*SWEEP) == []
+    keys = monomials_up_to(2, 3)
+    for name in ("coproduct", "antipode"):
+        calls = Counter(key for n, _, key in seen if n == name)
+        assert calls == Counter(keys), name
+
+
+def test_sweep_keeps_no_state_between_calls(monkeypatch):
+    seen = []
+    spy(monkeypatch, "coproduct", seen)
+    spy(monkeypatch, "antipode", seen)
+    first = hopf_axiom_check(2, Fraction(2, 3), 3)
+    mark = len(seen)
+    second = hopf_axiom_check(2, Fraction(5, 2), 3)
+    # the second call rebuilt everything at its own kappa
+    assert {kappa for _, kappa, _ in seen[mark:]} == {Fraction(5, 2)}
+    assert len(seen) == 2 * mark
+    # and each result equals a call made on its own
+    assert hopf_axiom_check(2, Fraction(5, 2), 3) == second
+    assert hopf_axiom_check(2, Fraction(2, 3), 3) == first
 
 
 def test_epsilon3():
