@@ -1,10 +1,11 @@
 """Finite-dimensional associative *-algebras given by structure constants.
 
-An algebra is a coordinate space Q(i)^n with a product table, an
-involution, and an optional unit.  Model constructors cover square-matrix
-algebras, commutative pointwise-function algebras, a truncated
-oscillator-basis surrogate for a deformed plane, and direct sums.  On top
-of that sit centers, derivation spaces, characters and supports.
+An algebra is a coordinate space Q(i)^n with sparse structure constants
+(the nonzero products of basis elements), an involution, and an optional
+unit.  Model constructors write those constants directly for matrix
+algebras, pointwise-function algebras, a truncated oscillator-basis
+surrogate for a deformed plane, direct sums and quotients.  On top of
+that sit centers, derivation spaces, characters and supports.
 
 Characters are enumerated model-aware where a closed description exists;
 otherwise a generic path abelianizes the algebra (characters kill every
@@ -51,32 +52,32 @@ class UnsupportedCharacters(AlgebraError):
 class StarAlgebra:
     """Associative *-algebra on Q(i)^n with explicit structure constants.
 
-    `table[i][j]` is the coordinate vector of (basis_i . basis_j).  The
+    `terms` holds the structure constants sparsely: `terms[i]` has one
+    `(j, ((m, c), ...))` entry per nonzero product basis_i . basis_j, with
+    ascending j, listing its nonzero coefficients c at coordinates m.
+    Zero products cost nothing (M_n has n^3 nonzero cells of n^6).  The
     involution acts antilinearly: conjugate the coordinates, then apply
     `involution` as a matrix.  `unit` is a coordinate vector or None for
     a non-unital algebra.
-
-    `terms` is the sparse form of `table`, built once here: `terms[i]`
-    holds one `(j, ((m, c), ...))` entry per nonzero cell `table[i][j]`,
-    listing only its nonzero coefficients c at coordinates m.  `multiply`,
-    `center` and `is_character` read the structure constants through it,
-    so zero cells cost nothing (M_n has n^3 nonzero cells of n^6).
     """
 
-    __slots__ = ("dim", "labels", "table", "terms", "involution", "unit", "model")
+    __slots__ = ("dim", "labels", "terms", "involution", "unit", "model")
 
-    def __init__(self, labels, table, involution, unit, model=None):
+    def __init__(self, labels, terms, involution, unit, model=None):
         dim = len(labels)
-        table = tuple(
-            tuple(tuple(Scalar.promote(c) for c in cell) for cell in row)
-            for row in table
-        )
-        if len(table) != dim or any(len(row) != dim for row in table):
-            raise AlgebraError("structure table shape does not match basis size")
-        for row in table:
-            for cell in row:
-                if len(cell) != dim:
-                    raise AlgebraError("structure table entry has wrong length")
+        if len(terms) != dim:
+            raise AlgebraError("structure constants need one row per basis element")
+        rows = []
+        for row in terms:
+            entries = []
+            for j, cell in row:
+                cell = tuple((m, Scalar.promote(c)) for m, c in cell)
+                if not 0 <= j < dim or any(not 0 <= m < dim for m, _ in cell):
+                    raise AlgebraError("structure constant index out of range")
+                cell = tuple((m, c) for m, c in cell if c)
+                if cell:
+                    entries.append((j, cell))
+            rows.append(tuple(entries))
         if involution.rows != dim or involution.cols != dim:
             raise AlgebraError("involution matrix shape mismatch")
         if unit is not None:
@@ -85,19 +86,25 @@ class StarAlgebra:
                 raise AlgebraError("unit vector has wrong length")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", tuple(labels))
-        terms = []
-        for row in table:
-            entries = []
-            for j, cell in enumerate(row):
-                nonzero = tuple((m, c) for m, c in enumerate(cell) if c)
-                if nonzero:
-                    entries.append((j, nonzero))
-            terms.append(tuple(entries))
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "terms", tuple(rows))
         object.__setattr__(self, "involution", involution)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "model", model)
+
+    @property
+    def table(self):
+        """The dense form of `terms`, rebuilt on each access:
+        `table[i][j]` is the coordinate vector of basis_i . basis_j.  No
+        code in this package reads it; the benchmark's density probe and
+        the tests do."""
+        out = []
+        for row in self.terms:
+            cells = [[ZERO] * self.dim for _ in range(self.dim)]
+            for j, cell in row:
+                for m, c in cell:
+                    cells[j][m] = cells[j][m] + c
+            out.append(tuple(map(tuple, cells)))
+        return tuple(out)
 
     def __setattr__(self, *a):
         raise AttributeError("StarAlgebra is immutable")
@@ -167,11 +174,12 @@ class StarAlgebra:
         for i in range(n):
             ei = unit_vec(n, i)
             for j in range(n):
-                left = self.table[i][j]
                 ej = unit_vec(n, j)
+                left = self.multiply(ei, ej)
                 for k in range(n):
-                    lhs = self.multiply(left, unit_vec(n, k))
-                    rhs = self.multiply(ei, self.table[j][k])
+                    ek = unit_vec(n, k)
+                    lhs = self.multiply(left, ek)
+                    rhs = self.multiply(ei, self.multiply(ej, ek))
                     if lhs != rhs:
                         failures.append(
                             ("associativity", (self.labels[i], self.labels[j], self.labels[k]))
@@ -213,15 +221,12 @@ def make_matrix_algebra(n, label="E", index_base=1):
         for m in range(n)
         for k in range(n)
     ]
-    table = [[None] * dim for _ in range(dim)]
-    for m in range(n):
-        for k in range(n):
-            for p in range(n):
-                for q in range(n):
-                    cell = zero_vec(dim)
-                    if k == p:
-                        cell = unit_vec(dim, idx(m, q))
-                    table[idx(m, k)][idx(p, q)] = cell
+    # E_mk E_kq = E_mq, and E_mk E_pq = 0 for p != k
+    terms = [
+        tuple((idx(k, q), ((idx(m, q), ONE),)) for q in range(n))
+        for m in range(n)
+        for k in range(n)
+    ]
     invol = Matrix.from_columns(
         [unit_vec(dim, idx(k, m)) for m in range(n) for k in range(n)],
         rows=dim,
@@ -229,7 +234,7 @@ def make_matrix_algebra(n, label="E", index_base=1):
     unit = tuple(
         ONE if (m == k) else ZERO for m in range(n) for k in range(n)
     )
-    return StarAlgebra(labels, table, invol, unit, model=("matrix", n))
+    return StarAlgebra(labels, terms, invol, unit, model=("matrix", n))
 
 
 def make_moyal_truncation(N):
@@ -241,7 +246,7 @@ def make_moyal_truncation(N):
     the (out-of-scope) integral and does not enter the arithmetic.
     """
     A = make_matrix_algebra(N, label="f", index_base=0)
-    return StarAlgebra(A.labels, A.table, A.involution, A.unit, model=("moyal", N))
+    return StarAlgebra(A.labels, A.terms, A.involution, A.unit, model=("moyal", N))
 
 
 def make_function_algebra(point_count):
@@ -255,13 +260,10 @@ def make_function_algebra(point_count):
         raise AlgebraError("function algebra needs at least one point")
     dim = point_count
     labels = ["delta_%d" % (p + 1) for p in range(dim)]
-    table = [
-        [unit_vec(dim, i) if i == j else zero_vec(dim) for j in range(dim)]
-        for i in range(dim)
-    ]
+    terms = [((i, ((i, ONE),)),) for i in range(dim)]
     invol = Matrix.identity(dim)
     unit = tuple(ONE for _ in range(dim))
-    return StarAlgebra(labels, table, invol, unit, model=("function", point_count))
+    return StarAlgebra(labels, terms, invol, unit, model=("function", point_count))
 
 
 def direct_sum(A, B):
@@ -275,17 +277,11 @@ def direct_sum(A, B):
     def embed_b(v):
         return zero_vec(A.dim) + tuple(v)
 
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if i < A.dim and j < A.dim:
-                row.append(embed_a(A.table[i][j]))
-            elif i >= A.dim and j >= A.dim:
-                row.append(embed_b(B.table[i - A.dim][j - A.dim]))
-            else:
-                row.append(zero_vec(dim))
-        table.append(row)
+    shift = A.dim
+    terms = list(A.terms) + [
+        tuple((j + shift, tuple((m + shift, c) for m, c in cell)) for j, cell in row)
+        for row in B.terms
+    ]
     invol_cols = [embed_a(A.involution.column(j)) for j in range(A.dim)] + [
         embed_b(B.involution.column(j)) for j in range(B.dim)
     ]
@@ -294,7 +290,7 @@ def direct_sum(A, B):
         unit = vec_add(embed_a(A.unit), embed_b(B.unit))
     else:
         unit = None
-    return StarAlgebra(labels, table, invol, unit, model=("sum", A, B))
+    return StarAlgebra(labels, terms, invol, unit, model=("sum", A, B))
 
 
 def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
@@ -308,8 +304,12 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
     qdim = Q.dim
     labels = ["%s%d" % (labels_prefix, i) for i in range(qdim)]
     lifted = [Q.lift(unit_vec(qdim, i)) for i in range(qdim)]
-    table = [
-        [Q.project(A.multiply(lifted[i], lifted[j])) for j in range(qdim)]
+    # the constructor drops the zero coordinates and zero products
+    terms = [
+        tuple(
+            (j, tuple(enumerate(Q.project(A.multiply(lifted[i], lifted[j])))))
+            for j in range(qdim)
+        )
         for i in range(qdim)
     ]
     invol_cols = []
@@ -321,7 +321,7 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
     # matrix part is (project o invol o lift) composed with conjugation
     invol = Matrix.from_columns(invol_cols, rows=qdim)
     unit = Q.project(A.unit) if A.unit is not None else None
-    alg = StarAlgebra(labels, table, invol, unit, model=("quotient", A))
+    alg = StarAlgebra(labels, terms, invol, unit, model=("quotient", A))
     return alg, Q.projection, Q.section
 
 
@@ -333,8 +333,8 @@ def center(A):
     """Exact solution space of [z, b_i] = 0 for every basis element.
 
     Equation row (i, m) is the m-th coordinate of z b_i - b_i z, that is
-    sum over k of z_k (table[k][i][m] - table[i][k][m]); each nonzero
-    structure constant table[k][j][m] = c enters two rows.
+    sum over k of z_k (c_ki^m - c_ik^m), where basis_k . basis_j = sum
+    over m of c_kj^m basis_m; each nonzero c_kj^m enters two rows.
     """
     n = A.dim
     if not n:
@@ -366,38 +366,35 @@ def noncentral_witness(A, v):
 def derivations(A):
     """Basis of all linear maps with D(ab) = D(a)b + a D(b).
 
-    The unknown map is an n x n grid; Leibniz on every basis pair gives
-    n^3 linear equations.  Returns a list of matrices spanning the
-    solution space.
+    The unknown map is an n x n grid D, with D(b_k) = sum over r of
+    D[r][k] b_r; Leibniz on every basis pair gives n^3 linear equations.
+    Row (i, j, m) is the m-th coordinate of D(b_i b_j) - D(b_i) b_j -
+    b_i D(b_j), built from the nonzero structure constants only: each
+    c_ij^k enters row (i, j, m) for every m, each c_rj^m row (i, j, m)
+    for every i, and each c_ir^m row (i, j, m) for every j.  Returns a
+    list of matrices spanning the solution space.
     """
     n = A.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            cell = A.table[i][j]
-            for m in range(n):
-                coeffs = [ZERO] * (n * n)
-                for k in range(n):
-                    c = cell[k]
-                    if c:
-                        coeffs[m * n + k] = coeffs[m * n + k] + c
-                for r in range(n):
-                    t1 = A.table[r][j][m]
-                    if t1:
-                        coeffs[r * n + i] = coeffs[r * n + i] - t1
-                    t2 = A.table[i][r][m]
-                    if t2:
-                        coeffs[r * n + j] = coeffs[r * n + j] - t2
-                if any(coeffs):
-                    rows.append(tuple(coeffs))
-    if not rows:
-        ker = [unit_vec(n * n, s) for s in range(n * n)]
-    else:
-        ker = nullspace(Matrix(rows, cols=n * n))
-    out = []
-    for v in ker:
-        out.append(Matrix([[v[r * n + c] for c in range(n)] for r in range(n)]))
-    return out
+    equations = {}
+
+    def add(key, col, c):
+        coeffs = equations.setdefault(key, {})
+        coeffs[col] = coeffs.get(col, ZERO) + c
+
+    for a, row in enumerate(A.terms):
+        for b, cell in row:
+            for k, c in cell:
+                for t in range(n):
+                    add((a, b, t), t * n + k, c)
+                    add((t, b, k), a * n + t, -c)
+                    add((a, t, k), b * n + t, -c)
+    rows = [
+        tuple(equations[key].get(col, ZERO) for col in range(n * n))
+        for key in sorted(equations)
+        if any(equations[key].values())
+    ]
+    ker = nullspace(Matrix(rows, cols=n * n))
+    return [Matrix([[v[r * n + c] for c in range(n)] for r in range(n)]) for v in ker]
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,11 @@ def _build_algebra(spec):
     model = spec["model"]
     try:
         if model == "matrix":
-            return make_matrix_algebra(int(spec["n"]))
+            return make_matrix_algebra(_integer(spec["n"]))
         if model == "moyal":
-            return make_moyal_truncation(int(spec["N"]))
+            return make_moyal_truncation(_integer(spec["N"]))
         if model == "function":
-            return make_function_algebra(int(spec["points"]))
+            return make_function_algebra(_integer(spec["points"]))
         if model == "sum":
             terms = spec.get("terms", [])
             if len(terms) < 2:
@@ -193,7 +193,7 @@ def _build_action(algebra, spec, d, kappa, where):
     try:
         if spec["type"] == "canonical":
             return canonical_inner_model(
-                int(spec["N"]), d, kappa, algebra=algebra
+                _integer(spec["N"]), d, kappa, algebra=algebra
             )
         if spec["type"] == "inner":
             gens = [
@@ -268,7 +268,7 @@ def _integer(value):
     """A JSON integer or integer string as an int; ValueError for anything
     else, so 2.5 or true is never read as a whole number."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(value)
+        raise ValueError("expected an integer, got %r" % (value,))
     return int(value)
 
 

@@ -26,9 +26,11 @@ from nctangent.algebras import (
     support,
     two_sided_ideal_closure,
 )
+from nctangent.covering import Covering, ideal_from_declaration
 from nctangent.scalars import (
     Matrix,
     ONE,
+    QuotientSpace,
     Scalar,
     Subspace,
     ZERO,
@@ -40,6 +42,12 @@ from nctangent.scalars import (
     zero_vec,
 )
 from nctangent.tangent import leibniz_failures
+
+
+def terms_of(table):
+    """The sparse rows of a dense table, zeros included: the constructor
+    drops them."""
+    return [tuple((j, tuple(enumerate(cell))) for j, cell in enumerate(row)) for row in table]
 
 
 def label_index(A, label):
@@ -202,13 +210,13 @@ def test_ad_m_is_always_a_derivation(a, b, c, d):
 def test_generic_path_confirms_matrix_blocks_empty():
     # strip the model tag so the abelianization route is exercised
     A4 = make_matrix_algebra(4)
-    stripped = StarAlgebra(A4.labels, A4.table, A4.involution, A4.unit, model=None)
+    stripped = StarAlgebra(A4.labels, A4.terms, A4.involution, A4.unit, model=None)
     assert characters(stripped) == []
 
 
 def test_generic_path_agrees_with_function_model():
     F = make_function_algebra(3)
-    stripped = StarAlgebra(F.labels, F.table, F.involution, F.unit, model=None)
+    stripped = StarAlgebra(F.labels, F.terms, F.involution, F.unit, model=None)
     got = {phi.coords for phi in characters(stripped)}
     want = {phi.coords for phi in characters(F)}
     assert got == want
@@ -216,7 +224,7 @@ def test_generic_path_agrees_with_function_model():
 
 def test_generic_path_on_block_sum_empty():
     A = direct_sum(make_matrix_algebra(2), make_matrix_algebra(3))
-    stripped = StarAlgebra(A.labels, A.table, A.involution, A.unit, model=None)
+    stripped = StarAlgebra(A.labels, A.terms, A.involution, A.unit, model=None)
     assert characters(stripped) == []
 
 
@@ -231,7 +239,7 @@ def test_generic_path_on_scaled_function_basis():
         [vec(1, 0), vec(0, 1)],
         [vec(0, 1), vec(Fraction(1, 4), 0)],
     ]
-    B = StarAlgebra(["u", "w"], table, Matrix.identity(2), vec(1, 0), model=None)
+    B = StarAlgebra(["u", "w"], terms_of(table), Matrix.identity(2), vec(1, 0), model=None)
     assert B.check_axioms() == []
     chars = sorted(characters(B), key=lambda p: str(p.coords))
     assert len(chars) == 2
@@ -245,7 +253,7 @@ def test_generic_path_raises_on_irrational_values():
         [vec(1, 0), vec(0, 1)],
         [vec(0, 1), vec(2, 0)],
     ]
-    B = StarAlgebra(["one", "t"], table, Matrix.identity(2), vec(1, 0), model=None)
+    B = StarAlgebra(["one", "t"], terms_of(table), Matrix.identity(2), vec(1, 0), model=None)
     with pytest.raises(
         UnsupportedCharacters,
         match=r"not Gaussian rational \(a factor of degree 2 has no root in Q\(i\)\)",
@@ -260,7 +268,7 @@ def test_generic_path_finds_gaussian_character_values():
         [vec(1, 0), vec(0, 1)],
         [vec(0, 1), vec(-1, 0)],
     ]
-    B = StarAlgebra(["one", "t"], table, Matrix.identity(2), vec(1, 0), model=None)
+    B = StarAlgebra(["one", "t"], terms_of(table), Matrix.identity(2), vec(1, 0), model=None)
     assert B.check_axioms() == []
     got = {phi.coords for phi in characters(B)}
     assert got == {(ONE, Scalar(0, 1)), (ONE, Scalar(0, -1))}
@@ -274,7 +282,7 @@ def test_generic_path_finds_a_large_prime_character_value():
         [vec(1, 0), vec(0, 1)],
         [vec(0, 1), vec(0, c)],
     ]
-    B = StarAlgebra(["one", "t"], table, Matrix.identity(2), vec(1, 0), model=None)
+    B = StarAlgebra(["one", "t"], terms_of(table), Matrix.identity(2), vec(1, 0), model=None)
     assert B.check_axioms() == []
     got = {phi.coords for phi in characters(B)}
     assert got == {(ONE, ZERO), (ONE, sc(c))}
@@ -282,7 +290,7 @@ def test_generic_path_finds_a_large_prime_character_value():
 
 def test_character_dimension_bound():
     A = make_matrix_algebra(9)  # dim 81 > 64
-    stripped = StarAlgebra(A.labels, A.table, A.involution, A.unit, model=None)
+    stripped = StarAlgebra(A.labels, A.terms, A.involution, A.unit, model=None)
     with pytest.raises(UnsupportedCharacters):
         characters(stripped)
 
@@ -373,20 +381,71 @@ def test_runaway_minimal_polynomial_raises_a_typed_error(monkeypatch):
         algebras._minimal_polynomial(Matrix.identity(2))
 
 
-# -- sparse structure constants against the dense reference ----------------
+# -- sparse structure constants against the dense oracle -------------------
 #
-# `multiply`, `center` and `is_character` read the sparse `terms`; the
-# functions below are the dense routes they replaced, kept here only as
-# oracles.
+# The builders write the sparse `terms` directly, and `multiply`, `center`,
+# `is_character`, `check_axioms` and `derivations` read only `terms`.  The
+# dense builders and routes they replaced are kept here as oracles.  Each
+# oracle works on its own dense table, never on `A.table`, which is
+# derived from `terms` and so would make the comparison circular.
 
 
-def dense_multiply(A, u, v):
-    """Walk every (i, j, m) cell of `table` and skip the zero ones."""
-    out = [ZERO] * A.dim
+def dense_matrix_table(n):
+    """M_n on the elementary-matrix basis: E_mk E_pq = delta_kp E_mq."""
+    dim = n * n
+    table = [[None] * dim for _ in range(dim)]
+    for m in range(n):
+        for k in range(n):
+            for p in range(n):
+                for q in range(n):
+                    cell = zero_vec(dim)
+                    if k == p:
+                        cell = unit_vec(dim, m * n + q)
+                    table[m * n + k][p * n + q] = cell
+    return table
+
+
+def dense_function_table(points):
+    return [
+        [unit_vec(points, i) if i == j else zero_vec(points) for j in range(points)]
+        for i in range(points)
+    ]
+
+
+def dense_direct_sum_table(left, right):
+    a, b = len(left), len(right)
+    table = []
+    for i in range(a + b):
+        row = []
+        for j in range(a + b):
+            if i < a and j < a:
+                row.append(tuple(left[i][j]) + zero_vec(b))
+            elif i >= a and j >= a:
+                row.append(zero_vec(a) + tuple(right[i - a][j - a]))
+            else:
+                row.append(zero_vec(a + b))
+        table.append(row)
+    return table
+
+
+def dense_quotient_table(table, ideal):
+    """Products of lifted basis vectors, projected back: the same
+    deterministic section as `quotient_algebra`."""
+    Q = QuotientSpace(len(table), ideal)
+    lifted = [Q.lift(unit_vec(Q.dim, i)) for i in range(Q.dim)]
+    return [
+        [Q.project(dense_multiply(table, lifted[i], lifted[j])) for j in range(Q.dim)]
+        for i in range(Q.dim)
+    ]
+
+
+def dense_multiply(table, u, v):
+    """Walk every (i, j, m) cell of the table and skip the zero ones."""
+    out = [ZERO] * len(table)
     for i, x in enumerate(u):
         if not x:
             continue
-        row = A.table[i]
+        row = table[i]
         for j, y in enumerate(v):
             if not y:
                 continue
@@ -397,55 +456,181 @@ def dense_multiply(A, u, v):
     return tuple(out)
 
 
-def dense_center(A):
+def dense_center(table):
     """Nullspace of the stacked R(b_i) - L(b_i), built with dense_multiply."""
-    n = A.dim
+    n = len(table)
     rows = []
     for i in range(n):
         bi = unit_vec(n, i)
-        R = Matrix.from_columns([dense_multiply(A, unit_vec(n, j), bi) for j in range(n)], rows=n)
-        L = Matrix.from_columns([dense_multiply(A, bi, unit_vec(n, j)) for j in range(n)], rows=n)
+        R = Matrix.from_columns([dense_multiply(table, unit_vec(n, j), bi) for j in range(n)], rows=n)
+        L = Matrix.from_columns([dense_multiply(table, bi, unit_vec(n, j)) for j in range(n)], rows=n)
         rows.extend((R - L).entries)
     return Subspace(n, nullspace(Matrix(rows, cols=n)))
 
 
-def dense_is_character(A, coords):
-    """Pair phi with all dim^2 cells of `table`."""
+def dense_is_character(table, unit, coords):
+    """Pair phi with all dim^2 cells of the table."""
     phi = Character(coords, "?")
     if all(not c for c in coords):
         return False
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if phi(A.table[i][j]) != coords[i] * coords[j]:
+    for i in range(len(table)):
+        for j in range(len(table)):
+            if phi(table[i][j]) != coords[i] * coords[j]:
                 return False
-    return A.unit is None or phi(A.unit) == ONE
+    return unit is None or phi(unit) == ONE
+
+
+def dense_check_axioms(A, table):
+    """The full associativity/involution/unit sweep, products from the
+    table."""
+    failures = []
+    n = len(table)
+    for i in range(n):
+        ei = unit_vec(n, i)
+        for j in range(n):
+            left = table[i][j]
+            ej = unit_vec(n, j)
+            for k in range(n):
+                lhs = dense_multiply(table, left, unit_vec(n, k))
+                rhs = dense_multiply(table, ei, table[j][k])
+                if lhs != rhs:
+                    failures.append(("associativity", (A.labels[i], A.labels[j], A.labels[k])))
+            inv_prod = A.involute(dense_multiply(table, ei, ej))
+            prod_inv = dense_multiply(table, A.involute(ej), A.involute(ei))
+            if inv_prod != prod_inv:
+                failures.append(("involution antihomomorphism", (A.labels[i], A.labels[j])))
+        if A.involute(A.involute(ei)) != ei:
+            failures.append(("involution involutive", A.labels[i]))
+        if A.unit is not None:
+            if dense_multiply(table, A.unit, ei) != ei or dense_multiply(table, ei, A.unit) != ei:
+                failures.append(("unit", A.labels[i]))
+    return failures
+
+
+def dense_derivations(table):
+    """Leibniz on every basis pair, one dense row per (i, j, m)."""
+    n = len(table)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            cell = table[i][j]
+            for m in range(n):
+                coeffs = [ZERO] * (n * n)
+                for k in range(n):
+                    c = cell[k]
+                    if c:
+                        coeffs[m * n + k] = coeffs[m * n + k] + c
+                for r in range(n):
+                    t1 = table[r][j][m]
+                    if t1:
+                        coeffs[r * n + i] = coeffs[r * n + i] - t1
+                    t2 = table[i][r][m]
+                    if t2:
+                        coeffs[r * n + j] = coeffs[r * n + j] - t2
+                if any(coeffs):
+                    rows.append(tuple(coeffs))
+    if not rows:
+        ker = [unit_vec(n * n, s) for s in range(n * n)]
+    else:
+        ker = nullspace(Matrix(rows, cols=n * n))
+    return [Matrix([[v[r * n + c] for c in range(n)] for r in range(n)]) for v in ker]
+
+
+def nonzero_cells(table):
+    """The table in the form of `terms`: nonzero cells, nonzero entries."""
+    return tuple(
+        tuple(
+            (j, tuple((m, c) for m, c in enumerate(cell) if c))
+            for j, cell in enumerate(row)
+            if any(cell)
+        )
+        for row in table
+    )
 
 
 def model_algebras():
-    M2, M3 = make_matrix_algebra(2), make_matrix_algebra(3)
-    block_sum = direct_sum(M2, M3)
-    quotient, _, _ = quotient_algebra(
-        block_sum, Subspace(13, [unit_vec(13, 4 + k) for k in range(9)])
-    )
+    """(algebra, oracle table) pairs."""
+    M2t, M3t = dense_matrix_table(2), dense_matrix_table(3)
+    block_sum = direct_sum(make_matrix_algebra(2), make_matrix_algebra(3))
+    block_t = dense_direct_sum_table(M2t, M3t)
+    killed = Subspace(13, [unit_vec(13, 4 + k) for k in range(9)])
     F3 = make_function_algebra(3)
-    restricted, _, _ = quotient_algebra(F3, Subspace(3, [unit_vec(3, 1)]))
+    point = Subspace(3, [unit_vec(3, 1)])
     # functions on 2 points in the basis {u, w} with w*w = u/4 (see
     # test_generic_path_on_scaled_function_basis)
-    mixed = StarAlgebra(
-        ["u", "w"],
-        [[vec(1, 0), vec(0, 1)], [vec(0, 1), vec(Fraction(1, 4), 0)]],
-        Matrix.identity(2),
-        vec(1, 0),
-    )
+    mixed_t = [[vec(1, 0), vec(0, 1)], [vec(0, 1), vec(Fraction(1, 4), 0)]]
+    mixed = StarAlgebra(["u", "w"], terms_of(mixed_t), Matrix.identity(2), vec(1, 0))
     return [
-        make_matrix_algebra(1), M2, M3, make_matrix_algebra(4),
-        make_moyal_truncation(2), make_function_algebra(1), F3,
-        make_function_algebra(5), block_sum,
-        direct_sum(make_function_algebra(2), M2), quotient, restricted, mixed,
+        (make_matrix_algebra(1), dense_matrix_table(1)),
+        (make_matrix_algebra(2), M2t),
+        (make_matrix_algebra(3), M3t),
+        (make_matrix_algebra(4), dense_matrix_table(4)),
+        (make_moyal_truncation(2), M2t),
+        (make_function_algebra(1), dense_function_table(1)),
+        (F3, dense_function_table(3)),
+        (make_function_algebra(5), dense_function_table(5)),
+        (block_sum, block_t),
+        (
+            direct_sum(make_function_algebra(2), make_matrix_algebra(2)),
+            dense_direct_sum_table(dense_function_table(2), M2t),
+        ),
+        (quotient_algebra(block_sum, killed)[0], dense_quotient_table(block_t, killed)),
+        (quotient_algebra(F3, point)[0], dense_quotient_table(dense_function_table(3), point)),
+        (mixed, mixed_t),
     ]
 
 
 MODELS = model_algebras()
+
+
+def covering_algebras():
+    """(algebra, oracle table) for every chart and overlap of the block
+    and four-point coverings of the shipped scenarios."""
+    blocks = direct_sum(make_matrix_algebra(2), make_matrix_algebra(3))
+    points = make_function_algebra(4)
+    cases = [
+        (
+            blocks,
+            dense_direct_sum_table(dense_matrix_table(2), dense_matrix_table(3)),
+            [{"type": "blocks", "kill": ["2"]}, {"type": "blocks", "kill": ["1"]}],
+        ),
+        (
+            points,
+            dense_function_table(4),
+            [
+                {"type": "vanishing_on", "points": [1, 2, 3]},
+                {"type": "vanishing_on", "points": [3, 4]},
+            ],
+        ),
+    ]
+    out = []
+    for A, table, decls in cases:
+        cov = Covering(A, [ideal_from_declaration(A, decl) for decl in decls])
+        for a in range(cov.size):
+            out.append((cov.chart(a), dense_quotient_table(table, cov.ideals[a])))
+            for b in range(a, cov.size):
+                joint = cov.ideals[a].sum(cov.ideals[b])
+                out.append((cov.overlap_algebra(a, b), dense_quotient_table(table, joint)))
+    return out
+
+
+def builder_algebras():
+    """(algebra, oracle table) for every model builder over a range of
+    sizes, and the covering charts and overlaps."""
+    out = [(make_matrix_algebra(n), dense_matrix_table(n)) for n in range(1, 5)]
+    out += [(make_moyal_truncation(N), dense_matrix_table(N)) for N in range(1, 6)]
+    out += [(make_function_algebra(p), dense_function_table(p)) for p in range(1, 11)]
+    out += [
+        (
+            direct_sum(make_matrix_algebra(2), make_matrix_algebra(3)),
+            dense_direct_sum_table(dense_matrix_table(2), dense_matrix_table(3)),
+        ),
+        (
+            direct_sum(make_function_algebra(3), make_moyal_truncation(2)),
+            dense_direct_sum_table(dense_function_table(3), dense_matrix_table(2)),
+        ),
+    ]
+    return out + covering_algebras()
 
 
 def random_scalar():
@@ -465,82 +650,150 @@ def vectors(n):
 
 @st.composite
 def random_algebra(draw):
-    """Any bilinear product on Q(i)^n, n <= 4: often sparse, sometimes
-    all zero, in general not associative."""
+    """Any bilinear product on Q(i)^n, n <= 4, with the identity as the
+    involution and sometimes a unit vector: often sparse, sometimes all
+    zero, in general not associative.  Draws (algebra, dense table)."""
     n = draw(st.integers(1, 4))
     cells = draw(st.one_of(
         st.just([ZERO] * n ** 3),
         st.lists(sparse_scalar(), min_size=n ** 3, max_size=n ** 3),
     ))
-    table = [[cells[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-    return StarAlgebra(["b%d" % i for i in range(n)], table, Matrix.identity(n), None)
+    table = [
+        [tuple(cells[(i * n + j) * n:(i * n + j + 1) * n]) for j in range(n)]
+        for i in range(n)
+    ]
+    unit = draw(st.one_of(st.none(), vectors(n)))
+    A = StarAlgebra(["b%d" % i for i in range(n)], terms_of(table), Matrix.identity(n), unit)
+    return A, table
 
 
 def test_terms_list_exactly_the_nonzero_cells():
-    for A in MODELS:
-        for i, row in enumerate(A.terms):
-            dense = {
-                j: tuple((m, c) for m, c in enumerate(cell) if c)
-                for j, cell in enumerate(A.table[i])
-                if any(cell)
-            }
-            assert dict(row) == dense
-            assert [j for j, _ in row] == sorted(dense)
+    for A, table in builder_algebras() + MODELS:
+        assert A.terms == nonzero_cells(table), A
+        assert A.table == tuple(tuple(tuple(cell) for cell in row) for row in table)
     M3 = make_matrix_algebra(3)
     assert sum(len(cell) for row in M3.terms for _, cell in row) == 27
 
 
 @given(random_algebra(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_multiply_matches_dense_reference_on_random_tables(A, data):
+def test_multiply_matches_dense_reference_on_random_tables(case, data):
+    A, table = case
     u = data.draw(vectors(A.dim))
     v = data.draw(vectors(A.dim))
-    assert A.multiply(u, v) == dense_multiply(A, u, v)
+    assert A.multiply(u, v) == dense_multiply(table, u, v)
 
 
 @given(st.sampled_from(MODELS), st.data())
 @settings(max_examples=60, deadline=None)
-def test_multiply_matches_dense_reference_on_models(A, data):
+def test_multiply_matches_dense_reference_on_models(case, data):
+    A, table = case
     u = data.draw(vectors(A.dim))
     v = data.draw(vectors(A.dim))
-    assert A.multiply(u, v) == dense_multiply(A, u, v)
+    assert A.multiply(u, v) == dense_multiply(table, u, v)
 
 
 def test_multiply_matches_dense_reference_on_model_basis_pairs():
-    for A in MODELS:
+    for A, table in MODELS:
         for i in range(A.dim):
             for j in range(A.dim):
                 ei, ej = unit_vec(A.dim, i), unit_vec(A.dim, j)
-                assert A.multiply(ei, ej) == dense_multiply(A, ei, ej) == A.table[i][j]
+                assert A.multiply(ei, ej) == dense_multiply(table, ei, ej) == tuple(table[i][j])
 
 
 def test_center_matches_dense_reference_on_models():
-    for A in MODELS:
-        assert center(A) == dense_center(A), A
+    for A, table in MODELS:
+        assert center(A) == dense_center(table), A
 
 
 @given(random_algebra())
 @settings(max_examples=80, deadline=None)
-def test_center_matches_dense_reference_on_random_tables(A):
-    assert center(A) == dense_center(A)
+def test_center_matches_dense_reference_on_random_tables(case):
+    A, table = case
+    assert center(A) == dense_center(table)
 
 
 def test_is_character_matches_dense_reference_on_models():
-    for A in MODELS:
+    for A, table in MODELS:
         candidates = [phi.coords for phi in characters(A)]
         candidates += [unit_vec(A.dim, i) for i in range(A.dim)]
         candidates += [zero_vec(A.dim), tuple(ONE for _ in range(A.dim))]
         if A.labels == ("u", "w"):
             candidates += [vec(1, Fraction(1, 2)), vec(1, Fraction(-1, 2)), vec(1, 1)]
         for coords in candidates:
-            assert is_character(A, coords) == dense_is_character(A, coords)
+            assert is_character(A, coords) == dense_is_character(table, A.unit, coords)
 
 
 @given(random_algebra(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_is_character_matches_dense_reference_on_random_tables(A, data):
+def test_is_character_matches_dense_reference_on_random_tables(case, data):
+    A, table = case
     coords = data.draw(vectors(A.dim))
-    assert is_character(A, coords) == dense_is_character(A, coords)
+    assert is_character(A, coords) == dense_is_character(table, A.unit, coords)
+
+
+def test_check_axioms_matches_dense_reference_on_models():
+    for A, table in MODELS:
+        assert A.check_axioms() == dense_check_axioms(A, table) == [], A
+
+
+@given(random_algebra())
+@settings(max_examples=80, deadline=None)
+def test_check_axioms_matches_dense_reference_on_random_tables(case):
+    A, table = case
+    assert A.check_axioms() == dense_check_axioms(A, table)
+
+
+def test_derivations_match_dense_reference_on_models():
+    for A, table in MODELS:
+        assert derivations(A) == dense_derivations(table), A
+
+
+@given(random_algebra())
+@settings(max_examples=60, deadline=None)
+def test_derivations_match_dense_reference_on_random_tables(case):
+    A, table = case
+    assert derivations(A) == dense_derivations(table)
+
+
+# -- the constructor ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "terms, involution, unit, message",
+    [
+        ([()], Matrix.identity(2), None, "one row per basis element"),
+        ([(), (), ()], Matrix.identity(2), None, "one row per basis element"),
+        ([((2, ((0, ONE),)),), ()], Matrix.identity(2), None, "index out of range"),
+        ([((-1, ((0, ONE),)),), ()], Matrix.identity(2), None, "index out of range"),
+        ([((0, ((2, ONE),)),), ()], Matrix.identity(2), None, "index out of range"),
+        ([(), ((1, ((-1, ONE),)),)], Matrix.identity(2), None, "index out of range"),
+        ([(), ()], Matrix.identity(3), None, "involution matrix shape"),
+        ([(), ()], Matrix.zero(2, 3), None, "involution matrix shape"),
+        ([(), ()], Matrix.identity(2), vec(1, 0, 0), "unit vector has wrong length"),
+    ],
+    ids=[
+        "too-few-rows", "too-many-rows", "column-past-end", "negative-column",
+        "coordinate-past-end", "negative-coordinate", "involution-3x3",
+        "involution-2x3", "unit-length-3",
+    ],
+)
+def test_constructor_rejects_malformed_structure_constants(terms, involution, unit, message):
+    with pytest.raises(AlgebraError, match=message):
+        StarAlgebra(["a", "b"], terms, involution, unit)
+
+
+def test_constructor_keeps_only_the_nonzero_cells():
+    A = StarAlgebra(
+        ["a", "b"],
+        [
+            ((0, ((0, 1), (1, 0))), (1, ((0, ZERO), (1, 0)))),
+            ((0, ()), (1, ((0, 0), (1, Fraction(1, 2))))),
+        ],
+        Matrix.identity(2),
+        None,
+    )
+    assert A.terms == (((0, ((0, ONE),)),), ((1, ((1, sc("1/2")),)),))
 
 
 # -- exact roots over Q(i) against the sympy factorization -----------------

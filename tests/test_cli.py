@@ -245,14 +245,27 @@ def write_scenario(tmp_path, scenario):
 def test_all_matches_golden_report(name):
     # tests/golden holds `verify all --seed 0` on each shipped scenario,
     # with the timing field stripped
-    result = run("all", "--scenario", str(SCENARIOS / ("%s.json" % name)))
-    got = report_of(result)
-    for check in got["checks"]:
-        del check["millis"]
+    path = str(SCENARIOS / ("%s.json" % name))
     want = json.loads((GOLDEN / ("%s.json" % name)).read_text())
-    assert got == want
-    failed = any(c["status"] != "pass" for c in want["checks"])
-    assert result.exit_code == (1 if failed else 0)
+    seen = set()
+    for command in ["all"] + [family.command for family in cli.FAMILIES]:
+        result = run(command, "--scenario", path)
+        if command != "all" and result.exit_code == 2:
+            continue
+        got = report_of(result)
+        for check in got["checks"]:
+            del check["millis"]
+        if command == "all":
+            assert got == want
+        else:
+            # a family command reports exactly the golden records with
+            # its ids, and together they report all of them
+            ids = [c["id"] for c in got["checks"]]
+            assert got == dict(want, checks=[c for c in want["checks"] if c["id"] in ids])
+            seen.update(ids)
+        failed = any(c["status"] != "pass" for c in got["checks"])
+        assert result.exit_code == (1 if failed else 0), command
+    assert seen == {c["id"] for c in want["checks"]}
 
 
 def run_python(*args, flags=()):
@@ -325,6 +338,27 @@ def test_bad_scenario_d_rejected(tmp_path, d):
     result = run("hopf-check", "--scenario", path)
     assert result.exit_code == 2
     assert "d must be an integer" in result.output
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"algebra": {"model": "matrix", "n": 2.5}},
+        {"algebra": {"model": "matrix", "n": True}},
+        {"algebra": {"model": "moyal", "N": 2.5}},
+        {"algebra": {"model": "function", "points": 3.9}},
+        {
+            "algebra": {"model": "matrix", "n": 2},
+            "action": {"type": "canonical", "N": 2.5},
+        },
+    ],
+    ids=["matrix-n-2.5", "matrix-n-true", "moyal-N-2.5", "points-3.9", "action-N-2.5"],
+)
+def test_bad_scenario_size_rejected(tmp_path, scenario):
+    # 2.5 and true must not be read as 2 and 1
+    result = run("all", "--scenario", write_scenario(tmp_path, scenario))
+    assert result.exit_code == 2
+    assert "expected an integer, got" in result.output
 
 
 def test_library_error_inside_a_family_exits_2(tmp_path):

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from nctangent import cli, covering
 from nctangent.algebras import (
     AlgebraError,
     direct_sum,
@@ -18,6 +21,8 @@ from nctangent.covering import (
     verify_ideal,
 )
 from nctangent.scalars import Subspace, vec_is_zero
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def block_model():
@@ -140,8 +145,6 @@ def test_declaration_errors():
 
 def test_broken_overlap_diagram_raises_a_typed_error(monkeypatch):
     # the diagram check must not be an assert, which `python -O` strips
-    import nctangent.covering as covering
-
     real = covering.quotient_algebra
 
     def doubled_section(algebra, ideal, labels_prefix):
@@ -152,3 +155,43 @@ def test_broken_overlap_diagram_raises_a_typed_error(monkeypatch):
     monkeypatch.setattr(covering, "quotient_algebra", doubled_section)
     with pytest.raises(AlgebraError, match="overlap diagram does not commute"):
         Covering(A, [block1, block2])
+
+
+def shipped_and_test_coverings():
+    """The coverings of the shipped scenarios and of the tests above."""
+    out = [
+        cli.load_scenario(str(path)).covering for path in sorted(SCENARIOS.glob("*.json"))
+    ]
+    out = [cov for cov in out if cov is not None]
+    A, block1, block2 = block_model()
+    out.append(Covering(A, [block2, block1]))
+    F = make_function_algebra(4)
+    i1 = ideal_from_declaration(F, {"type": "vanishing_on", "points": [1, 2, 3]})
+    i2 = ideal_from_declaration(F, {"type": "vanishing_on", "points": [3, 4]})
+    out += [Covering(F, [i1, i2]), Covering(F, [i1, Subspace(4, [])])]
+    M2 = make_matrix_algebra(2)
+    out.append(Covering(M2, [Subspace(M2.dim, [])]))
+    return out
+
+
+def test_every_overlap_ideal_is_a_star_ideal():
+    # Covering does not re-verify the sums of its ideals: a sum of two-sided
+    # *-ideals is one
+    coverings = shipped_and_test_coverings()
+    assert len(coverings) == 6
+    for cov in coverings:
+        for a in range(cov.size):
+            for b in range(a, cov.size):
+                verify_ideal(cov.algebra, cov.ideals[a].sum(cov.ideals[b]))
+
+
+def test_covering_verifies_each_declared_ideal_once(monkeypatch):
+    for cov in shipped_and_test_coverings():
+        calls = []
+        real = covering.verify_ideal
+        monkeypatch.setattr(
+            covering, "verify_ideal", lambda A, sub: calls.append(sub) or real(A, sub)
+        )
+        Covering(cov.algebra, cov.ideals)
+        monkeypatch.undo()
+        assert calls == list(cov.ideals)
