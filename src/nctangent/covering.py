@@ -64,13 +64,6 @@ def verify_ideal(algebra, subspace):
             )
 
 
-def ideal_span(algebra, vectors):
-    """Span the vectors and verify the result is a *-ideal."""
-    sub = Subspace(algebra.dim, list(vectors))
-    verify_ideal(algebra, sub)
-    return sub
-
-
 def ideal_from_generators(algebra, vectors):
     """Smallest *-ideal containing the vectors."""
     return two_sided_ideal_closure(algebra, list(vectors))
@@ -84,18 +77,19 @@ def ideal_from_declaration(algebra, decl):
       {"type": "vanishing_on", "points": [1, 2]} function models
       {"type": "span", "vectors": [...]}         explicit coordinate vectors
       {"type": "generators", "vectors": [...]}   closure of the vectors
+
+    The first three return the plain span; `Covering` verifies that it
+    is a *-ideal.  Each block prefix must name at least one label.
     """
     kind = decl.get("type")
     if kind == "blocks":
         kill = {str(k) for k in decl["kill"]}
-        idx = [
-            i
-            for i, lab in enumerate(algebra.labels)
-            if lab.split(":", 1)[0] in kill
-        ]
-        if not idx and kill:
-            raise AlgebraError("no basis labels match block prefixes %s" % sorted(kill))
-        return ideal_span(algebra, [algebra.basis_vector(i) for i in idx])
+        prefixes = [lab.split(":", 1)[0] for lab in algebra.labels]
+        unmatched = kill.difference(prefixes)
+        if unmatched:
+            raise AlgebraError("no basis labels match block prefixes %s" % sorted(unmatched))
+        idx = [i for i, prefix in enumerate(prefixes) if prefix in kill]
+        return Subspace(algebra.dim, [algebra.basis_vector(i) for i in idx])
     if kind == "vanishing_on":
         model = algebra.model
         if not (isinstance(model, tuple) and model and model[0] == "function"):
@@ -106,9 +100,9 @@ def ideal_from_declaration(algebra, decl):
         if bad:
             raise AlgebraError("points out of range: %s" % sorted(bad))
         idx = [p - 1 for p in range(1, count + 1) if p not in points]
-        return ideal_span(algebra, [algebra.basis_vector(i) for i in idx])
+        return Subspace(algebra.dim, [algebra.basis_vector(i) for i in idx])
     if kind == "span":
-        return ideal_span(algebra, decl["vectors"])
+        return Subspace(algebra.dim, list(decl["vectors"]))
     if kind == "generators":
         return ideal_from_generators(algebra, decl["vectors"])
     raise AlgebraError("unknown ideal declaration type %r" % (kind,))
@@ -227,17 +221,17 @@ def verify_covering(cov):
     """
     failures = []
     A = cov.algebra
+    basis = [A.basis_vector(i) for i in range(A.dim)]
     for alpha in range(cov.size):
         chart = cov.chart(alpha)
         pi = cov.projection(alpha)
-        for i in range(A.dim):
-            ei = A.basis_vector(i)
-            if chart.involute(pi.apply(ei)) != pi.apply(A.involute(ei)):
+        images = [pi.apply(ei) for ei in basis]
+        for i, ei in enumerate(basis):
+            if chart.involute(images[i]) != pi.apply(A.involute(ei)):
                 failures.append(("star-compatibility", (alpha, A.labels[i])))
-            for j in range(A.dim):
-                ej = A.basis_vector(j)
+            for j, ej in enumerate(basis):
                 lhs = pi.apply(A.multiply(ei, ej))
-                rhs = chart.multiply(pi.apply(ei), pi.apply(ej))
+                rhs = chart.multiply(images[i], images[j])
                 if lhs != rhs:
                     failures.append(
                         ("homomorphism", (alpha, A.labels[i], A.labels[j]))

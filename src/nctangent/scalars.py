@@ -508,22 +508,28 @@ def _kernel_from_rref(reduced, pivots, n):
 
 
 class Subspace:
-    """Subspace of Q(i)^n held as a canonical reduced-echelon basis."""
+    """Subspace of Q(i)^n held as a canonical reduced-echelon basis.
 
-    __slots__ = ("ambient_dim", "basis")
+    `_rows` keeps each basis row's pivot and its other nonzero entries,
+    from the same elimination, so `contains` reduces along the pivots.
+    """
+
+    __slots__ = ("ambient_dim", "basis", "_rows")
 
     def __init__(self, ambient_dim, vectors):
         vectors = [tuple(Scalar.promote(e) for e in v) for v in vectors]
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length differs from ambient dimension")
-        if vectors:
-            reduced, pivots = rref(vectors)
-            basis = tuple(reduced[: len(pivots)])
-        else:
-            basis = ()
+        reduced, pivots = rref(vectors)
+        basis = tuple(reduced[: len(pivots)])
+        rows = tuple(
+            (p, tuple((c, a) for c, a in enumerate(row) if a and c != p))
+            for p, row in zip(pivots, basis)
+        )
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -536,11 +542,13 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
         v = list(v)
-        for row in self.basis:
-            c = next((j for j, a in enumerate(row) if a), None)
-            if c is not None and v[c]:
-                f = v[c]
-                v = [a - f * b for a, b in zip(v, row)]
+        # a row is zero at the other rows' pivots: any order will do
+        for p, entries in self._rows:
+            f = v[p]
+            if f:
+                for c, a in entries:
+                    v[c] = v[c] - f * a
+                v[p] = ZERO
         return all(not a for a in v)
 
     def __eq__(self, other):
@@ -591,10 +599,14 @@ class Subspace:
 class QuotientSpace:
     """Quotient of Q(i)^n by a subspace, with a deterministic section.
 
-    The complement of the subspace is completed from standard basis
-    vectors greedily, smallest index first, so the projection and section
-    matrices are reproducible.  projection o section is the identity on
-    the quotient and the kernel of the projection is exactly the subspace.
+    The complement is spanned by the unit vectors e_c for the columns c
+    that are not pivots of the subspace's echelon form with the columns
+    reversed: the greedy choice, smallest index first, of unit vectors
+    outside the span so far.  Row k of that form is e_{r_k} plus entries
+    at complement columns, so the projection keeps the complement
+    coordinates and sends e_{r_k} to minus row k's complement entries.
+    projection o section is the identity on the quotient and the kernel
+    of the projection is exactly the subspace.
     """
 
     __slots__ = ("ambient_dim", "subspace", "dim", "projection", "section",
@@ -603,35 +615,26 @@ class QuotientSpace:
     def __init__(self, ambient_dim, subspace):
         if subspace.ambient_dim != ambient_dim:
             raise ValueError("subspace lives in a different ambient space")
-        k = subspace.dim
-        q = ambient_dim - k
-        chosen = []
-        current = list(subspace.basis)
-        for idx in range(ambient_dim):
-            if len(chosen) == q:
-                break
-            cand = unit_vec(ambient_dim, idx)
-            if not Subspace(ambient_dim, current).contains(cand):
-                chosen.append(idx)
-                current.append(cand)
+        n = ambient_dim
+        q = n - subspace.dim
+        reduced, rpivots = rref([row[::-1] for row in subspace.basis])
+        pivots = [n - 1 - p for p in rpivots]
+        killed = set(pivots)
+        chosen = [c for c in range(n) if c not in killed]
         if len(chosen) != q:
             raise ValueError(
                 "complement has %d vectors, the quotient needs %d" % (len(chosen), q)
             )
-        columns = [tuple(v) for v in subspace.basis] + [
-            unit_vec(ambient_dim, idx) for idx in chosen
-        ]
-        if ambient_dim:
-            M = Matrix.from_columns(columns, rows=ambient_dim)
-            Minv = M.inverse()
-            projection = Matrix(
-                [Minv.entries[k + i] for i in range(q)], cols=ambient_dim
-            )
-        else:
-            projection = Matrix.zero(0, 0)
-        section = Matrix.from_columns(
-            [unit_vec(ambient_dim, idx) for idx in chosen], rows=ambient_dim
-        )
+        rows = [[ZERO] * n for _ in range(q)]
+        for i, c in enumerate(chosen):
+            rows[i][c] = ONE
+        for row, r in zip(reduced, pivots):
+            for i, c in enumerate(chosen):
+                a = row[n - 1 - c]
+                if a:
+                    rows[i][r] = -a
+        projection = Matrix(rows, cols=n)
+        section = Matrix.from_columns([unit_vec(n, c) for c in chosen], rows=n)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "subspace", subspace)
         object.__setattr__(self, "dim", q)

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,6 @@ from nctangent.covering import (
     NotAnIdeal,
     ideal_from_declaration,
     ideal_from_generators,
-    ideal_span,
     overlap_maps,
     verify_covering,
     verify_ideal,
@@ -47,8 +47,11 @@ def test_not_an_ideal_witness():
     with pytest.raises(NotAnIdeal) as err:
         verify_ideal(A, sub)
     assert err.value.witness is not None
+    # a span declaration is the plain span; the covering verifies it
+    declared = ideal_from_declaration(A, {"type": "span", "vectors": [A.basis_vector(1)]})
+    assert declared == sub
     with pytest.raises(NotAnIdeal):
-        ideal_span(A, [A.basis_vector(1)])
+        Covering(A, [declared])
 
 
 def test_ideal_from_generators_closure():
@@ -195,3 +198,30 @@ def test_covering_verifies_each_declared_ideal_once(monkeypatch):
         Covering(cov.algebra, cov.ideals)
         monkeypatch.undo()
         assert calls == list(cov.ideals)
+
+
+def test_load_scenario_verifies_each_declared_ideal_once(monkeypatch):
+    calls = []
+    real = covering.verify_ideal
+    monkeypatch.setattr(
+        covering, "verify_ideal", lambda A, sub: calls.append(sub) or real(A, sub)
+    )
+    loaded = 0
+    for path in sorted(SCENARIOS.glob("*.json")):
+        declared = json.loads(path.read_text()).get("covering", {}).get("ideals", [])
+        calls.clear()
+        cov = cli.load_scenario(str(path)).covering
+        assert len(calls) == len(declared), path.name
+        if cov is not None:
+            assert calls == list(cov.ideals)
+            loaded += 1
+    assert loaded == 2
+
+
+def test_block_prefix_matching_no_label_is_rejected():
+    A, _, _ = block_model()
+    for kill in (["2", "9"], ["9"], ["1", "2", "x"]):
+        with pytest.raises(AlgebraError, match="match block prefixes"):
+            ideal_from_declaration(A, {"type": "blocks", "kill": kill})
+    # no prefix at all names no block and gives the zero ideal
+    assert ideal_from_declaration(A, {"type": "blocks", "kill": []}).is_zero()

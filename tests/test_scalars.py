@@ -326,9 +326,106 @@ def test_nullspace_matches_rank():
         assert vec_is_zero(A.apply(v))
 
 
-def test_short_complement_raises_a_typed_error(monkeypatch):
+def test_short_complement_raises_a_typed_error():
     # the complement size check must not be an assert, which `python -O`
-    # strips; a membership test that accepts everything leaves it empty
-    monkeypatch.setattr(Subspace, "contains", lambda self, v: True)
+    # strips.  A stored basis of three vectors in the plane claims three
+    # dimensions, so the quotient would need -1 vectors while the
+    # elimination leaves a complement of 0
+    S = object.__new__(Subspace)
+    object.__setattr__(S, "ambient_dim", 2)
+    object.__setattr__(S, "basis", (vec(1, 0), vec(0, 1), vec(1, 0)))
     with pytest.raises(ValueError, match="complement has 0 vectors"):
-        QuotientSpace(2, Subspace(2, []))
+        QuotientSpace(2, S)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the routes that stored pivots and the closed-form quotient replace
+
+
+def oracle_contains(S, v):
+    """Membership by reducing along each basis row, its pivot found anew."""
+    v = list(v)
+    for row in S.basis:
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is not None and v[c]:
+            f = v[c]
+            v = [a - f * b for a, b in zip(v, row)]
+    return all(not a for a in v)
+
+
+def oracle_quotient(n, S):
+    """(complement, projection entries, section entries) by the greedy
+    choice of unit vectors, smallest index first, one elimination per
+    candidate, and the inverse of the basis-plus-complement matrix."""
+    q = n - S.dim
+    chosen, current = [], list(S.basis)
+    for idx in range(n):
+        if len(chosen) == q:
+            break
+        cand = unit_vec(n, idx)
+        if not oracle_contains(Subspace(n, current), cand):
+            chosen.append(idx)
+            current.append(cand)
+    assert len(chosen) == q
+    columns = list(S.basis) + [unit_vec(n, idx) for idx in chosen]
+    if n:
+        Minv = Matrix.from_columns(columns, rows=n).inverse()
+        projection = Matrix([Minv.entries[S.dim + i] for i in range(q)], cols=n)
+    else:
+        projection = Matrix.zero(0, 0)
+    section = Matrix.from_columns([unit_vec(n, idx) for idx in chosen], rows=n)
+    return tuple(chosen), projection.entries, section.entries
+
+
+SPARSE = [ZERO] * 6 + [ONE, -ONE, sc(2), sc(-1, 1), sc("1/2"), I]
+
+
+@st.composite
+def subspace_and_probes(draw):
+    n = draw(st.integers(0, 7))
+    shape = draw(st.sampled_from(["sparse", "dense", "empty", "full"]))
+    if shape == "dense":
+        entry = st.builds(Scalar, st.integers(-3, 3), st.integers(-1, 1))
+    else:
+        entry = st.sampled_from(SPARSE)
+    count = 0 if shape == "empty" else draw(st.integers(0, n + 1))
+    vecs = [tuple(draw(entry) for _ in range(n)) for _ in range(count)]
+    if shape == "full":
+        vecs += [unit_vec(n, k) for k in draw(st.permutations(range(n)))]
+    S = Subspace(n, vecs)
+    # a member of S, a member nudged off S along one axis, and a free probe
+    coeffs = [draw(entry) for _ in S.basis]
+    member = tuple(
+        sum((c * row[j] for c, row in zip(coeffs, S.basis)), ZERO) for j in range(n)
+    )
+    probes = [member, tuple(draw(entry) for _ in range(n))]
+    if n:
+        k = draw(st.integers(0, n - 1))
+        probes.append(tuple(a + ONE if j == k else a for j, a in enumerate(member)))
+    return n, S, probes
+
+
+@given(subspace_and_probes())
+@settings(max_examples=300, deadline=None)
+def test_quotient_and_contains_match_the_oracles(case):
+    n, S, probes = case
+    Q = QuotientSpace(n, S)
+    chosen, projection, section = oracle_quotient(n, S)
+    assert Q.complement_indices == chosen
+    assert Q.projection.entries == projection
+    assert Q.section.entries == section
+    assert (Q.projection.rows, Q.projection.cols) == (len(chosen), n)
+    assert (Q.section.rows, Q.section.cols) == (n, len(chosen))
+    for v in probes:
+        assert S.contains(v) == oracle_contains(S, v)
+    assert S.contains(probes[0])
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_quotient_oracle_on_the_empty_and_full_subspaces(n):
+    for S in (Subspace(n, []), Subspace(n, [unit_vec(n, k) for k in range(n)])):
+        Q = QuotientSpace(n, S)
+        chosen, projection, section = oracle_quotient(n, S)
+        assert (Q.complement_indices, Q.projection.entries, Q.section.entries) == (
+            chosen, projection, section
+        )
