@@ -434,14 +434,6 @@ def test_malformed_section_exits_2_without_traceback(tmp_path, changes, message)
     assert message in proc.stderr
 
 
-def test_block_prefix_matching_no_label_is_named(tmp_path):
-    # "2" names a block, "9" does not: the scenario is unusable all the same
-    covering = {"ideals": [{"type": "blocks", "kill": ["2", "9"]}, {"type": "blocks", "kill": ["1"]}]}
-    result = run("covering-check", "--scenario", write_scenario(tmp_path, block_scenario(covering=covering)))
-    assert result.exit_code == 2
-    assert "no basis labels match block prefixes ['9']" in result.output
-
-
 def test_non_ideal_span_exits_2_with_the_not_an_ideal_message(tmp_path):
     # span{E_12} in M_2 is not closed under left multiplication by E_21
     scenario = {
