@@ -355,11 +355,30 @@ def is_central(A, v):
 
 
 def noncentral_witness(A, v):
-    """None when v is central, else (basis label, commutator value)."""
-    for i in range(A.dim):
-        comm = A.commutator(v, unit_vec(A.dim, i))
+    """None when v is central, else (basis label, commutator value) for
+    the first basis element b_i with [v, b_i] != 0.
+
+    All the commutators come from one pass over the structure
+    constants: a nonzero basis_k . basis_j adds v_k times it to
+    [v, b_j] and subtracts v_j times it from [v, b_k].
+    """
+    if len(v) != A.dim:
+        raise AlgebraError("element length mismatch")
+    comms = [[ZERO] * A.dim for _ in range(A.dim)]
+    for k, (x, row) in enumerate(zip(v, A.terms)):
+        out = comms[k]
+        for j, cell in row:
+            y = v[j]
+            if x:
+                into = comms[j]
+                for m, c in cell:
+                    into[m] = into[m] + x * c
+            if y:
+                for m, c in cell:
+                    out[m] = out[m] - y * c
+    for i, comm in enumerate(comms):
         if not vec_is_zero(comm):
-            return (A.labels[i], comm)
+            return (A.labels[i], tuple(comm))
     return None
 
 

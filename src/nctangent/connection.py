@@ -6,7 +6,10 @@ display: a Gamma contraction plus the first argument acting on the
 second argument's coefficients.  Curvature is computed two independent
 ways, as a commutator of covariant derivatives and through the component
 formula, and the module's central check is that both agree on every
-basis triple.
+basis triple.  The operator side of that check builds each covariant
+derivative of the generators once and shares it between triples; the
+component side is computed on its own, sharing nothing with it, and
+`curvature_operator` is the unshared operator route for one triple.
 """
 
 from fractions import Fraction
@@ -121,15 +124,18 @@ def nabla(gamma, X, Y):
         raise AlgebraError("derivations live over a different assignment")
     A = assign.algebra
     n = assign.d + 1
+    # the coefficient products do not depend on lam; zero ones add nothing
+    prods = []
+    for mu, x in enumerate(X.coefficients):
+        for nu, y in enumerate(Y.coefficients):
+            prod = A.multiply(x, y)
+            if not vec_is_zero(prod):
+                prods.append((mu, nu, prod))
     out = []
     for lam in range(n):
         total = zero_vec(A.dim)
-        for mu in range(n):
-            for nu in range(n):
-                prod = A.multiply(X.coefficients[mu], Y.coefficients[nu])
-                total = vec_add(
-                    total, A.multiply(prod, gamma.entry(mu, nu, lam))
-                )
+        for mu, nu, prod in prods:
+            total = vec_add(total, A.multiply(prod, gamma.entry(mu, nu, lam)))
         for mu in range(n):
             total = vec_add(
                 total,
@@ -312,10 +318,17 @@ def curvature_components(gamma):
 
 def curvature_operator(gamma, X, Y, Z):
     """Commutator of covariant derivatives minus the derivative along
-    the bracket."""
+    the bracket, from five `nabla` calls.  `curvature_cross_check` gets
+    the same values with the covariant derivatives shared between basis
+    triples; this function is the reference for it."""
     first = nabla(gamma, X, nabla(gamma, Y, Z))
     second = nabla(gamma, Y, nabla(gamma, X, Z))
     third = nabla(gamma, bracket(X, Y), Z)
+    return _curvature_from(gamma, first, second, third)
+
+
+def _curvature_from(gamma, first, second, third):
+    """R(X, Y)Z = first - second - third, coefficient by coefficient."""
     coeffs = [
         vec_sub(vec_sub(a, b), c)
         for a, b, c in zip(
@@ -327,16 +340,34 @@ def curvature_operator(gamma, X, Y, Z):
 
 def curvature_cross_check(gamma):
     """Basis triples where the operator curvature disagrees with the
-    component formula; empty means the two routes coincide."""
+    component formula; empty means the two routes coincide.
+
+    The operator side shares its covariant derivatives between triples:
+    nabla(e_b, e_c) is built once per generator pair and
+    nabla(e_a, nabla(e_b, e_c)) once per triple, so the `second` term of
+    (mu, nu, lam) is the `first` term of (nu, mu, lam).  Only the
+    derivative along each bracket is built per triple.  The component
+    route, `curvature_components`, shares nothing with it.
+    """
     assign = gamma.assignment
     n = assign.d + 1
     tensor = curvature_components(gamma)
-    failures = []
     basis = [generator_derivation(assign, mu) for mu in range(n)]
+    inner = [[nabla(gamma, Y, Z) for Z in basis] for Y in basis]
+    outer = [
+        [[nabla(gamma, X, YZ) for YZ in row] for row in inner] for X in basis
+    ]
+    failures = []
     for mu in range(n):
         for nu in range(n):
+            XY = bracket(basis[mu], basis[nu])
             for lam in range(n):
-                op = curvature_operator(gamma, basis[mu], basis[nu], basis[lam])
+                op = _curvature_from(
+                    gamma,
+                    outer[mu][nu][lam],
+                    outer[nu][mu][lam],
+                    nabla(gamma, XY, basis[lam]),
+                )
                 want = [
                     tensor.entry(mu, nu, lam, tau) for tau in range(n)
                 ]

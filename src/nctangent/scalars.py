@@ -302,9 +302,14 @@ def vec_is_zero(u):
 
 
 class Matrix:
-    """Dense matrix of Scalar entries; shape-checked exact arithmetic."""
+    """Dense matrix of Scalar entries; shape-checked exact arithmetic.
 
-    __slots__ = ("rows", "cols", "entries")
+    `apply` reads the nonzero `(row, entry)` pairs of each column, kept
+    in the `_columns` slot from the first call on.  Equality and the
+    hash use `entries` only.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_columns")
 
     def __init__(self, entries, cols=None):
         entries = tuple(tuple(Scalar.promote(e) for e in row) for row in entries)
@@ -403,14 +408,20 @@ class Matrix:
     def apply(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
+        try:
+            columns = self._columns
+        except AttributeError:
+            columns = tuple(
+                tuple((i, row[j]) for i, row in enumerate(self.entries) if row[j])
+                for j in range(self.cols)
+            )
+            object.__setattr__(self, "_columns", columns)
         out = [ZERO] * self.rows
-        for j, x in enumerate(v):
+        for x, column in zip(v, columns):
             if not x:
                 continue
-            for i in range(self.rows):
-                a = self.entries[i][j]
-                if a:
-                    out[i] = out[i] + a * x
+            for i, a in column:
+                out[i] = out[i] + a * x
         return tuple(out)
 
     def transpose(self):

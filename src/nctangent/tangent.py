@@ -220,16 +220,23 @@ def bracket(X, Y):
 
 
 def leibniz_failures(algebra, operator):
-    """Basis pairs where a linear map breaks the product rule."""
+    """Basis pairs where a linear map breaks the product rule.
+
+    The map is applied to each basis vector once; its value on a basis
+    product is the combination of those images with the product's
+    structure constants.
+    """
+    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    images = [operator.apply(b) for b in basis]
     failures = []
-    for i in range(algebra.dim):
-        a = algebra.basis_vector(i)
-        da = operator.apply(a)
-        for j in range(algebra.dim):
-            b = algebra.basis_vector(j)
-            lhs = operator.apply(algebra.multiply(a, b))
+    for i, a in enumerate(basis):
+        products = dict(algebra.terms[i])
+        for j, b in enumerate(basis):
+            lhs = zero_vec(algebra.dim)
+            for m, c in products.get(j, ()):
+                lhs = vec_add(lhs, vec_scale(c, images[m]))
             rhs = vec_add(
-                algebra.multiply(da, b), algebra.multiply(a, operator.apply(b))
+                algebra.multiply(images[i], b), algebra.multiply(a, images[j])
             )
             if lhs != rhs:
                 failures.append((algebra.labels[i], algebra.labels[j]))

@@ -22,6 +22,7 @@ from nctangent.algebras import (
     make_function_algebra,
     make_matrix_algebra,
     make_moyal_truncation,
+    noncentral_witness,
     quotient_algebra,
     support,
     two_sided_ideal_closure,
@@ -754,6 +755,53 @@ def test_derivations_match_dense_reference_on_models():
 def test_derivations_match_dense_reference_on_random_tables(case):
     A, table = case
     assert derivations(A) == dense_derivations(table)
+
+
+def commutator_witness(A, v):
+    """The first basis element whose commutator with v is nonzero, from
+    two `multiply` calls per basis element: the route that the one pass
+    over the structure constants replaces."""
+    for i in range(A.dim):
+        comm = A.commutator(v, unit_vec(A.dim, i))
+        if not vec_is_zero(comm):
+            return (A.labels[i], comm)
+    return None
+
+
+def witness_probes(A):
+    """Basis vectors, the unit, the center's basis, their sums with a basis
+    vector, and a dense vector."""
+    probes = [unit_vec(A.dim, i) for i in range(A.dim)]
+    probes += [zero_vec(A.dim), tuple(Scalar(i + 1, i % 3 - 1) for i in range(A.dim))]
+    if A.unit is not None:
+        probes.append(A.unit)
+    for z in center(A).basis:
+        probes += [z, tuple(a + b for a, b in zip(z, unit_vec(A.dim, A.dim - 1)))]
+    return probes
+
+
+def test_noncentral_witness_matches_the_commutator_route_on_models():
+    for A, _ in MODELS:
+        for v in witness_probes(A):
+            assert noncentral_witness(A, v) == commutator_witness(A, v), A
+        for v in (zero_vec(A.dim + 1), zero_vec(A.dim - 1)):
+            with pytest.raises(AlgebraError):
+                commutator_witness(A, v)
+            with pytest.raises(AlgebraError):
+                noncentral_witness(A, v)
+    # the models include noncommutative algebras with witnesses
+    M2 = make_matrix_algebra(2)
+    assert noncentral_witness(M2, unit_vec(4, 1)) == (
+        "E_11", (ZERO, -ONE, ZERO, ZERO)
+    )
+
+
+@given(random_algebra(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_noncentral_witness_matches_the_commutator_route_on_random_tables(case, data):
+    A, _ = case
+    v = data.draw(vectors(A.dim))
+    assert noncentral_witness(A, v) == commutator_witness(A, v)
 
 
 # -- the constructor ---------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nctangent import connection
 from nctangent.algebras import AlgebraError, direct_sum, make_matrix_algebra
 from nctangent.connection import (
     ConnectionCoefficients,
@@ -18,7 +19,15 @@ from nctangent.connection import (
     structure_scalar,
     verify_connection_axioms,
 )
-from nctangent.scalars import Scalar, sc, vec_add, vec_is_zero, vec_scale, zero_vec
+from nctangent.scalars import (
+    Matrix,
+    Scalar,
+    sc,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    zero_vec,
+)
 from nctangent.tangent import (
     ActionAssignment,
     LocalDerivation,
@@ -294,3 +303,163 @@ def test_random_connection_solves_the_center_once(monkeypatch, make_assign):
         monkeypatch.undo()
         assert len(calls) == 1
         assert [[list(row) for row in plane] for plane in gamma.grid] == want
+
+
+# -- oracle: the cross-check with five `nabla` calls per basis triple --------
+
+
+def per_triple_cross_check(gamma):
+    """Basis triples where `curvature_operator`, built afresh for every
+    triple, disagrees with the component formula: the route that the
+    shared covariant derivatives of `curvature_cross_check` replace."""
+    assign = gamma.assignment
+    n = assign.d + 1
+    tensor = curvature_components(gamma)
+    basis = [generator_derivation(assign, mu) for mu in range(n)]
+    failures = []
+    for mu in range(n):
+        for nu in range(n):
+            for lam in range(n):
+                op = curvature_operator(gamma, basis[mu], basis[nu], basis[lam])
+                if list(op.coefficients) != [
+                    tensor.entry(mu, nu, lam, tau) for tau in range(n)
+                ]:
+                    failures.append((mu, nu, lam))
+    return failures
+
+
+class OperatorTensor:
+    """Component tensor whose entries are the five-`nabla` operator
+    curvature, one triple optionally nudged off it."""
+
+    def __init__(self, gamma, nudge=None):
+        assign = gamma.assignment
+        n = assign.d + 1
+        basis = [generator_derivation(assign, mu) for mu in range(n)]
+        self.values = {
+            (mu, nu, lam): list(
+                curvature_operator(gamma, basis[mu], basis[nu], basis[lam]).coefficients
+            )
+            for mu in range(n)
+            for nu in range(n)
+            for lam in range(n)
+        }
+        if nudge is not None:
+            A = assign.algebra
+            self.values[nudge][0] = vec_add(self.values[nudge][0], A.unit)
+
+    def entry(self, mu, nu, lam, tau):
+        return self.values[(mu, nu, lam)][tau]
+
+
+def curvature_cases():
+    """(d, connection) pairs for d = 1 and d = 2: zero, constant and
+    seeded connections on the canonical model and the block sum."""
+    out = []
+    for d, N, kappa in ((1, 2, Fraction(1)), (1, 2, Fraction(2, 3)), (2, 3, Fraction(1, 2))):
+        assign = canonical_inner_model(N, d, kappa)
+        out += [
+            (d, ConnectionCoefficients.zero(assign)),
+            (d, ConnectionCoefficients.constant(assign, sc(0, 2))),
+            (d, random_connection(assign, random.Random(N))),
+        ]
+    out.append((1, random_connection(sum_model(), random.Random(11))))
+    return out
+
+
+def test_cross_check_matches_the_five_nabla_operator_on_every_triple(monkeypatch):
+    for d, gamma in curvature_cases():
+        n = d + 1
+        assert curvature_cross_check(gamma) == per_triple_cross_check(gamma) == []
+        # against a component tensor made of curvature_operator values, the
+        # shared derivatives agree exactly on every triple ...
+        monkeypatch.setattr(connection, "curvature_components", OperatorTensor)
+        assert curvature_cross_check(gamma) == []
+        # ... and a tensor nudged at one triple is caught at that triple only
+        for nudge in ((0, n - 1, 0), (n - 1, 0, n - 1), (1, 1, 0)):
+            monkeypatch.setattr(
+                connection,
+                "curvature_components",
+                lambda g, nudge=nudge: OperatorTensor(g, nudge),
+            )
+            assert curvature_cross_check(gamma) == [nudge]
+        monkeypatch.undo()
+
+
+def broken_action(N, d):
+    """The canonical action with i times the identity added to D_1, so D_1
+    no longer kills the unit.  On an action of derivations the two routes
+    agree on the generator triples for any grid, real or non-central
+    entries included, so a negative control must break the action too."""
+    assign = canonical_inner_model(N, d, 1)
+    A = assign.algebra
+    ops = list(assign.operators)
+    ops[1] = ops[1] + Matrix.identity(A.dim).scale(sc(0, 1))
+    return ActionAssignment(A, d, 1, ops)
+
+
+@pytest.mark.parametrize("d, N", [(1, 2), (2, 3)])
+def test_cross_check_negative_controls_match_the_five_nabla_route(d, N):
+    assign = broken_action(N, d)
+    A = assign.algebra
+    n = d + 1
+    noncentral = [
+        [
+            [
+                vec_scale(sc(mu + 1, nu - lam), A.basis_vector(1))
+                if (mu + nu + lam) % 2
+                else A.unit
+                for lam in range(n)
+            ]
+            for nu in range(n)
+        ]
+        for mu in range(n)
+    ]
+    grids = [
+        ConnectionCoefficients.constant(assign, 2, check=False),
+        ConnectionCoefficients(assign, noncentral, check=False),
+    ]
+    assert coefficient_failures(grids[1])
+    for gamma in grids:
+        want = per_triple_cross_check(gamma)
+        assert want and len(want) < n ** 3
+        assert curvature_cross_check(gamma) == want
+
+
+def per_lam_nabla(gamma, X, Y):
+    """`nabla` with the coefficient products built again for every lam and
+    zero products kept: the route that hoisting them replaces."""
+    assign = gamma.assignment
+    A = assign.algebra
+    n = assign.d + 1
+    out = []
+    for lam in range(n):
+        total = zero_vec(A.dim)
+        for mu in range(n):
+            for nu in range(n):
+                prod = A.multiply(X.coefficients[mu], Y.coefficients[nu])
+                total = vec_add(total, A.multiply(prod, gamma.entry(mu, nu, lam)))
+        for mu in range(n):
+            total = vec_add(
+                total,
+                A.multiply(
+                    X.coefficients[mu],
+                    assign.operators[mu].apply(Y.coefficients[lam]),
+                ),
+            )
+        out.append(total)
+    return tuple(out)
+
+
+def test_nabla_matches_the_per_lam_route():
+    rng = random.Random(13)
+    control = ConnectionCoefficients.constant(broken_action(2, 1), 2, check=False)
+    for d, gamma in curvature_cases() + [(1, control)]:
+        assign = gamma.assignment
+        basis = [generator_derivation(assign, mu) for mu in range(d + 1)]
+        samples = [(X, Y) for X in basis for Y in basis]
+        samples += [(X, Y) for X, Y, _ in central_samples(assign, rng, count=2)]
+        for X, Y in samples:
+            inner = nabla(gamma, X, Y)
+            assert inner.coefficients == per_lam_nabla(gamma, X, Y)
+            assert nabla(gamma, Y, inner).coefficients == per_lam_nabla(gamma, Y, inner)

@@ -20,7 +20,7 @@ from nctangent.covering import (
     verify_covering,
     verify_ideal,
 )
-from nctangent.scalars import Subspace, vec_is_zero
+from nctangent.scalars import Matrix, Subspace, sc, vec_is_zero
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -226,3 +226,72 @@ def test_block_prefix_matching_no_label_is_rejected():
         assert str(err.value) == "no basis labels match block prefixes " + named
     # no prefix at all names no block and gives the zero ideal
     assert ideal_from_declaration(A, {"type": "blocks", "kill": []}).is_zero()
+
+
+def chartwise_verify_covering(cov):
+    """`verify_covering` with the base algebra's products and involutes
+    computed again for every chart: the route that computing them once
+    replaces, and the reference for the order of the failure list."""
+    failures = []
+    A = cov.algebra
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    for alpha in range(cov.size):
+        chart = cov.chart(alpha)
+        pi = cov.projection(alpha)
+        images = [pi.apply(ei) for ei in basis]
+        for i, ei in enumerate(basis):
+            if chart.involute(images[i]) != pi.apply(A.involute(ei)):
+                failures.append(("star-compatibility", (alpha, A.labels[i])))
+            for j, ej in enumerate(basis):
+                if pi.apply(A.multiply(ei, ej)) != chart.multiply(images[i], images[j]):
+                    failures.append(("homomorphism", (alpha, A.labels[i], A.labels[j])))
+        if A.unit is not None and chart.unit is not None:
+            if pi.apply(A.unit) != chart.unit:
+                failures.append(("unit", alpha))
+        if (pi @ cov.section(alpha)).entries != Matrix.identity(chart.dim).entries:
+            failures.append(("section", alpha))
+    rows = []
+    for alpha in range(cov.size):
+        rows.extend(cov.projection(alpha).entries)
+    stacked = Matrix(rows, cols=A.dim)
+    if stacked.rank() != A.dim:
+        failures.append(("joint-injectivity", stacked.rank()))
+    for alpha in range(cov.size):
+        for beta in range(cov.size):
+            via = cov.chart_to_overlap(alpha, beta) @ cov.projection(alpha)
+            if via.entries != cov.overlap_projection(alpha, beta).entries:
+                failures.append(("overlap-diagram", (alpha, beta)))
+    return failures
+
+
+class SkewedCovering:
+    """A covering whose projection onto one chart is multiplied by i: it
+    breaks star-compatibility, the homomorphism law, the unit, the
+    section and the overlap diagram of that chart."""
+
+    def __init__(self, cov, skewed):
+        self.cov = cov
+        self.skewed = skewed
+
+    def __getattr__(self, name):
+        return getattr(self.cov, name)
+
+    def projection(self, alpha):
+        pi = self.cov.projection(alpha)
+        return pi.scale(sc(0, 1)) if alpha == self.skewed else pi
+
+
+def test_verify_covering_matches_the_chartwise_route():
+    coverings = shipped_and_test_coverings()
+    for cov in coverings:
+        assert verify_covering(cov) == chartwise_verify_covering(cov) == []
+    kinds = set()
+    for cov in coverings:
+        for skewed in range(cov.size):
+            bad = SkewedCovering(cov, skewed)
+            want = chartwise_verify_covering(bad)
+            assert verify_covering(bad) == want
+            kinds.update(kind for kind, _ in want)
+    assert kinds == {
+        "star-compatibility", "homomorphism", "unit", "section", "overlap-diagram"
+    }

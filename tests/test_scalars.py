@@ -7,6 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nctangent.algebras import (
+    direct_sum,
+    make_function_algebra,
+    make_matrix_algebra,
+    quotient_algebra,
+)
 from nctangent.cli import _jsonable
 from nctangent.scalars import (
     I,
@@ -25,6 +31,7 @@ from nctangent.scalars import (
     vec_is_zero,
     vec_sub,
 )
+from nctangent.tangent import canonical_inner_model
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -429,3 +436,105 @@ def test_quotient_oracle_on_the_empty_and_full_subspaces(n):
         assert (Q.complement_indices, Q.projection.entries, Q.section.entries) == (
             chosen, projection, section
         )
+
+
+# ---------------------------------------------------------------------------
+# oracle: the dense scan that the per-column nonzero pairs of `apply` replace
+
+
+def oracle_apply(M, v):
+    """M v, reading every entry of each column whose coordinate in v is
+    nonzero."""
+    if len(v) != M.cols:
+        raise ValueError("vector length mismatch")
+    out = [ZERO] * M.rows
+    for j, x in enumerate(v):
+        if not x:
+            continue
+        for i in range(M.rows):
+            a = M.entries[i][j]
+            if a:
+                out[i] = out[i] + a * x
+    return tuple(out)
+
+
+@st.composite
+def matrix_and_vectors(draw):
+    """A matrix of 0-5 rows and 0-5 columns, some columns all zero, and
+    vectors of its column count."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.sampled_from(SPARSE)
+    zero_columns = draw(st.sets(st.integers(0, 4)))
+    entries = [
+        [ZERO if j in zero_columns else draw(entry) for j in range(cols)]
+        for _ in range(rows)
+    ]
+    vectors = [tuple(draw(entry) for _ in range(cols)) for _ in range(3)]
+    return Matrix(entries, cols=cols), vectors
+
+
+def assert_apply_matches(M, vectors):
+    for v in vectors:
+        # twice: the first call builds the column pairs, the second reads them
+        assert M.apply(v) == oracle_apply(M, v)
+        assert M.apply(v) == oracle_apply(M, v)
+    for wrong in (M.cols + 1, M.cols - 1):
+        if wrong < 0:
+            continue
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            oracle_apply(M, (ONE,) * wrong)
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            M.apply((ONE,) * wrong)
+
+
+@given(matrix_and_vectors())
+@settings(max_examples=300, deadline=None)
+def test_apply_matches_the_dense_scan_on_random_matrices(case):
+    M, vectors = case
+    assert_apply_matches(M, vectors)
+
+
+def model_operators():
+    """The operators the calculus applies: multiplication matrices, the
+    involution, the canonical actions, and quotient projections and
+    sections, on M_2-M_4, a direct sum, a quotient and a function algebra."""
+    block_sum = direct_sum(make_matrix_algebra(2), make_matrix_algebra(3))
+    killed = Subspace(13, [unit_vec(13, 4 + k) for k in range(9)])
+    quotient, projection, section = quotient_algebra(block_sum, killed)
+    out = [projection, section, Matrix.zero(3, 0), Matrix.zero(0, 3)]
+    for A in (
+        make_matrix_algebra(2),
+        make_matrix_algebra(3),
+        make_matrix_algebra(4),
+        block_sum,
+        quotient,
+        make_function_algebra(5),
+    ):
+        dense = tuple(Scalar(i - 2, i % 3) for i in range(A.dim))
+        out += [A.involution, A.left_mult_matrix(dense), A.right_mult_matrix(dense)]
+        out += [A.left_mult_matrix(unit_vec(A.dim, A.dim - 1))]
+    for n in (2, 3, 4):
+        out += canonical_inner_model(n, 1, Fraction(2, 3)).operators
+    return out
+
+
+def test_apply_matches_the_dense_scan_on_model_operators():
+    for M in model_operators():
+        probes = [unit_vec(M.cols, j) for j in range(M.cols)]
+        probes += [(ZERO,) * M.cols, tuple(Scalar(j, 1 - j) for j in range(M.cols))]
+        assert_apply_matches(M, probes)
+
+
+def test_apply_leaves_the_matrix_unchanged():
+    entries = [[ONE, ZERO, sc(0, 2)], [ZERO, ZERO, sc("1/3")]]
+    M = Matrix(entries)
+    assert M.apply(vec(1, 2, 3)) == (sc(1, 6), sc(1))
+    assert M.apply(vec(0, 5, 0)) == (ZERO, ZERO)
+    fresh = Matrix(entries)
+    assert M == fresh and hash(M) == hash(fresh)
+    assert M.entries == fresh.entries and (M.rows, M.cols) == (2, 3)
+    assert {fresh: "found"}[M] == "found"
+    for name in ("entries", "rows", "_columns", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(M, name, None)
+    assert M.apply(vec(1, 2, 3)) == (sc(1, 6), sc(1))

@@ -5,8 +5,11 @@ import pytest
 
 from nctangent.algebras import (
     AlgebraError,
+    StarAlgebra,
     direct_sum,
+    make_function_algebra,
     make_matrix_algebra,
+    quotient_algebra,
 )
 from nctangent.covering import Covering, ideal_from_declaration
 from nctangent.minkowski import PBWElement
@@ -14,7 +17,9 @@ from nctangent.partition import Partition
 from nctangent.scalars import (
     Matrix,
     Scalar,
+    Subspace,
     sc,
+    unit_vec,
     vec_add,
     vec_scale,
     zero_vec,
@@ -346,3 +351,77 @@ def test_glue_rejects_wrong_chart():
     )
     with pytest.raises(AlgebraError):
         GlobalDerivation(cov, P, [loc0, loc0])
+
+
+# -- oracle: Leibniz with the operator applied once per basis pair -----------
+
+
+def per_pair_leibniz_failures(algebra, operator):
+    """The route that applying the operator once per basis vector
+    replaces: D(ab), D(a) and D(b) computed afresh for every pair."""
+    failures = []
+    for i in range(algebra.dim):
+        a = algebra.basis_vector(i)
+        da = operator.apply(a)
+        for j in range(algebra.dim):
+            b = algebra.basis_vector(j)
+            lhs = operator.apply(algebra.multiply(a, b))
+            rhs = vec_add(
+                algebra.multiply(da, b), algebra.multiply(a, operator.apply(b))
+            )
+            if lhs != rhs:
+                failures.append((algebra.labels[i], algebra.labels[j]))
+    return failures
+
+
+def leibniz_cases():
+    """(algebra, operators) on M_2-M_4, a direct sum, a quotient and a
+    function algebra, and functions on two points in the basis {u, w}
+    with w w = u/4: derivations, and maps that break Leibniz on some
+    pairs only (a derivation plus a multiple of one matrix unit, a
+    scaled identity, a dense matrix)."""
+    block_sum = direct_sum(make_matrix_algebra(2), make_matrix_algebra(3))
+    killed = Subspace(13, [unit_vec(13, 4 + k) for k in range(9)])
+    mixed = StarAlgebra(
+        ["u", "w"],
+        [((0, ((0, 1),)), (1, ((1, 1),))), ((0, ((1, 1),)), (1, ((0, Fraction(1, 4)),)))],
+        Matrix.identity(2),
+        (1, 0),
+    )
+    algebras_ = [
+        mixed,
+        make_matrix_algebra(2),
+        make_matrix_algebra(3),
+        make_matrix_algebra(4),
+        block_sum,
+        quotient_algebra(block_sum, killed)[0],
+        make_function_algebra(5),
+    ]
+    out = []
+    for A in algebras_:
+        n = A.dim
+        g = tuple(Scalar(i % 3 - 1, i % 2) for i in range(n))
+        ad = A.left_mult_matrix(g) - A.right_mult_matrix(g)
+        unit_cell = Matrix(
+            [[sc(0, 2) if (r, c) == (0, n - 1) else Scalar(0) for c in range(n)] for r in range(n)]
+        )
+        dense = Matrix([[Scalar(r - c, (r * c) % 3) for c in range(n)] for r in range(n)])
+        out.append((A, [ad, ad + unit_cell, Matrix.identity(n).scale(3), dense]))
+    # u -> 8w, w -> u keeps Leibniz on (w, w) only through the 1/4 in w w
+    out.append((mixed, [Matrix([[0, 1], [8, 0]])]))
+    return out
+
+
+def test_leibniz_failures_match_the_per_pair_route():
+    broken = 0
+    for A, operators in leibniz_cases():
+        for D in operators:
+            want = per_pair_leibniz_failures(A, D)
+            assert leibniz_failures(A, D) == want, A
+            broken += bool(want) and len(want) < A.dim ** 2
+    # some maps break Leibniz on part of the pairs, so order is compared
+    assert broken >= 6
+    A = make_matrix_algebra(2)
+    assert leibniz_failures(A, Matrix.identity(4))[:3] == [
+        ("E_11", "E_11"), ("E_11", "E_12"), ("E_12", "E_21")
+    ]
