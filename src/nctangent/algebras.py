@@ -22,6 +22,7 @@ from math import isqrt, lcm
 
 from nctangent.scalars import (
     I,
+    Immutable,
     Matrix,
     ONE,
     QuotientSpace,
@@ -49,7 +50,7 @@ class UnsupportedCharacters(AlgebraError):
     """Raised when the complete character list cannot be produced exactly."""
 
 
-class StarAlgebra:
+class StarAlgebra(Immutable):
     """Associative *-algebra on Q(i)^n with explicit structure constants.
 
     `terms` holds the structure constants sparsely: `terms[i]` has one
@@ -105,9 +106,6 @@ class StarAlgebra:
                     cells[j][m] = cells[j][m] + c
             out.append(tuple(map(tuple, cells)))
         return tuple(out)
-
-    def __setattr__(self, *a):
-        raise AttributeError("StarAlgebra is immutable")
 
     def __repr__(self):
         return "StarAlgebra(dim %d, model %r)" % (self.dim, self.model)
@@ -420,7 +418,7 @@ def derivations(A):
 # characters
 
 
-class Character:
+class Character(Immutable):
     """A nonzero multiplicative linear functional, held by its values on
     the basis."""
 
@@ -429,9 +427,6 @@ class Character:
     def __init__(self, coords, label):
         object.__setattr__(self, "coords", tuple(Scalar.promote(c) for c in coords))
         object.__setattr__(self, "label", label)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Character is immutable")
 
     def __call__(self, v):
         out = ZERO
@@ -470,7 +465,7 @@ def is_character(A, coords):
     return True
 
 
-def characters(A, bound=CHARACTER_DIM_BOUND):
+def characters(A):
     """Complete character list.
 
     Model-aware where possible (matrix, Moyal, function and sum models).
@@ -479,7 +474,7 @@ def characters(A, bound=CHARACTER_DIM_BOUND):
     common eigenvalues of the multiplication operators of the commutative
     quotient, found as roots over Q(i) of their minimal polynomials by
     `_linear_roots`.  Raises UnsupportedCharacters when a character value
-    would lie outside Q(i) or the dimension exceeds `bound`.
+    would lie outside Q(i) or the dimension exceeds CHARACTER_DIM_BOUND.
     """
     model = A.model[0] if A.model else None
     if model in ("matrix", "moyal"):
@@ -494,22 +489,22 @@ def characters(A, bound=CHARACTER_DIM_BOUND):
     if model == "sum":
         _, left, right = A.model
         out = []
-        for phi in characters(left, bound):
+        for phi in characters(left):
             out.append(
                 Character(tuple(phi.coords) + zero_vec(right.dim), "1:%s" % phi.label)
             )
-        for phi in characters(right, bound):
+        for phi in characters(right):
             out.append(
                 Character(zero_vec(left.dim) + tuple(phi.coords), "2:%s" % phi.label)
             )
         return out
-    return _generic_characters(A, bound)
+    return _generic_characters(A)
 
 
-def _generic_characters(A, bound):
-    if A.dim > bound:
+def _generic_characters(A):
+    if A.dim > CHARACTER_DIM_BOUND:
         raise UnsupportedCharacters(
-            "generic character enumeration limited to dimension %d" % bound
+            "generic character enumeration limited to dimension %d" % CHARACTER_DIM_BOUND
         )
     if A.dim == 0:
         return []
@@ -756,6 +751,6 @@ def _prime_factors(n):
     return primes
 
 
-def support(a, A, bound=CHARACTER_DIM_BOUND):
+def support(a, A):
     """Characters that do not vanish on `a`."""
-    return [phi for phi in characters(A, bound) if phi(a)]
+    return [phi for phi in characters(A) if phi(a)]

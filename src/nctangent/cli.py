@@ -233,12 +233,8 @@ def _build_connection(assign, spec, rng):
     if kind == "zero":
         return ConnectionCoefficients.zero(assign)
     if kind == "constant":
-        value = vec_scale(
-            _parse_scalar(spec.get("value", "i"), "connection value"), A.unit
-        )
-        return ConnectionCoefficients(
-            assign, [[[value] * n] * n] * n, check=False
-        )
+        value = _parse_scalar(spec.get("value", "i"), "connection value")
+        return ConnectionCoefficients.constant(assign, value, check=False)
     if kind == "seeded":
         return random_connection(assign, rng)
     if isinstance(spec, dict) and "grid" in spec:
@@ -412,16 +408,17 @@ class Recorder:
         self.records = []
 
     def run(self, check_id, thunk):
-        """thunk returns a witness (truthy = fail) or None."""
+        """thunk returns None when the check passes, else a witness,
+        which may be falsy: the covering laws name chart 0 as 0."""
         start = time.monotonic()
         witness = thunk()
         millis = int((time.monotonic() - start) * 1000)
         record = {
             "id": check_id,
-            "status": "fail" if witness else "pass",
+            "status": "pass" if witness is None else "fail",
             "millis": millis,
         }
-        if witness:
+        if witness is not None:
             record["witness"] = _jsonable(witness)
         self.records.append(record)
 

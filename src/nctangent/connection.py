@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from nctangent.algebras import AlgebraError, noncentral_witness
 from nctangent.scalars import (
+    Immutable,
     Scalar,
     vec_add,
     vec_is_zero,
@@ -36,7 +37,7 @@ class InvalidConnection(AlgebraError):
         self.witness = witness
 
 
-class ConnectionCoefficients:
+class ConnectionCoefficients(Immutable):
     """Gamma grid over an action assignment; entry(mu, nu, lam) is the
     coefficient of the lam-th generator in the derivative of slot nu
     along slot mu."""
@@ -69,9 +70,6 @@ class ConnectionCoefficients:
                     "coefficient grid fails the %s condition" % bad[0][0],
                     witness=bad[0],
                 )
-
-    def __setattr__(self, *a):
-        raise AttributeError("ConnectionCoefficients is immutable")
 
     @classmethod
     def zero(cls, assignment):
@@ -226,7 +224,7 @@ def structure_scalar(kappa, mu, nu, lam):
     return total
 
 
-class CurvatureTensor:
+class CurvatureTensor(Immutable):
     """Grid entry(mu, nu, lam, tau): the tau-component of the curvature
     applied to the (mu, nu, lam) basis triple."""
 
@@ -253,9 +251,6 @@ class CurvatureTensor:
                             )
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "grid", grid)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CurvatureTensor is immutable")
 
     def entry(self, mu, nu, lam, tau):
         return self.grid[mu][nu][lam][tau]

@@ -3,10 +3,10 @@
 A covering is a finite family of *-ideals whose intersection is zero.
 Each ideal yields a local quotient algebra with a canonical projection
 and a fixed linear section; each pair yields an overlap quotient by the
-sum ideal.  The chart-to-overlap maps are built as projection-after-
-section and the commuting diagram (both composites against the base
-algebra agree with the joint projection) is checked at construction
-and re-checkable on demand.
+sum ideal, whose projection is kept and whose algebra is built on
+demand.  The chart-to-overlap maps are built as projection-after-
+section.  The covering laws, the commuting overlap diagram among them,
+are checked by `verify_covering`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from nctangent.algebras import (
     quotient_algebra,
     two_sided_ideal_closure,
 )
-from nctangent.scalars import Matrix, Subspace, vec_is_zero
+from nctangent.scalars import Immutable, Matrix, QuotientSpace, Subspace
 
 
 class NotAnIdeal(AlgebraError):
@@ -64,11 +64,6 @@ def verify_ideal(algebra, subspace):
             )
 
 
-def ideal_from_generators(algebra, vectors):
-    """Smallest *-ideal containing the vectors."""
-    return two_sided_ideal_closure(algebra, list(vectors))
-
-
 def ideal_from_declaration(algebra, decl):
     """Build an ideal from a scenario-file declaration.
 
@@ -104,12 +99,14 @@ def ideal_from_declaration(algebra, decl):
     if kind == "span":
         return Subspace(algebra.dim, list(decl["vectors"]))
     if kind == "generators":
-        return ideal_from_generators(algebra, decl["vectors"])
+        return two_sided_ideal_closure(algebra, list(decl["vectors"]))
     raise AlgebraError("unknown ideal declaration type %r" % (kind,))
 
 
-class Covering:
-    """Validated covering with cached local and overlap data."""
+class Covering(Immutable):
+    """Verified *-ideals meeting in zero, their chart quotients and the
+    projection onto each overlap.  Overlap algebras are built on demand;
+    the covering laws are checked by `verify_covering`."""
 
     __slots__ = ("algebra", "ideals", "_charts", "_overlaps")
 
@@ -128,34 +125,19 @@ class Covering:
             )
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "ideals", ideals)
-        charts = []
-        for k, sub in enumerate(ideals):
-            alg, proj, sect = quotient_algebra(algebra, sub, labels_prefix="a%d_" % k)
-            charts.append((alg, proj, sect))
-        object.__setattr__(self, "_charts", tuple(charts))
-        overlaps = {}
+        charts = tuple(
+            quotient_algebra(algebra, sub, labels_prefix="a%d_" % k)
+            for k, sub in enumerate(ideals)
+        )
+        object.__setattr__(self, "_charts", charts)
+        # a sum of two-sided *-ideals is one: no need to verify it
         r = len(ideals)
-        for a in range(r):
-            for b in range(a, r):
-                # a sum of two-sided *-ideals is one: no need to verify it
-                joint = ideals[a].sum(ideals[b])
-                alg, proj, sect = quotient_algebra(
-                    algebra, joint, labels_prefix="a%d%d_" % (a, b)
-                )
-                overlaps[(a, b)] = (alg, proj, sect)
-                # commuting diagram: chart-to-overlap after chart projection
-                # recovers the joint projection, from both sides
-                for side in (a, b):
-                    via = (proj @ self._charts[side][2]) @ self._charts[side][1]
-                    if via.entries != proj.entries:
-                        raise AlgebraError(
-                            "overlap diagram does not commute for charts "
-                            "(%d, %d) via chart %d" % (a, b, side)
-                        )
+        overlaps = {
+            (a, b): QuotientSpace(algebra.dim, ideals[a].sum(ideals[b])).projection
+            for a in range(r)
+            for b in range(a, r)
+        }
         object.__setattr__(self, "_overlaps", overlaps)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Covering is immutable")
 
     @property
     def size(self):
@@ -189,17 +171,18 @@ class Covering:
         return (min(alpha, beta), max(alpha, beta))
 
     def overlap_algebra(self, alpha, beta):
-        return self._overlaps[self._overlap_key(alpha, beta)][0]
+        """The quotient by the sum of the two ideals, built on each call."""
+        a, b = self._overlap_key(alpha, beta)
+        joint = self.ideals[a].sum(self.ideals[b])
+        return quotient_algebra(self.algebra, joint, labels_prefix="a%d%d_" % (a, b))[0]
 
     def overlap_projection(self, alpha, beta):
-        return self._overlaps[self._overlap_key(alpha, beta)][1]
+        return self._overlaps[self._overlap_key(alpha, beta)]
 
     def chart_to_overlap(self, alpha, beta):
         """Matrix of the restriction map from chart alpha to the
         (alpha, beta) overlap."""
-        key = self._overlap_key(alpha, beta)
-        joint_proj = self._overlaps[key][1]
-        return joint_proj @ self.section(alpha)
+        return self.overlap_projection(alpha, beta) @ self.section(alpha)
 
 
 def overlap_maps(cov, alpha, beta):
@@ -213,7 +196,7 @@ def overlap_maps(cov, alpha, beta):
 
 
 def verify_covering(cov):
-    """Re-run every covering law explicitly; list (law, witness) failures.
+    """Check every covering law; list (law, witness) failures.
 
     Laws: each projection is a unital *-homomorphism onto its chart, the
     stacked projections are jointly injective, and for every pair both

@@ -19,6 +19,7 @@ from nctangent.algebras import AlgebraError, center
 from nctangent.partition import functional
 from nctangent.scalars import (
     ONE,
+    Immutable,
     Matrix,
     Scalar,
     solve_linear,
@@ -55,30 +56,29 @@ def _flatten(M):
     return tuple(flat)
 
 
-class DerivationBasis:
+class DerivationBasis(Immutable):
     """Bracket-closed family of derivation operators on one algebra.
 
     Structure constants are solved for at construction; failure to solve
     is reported with the offending index pair.  Every operator is also
-    checked against the Leibniz rule unless the caller opts out.
+    checked against the Leibniz rule.
     """
 
     __slots__ = ("algebra", "operators", "structure")
 
-    def __init__(self, algebra, members, check_leibniz=True):
+    def __init__(self, algebra, members):
         ops = tuple(_operator_matrix(m) for m in members)
         if not ops:
             raise ValueError("a basis needs at least one operator")
         for D in ops:
             if D.rows != algebra.dim or D.cols != algebra.dim:
                 raise ValueError("operator of the wrong shape")
-        if check_leibniz:
-            for mu, D in enumerate(ops):
-                bad = leibniz_failures(algebra, D)
-                if bad:
-                    raise AlgebraError(
-                        "operator %d breaks Leibniz at %s" % (mu, bad[0])
-                    )
+        for mu, D in enumerate(ops):
+            bad = leibniz_failures(algebra, D)
+            if bad:
+                raise AlgebraError(
+                    "operator %d breaks Leibniz at %s" % (mu, bad[0])
+                )
         span = Matrix.from_columns(
             [_flatten(D) for D in ops], rows=algebra.dim * algebra.dim
         )
@@ -98,9 +98,6 @@ class DerivationBasis:
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "structure", structure)
 
-    def __setattr__(self, *a):
-        raise AttributeError("DerivationBasis is immutable")
-
     @property
     def rank(self):
         return len(self.operators)
@@ -114,11 +111,9 @@ class DerivationBasis:
         return tuple(-c for c in self.structure[(nu, mu)])
 
 
-def kappa_basis(assignment, check_leibniz=True):
+def kappa_basis(assignment):
     """The assigned generator operators as a derivation basis."""
-    return DerivationBasis(
-        assignment.algebra, assignment.operators, check_leibniz=check_leibniz
-    )
+    return DerivationBasis(assignment.algebra, assignment.operators)
 
 
 def glued_basis(cov, P, assignments):
@@ -172,7 +167,7 @@ def _increasing_tuples(rank, length):
     return list(combinations(range(rank), length))
 
 
-class FormN:
+class FormN(Immutable):
     """Antisymmetric algebra-valued tensor over a derivation basis."""
 
     __slots__ = ("basis", "degree", "entries")
@@ -206,9 +201,6 @@ class FormN:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "entries", norm)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FormN is immutable")
 
     @classmethod
     def zero(cls, basis, degree):
@@ -387,7 +379,7 @@ def d_locality_check(rho, cov, alpha, local_basis):
     return failures
 
 
-class OneFormR:
+class OneFormR(Immutable):
     """One-form presented by its coefficients against the generator dual
     basis; evaluation on a derivation contracts the derivation's central
     coefficients against them."""
@@ -403,9 +395,6 @@ class OneFormR:
                 raise ValueError("coefficient of the wrong dimension")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coefficients", coefficients)
-
-    def __setattr__(self, *a):
-        raise AttributeError("OneFormR is immutable")
 
     @classmethod
     def from_differential(cls, basis, a):

@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, prod
 
-from nctangent.scalars import ONE, Scalar, ZERO
+from nctangent.scalars import ONE, Immutable, Scalar, ZERO
 
 # numeric totally antisymmetric symbol on indices 1..3, eps[1][2][3] = +1
 EPS3 = {}
@@ -65,7 +65,7 @@ def _add_into(out, terms, scale):
         out[k] = out.get(k, ZERO) + scale * c
 
 
-class _Combination:
+class _Combination(Immutable):
     """Immutable finite map from keys to nonzero Scalars over one (d,
     kappa): the linear structure shared by PBWElement and TensorElement.
 
@@ -85,9 +85,6 @@ class _Combination:
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
         return self
-
-    def __setattr__(self, *a):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def _compat(self, other):
         if self.d != other.d or self.kappa != other.kappa:
@@ -456,7 +453,7 @@ def hopf_axiom_check(d, kappa, max_degree):
 # the deformed symmetry action
 
 
-class PoincareGenerator:
+class PoincareGenerator(Immutable):
     """Tagged symmetry generator.
 
     Tags: "P0" (time translation), "P" (space translation, index),
@@ -479,9 +476,6 @@ class PoincareGenerator:
             index = None
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "index", index)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PoincareGenerator is immutable")
 
     def __repr__(self):
         if self.index is None:

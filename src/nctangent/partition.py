@@ -28,9 +28,9 @@ from fractions import Fraction
 from nctangent.algebras import (
     AlgebraError,
     characters,
-    CHARACTER_DIM_BOUND,
 )
 from nctangent.scalars import (
+    Immutable,
     Matrix,
     Scalar,
     vec_add,
@@ -48,7 +48,7 @@ class IllDefined(AlgebraError):
         self.witness = witness
 
 
-class PartitionElement:
+class PartitionElement(Immutable):
     """chi with its witness zeta; chi = zeta zeta* is enforced."""
 
     __slots__ = ("algebra", "chi", "zeta")
@@ -69,16 +69,13 @@ class PartitionElement:
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "zeta", zeta)
 
-    def __setattr__(self, *a):
-        raise AttributeError("PartitionElement is immutable")
-
     def bullet(self, a):
         """zeta a zeta*; linear in a, sends the unit to chi."""
         A = self.algebra
         return A.multiply(A.multiply(self.zeta, a), A.involute(self.zeta))
 
 
-class Partition:
+class Partition(Immutable):
     """Finite family of partition elements over one algebra."""
 
     __slots__ = ("algebra", "elements")
@@ -90,9 +87,6 @@ class Partition:
                 raise AlgebraError("partition element over a different algebra")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "elements", elements)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Partition is immutable")
 
     @classmethod
     def from_zetas(cls, algebra, zetas):
@@ -264,11 +258,11 @@ def seeded_partition(A, rng, parts=2):
     return Partition.from_zetas(A, [tuple(z) for z in zetas])
 
 
-def _chart_characters(cov, bound):
-    return [characters(cov.chart(a), bound) for a in range(cov.size)]
+def _chart_characters(cov):
+    return [characters(cov.chart(a)) for a in range(cov.size)]
 
 
-def verify_subordinate(P, cov, bound=CHARACTER_DIM_BOUND, variant="literal"):
+def verify_subordinate(P, cov, variant="literal"):
     """Per-element report: (element_index, ok, chosen_chart, witness).
 
     literal: some chart alpha0 exists such that every character of every
@@ -276,24 +270,24 @@ def verify_subordinate(P, cov, bound=CHARACTER_DIM_BOUND, variant="literal"):
     closure: some chart alpha0 exists such that every base-algebra
     character surviving on chi also kills the chart's ideal.
     """
-    return _subordination_report(P, cov, bound, variant, adapted=False)
+    return _subordination_report(P, cov, variant, adapted=False)
 
 
-def verify_adapted(P, cov, bound=CHARACTER_DIM_BOUND, variant="literal"):
+def verify_adapted(P, cov, variant="literal"):
     """Like verify_subordinate but the chart index must match the
     element index."""
     if len(P) != cov.size:
         raise AlgebraError("adaptedness needs matching index sets")
-    return _subordination_report(P, cov, bound, variant, adapted=True)
+    return _subordination_report(P, cov, variant, adapted=True)
 
 
-def _subordination_report(P, cov, bound, variant, adapted):
+def _subordination_report(P, cov, variant, adapted):
     if variant not in ("literal", "closure"):
         raise ValueError("variant must be 'literal' or 'closure'")
     if variant == "literal":
-        chars = _chart_characters(cov, bound)
+        chars = _chart_characters(cov)
     else:
-        base_chars = characters(cov.algebra, bound)
+        base_chars = characters(cov.algebra)
     report = []
     for b, el in enumerate(P.elements):
         candidates = [b] if adapted else list(range(cov.size))

@@ -301,7 +301,17 @@ def vec_is_zero(u):
     return all(not a for a in u)
 
 
-class Matrix:
+class Immutable:
+    """Base of the value classes: each attribute is set once, in
+    `__init__` through `object.__setattr__`, and never assigned again."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class Matrix(Immutable):
     """Dense matrix of Scalar entries; shape-checked exact arithmetic.
 
     `apply` reads the nonzero `(row, entry)` pairs of each column, kept
@@ -327,9 +337,6 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n):
@@ -518,7 +525,7 @@ def _kernel_from_rref(reduced, pivots, n):
     return basis
 
 
-class Subspace:
+class Subspace(Immutable):
     """Subspace of Q(i)^n held as a canonical reduced-echelon basis.
 
     `_rows` keeps each basis row's pivot and its other nonzero entries,
@@ -541,9 +548,6 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_rows", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Subspace is immutable")
 
     @property
     def dim(self):
@@ -607,7 +611,7 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
 
 
-class QuotientSpace:
+class QuotientSpace(Immutable):
     """Quotient of Q(i)^n by a subspace, with a deterministic section.
 
     The complement is spanned by the unit vectors e_c for the columns c
@@ -652,9 +656,6 @@ class QuotientSpace:
         object.__setattr__(self, "projection", projection)
         object.__setattr__(self, "section", section)
         object.__setattr__(self, "complement_indices", tuple(chosen))
-
-    def __setattr__(self, *a):
-        raise AttributeError("QuotientSpace is immutable")
 
     def project(self, v):
         return self.projection.apply(v)

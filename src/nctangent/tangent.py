@@ -27,6 +27,7 @@ from nctangent.algebras import AlgebraError, center, noncentral_witness
 from nctangent.minkowski import PBWElement, _i_over, _star_monomials
 from nctangent.partition import functional
 from nctangent.scalars import (
+    Immutable,
     Matrix,
     Scalar,
     solve_linear,
@@ -50,7 +51,7 @@ class DegreeOverflow(AlgebraError):
     """A smash product left the declared polynomial degree bound."""
 
 
-class ActionAssignment:
+class ActionAssignment(Immutable):
     """Operators D_0..D_d on one algebra, expected to be derivations
     with the deformed translation bracket."""
 
@@ -75,9 +76,6 @@ class ActionAssignment:
             "inner_generators",
             None if inner_generators is None else tuple(inner_generators),
         )
-
-    def __setattr__(self, *a):
-        raise AttributeError("ActionAssignment is immutable")
 
     @classmethod
     def from_inner(cls, algebra, d, kappa, generators):
@@ -144,7 +142,7 @@ def verify_action(assign):
     return failures
 
 
-class LocalDerivation:
+class LocalDerivation(Immutable):
     """Central-coefficient combination of the assigned operators."""
 
     __slots__ = ("assignment", "coefficients")
@@ -163,9 +161,6 @@ class LocalDerivation:
                     )
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "coefficients", coefficients)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LocalDerivation is immutable")
 
     def apply(self, a):
         A = self.assignment.algebra
@@ -243,7 +238,7 @@ def leibniz_failures(algebra, operator):
     return failures
 
 
-class GlobalDerivation:
+class GlobalDerivation(Immutable):
     """Partition-glued combination of per-chart local derivations."""
 
     __slots__ = ("covering", "partition", "locals", "matrix")
@@ -266,9 +261,6 @@ class GlobalDerivation:
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "locals", local_list)
         object.__setattr__(self, "matrix", total)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GlobalDerivation is immutable")
 
     def apply(self, a):
         return self.matrix.apply(a)
@@ -356,7 +348,7 @@ def zmodule_action(c, X, side="left"):
 # smash product
 
 
-class SmashElement:
+class SmashElement(Immutable):
     """Finite combination of (basis element # polynomial label) pairs."""
 
     __slots__ = ("context", "terms")
@@ -379,9 +371,6 @@ class SmashElement:
         clean = {k: c for k, c in clean.items() if c}
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SmashElement is immutable")
 
     def __add__(self, other):
         if other.context is not self.context:
@@ -409,7 +398,7 @@ class SmashElement:
         return not self.terms
 
 
-class SmashAlgebra:
+class SmashAlgebra(Immutable):
     """Smash product of a local algebra with the polynomial symmetry
     labels, truncated at a hard degree bound."""
 
@@ -421,9 +410,6 @@ class SmashAlgebra:
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "_ik", _i_over(assignment.kappa))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SmashAlgebra is immutable")
 
     def zero(self):
         return SmashElement(self, {})

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nctangent import algebras
 from nctangent.algebras import (
+    CHARACTER_DIM_BOUND,
     AlgebraError,
     Character,
     StarAlgebra,
@@ -290,10 +291,14 @@ def test_generic_path_finds_a_large_prime_character_value():
 
 
 def test_character_dimension_bound():
+    # one past the bound, and far past it; the model-aware path has no bound
+    F = make_function_algebra(CHARACTER_DIM_BOUND + 1)
+    assert len(characters(F)) == CHARACTER_DIM_BOUND + 1
     A = make_matrix_algebra(9)  # dim 81 > 64
-    stripped = StarAlgebra(A.labels, A.terms, A.involution, A.unit, model=None)
-    with pytest.raises(UnsupportedCharacters):
-        characters(stripped)
+    for B in (F, A):
+        stripped = StarAlgebra(B.labels, B.terms, B.involution, B.unit, model=None)
+        with pytest.raises(UnsupportedCharacters, match="limited to dimension 64$"):
+            characters(stripped)
 
 
 # -- supports ---------------------------------------------------------------

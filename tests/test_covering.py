@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from nctangent import cli, covering
 from nctangent.algebras import (
@@ -9,13 +10,13 @@ from nctangent.algebras import (
     direct_sum,
     make_function_algebra,
     make_matrix_algebra,
+    quotient_algebra,
 )
 from nctangent.covering import (
     Covering,
     IntersectionNonzero,
     NotAnIdeal,
     ideal_from_declaration,
-    ideal_from_generators,
     overlap_maps,
     verify_covering,
     verify_ideal,
@@ -57,7 +58,7 @@ def test_not_an_ideal_witness():
 def test_ideal_from_generators_closure():
     A = make_matrix_algebra(2)
     # any nonzero generator closes up to all of M_2 (simple algebra)
-    sub = ideal_from_generators(A, [A.basis_vector(1)])
+    sub = ideal_from_declaration(A, {"type": "generators", "vectors": [A.basis_vector(1)]})
     assert sub.dim == 4
 
 
@@ -146,8 +147,9 @@ def test_declaration_errors():
         ideal_from_declaration(F, {"type": "vanishing_on", "points": [9]})
 
 
-def test_broken_overlap_diagram_raises_a_typed_error(monkeypatch):
-    # the diagram check must not be an assert, which `python -O` strips
+def test_broken_overlap_diagram_is_reported_by_verify_covering(monkeypatch):
+    # the constructor builds the charts and leaves the laws to
+    # `verify_covering`, whose checks are not asserts that `python -O` strips
     real = covering.quotient_algebra
 
     def doubled_section(algebra, ideal, labels_prefix):
@@ -156,8 +158,22 @@ def test_broken_overlap_diagram_raises_a_typed_error(monkeypatch):
 
     A, block1, block2 = block_model()
     monkeypatch.setattr(covering, "quotient_algebra", doubled_section)
-    with pytest.raises(AlgebraError, match="overlap diagram does not commute"):
-        Covering(A, [block1, block2])
+    failures = verify_covering(Covering(A, [block1, block2]))
+    assert failures[0] == ("section", 0)
+    # the blocks do not overlap, so only a chart's overlap with itself breaks
+    overlap = [w for law, w in failures if law == "overlap-diagram"]
+    assert overlap == [(0, 0), (1, 1)]
+    result = CliRunner().invoke(
+        cli.main, ["covering-check", "--scenario", str(SCENARIOS / "block_model.json")]
+    )
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output + result.stderr
+    report = {c["id"]: c for c in json.loads(result.stdout)["checks"]}
+    assert report["covering:section"]["status"] == "fail"
+    assert report["covering:section"]["witness"] == 0
+    assert report["covering:overlap-diagram"]["status"] == "fail"
+    assert report["covering:overlap-diagram"]["witness"] == [0, 0]
+    assert report["covering:homomorphism"]["status"] == "pass"
 
 
 def shipped_and_test_coverings():
@@ -198,6 +214,42 @@ def test_covering_verifies_each_declared_ideal_once(monkeypatch):
         Covering(cov.algebra, cov.ideals)
         monkeypatch.undo()
         assert calls == list(cov.ideals)
+
+
+def test_covering_builds_one_quotient_algebra_per_chart(monkeypatch):
+    # the overlaps keep only their projection; no report reads their algebras
+    for cov in shipped_and_test_coverings():
+        calls = []
+        real = covering.quotient_algebra
+
+        def spy(algebra, ideal, labels_prefix):
+            calls.append((ideal, labels_prefix))
+            return real(algebra, ideal, labels_prefix=labels_prefix)
+
+        monkeypatch.setattr(covering, "quotient_algebra", spy)
+        Covering(cov.algebra, cov.ideals)
+        monkeypatch.undo()
+        assert calls == [(sub, "a%d_" % k) for k, sub in enumerate(cov.ideals)]
+
+
+def test_overlap_algebra_matches_the_eager_quotient():
+    # `overlap_algebra` builds on call what the constructor used to build
+    # for every overlap: the quotient by the sum of the two ideals
+    for cov in shipped_and_test_coverings():
+        for alpha in range(cov.size):
+            for beta in range(cov.size):
+                a, b = min(alpha, beta), max(alpha, beta)
+                joint = cov.ideals[a].sum(cov.ideals[b])
+                want, proj, _ = quotient_algebra(
+                    cov.algebra, joint, labels_prefix="a%d%d_" % (a, b)
+                )
+                got = cov.overlap_algebra(alpha, beta)
+                assert got.labels == want.labels
+                assert got.terms == want.terms
+                assert got.involution == want.involution
+                assert got.unit == want.unit
+                assert got.model == want.model
+                assert cov.overlap_projection(alpha, beta) == proj
 
 
 def test_load_scenario_verifies_each_declared_ideal_once(monkeypatch):

@@ -2,20 +2,32 @@
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nctangent import cli
 from nctangent.algebras import (
+    characters,
     direct_sum,
     make_function_algebra,
     make_matrix_algebra,
     quotient_algebra,
 )
 from nctangent.cli import _jsonable
+from nctangent.connection import (
+    ConnectionCoefficients,
+    curvature_components,
+    generator_derivation,
+)
+from nctangent.forms import FormN, OneFormR, kappa_basis
+from nctangent.minkowski import PBWElement, PoincareGenerator, coproduct
 from nctangent.scalars import (
     I,
+    Immutable,
     ONE,
     ZERO,
     Matrix,
@@ -31,7 +43,9 @@ from nctangent.scalars import (
     vec_is_zero,
     vec_sub,
 )
-from nctangent.tangent import canonical_inner_model
+from nctangent.tangent import SmashAlgebra, canonical_inner_model, glue
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -149,6 +163,69 @@ def test_scalar_mixes_with_int_and_fraction(x, c):
     assert (s == c) is (r.im == 0 and r.re == c)
     assert (s == Fraction(c)) is (s == c)
     assert hash(real) == hash(c)
+
+
+@lru_cache(maxsize=None)
+def immutable_instances():
+    """One instance of each class that takes its guard from `Immutable`,
+    with the two concrete subclasses of `minkowski._Combination`."""
+    scn = cli.load_scenario(str(SCENARIOS / "block_model.json"))
+    cov, P = scn.covering, scn.partition
+    assign = canonical_inner_model(2, 1, 1)
+    basis = kappa_basis(assign)
+    p0 = PBWElement.generator(1, 1, 0)
+    out = [
+        Matrix.identity(2),
+        Subspace(2, [vec(1, 0)]),
+        QuotientSpace(2, Subspace(2, [vec(1, 0)])),
+        assign.algebra,
+        characters(make_function_algebra(2))[0],
+        ConnectionCoefficients.zero(assign),
+        curvature_components(ConnectionCoefficients.zero(assign)),
+        cov,
+        basis,
+        FormN.zero(basis, 1),
+        OneFormR.from_differential(basis, assign.algebra.unit),
+        p0,
+        coproduct(p0),
+        PoincareGenerator("P0"),
+        P.elements[0],
+        P,
+        assign,
+        generator_derivation(assign, 0),
+        glue(cov, P, [generator_derivation(a, 0) for a in scn.actions]),
+        SmashAlgebra(assign, 1).zero(),
+        SmashAlgebra(assign, 1),
+    ]
+    return {type(x).__name__: x for x in out}
+
+
+IMMUTABLE_CLASSES = (
+    "Matrix", "Subspace", "QuotientSpace", "StarAlgebra", "Character",
+    "ConnectionCoefficients", "CurvatureTensor", "Covering", "DerivationBasis",
+    "FormN", "OneFormR", "PBWElement", "TensorElement", "PoincareGenerator",
+    "PartitionElement", "Partition", "ActionAssignment", "LocalDerivation",
+    "GlobalDerivation", "SmashElement", "SmashAlgebra",
+)
+
+
+def test_immutable_instances_cover_each_class():
+    def subclasses(cls):
+        return {s for c in cls.__subclasses__() for s in {c} | subclasses(c)}
+
+    named = {c.__name__ for c in subclasses(Immutable)} - {"_Combination"}
+    assert named == set(IMMUTABLE_CLASSES) == set(immutable_instances())
+
+
+@pytest.mark.parametrize("name", IMMUTABLE_CLASSES)
+def test_assigning_to_an_immutable_value_names_its_class(name):
+    value = immutable_instances()[name]
+    assert isinstance(value, Immutable)
+    # a slot the constructor filled, and a name that is no slot at all
+    slot = next(c.__slots__[0] for c in type(value).__mro__ if c.__dict__.get("__slots__"))
+    for attr in (slot, "extra"):
+        with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+            setattr(value, attr, None)
 
 
 def test_scalar_stays_a_plain_immutable_object():
