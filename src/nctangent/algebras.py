@@ -7,8 +7,11 @@ algebras, pointwise-function algebras, a truncated oscillator-basis
 surrogate for a deformed plane, direct sums and quotients.  On top of
 that sit centers, derivation spaces, characters and supports.
 
-Characters are enumerated model-aware where a closed description exists;
-otherwise a generic path abelianizes the algebra (characters kill every
+Characters are enumerated model-aware where a closed description exists.
+A quotient A/I whose parent A is commutative by construction, or has no
+characters by construction, takes them from A: its characters are those
+of A that vanish on I, pulled back through the section.  Any other
+algebra takes a generic path that abelianizes it (characters kill every
 commutator) and splits the dual of the quotient into common eigenspaces
 of the multiplication operators.  Eigenvalues are extracted exactly from
 minimal polynomials by the rational root theorem over the Gaussian
@@ -296,7 +299,9 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
     section.  Returns (algebra, projection matrix, section matrix).
 
     Structure constants are transported through the section; the result
-    is independent of the section because the subspace is an ideal.
+    is independent of the section because the subspace is an ideal.  The
+    model tag ("quotient", A, ideal, section) keeps what `characters`
+    needs to pull the parent's characters back.
     """
     Q = QuotientSpace(A.dim, ideal_subspace)
     qdim = Q.dim
@@ -319,7 +324,9 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
     # matrix part is (project o invol o lift) composed with conjugation
     invol = Matrix.from_columns(invol_cols, rows=qdim)
     unit = Q.project(A.unit) if A.unit is not None else None
-    alg = StarAlgebra(labels, terms, invol, unit, model=("quotient", A))
+    alg = StarAlgebra(
+        labels, terms, invol, unit, model=("quotient", A, ideal_subspace, Q.section)
+    )
     return alg, Q.projection, Q.section
 
 
@@ -469,12 +476,25 @@ def characters(A):
     """Complete character list.
 
     Model-aware where possible (matrix, Moyal, function and sum models).
-    Otherwise the generic path proves emptiness through the
-    abelianization, or enumerates exactly: the values come from the
-    common eigenvalues of the multiplication operators of the commutative
-    quotient, found as roots over Q(i) of their minimal polynomials by
-    `_linear_roots`.  Raises UnsupportedCharacters when a character value
-    would lie outside Q(i) or the dimension exceeds CHARACTER_DIM_BOUND.
+    A quotient B = A/I takes the parent route when A is commutative by
+    construction (a function model, or a quotient of one at any depth)
+    or has no characters by construction (M_n or Moyal with n >= 2, or a
+    sum of such).  A character of B is a character of A that vanishes on
+    I, so the route keeps those of `characters(A)` and pulls each back
+    through the section, phi_B(b) = phi_A(section b).  It lists them as
+    the generic path would: a commutative B is its own commutative
+    quotient, so the generic values are B's own coordinates, sorted and
+    labelled phi_0, phi_1, ...; a character-free A gives [].
+
+    Every other algebra takes the generic path, which proves emptiness
+    through the abelianization, or enumerates exactly: the values come
+    from the common eigenvalues of the multiplication operators of the
+    commutative quotient, found as roots over Q(i) of their minimal
+    polynomials by `_linear_roots`.  Raises UnsupportedCharacters when a
+    character value would lie outside Q(i), or when the generic path
+    meets a dimension above CHARACTER_DIM_BOUND.  The bound guards the
+    cost of the eigen-split only: the model-aware and parent routes
+    enumerate at any dimension.
     """
     model = A.model[0] if A.model else None
     if model in ("matrix", "moyal"):
@@ -498,7 +518,37 @@ def characters(A):
                 Character(zero_vec(left.dim) + tuple(phi.coords), "2:%s" % phi.label)
             )
         return out
+    if model == "quotient":
+        _, parent, ideal, section = A.model
+        if _commutative_model(parent) or _characterless_model(parent):
+            values = sorted(
+                (
+                    tuple(phi(section.column(j)) for j in range(A.dim))
+                    for phi in characters(parent)
+                    if not any(phi(v) for v in ideal.basis)
+                ),
+                key=_tuple_sort_key,
+            )
+            return [Character(coords, "phi_%d" % k) for k, coords in enumerate(values)]
     return _generic_characters(A)
+
+
+def _commutative_model(A):
+    """A function model, or a quotient of one at any depth."""
+    model = A.model[0] if A.model else None
+    if model == "quotient":
+        return _commutative_model(A.model[1])
+    return model == "function"
+
+
+def _characterless_model(A):
+    """M_n or Moyal with n >= 2, or a sum of such: no characters."""
+    model = A.model[0] if A.model else None
+    if model in ("matrix", "moyal"):
+        return A.model[1] >= 2
+    if model == "sum":
+        return _characterless_model(A.model[1]) and _characterless_model(A.model[2])
+    return False
 
 
 def _generic_characters(A):

@@ -130,10 +130,12 @@ class Covering(Immutable):
             for k, sub in enumerate(ideals)
         )
         object.__setattr__(self, "_charts", charts)
-        # a sum of two-sided *-ideals is one: no need to verify it
+        # a sum of two-sided *-ideals is one: no need to verify it; an
+        # ideal's sum with itself is the ideal, so (a, a) is chart a's
         r = len(ideals)
         overlaps = {
-            (a, b): QuotientSpace(algebra.dim, ideals[a].sum(ideals[b])).projection
+            (a, b): charts[a][1] if a == b
+            else QuotientSpace(algebra.dim, ideals[a].sum(ideals[b])).projection
             for a in range(r)
             for b in range(a, r)
         }

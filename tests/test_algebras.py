@@ -1,6 +1,7 @@
 """Structure-constant algebras: models, axioms, centers, derivations,
 characters, supports."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from nctangent.algebras import (
     Character,
     StarAlgebra,
     UnsupportedCharacters,
+    _generic_characters,
     center,
     characters,
     derivations,
@@ -299,6 +301,131 @@ def test_character_dimension_bound():
         stripped = StarAlgebra(B.labels, B.terms, B.involution, B.unit, model=None)
         with pytest.raises(UnsupportedCharacters, match="limited to dimension 64$"):
             characters(stripped)
+    # the bound guards the eigen-split only: a function quotient one past
+    # it takes the parent route and enumerates, while the generic route
+    # on the same quotient still raises
+    G = make_function_algebra(CHARACTER_DIM_BOUND + 2)
+    Q = point_quotient(G, range(1, CHARACTER_DIM_BOUND + 2))
+    assert Q.dim == CHARACTER_DIM_BOUND + 1
+    assert character_list(characters(Q)) == [
+        ("phi_%d" % k, unit_vec(Q.dim, Q.dim - 1 - k)) for k in range(Q.dim)
+    ]
+    with pytest.raises(UnsupportedCharacters, match="limited to dimension 64$"):
+        _generic_characters(Q)
+
+
+# -- characters of a quotient from its parent --------------------------------
+
+
+def character_list(chars):
+    return [(phi.label, phi.coords) for phi in chars]
+
+
+def point_quotient(A, kept):
+    """A over the span of the basis vectors whose index is not in `kept`:
+    on a function model, or a quotient of one, the functions on the kept
+    points."""
+    kept = set(kept)
+    ideal = Subspace(A.dim, [unit_vec(A.dim, i) for i in range(A.dim) if i not in kept])
+    return quotient_algebra(A, ideal)[0]
+
+
+def subsets(n):
+    return [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+
+
+def parent_route_corpus():
+    """Quotients that take the parent route: every quotient of F_1 to F_4
+    by a coordinate ideal, every quotient of those of F_4 in turn, and
+    the block charts of M_2+M_2 and Moyal_2+M_3 and two quotients of M_2."""
+    out = []
+    for n in range(1, 5):
+        F = make_function_algebra(n)
+        out += [point_quotient(F, kept) for kept in subsets(n)]
+    for Q in out[-16:]:
+        out += [point_quotient(Q, kept) for kept in subsets(Q.dim)]
+    M2 = make_matrix_algebra(2)
+    for A in (direct_sum(M2, M2), direct_sum(make_moyal_truncation(2), make_matrix_algebra(3))):
+        for block in "12":
+            ideal = ideal_from_declaration(A, {"type": "blocks", "kill": [block]})
+            out.append(quotient_algebra(A, ideal)[0])
+    for basis in ([], [unit_vec(4, i) for i in range(4)]):
+        out.append(quotient_algebra(M2, Subspace(4, basis))[0])
+    return out
+
+
+def parent_route_mismatches(route):
+    """The corpus quotients on which `route` and the generic route differ
+    in labels, values or order."""
+    return [
+        B
+        for B in parent_route_corpus()
+        if character_list(route(B)) != character_list(_generic_characters(B))
+    ]
+
+
+def test_parent_route_matches_the_generic_route():
+    assert parent_route_mismatches(characters) == []
+
+
+def test_parent_route_corpus_does_not_take_the_generic_route(monkeypatch):
+    corpus = parent_route_corpus()
+    calls = []
+    monkeypatch.setattr(algebras, "_generic_characters", calls.append)
+    for B in corpus:
+        characters(B)
+    assert calls == []
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_parent_route_matches_the_generic_route_on_random_function_quotients(data):
+    n = data.draw(st.integers(1, 8))
+    F = make_function_algebra(n)
+    points = sorted(data.draw(st.sets(st.integers(1, n))))
+    ideal = ideal_from_declaration(F, {"type": "vanishing_on", "points": points})
+    Q = quotient_algebra(F, ideal)[0]
+    QQ = point_quotient(Q, data.draw(st.sets(st.integers(0, n - 1))))
+    for B in (Q, QQ):
+        got = character_list(characters(B))
+        assert got == character_list(_generic_characters(B))
+        assert len(got) == B.dim
+
+
+def test_quotient_of_a_mixed_sum_keeps_the_generic_route(monkeypatch):
+    # commutative, but its parent M_2+F_2 is neither commutative nor
+    # character-free by construction
+    A = direct_sum(make_matrix_algebra(2), make_function_algebra(2))
+    Q = quotient_algebra(A, ideal_from_declaration(A, {"type": "blocks", "kill": ["1"]}))[0]
+    calls = []
+    real = algebras._generic_characters
+    monkeypatch.setattr(algebras, "_generic_characters", lambda B: calls.append(B) or real(B))
+    got = characters(Q)
+    assert calls == [Q]
+    assert character_list(got) == [("phi_0", (ZERO, ONE)), ("phi_1", (ONE, ZERO))]
+    assert all(is_character(Q, phi.coords) for phi in got)
+
+
+def mutated_characters(old, new):
+    """`characters` with one fragment of its source replaced, compiled in
+    the module's namespace, so its recursive calls reach the mutant."""
+    source = inspect.getsource(algebras.characters)
+    assert source.count(old) == 1
+    namespace = dict(vars(algebras))
+    exec(compile(source.replace(old, new), algebras.__file__, "exec"), namespace)
+    return namespace["characters"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("if not any(phi(v) for v in ideal.basis)", ""),
+        ("section.column(j)", "QuotientSpace(parent.dim, ideal).projection.column(j)"),
+    ],
+    ids=["no-vanishing-filter", "pull-back-through-projection"],
+)
+def test_parent_route_oracle_catches_mutants(old, new):
+    assert parent_route_mismatches(mutated_characters(old, new))
 
 
 # -- supports ---------------------------------------------------------------

@@ -4,9 +4,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from nctangent import cli, covering
+from nctangent import algebras, cli, covering
 from nctangent.algebras import (
     AlgebraError,
+    StarAlgebra,
+    _generic_characters,
+    characters,
     direct_sum,
     make_function_algebra,
     make_matrix_algebra,
@@ -21,7 +24,7 @@ from nctangent.covering import (
     verify_covering,
     verify_ideal,
 )
-from nctangent.scalars import Matrix, Subspace, sc, vec_is_zero
+from nctangent.scalars import Matrix, QuotientSpace, Subspace, sc, vec_is_zero
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -250,6 +253,89 @@ def test_overlap_algebra_matches_the_eager_quotient():
                 assert got.unit == want.unit
                 assert got.model == want.model
                 assert cov.overlap_projection(alpha, beta) == proj
+
+
+def mixed_basis_covering():
+    """Functions on two points in the basis u = 1, w = (delta_1 -
+    delta_2)/2, covered by the ideals of the two points.  Neither ideal
+    is spanned by basis vectors, so a chart's projection is not the
+    transpose of its section."""
+    terms = [
+        ((0, ((0, 1),)), (1, ((1, 1),))),
+        ((0, ((1, 1),)), (1, ((0, sc(1, 0) / 4),))),
+    ]
+    F = StarAlgebra(["u", "w"], terms, Matrix.identity(2), (1, 0))
+    half = sc(1, 0) / 2
+    return Covering(F, [Subspace(2, [(half, 1)]), Subspace(2, [(half, -1)])])
+
+
+def test_diagonal_overlap_projection_is_the_chart_projection():
+    # an ideal's sum with itself is the ideal: the constructor reuses the
+    # chart's projection instead of eliminating the sum again
+    for cov in shipped_and_test_coverings() + [mixed_basis_covering()]:
+        for a in range(cov.size):
+            joint = cov.ideals[a].sum(cov.ideals[a])
+            want = QuotientSpace(cov.algebra.dim, joint).projection
+            assert cov.overlap_projection(a, a) == cov.projection(a) == want
+
+
+def test_covering_builds_one_quotient_space_per_chart_and_pair(monkeypatch):
+    for cov in shipped_and_test_coverings() + [mixed_basis_covering()]:
+        calls = []
+        real = covering.QuotientSpace
+
+        def spy(dim, subspace):
+            calls.append(subspace)
+            return real(dim, subspace)
+
+        monkeypatch.setattr(covering, "QuotientSpace", spy)
+        monkeypatch.setattr(algebras, "QuotientSpace", spy)
+        Covering(cov.algebra, cov.ideals)
+        monkeypatch.undo()
+        r = cov.size
+        pairs = [
+            cov.ideals[a].sum(cov.ideals[b]) for a in range(r) for b in range(a + 1, r)
+        ]
+        assert calls == list(cov.ideals) + pairs
+
+
+def block_sum_m2_m2_covering():
+    A = direct_sum(make_matrix_algebra(2), make_matrix_algebra(2))
+    return Covering(
+        A, [ideal_from_declaration(A, {"type": "blocks", "kill": [k]}) for k in "12"]
+    )
+
+
+def chart_and_overlap_algebras():
+    """Every chart and overlap algebra of the shipped and test coverings
+    and of the `M_2+M_2` block covering: all quotients of a function
+    model or of a sum of matrix blocks."""
+    out = []
+    for cov in shipped_and_test_coverings() + [block_sum_m2_m2_covering()]:
+        out += [cov.chart(a) for a in range(cov.size)]
+        out += [
+            cov.overlap_algebra(a, b) for a in range(cov.size) for b in range(a, cov.size)
+        ]
+    return out
+
+
+def test_chart_characters_match_the_generic_route():
+    # labels, values and order, against the route the parent route replaces
+    counts = []
+    for B in chart_and_overlap_algebras():
+        got = [(phi.label, phi.coords) for phi in characters(B)]
+        assert got == [(phi.label, phi.coords) for phi in _generic_characters(B)]
+        counts.append(len(got))
+    assert sum(counts) > 0 and 0 in counts
+
+
+def test_chart_characters_do_not_take_the_generic_route(monkeypatch):
+    quotients = chart_and_overlap_algebras()
+    calls = []
+    monkeypatch.setattr(algebras, "_generic_characters", calls.append)
+    for B in quotients:
+        characters(B)
+    assert calls == []
 
 
 def test_load_scenario_verifies_each_declared_ideal_once(monkeypatch):
