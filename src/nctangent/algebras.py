@@ -228,10 +228,15 @@ def make_matrix_algebra(n, label="E", index_base=1):
         for m in range(n)
         for k in range(n)
     ]
-    invol = Matrix.from_columns(
-        [unit_vec(dim, idx(k, m)) for m in range(n) for k in range(n)],
-        rows=dim,
-    )
+    # the conjugate transpose sends E_mk to E_km: row (k, m) has its one
+    # at column (m, k)
+    rows = []
+    for k in range(n):
+        for m in range(n):
+            row = [ZERO] * dim
+            row[idx(m, k)] = ONE
+            rows.append(tuple(row))
+    invol = Matrix._of(tuple(rows), dim)
     unit = tuple(
         ONE if (m == k) else ZERO for m in range(n) for k in range(n)
     )
@@ -339,7 +344,9 @@ def center(A):
 
     Equation row (i, m) is the m-th coordinate of z b_i - b_i z, that is
     sum over k of z_k (c_ki^m - c_ik^m), where basis_k . basis_j = sum
-    over m of c_kj^m basis_m; each nonzero c_kj^m enters two rows.
+    over m of c_kj^m basis_m; each nonzero c_kj^m from `terms` enters two
+    rows.  The rows that stay zero are dropped before `nullspace` (148 of
+    the 256 rows of M_4), which leaves the kernel as it was.
     """
     n = A.dim
     if not n:
@@ -352,7 +359,8 @@ def center(A):
                 zb[k] = zb[k] + c
                 bz = rows[k * n + m]
                 bz[j] = bz[j] - c
-    return Subspace(n, nullspace(Matrix(rows, cols=n)))
+    equations = tuple(tuple(row) for row in rows if any(row))
+    return Subspace(n, nullspace(Matrix._of(equations, n)))
 
 
 def is_central(A, v):
@@ -363,27 +371,30 @@ def noncentral_witness(A, v):
     """None when v is central, else (basis label, commutator value) for
     the first basis element b_i with [v, b_i] != 0.
 
-    All the commutators come from one pass over the structure
-    constants: a nonzero basis_k . basis_j adds v_k times it to
-    [v, b_j] and subtracts v_j times it from [v, b_k].
+    All the commutators come from one pass over `terms`: a nonzero
+    basis_k . basis_j adds v_k times it to [v, b_j] and subtracts v_j
+    times it from [v, b_k].  Each commutator is a dict of the
+    coordinates it reaches; the witness is the first nonzero one in
+    ascending i, written out as a full coordinate tuple.
     """
     if len(v) != A.dim:
         raise AlgebraError("element length mismatch")
-    comms = [[ZERO] * A.dim for _ in range(A.dim)]
+    comms = {}
     for k, (x, row) in enumerate(zip(v, A.terms)):
-        out = comms[k]
         for j, cell in row:
             y = v[j]
             if x:
-                into = comms[j]
+                into = comms.setdefault(j, {})
                 for m, c in cell:
-                    into[m] = into[m] + x * c
+                    into[m] = into.get(m, ZERO) + x * c
             if y:
+                out = comms.setdefault(k, {})
                 for m, c in cell:
-                    out[m] = out[m] - y * c
-    for i, comm in enumerate(comms):
-        if not vec_is_zero(comm):
-            return (A.labels[i], tuple(comm))
+                    out[m] = out.get(m, ZERO) - y * c
+    for i in sorted(comms):
+        comm = comms[i]
+        if any(comm.values()):
+            return (A.labels[i], tuple(comm.get(m, ZERO) for m in range(A.dim)))
     return None
 
 

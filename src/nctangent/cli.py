@@ -131,7 +131,9 @@ def _build_algebra(spec):
             for term in terms[1:]:
                 out = direct_sum(out, _build_algebra(term))
             return out
-    except (KeyError, TypeError, ValueError) as err:
+    except KeyError as err:
+        raise ScenarioError("algebra section is missing field %r" % err.args[0])
+    except (TypeError, ValueError) as err:
         raise ScenarioError("bad algebra section: %s" % err)
     raise ScenarioError("unknown algebra model %r" % model)
 
@@ -201,7 +203,9 @@ def _build_action(algebra, spec, d, kappa, where):
                 for g in spec["generators"]
             ]
             return ActionAssignment.from_inner(algebra, d, kappa, gens)
-    except (KeyError, TypeError, ValueError) as err:
+    except KeyError as err:
+        raise ScenarioError("%s is missing field %r" % (where, err.args[0]))
+    except (TypeError, ValueError) as err:
         raise ScenarioError("bad %s: %s" % (where, err))
     raise ScenarioError("unknown action type %r in %s" % (spec["type"], where))
 
@@ -515,7 +519,7 @@ def _chart_samples(assign, rng, count):
     for _ in range(count):
         coeffs = [
             vec_scale(
-                Scalar(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))),
+                Scalar(rng.randint(-3, 3), rng.randint(-3, 3)),
                 A.unit,
             )
             for _ in range(assign.d + 1)
@@ -556,7 +560,7 @@ def _check_glue(scn, rec, seed):
 
 def _random_element(rng, dim, span=2):
     return tuple(
-        Scalar(Fraction(rng.randint(-span, span)), Fraction(rng.randint(-span, span)))
+        Scalar(rng.randint(-span, span), rng.randint(-span, span))
         for _ in range(dim)
     )
 

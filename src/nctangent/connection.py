@@ -40,9 +40,10 @@ class InvalidConnection(AlgebraError):
 class ConnectionCoefficients(Immutable):
     """Gamma grid over an action assignment; entry(mu, nu, lam) is the
     coefficient of the lam-th generator in the derivative of slot nu
-    along slot mu."""
+    along slot mu.  `_by_lam[lam]` lists the (mu, nu, entry) triples
+    with a nonzero entry, in ascending (mu, nu), for `nabla`."""
 
-    __slots__ = ("assignment", "grid")
+    __slots__ = ("assignment", "grid", "_by_lam")
 
     def __init__(self, assignment, grid, check=True):
         n = assignment.d + 1
@@ -63,6 +64,19 @@ class ConnectionCoefficients(Immutable):
                         raise ValueError("entry of the wrong dimension")
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(
+            self,
+            "_by_lam",
+            tuple(
+                tuple(
+                    (mu, nu, grid[mu][nu][lam])
+                    for mu in range(n)
+                    for nu in range(n)
+                    if not vec_is_zero(grid[mu][nu][lam])
+                )
+                for lam in range(n)
+            ),
+        )
         if check:
             bad = coefficient_failures(self)
             if bad:
@@ -116,32 +130,35 @@ def generator_derivation(assign, mu):
 def nabla(gamma, X, Y):
     """Covariant derivative of Y along X: the Gamma contraction of the
     coefficient products plus X's coefficients times the generator
-    actions on Y's coefficients."""
+    actions on Y's coefficients.
+
+    Only the nonzero Gamma entries enter the contraction, each with the
+    product X_mu Y_nu built once per (mu, nu) and skipped when zero; a
+    zero connection makes no products.  A zero X_mu or a zero image
+    D_mu(Y_lam) adds nothing to the action term and is skipped too.
+    """
     assign = gamma.assignment
     if X.assignment is not assign or Y.assignment is not assign:
         raise AlgebraError("derivations live over a different assignment")
     A = assign.algebra
-    n = assign.d + 1
-    # the coefficient products do not depend on lam; zero ones add nothing
-    prods = []
-    for mu, x in enumerate(X.coefficients):
-        for nu, y in enumerate(Y.coefficients):
-            prod = A.multiply(x, y)
-            if not vec_is_zero(prod):
-                prods.append((mu, nu, prod))
+    xs = X.coefficients
+    ys = Y.coefficients
+    acting = [(x, D) for x, D in zip(xs, assign.operators) if not vec_is_zero(x)]
+    prods = {}  # (mu, nu) -> X_mu Y_nu, or None when it is zero
     out = []
-    for lam in range(n):
+    for lam, entries in enumerate(gamma._by_lam):
         total = zero_vec(A.dim)
-        for mu, nu, prod in prods:
-            total = vec_add(total, A.multiply(prod, gamma.entry(mu, nu, lam)))
-        for mu in range(n):
-            total = vec_add(
-                total,
-                A.multiply(
-                    X.coefficients[mu],
-                    assign.operators[mu].apply(Y.coefficients[lam]),
-                ),
-            )
+        for mu, nu, g in entries:
+            if (mu, nu) not in prods:
+                prod = A.multiply(xs[mu], ys[nu])
+                prods[(mu, nu)] = None if vec_is_zero(prod) else prod
+            prod = prods[(mu, nu)]
+            if prod is not None:
+                total = vec_add(total, A.multiply(prod, g))
+        for x, D in acting:
+            image = D.apply(ys[lam])
+            if not vec_is_zero(image):
+                total = vec_add(total, A.multiply(x, image))
         out.append(total)
     # valid inputs give central output; unchecked negative-control grids
     # must still flow through
@@ -390,7 +407,7 @@ def random_connection(assign, rng, span=3):
     def draw():
         out = zero_vec(A.dim)
         for h in hermitian:
-            t = Fraction(rng.randint(-span, span))
+            t = rng.randint(-span, span)
             out = vec_add(out, vec_scale(Scalar(0, t), h))
         return out
 

@@ -18,10 +18,10 @@ from itertools import combinations
 from nctangent.algebras import AlgebraError, center
 from nctangent.partition import functional
 from nctangent.scalars import (
-    ONE,
     Immutable,
     Matrix,
     Scalar,
+    rref,
     solve_linear,
     vec_add,
     vec_is_zero,
@@ -458,24 +458,18 @@ def omega_R1(cov, P, local_one_forms, global_basis):
 def duality_rank(basis):
     """Rank of the evaluation pairing between the central-coefficient
     derivation module and the dual coefficient module, with the full
-    rank it needs for nondegeneracy."""
+    rank it needs for nondegeneracy.
+
+    Column (mu, k) of the pairing matrix holds z e_k for each center
+    basis vector z in the rows of slot mu and zeros elsewhere, so the
+    matrix is `basis.rank` copies of one block down the diagonal, and
+    its rank is `basis.rank` times the rank of the block whose row k is
+    the concatenation of the z e_k.
+    """
     A = basis.algebra
     zbasis = center(A).basis
-    cols = []
-    for mu in range(basis.rank):
-        for k in range(A.dim):
-            ek = tuple(
-                ONE if i == k else Scalar(0) for i in range(A.dim)
-            )
-            col = []
-            for z in zbasis:
-                for nu in range(basis.rank):
-                    if nu == mu:
-                        col.extend(A.multiply(z, ek))
-                    else:
-                        col.extend(zero_vec(A.dim))
-            cols.append(tuple(col))
-    M = Matrix.from_columns(
-        cols, rows=len(zbasis) * basis.rank * A.dim
-    )
-    return M.rank(), basis.rank * A.dim
+    block = [
+        tuple(c for z in zbasis for c in A.multiply(z, A.basis_vector(k)))
+        for k in range(A.dim)
+    ]
+    return basis.rank * len(rref(block)[1]), basis.rank * A.dim

@@ -45,6 +45,12 @@ class Scalar:
     __slots__ = ("_a", "_b", "_q")
 
     def __init__(self, re=0, im=0):
+        if re.__class__ is int and im.__class__ is int:
+            # (a, b, 1) is already reduced; bool and the rest take _frac
+            _set_a(self, re)
+            _set_b(self, im)
+            _set_q(self, 1)
+            return
         re = _frac(re)
         im = _frac(im)
         q, q2 = re.denominator, im.denominator
@@ -314,9 +320,12 @@ class Immutable:
 class Matrix(Immutable):
     """Dense matrix of Scalar entries; shape-checked exact arithmetic.
 
-    `apply` reads the nonzero `(row, entry)` pairs of each column, kept
-    in the `_columns` slot from the first call on.  Equality and the
-    hash use `entries` only.
+    `Matrix(...)` promotes every entry to a Scalar.  Arithmetic,
+    `transpose`, `identity` and `zero` build their results through
+    `_of`, which takes rows of Scalars as they are.  `apply` reads the
+    nonzero `(row, entry)` pairs of each column, kept in the `_columns`
+    slot from the first call on.  Equality and the hash use `entries`
+    only.
     """
 
     __slots__ = ("rows", "cols", "entries", "_columns")
@@ -339,12 +348,25 @@ class Matrix(Immutable):
         object.__setattr__(self, "entries", entries)
 
     @classmethod
+    def _of(cls, entries, cols):
+        """The matrix with these rows, each a tuple of `cols` Scalars; no
+        promotion and no shape check."""
+        m = _new(cls)
+        object.__setattr__(m, "rows", len(entries))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of(
+            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)),
+            n,
+        )
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[ZERO] * cols for _ in range(rows)], cols=cols)
+        return cls._of(((ZERO,) * cols,) * rows, cols)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -375,23 +397,27 @@ class Matrix(Immutable):
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
+        return Matrix._of(
+            tuple(
+                tuple(a + b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
+            ),
+            self.cols,
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.entries], cols=self.cols)
+        return Matrix._of(
+            tuple(tuple(-a for a in row) for row in self.entries), self.cols
+        )
 
     def scale(self, c):
         c = Scalar.promote(c)
-        return Matrix([[c * a for a in row] for row in self.entries], cols=self.cols)
+        return Matrix._of(
+            tuple(tuple(c * a for a in row) for row in self.entries), self.cols
+        )
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -409,8 +435,8 @@ class Matrix(Immutable):
                     continue
                 brow = other.entries[k]
                 orow = [x + a * b for x, b in zip(orow, brow)]
-            out.append(orow)
-        return Matrix(out)
+            out.append(tuple(orow))
+        return Matrix._of(tuple(out), ocols)
 
     def apply(self, v):
         if len(v) != self.cols:
@@ -432,14 +458,14 @@ class Matrix(Immutable):
         return tuple(out)
 
     def transpose(self):
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        if not self.rows:
+            return Matrix.zero(self.cols, 0)
+        return Matrix._of(tuple(zip(*self.entries)), self.rows)
 
     def conjugate(self):
-        return Matrix(
-            [[a.conjugate() for a in row] for row in self.entries], cols=self.cols
+        return Matrix._of(
+            tuple(tuple(a.conjugate() for a in row) for row in self.entries),
+            self.cols,
         )
 
     def is_zero(self):

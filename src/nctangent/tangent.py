@@ -30,6 +30,7 @@ from nctangent.scalars import (
     Immutable,
     Matrix,
     Scalar,
+    ZERO,
     solve_linear,
     vec_add,
     vec_is_zero,
@@ -217,23 +218,45 @@ def bracket(X, Y):
 def leibniz_failures(algebra, operator):
     """Basis pairs where a linear map breaks the product rule.
 
-    The map is applied to each basis vector once; its value on a basis
-    product is the combination of those images with the product's
-    structure constants.
+    The map is applied to each basis vector once.  For each pair (i, j)
+    the three sides D(b_i b_j), D(b_i) b_j and b_i D(b_j) are summed
+    into one dict of coordinates, read off the nonzero entries of the
+    images and the rows of `terms`: D(b_i b_j) combines the images with
+    the constants of b_i . b_j, D(b_i) b_j sums x times b_k . b_j over
+    the nonzero coordinates x of D(b_i), and b_i D(b_j) sums y times
+    b_i . b_k over the pairs (j, y) with y the k-th coordinate of D(b_j).
+    A pair fails when some coordinate of the sum is nonzero.
     """
-    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
-    images = [operator.apply(b) for b in basis]
+    n = algebra.dim
+    images = [
+        tuple((r, y) for r, y in enumerate(operator.apply(algebra.basis_vector(m))) if y)
+        for m in range(n)
+    ]
+    # rows[k] lists (j, y) for the nonzero k-th coordinates y of D(b_j)
+    rows = [[] for _ in range(n)]
+    for j, image in enumerate(images):
+        for k, y in image:
+            rows[k].append((j, y))
     failures = []
-    for i, a in enumerate(basis):
-        products = dict(algebra.terms[i])
-        for j, b in enumerate(basis):
-            lhs = zero_vec(algebra.dim)
-            for m, c in products.get(j, ()):
-                lhs = vec_add(lhs, vec_scale(c, images[m]))
-            rhs = vec_add(
-                algebra.multiply(images[i], b), algebra.multiply(a, images[j])
-            )
-            if lhs != rhs:
+    for i, terms in enumerate(algebra.terms):
+        sums = [{} for _ in range(n)]
+        for j, cell in terms:
+            total = sums[j]
+            for m, c in cell:
+                for r, y in images[m]:
+                    total[r] = total.get(r, ZERO) + c * y
+        for k, cell in terms:
+            for j, y in rows[k]:
+                total = sums[j]
+                for m, c in cell:
+                    total[m] = total.get(m, ZERO) - y * c
+        for k, x in images[i]:
+            for j, cell in algebra.terms[k]:
+                total = sums[j]
+                for m, c in cell:
+                    total[m] = total.get(m, ZERO) - x * c
+        for j, total in enumerate(sums):
+            if any(total.values()):
                 failures.append((algebra.labels[i], algebra.labels[j]))
     return failures
 

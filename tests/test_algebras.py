@@ -95,6 +95,21 @@ def test_matrix_involution_is_conjugate_transpose():
     assert w[label_index(A, "E_21")] == sc(0, -2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_matrix_involution_matches_the_unit_column_route(n):
+    # the route the permutation rows replace: one unit column per basis
+    # element, E_mk sent to E_km, every entry promoted
+    dim = n * n
+    want = Matrix.from_columns(
+        [unit_vec(dim, k * n + m) for m in range(n) for k in range(n)], rows=dim
+    )
+    for A in (make_matrix_algebra(n), make_moyal_truncation(n)):
+        assert A.involution == want and hash(A.involution) == hash(want)
+        assert (A.involution.rows, A.involution.cols) == (dim, dim)
+        assert all(type(a) is Scalar for row in A.involution.entries for a in row)
+        assert A.involution @ A.involution == Matrix.identity(dim)
+
+
 def test_matrix_algebra_rejects_zero_size():
     with pytest.raises(Exception):
         make_matrix_algebra(0)

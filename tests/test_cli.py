@@ -404,6 +404,38 @@ def block_scenario(**changes):
     return scenario
 
 
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"algebra": {"model": "matrix"}}, "algebra section is missing field 'n'"),
+        ({"algebra": {"model": "moyal"}}, "algebra section is missing field 'N'"),
+        (
+            {"algebra": {"model": "sum", "terms": [{"model": "function"}, {"model": "matrix", "n": 2}]}},
+            "algebra section is missing field 'points'",
+        ),
+        (
+            {"algebra": {"model": "matrix", "n": 2}, "action": {"type": "canonical"}},
+            "action section is missing field 'N'",
+        ),
+        (
+            {"algebra": {"model": "matrix", "n": 2}, "action": {"type": "inner"}},
+            "action section is missing field 'generators'",
+        ),
+        (
+            block_scenario(actions=[{"type": "canonical", "N": 2}, {"type": "canonical"}]),
+            "chart 1 action is missing field 'N'",
+        ),
+    ],
+    ids=["matrix-n", "moyal-N", "sum-term-points", "canonical-N", "inner-generators", "chart-N"],
+)
+def test_missing_field_is_named(tmp_path, scenario, message):
+    path = write_scenario(tmp_path, scenario)
+    result = run("all", "--scenario", path)
+    assert result.exit_code == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("command", ["all", "forms-check", "glue-derivations"])
 def test_actions_without_partition_rejected(tmp_path, command):
     path = write_scenario(tmp_path, block_scenario(partition=None))

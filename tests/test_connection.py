@@ -1,10 +1,11 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
 from nctangent import connection
-from nctangent.algebras import AlgebraError, direct_sum, make_matrix_algebra
+from nctangent.algebras import AlgebraError, StarAlgebra, direct_sum, make_matrix_algebra
 from nctangent.connection import (
     ConnectionCoefficients,
     InvalidConnection,
@@ -451,15 +452,136 @@ def per_lam_nabla(gamma, X, Y):
     return tuple(out)
 
 
+def noncentral_grid(assign, zero_every=0):
+    """An unchecked grid of unit and non-central entries; with zero_every
+    = k, the entries whose index sum is a multiple of k are zero."""
+    A = assign.algebra
+    n = assign.d + 1
+
+    def entry(mu, nu, lam):
+        if zero_every and (mu + nu + lam) % zero_every == 0:
+            return zero_vec(A.dim)
+        if (mu + nu + lam) % 2:
+            return vec_scale(sc(mu + 1, nu - lam), A.basis_vector(1))
+        return A.unit
+
+    grid = [[[entry(mu, nu, lam) for lam in range(n)] for nu in range(n)] for mu in range(n)]
+    return ConnectionCoefficients(assign, grid, check=False)
+
+
+def thinned_connection(assign, rng):
+    """A seeded connection with the entries of even index sum zeroed; a
+    zero entry is central and anti-hermitian, so the grid stays valid."""
+    grid = random_connection(assign, rng).grid
+    n = assign.d + 1
+    z = zero_vec(assign.algebra.dim)
+    thinned = [
+        [
+            [z if (mu + nu + lam) % 2 == 0 else grid[mu][nu][lam] for lam in range(n)]
+            for nu in range(n)
+        ]
+        for mu in range(n)
+    ]
+    return ConnectionCoefficients(assign, thinned)
+
+
+def nabla_cases():
+    """(d, connection) pairs: the zero, constant and seeded grids of
+    `curvature_cases`, thinned seeded grids, and unchecked grids (a
+    constant one on the broken action, non-central ones with and without
+    zero entries)."""
+    out = list(curvature_cases())
+    out += [
+        (1, thinned_connection(sum_model(), random.Random(5))),
+        (2, thinned_connection(canonical_inner_model(3, 2, Fraction(3, 5)), random.Random(6))),
+        (1, ConnectionCoefficients.constant(broken_action(2, 1), 2, check=False)),
+        (1, noncentral_grid(canonical_inner_model(2, 1, 1))),
+        (1, noncentral_grid(sum_model(), zero_every=2)),
+        (2, noncentral_grid(broken_action(3, 2), zero_every=3)),
+    ]
+    assert coefficient_failures(out[-1][1])
+    return out
+
+
+def nabla_samples(d, gamma, rng):
+    """Generator pairs, seeded central samples, and non-central
+    derivations with zero and nonzero slots."""
+    assign = gamma.assignment
+    A = assign.algebra
+    basis = [generator_derivation(assign, mu) for mu in range(d + 1)]
+    samples = [(X, Y) for X in basis for Y in basis]
+    samples += [(X, Y) for X, Y, _ in central_samples(assign, rng, count=2)]
+    for _ in range(2):
+        X, Y = (
+            LocalDerivation(
+                assign,
+                [
+                    zero_vec(A.dim)
+                    if rng.random() < 0.3
+                    else tuple(sc(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(A.dim))
+                    for _ in range(d + 1)
+                ],
+                check=False,
+            )
+            for _ in range(2)
+        )
+        samples.append((X, Y))
+    return samples
+
+
 def test_nabla_matches_the_per_lam_route():
     rng = random.Random(13)
-    control = ConnectionCoefficients.constant(broken_action(2, 1), 2, check=False)
-    for d, gamma in curvature_cases() + [(1, control)]:
-        assign = gamma.assignment
-        basis = [generator_derivation(assign, mu) for mu in range(d + 1)]
-        samples = [(X, Y) for X in basis for Y in basis]
-        samples += [(X, Y) for X, Y, _ in central_samples(assign, rng, count=2)]
-        for X, Y in samples:
+    for d, gamma in nabla_cases():
+        for X, Y in nabla_samples(d, gamma, rng):
             inner = nabla(gamma, X, Y)
             assert inner.coefficients == per_lam_nabla(gamma, X, Y)
             assert nabla(gamma, Y, inner).coefficients == per_lam_nabla(gamma, Y, inner)
+
+
+def test_zero_connection_makes_no_products(monkeypatch):
+    assign = canonical_inner_model(3, 1, Fraction(1, 2))
+    gamma = ConnectionCoefficients.zero(assign)
+    basis = [generator_derivation(assign, mu) for mu in range(2)]
+    pairs = [(X, Y) for X in basis for Y in basis]
+    want = [per_lam_nabla(gamma, X, Y) for X, Y in pairs]
+    calls = []
+    real = StarAlgebra.multiply
+    monkeypatch.setattr(
+        StarAlgebra, "multiply", lambda self, u, v: calls.append(1) or real(self, u, v)
+    )
+    assert [nabla(gamma, X, Y).coefficients for X, Y in pairs] == want
+    # no Gamma entry is nonzero, and the action kills the unit coefficients
+    assert calls == []
+    per_lam_nabla(gamma, *pairs[0])
+    assert calls
+
+
+def mutated_nabla(old, new):
+    """`nabla` with one fragment of its source replaced, compiled in the
+    module's namespace."""
+    source = inspect.getsource(connection.nabla)
+    assert source.count(old) == 1
+    namespace = dict(vars(connection))
+    exec(compile(source.replace(old, new), connection.__file__, "exec"), namespace)
+    return namespace["nabla"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("for mu, nu, g in entries:", "for mu, nu, g in entries[1:]:"),
+        ("if not vec_is_zero(image):", "if vec_is_zero(image):"),
+        ("prods[(mu, nu)] = None if", "prods[(mu, nu)] = None if True or"),
+    ],
+    ids=["one-gamma-entry-skipped", "nonzero-images-skipped", "every-product-zero"],
+)
+def test_nabla_oracle_catches_mutants(old, new):
+    mutant = mutated_nabla(old, new)
+    rng = random.Random(17)
+    caught = [
+        (X, Y)
+        for d, gamma in nabla_cases()
+        for X, Y in nabla_samples(d, gamma, rng)
+        if mutant(gamma, X, Y).coefficients != per_lam_nabla(gamma, X, Y)
+    ]
+    assert caught

@@ -2,10 +2,19 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from nctangent.algebras import AlgebraError, direct_sum, make_matrix_algebra
+from nctangent.algebras import (
+    AlgebraError,
+    StarAlgebra,
+    center,
+    direct_sum,
+    make_function_algebra,
+    make_matrix_algebra,
+)
+from nctangent.cli import load_scenario
 from nctangent.covering import Covering, ideal_from_declaration
 from nctangent.forms import (
     DerivationBasis,
@@ -28,6 +37,7 @@ from nctangent.forms import (
 )
 from nctangent.partition import Partition
 from nctangent.scalars import (
+    ONE,
     Matrix,
     Scalar,
     sc,
@@ -384,3 +394,81 @@ def test_duality_full_rank_block_center():
     rank, needed = duality_rank(gbasis)
     assert needed == 2 * A.dim
     assert rank == needed
+
+
+# -- oracle: the stacked pairing matrix that the one-block rank replaces -----
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def stacked_duality_rank(basis):
+    """Rank of the full pairing matrix: column (mu, k) stacks, for each
+    center basis vector z and slot nu, z e_k when nu == mu and zeros
+    otherwise."""
+    A = basis.algebra
+    zbasis = center(A).basis
+    cols = []
+    for mu in range(basis.rank):
+        for k in range(A.dim):
+            ek = tuple(ONE if i == k else Scalar(0) for i in range(A.dim))
+            col = []
+            for z in zbasis:
+                for nu in range(basis.rank):
+                    if nu == mu:
+                        col.extend(A.multiply(z, ek))
+                    else:
+                        col.extend(zero_vec(A.dim))
+            cols.append(tuple(col))
+    M = Matrix.from_columns(cols, rows=len(zbasis) * basis.rank * A.dim)
+    return M.rank(), basis.rank * A.dim
+
+
+def centerless_basis():
+    """span{E_11, E_12} inside M_2 (a a = a, a b = b, b a = b b = 0),
+    whose center is zero, with the inner derivation [b, -]."""
+    A = StarAlgebra(
+        ["a", "b"],
+        [((0, ((0, 1),)), (1, ((1, 1),))), ()],
+        Matrix.identity(2),
+        None,
+    )
+    b = A.basis_vector(1)
+    return DerivationBasis(A, [A.left_mult_matrix(b) - A.right_mult_matrix(b)])
+
+
+def duality_bases():
+    """Every chart and glued basis of the shipped scenarios, glued block
+    bases at two kappas, M_2 and M_3 bases, a commutative algebra and an
+    algebra with an empty center basis."""
+    out = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scn = load_scenario(str(path))
+        if scn.action is not None:
+            out.append(kappa_basis(scn.action))
+        if scn.actions is not None:
+            gbasis, local_bases = scn.glued()
+            out += [gbasis, *local_bases]
+    for kappa in (Fraction(1), Fraction(2, 3)):
+        A, cov, P, assigns = block_setup(kappa)
+        gbasis, local_bases = glued_basis(cov, P, assigns)
+        out += [gbasis, *local_bases]
+    out += [m2_basis()[1], m3_basis(Fraction(1, 2))[1]]
+    F = make_function_algebra(3)
+    out.append(DerivationBasis(F, [Matrix.zero(3, 3), Matrix.zero(3, 3)]))
+    out.append(centerless_basis())
+    return out
+
+
+def test_duality_rank_matches_the_stacked_matrix():
+    bases = duality_bases()
+    assert len(bases) >= 12
+    short = 0
+    for basis in bases:
+        got = duality_rank(basis)
+        assert got == stacked_duality_rank(basis), basis.algebra
+        short += got[0] < got[1]
+    # the commutative and centerless algebras fall short of full rank
+    assert short >= 1
+    basis = centerless_basis()
+    assert center(basis.algebra).basis == ()
+    assert duality_rank(basis) == stacked_duality_rank(basis) == (0, 2)

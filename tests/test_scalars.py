@@ -615,3 +615,106 @@ def test_apply_leaves_the_matrix_unchanged():
         with pytest.raises(AttributeError):
             setattr(M, name, None)
     assert M.apply(vec(1, 2, 3)) == (sc(1, 6), sc(1))
+
+
+# -- oracle: Scalars built through Fraction, Matrices through promotion -------
+
+
+def fraction_route(re, im=0):
+    """The Scalar that `__init__` built from two Fractions before it took
+    ints as they are."""
+    return Scalar(Fraction(re), Fraction(im))
+
+
+@pytest.mark.parametrize(
+    "re, im",
+    [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (-3, 2), (7, -7), (10**30, -(10**30) + 1)],
+)
+def test_scalar_from_ints_matches_the_fraction_route(re, im):
+    s, ref = Scalar(re, im), fraction_route(re, im)
+    assert (s._a, s._b, s._q) == (ref._a, ref._b, ref._q) == (re, im, 1)
+    assert s == ref and hash(s) == hash(ref)
+    assert str(s) == str(ref) and bool(s) is bool(ref)
+    if not im:
+        # equal to the int and the Fraction of the same value, and hashed alike
+        assert s == re == Fraction(re) and hash(s) == hash(re) == hash(Fraction(re))
+        assert Scalar(re) == ref and hash(Scalar(re)) == hash(ref)
+
+
+def test_scalar_from_bools_keeps_ints_inside():
+    for re, im in ((True, False), (False, True), (True, True), (True, 0), (0, True)):
+        s = Scalar(re, im)
+        assert s == fraction_route(re, im) == Scalar(int(re), int(im))
+        assert hash(s) == hash(Scalar(int(re), int(im)))
+        assert all(type(part) is int for part in (s._a, s._b, s._q))
+    assert str(Scalar(True)) == "1" and str(Scalar(0, True)) == "i"
+
+
+def promoting_matrix(rows, cols):
+    """The same entries through the public, promoting constructor."""
+    return Matrix([list(row) for row in rows], cols=cols)
+
+
+def assert_built_like_the_promoting_route(M, rows, cols):
+    want = promoting_matrix(rows, cols)
+    assert (M.rows, M.cols) == (want.rows, want.cols)
+    assert M.entries == want.entries and M == want and hash(M) == hash(want)
+    assert type(M.entries) is tuple
+    assert all(type(row) is tuple for row in M.entries)
+    assert all(type(a) is Scalar for row in M.entries for a in row)
+
+
+@st.composite
+def matrix_pair(draw):
+    """Two matrices of one shape (0-4 rows and columns) and a third whose
+    row count is their column count."""
+    rows, cols, width = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.sampled_from(SPARSE)
+
+    def grid(r, c):
+        return [[draw(entry) for _ in range(c)] for _ in range(r)]
+
+    return (
+        Matrix(grid(rows, cols), cols=cols),
+        Matrix(grid(rows, cols), cols=cols),
+        Matrix(grid(cols, width), cols=width),
+    )
+
+
+@given(matrix_pair(), st.sampled_from(SPARSE))
+@settings(max_examples=200, deadline=None)
+def test_matrix_arithmetic_matches_the_promoting_constructor(case, c):
+    M, N, P = case
+    E, F = M.entries, N.entries
+    assert_built_like_the_promoting_route(
+        M + N, [[a + b for a, b in zip(r, s)] for r, s in zip(E, F)], M.cols
+    )
+    assert_built_like_the_promoting_route(
+        M - N, [[a - b for a, b in zip(r, s)] for r, s in zip(E, F)], M.cols
+    )
+    assert_built_like_the_promoting_route(-M, [[-a for a in r] for r in E], M.cols)
+    assert_built_like_the_promoting_route(M.scale(c), [[c * a for a in r] for r in E], M.cols)
+    assert_built_like_the_promoting_route(
+        M.conjugate(), [[a.conjugate() for a in r] for r in E], M.cols
+    )
+    assert_built_like_the_promoting_route(
+        M.transpose(), [[E[i][j] for i in range(M.rows)] for j in range(M.cols)], M.rows
+    )
+    product = [
+        [sum((E[i][k] * P.entries[k][j] for k in range(M.cols)), ZERO) for j in range(P.cols)]
+        for i in range(M.rows)
+    ]
+    assert_built_like_the_promoting_route(M @ P, product, P.cols)
+    assert (M - N) + N == M and (M.transpose()).transpose() == M
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 5)])
+def test_identity_and_zero_match_the_promoting_constructor(rows, cols):
+    assert_built_like_the_promoting_route(
+        Matrix.zero(rows, cols), [[0] * cols for _ in range(rows)], cols
+    )
+    assert_built_like_the_promoting_route(
+        Matrix.identity(cols), [[int(i == j) for j in range(cols)] for i in range(cols)], cols
+    )
+    with pytest.raises(ValueError, match="shape mismatch in addition"):
+        Matrix.zero(rows, cols) - Matrix.zero(rows + 1, cols)

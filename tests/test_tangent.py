@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from nctangent.algebras import (
     make_matrix_algebra,
     quotient_algebra,
 )
+from nctangent import tangent
 from nctangent.covering import Covering, ideal_from_declaration
 from nctangent.minkowski import PBWElement
 from nctangent.partition import Partition
@@ -379,7 +381,9 @@ def leibniz_cases():
     function algebra, and functions on two points in the basis {u, w}
     with w w = u/4: derivations, and maps that break Leibniz on some
     pairs only (a derivation plus a multiple of one matrix unit, a
-    scaled identity, a dense matrix)."""
+    scaled identity, a dense matrix), and the left and right
+    multiplications by an element, which keep D(ab) = D(a) b and
+    D(ab) = a D(b) respectively and break the other side only."""
     block_sum = direct_sum(make_matrix_algebra(2), make_matrix_algebra(3))
     killed = Subspace(13, [unit_vec(13, 4 + k) for k in range(9)])
     mixed = StarAlgebra(
@@ -406,7 +410,10 @@ def leibniz_cases():
             [[sc(0, 2) if (r, c) == (0, n - 1) else Scalar(0) for c in range(n)] for r in range(n)]
         )
         dense = Matrix([[Scalar(r - c, (r * c) % 3) for c in range(n)] for r in range(n)])
-        out.append((A, [ad, ad + unit_cell, Matrix.identity(n).scale(3), dense]))
+        left, right = A.left_mult_matrix(g), A.right_mult_matrix(g)
+        out.append(
+            (A, [ad, ad + unit_cell, Matrix.identity(n).scale(3), dense, left, right])
+        )
     # u -> 8w, w -> u keeps Leibniz on (w, w) only through the 1/4 in w w
     out.append((mixed, [Matrix([[0, 1], [8, 0]])]))
     return out
@@ -425,3 +432,33 @@ def test_leibniz_failures_match_the_per_pair_route():
     assert leibniz_failures(A, Matrix.identity(4))[:3] == [
         ("E_11", "E_11"), ("E_11", "E_12"), ("E_12", "E_21")
     ]
+
+
+def mutated_leibniz_failures(old, new):
+    """`leibniz_failures` with one fragment of its source replaced,
+    compiled in the module's namespace."""
+    source = inspect.getsource(tangent.leibniz_failures)
+    assert source.count(old) == 1
+    namespace = dict(vars(tangent))
+    exec(compile(source.replace(old, new), tangent.__file__, "exec"), namespace)
+    return namespace["leibniz_failures"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("for j, y in rows[k]:", "for j, y in ():"),
+        ("for k, x in images[i]:", "for k, x in ():"),
+        ("for r, y in images[m]:", "for r, y in images[m][1:]:"),
+    ],
+    ids=["no-b_i-D(b_j)", "no-D(b_i)-b_j", "one-image-entry-short"],
+)
+def test_leibniz_oracle_catches_mutants(old, new):
+    mutant = mutated_leibniz_failures(old, new)
+    caught = [
+        (A, D)
+        for A, operators in leibniz_cases()
+        for D in operators
+        if mutant(A, D) != per_pair_leibniz_failures(A, D)
+    ]
+    assert caught
