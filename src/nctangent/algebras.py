@@ -5,7 +5,7 @@ An algebra is a coordinate space Q(i)^n with sparse structure constants
 unit.  Model constructors write those constants directly for matrix
 algebras, pointwise-function algebras, a truncated oscillator-basis
 surrogate for a deformed plane, direct sums and quotients.  On top of
-that sit centers, derivation spaces, characters and supports.
+that sit centers, derivation spaces and characters.
 
 Characters are enumerated model-aware where a closed description exists.
 A quotient A/I whose parent A is commutative by construction, or has no
@@ -361,10 +361,6 @@ def center(A):
                 bz[j] = bz[j] - c
     equations = tuple(tuple(row) for row in rows if any(row))
     return Subspace(n, nullspace(Matrix._of(equations, n)))
-
-
-def is_central(A, v):
-    return noncentral_witness(A, v) is None
 
 
 def noncentral_witness(A, v):
@@ -810,8 +806,3 @@ def _prime_factors(n):
     if n > 1:
         primes.append(n)
     return primes
-
-
-def support(a, A):
-    """Characters that do not vanish on `a`."""
-    return [phi for phi in characters(A) if phi(a)]

@@ -46,7 +46,6 @@ from nctangent.forms import (
 from nctangent.minkowski import PBWElement, hopf_axiom_check
 from nctangent.partition import (
     Partition,
-    _block_sizes,
     reconstruction_check,
     verify_adapted,
     verify_partition,
@@ -146,6 +145,18 @@ def _diagonal_zetas(A):
     if model and model[0] == "function":
         return [A.basis_vector(k) for k in range(A.dim)]
     raise ScenarioError("diagonal partition needs a matrix-like model")
+
+
+def _block_sizes(model):
+    """Flattened (kind, size) blocks of a supported model tag."""
+    if isinstance(model, tuple):
+        if model[0] in ("matrix", "moyal"):
+            return [("matrix", model[1])]
+        if model[0] == "function":
+            return [("point", 1)] * model[1]
+        if model[0] == "sum":
+            return _block_sizes(model[1].model) + _block_sizes(model[2].model)
+    raise AlgebraError("no seeded partition recipe for model %r" % (model,))
 
 
 def _block_zetas(A):

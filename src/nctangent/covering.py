@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from nctangent.algebras import (
     AlgebraError,
-    StarAlgebra,
     quotient_algebra,
     two_sided_ideal_closure,
 )
@@ -185,16 +184,6 @@ class Covering(Immutable):
         """Matrix of the restriction map from chart alpha to the
         (alpha, beta) overlap."""
         return self.overlap_projection(alpha, beta) @ self.section(alpha)
-
-
-def overlap_maps(cov, alpha, beta):
-    alg = cov.overlap_algebra(alpha, beta)
-    return (
-        alg,
-        cov.overlap_projection(alpha, beta),
-        cov.chart_to_overlap(alpha, beta),
-        cov.chart_to_overlap(beta, alpha),
-    )
 
 
 def verify_covering(cov):

@@ -5,7 +5,8 @@ n-tuples of basis derivations.  Storing the coefficient tensor (rather
 than an abstract multilinear map) keeps evaluation and equality exact:
 the basis has finite rank, so a form is determined by its values on
 strictly increasing index tuples.  Degrees above the rank carry no such
-tuples and are identically zero.
+tuples and are identically zero.  A one-form is a degree-1 `FormN`;
+chart forms glue into a global one through `form_loc2glob`.
 
 The differential follows the Koszul pattern: an alternating sum of
 derivation actions plus an alternating sum over bracket insertions.  It
@@ -377,82 +378,6 @@ def d_locality_check(rho, cov, alpha, local_basis):
         if left.coefficient(key) != right.coefficient(key):
             failures.append(key)
     return failures
-
-
-class OneFormR(Immutable):
-    """One-form presented by its coefficients against the generator dual
-    basis; evaluation on a derivation contracts the derivation's central
-    coefficients against them."""
-
-    __slots__ = ("basis", "coefficients")
-
-    def __init__(self, basis, coefficients):
-        coefficients = tuple(tuple(c) for c in coefficients)
-        if len(coefficients) != basis.rank:
-            raise ValueError("need one coefficient per basis slot")
-        for c in coefficients:
-            if len(c) != basis.algebra.dim:
-                raise ValueError("coefficient of the wrong dimension")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coefficients", coefficients)
-
-    @classmethod
-    def from_differential(cls, basis, a):
-        """Coefficients of d a: the basis operators applied to a."""
-        return cls(basis, [D.apply(a) for D in basis.operators])
-
-    def evaluate(self, derivation_coefficients):
-        """Value on the derivation with the given central coefficients;
-        also accepts a LocalDerivation."""
-        coeffs = getattr(
-            derivation_coefficients, "coefficients", derivation_coefficients
-        )
-        A = self.basis.algebra
-        out = zero_vec(A.dim)
-        for z, r in zip(coeffs, self.coefficients):
-            out = vec_add(out, A.multiply(z, r))
-        return out
-
-    def left_mult(self, a):
-        A = self.basis.algebra
-        return OneFormR(
-            self.basis, [A.multiply(a, c) for c in self.coefficients]
-        )
-
-    def right_mult(self, a):
-        A = self.basis.algebra
-        return OneFormR(
-            self.basis, [A.multiply(c, a) for c in self.coefficients]
-        )
-
-    def is_zero(self):
-        return all(vec_is_zero(c) for c in self.coefficients)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OneFormR)
-            and self.basis is other.basis
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
-        return hash((id(self.basis), self.coefficients))
-
-
-def omega_R1(cov, P, local_one_forms, global_basis):
-    """Glue chart one-forms into a global one: each glued coefficient is
-    the sum of the chart functionals applied slotwise."""
-    if len(local_one_forms) != cov.size:
-        raise AlgebraError("need one chart one-form per chart")
-    A = cov.algebra
-    glued = [zero_vec(A.dim) for _ in range(global_basis.rank)]
-    for alpha, rho in enumerate(local_one_forms):
-        if rho.basis.rank != global_basis.rank:
-            raise AlgebraError("chart one-form of the wrong rank")
-        F = functional(P, cov, alpha)
-        for mu, c in enumerate(rho.coefficients):
-            glued[mu] = vec_add(glued[mu], F.apply(c))
-    return OneFormR(global_basis, glued)
 
 
 def duality_rank(basis):

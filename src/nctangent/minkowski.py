@@ -639,23 +639,3 @@ def module_law_sides(gen, f, g):
     else:
         raise ValueError("no coproduct registered for %r" % (gen,))
     return lhs, rhs
-
-
-def random_element(rng, d, kappa, max_degree, max_terms=3):
-    """Deterministic pseudo-random element for seeded property sweeps."""
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        total = rng.randint(0, max_degree)
-        beta = [0] * d
-        n = 0
-        for _ in range(total):
-            slot = rng.randrange(d + 1)
-            if slot == d:
-                n += 1
-            else:
-                beta[slot] += 1
-        num = rng.randint(-4, 4)
-        den = rng.randint(1, 3)
-        imn = rng.randint(-4, 4)
-        terms[(tuple(beta), n)] = Scalar(Fraction(num, den), Fraction(imn, den))
-    return PBWElement(d, kappa, terms)

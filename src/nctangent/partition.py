@@ -23,8 +23,6 @@ identity map.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from nctangent.algebras import (
     AlgebraError,
     characters,
@@ -32,7 +30,6 @@ from nctangent.algebras import (
 from nctangent.scalars import (
     Immutable,
     Matrix,
-    Scalar,
     vec_add,
     vec_is_zero,
     vec_sub,
@@ -137,10 +134,6 @@ def verify_partition(algebra, partition, side="left"):
     return report
 
 
-def partition_ok(report):
-    return all(ok for _, ok, _ in report)
-
-
 def product_partition(P, Q, keep_zero=False):
     """Bullet each element of P through each chi of Q.
 
@@ -158,104 +151,6 @@ def product_partition(P, Q, keep_zero=False):
             if keep_zero or not vec_is_zero(el.chi):
                 out.append(el)
     return Partition(A, out)
-
-
-_PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
-
-
-def random_rational_unitary(n, rng):
-    """Exactly unitary matrix over the Gaussian rationals: a seeded
-    product of Pythagorean rotations and fourth-root phases."""
-    U = Matrix.identity(n)
-    phases = [Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(0, -1)]
-    for _ in range(2 * n):
-        kind = rng.randrange(3)
-        if kind == 0 and n >= 2:
-            i = rng.randrange(n)
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            a, b, c = _PYTHAGOREAN[rng.randrange(len(_PYTHAGOREAN))]
-            ca, sa = Scalar(Fraction(a, c)), Scalar(Fraction(b, c))
-            rows = [
-                [Scalar(1) if r == s else Scalar(0) for s in range(n)]
-                for r in range(n)
-            ]
-            rows[i][i], rows[i][j] = ca, sa
-            rows[j][i], rows[j][j] = -sa, ca
-            U = U @ Matrix(rows)
-        else:
-            i = rng.randrange(n)
-            p = phases[rng.randrange(4)]
-            rows = [
-                [
-                    (p if r == i else Scalar(1)) if r == s else Scalar(0)
-                    for s in range(n)
-                ]
-                for r in range(n)
-            ]
-            U = U @ Matrix(rows)
-    return U
-
-
-def _block_sizes(model):
-    """Flattened (kind, size) blocks of a supported model tag."""
-    if isinstance(model, tuple):
-        if model[0] in ("matrix", "moyal"):
-            return [("matrix", model[1])]
-        if model[0] == "function":
-            return [("point", 1)] * model[1]
-        if model[0] == "sum":
-            return _block_sizes(model[1].model) + _block_sizes(model[2].model)
-    raise AlgebraError("no seeded partition recipe for model %r" % (model,))
-
-
-def seeded_partition(A, rng, parts=2):
-    """Deterministic pseudo-random partition of unity with exact
-    witnesses.
-
-    Per matrix block the diagonal units are grouped into `parts` classes
-    and conjugated between two seeded rational unitaries; per point of a
-    function model a Pythagorean split of 1 is drawn.  Summing
-    zeta zeta* telescopes to the unit exactly.
-    """
-    blocks = _block_sizes(A.model)
-    zetas = [[] for _ in range(parts)]
-    for kind, n in blocks:
-        if kind == "matrix":
-            grouping = [rng.randrange(parts) for _ in range(n)]
-            U = random_rational_unitary(n, rng)
-            W = random_rational_unitary(n, rng)
-            for alpha in range(parts):
-                proj = Matrix(
-                    [
-                        [
-                            Scalar(1)
-                            if (r == s and grouping[r] == alpha)
-                            else Scalar(0)
-                            for s in range(n)
-                        ]
-                        for r in range(n)
-                    ]
-                )
-                mat = U @ proj @ W
-                for r in range(n):
-                    zetas[alpha].extend(mat.entries[r])
-        else:
-            a, b, c = _PYTHAGOREAN[rng.randrange(len(_PYTHAGOREAN))]
-            owner = rng.randrange(parts)
-            other = rng.randrange(parts)
-            for alpha in range(parts):
-                if owner == other:
-                    val = Scalar(1) if alpha == owner else Scalar(0)
-                elif alpha == owner:
-                    val = Scalar(Fraction(a, c))
-                elif alpha == other:
-                    val = Scalar(0, Fraction(b, c))
-                else:
-                    val = Scalar(0)
-                zetas[alpha].append(val)
-    return Partition.from_zetas(A, [tuple(z) for z in zetas])
 
 
 def _chart_characters(cov):
@@ -327,10 +222,6 @@ def _subordination_report(P, cov, variant, adapted):
     return report
 
 
-def subordination_ok(report):
-    return all(ok for _, ok, _, _ in report)
-
-
 def functional(P, cov, alpha):
     """Matrix of the map chart_alpha -> A induced by left multiplication
     with chi_alpha; raises IllDefined when chi_alpha does not kill the
@@ -382,16 +273,6 @@ def reconstruction_check(P, cov):
         if got != e:
             return (A.labels[i], A.element_str(vec_sub(got, e)))
     return ("identity", "mismatch")
-
-
-def multiplication_maps(A, side="left"):
-    """The family of one-sided multiplication operators by basis
-    elements."""
-    if side == "left":
-        return [A.left_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
-    if side == "right":
-        return [A.right_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
-    raise ValueError("side must be 'left' or 'right'")
 
 
 def centrality_check(P, cov, maps):

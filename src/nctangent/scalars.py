@@ -380,9 +380,6 @@ class Matrix(Immutable):
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
 
-    def row(self, i):
-        return self.entries[i]
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -12,11 +12,6 @@ its bracket has the displayed coefficient formula (derivatives of the
 coefficients plus a structure-constant term) and must agree with the
 operator commutator.  Global derivations are glued through a partition
 of unity: X = sum_alpha functional_alpha o X_alpha o pi_alpha.
-
-The smash product pairs algebra elements with polynomial symmetry
-labels; multiplication routes one tensor leg of the label's coproduct
-through the action.  Degree overflow is a hard error, never silent
-truncation.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from nctangent.algebras import AlgebraError, center, noncentral_witness
-from nctangent.minkowski import PBWElement, _i_over, _star_monomials
 from nctangent.partition import functional
 from nctangent.scalars import (
     Immutable,
@@ -33,7 +27,6 @@ from nctangent.scalars import (
     ZERO,
     solve_linear,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
     zero_vec,
@@ -46,10 +39,6 @@ class NonCentralCoefficient(AlgebraError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class DegreeOverflow(AlgebraError):
-    """A smash product left the declared polynomial degree bound."""
 
 
 class ActionAssignment(Immutable):
@@ -342,161 +331,3 @@ def decompose(X, alpha):
             pos += 1
         out.append(coeff)
     return tuple(out)
-
-
-def zmodule_action(c, X, side="left"):
-    """Scale a global derivation by a central element of the base
-    algebra, chartwise through the projections."""
-    cov = X.covering
-    w = noncentral_witness(cov.algebra, c)
-    if w is not None:
-        raise NonCentralCoefficient("scalar is not central", witness=w)
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    new_locals = []
-    for alpha, loc in enumerate(X.locals):
-        A = cov.chart(alpha)
-        cc = cov.project(alpha, c)
-        coeffs = []
-        for z in loc.coefficients:
-            if side == "left":
-                coeffs.append(A.multiply(cc, z))
-            else:
-                coeffs.append(A.multiply(z, cc))
-        new_locals.append(LocalDerivation(loc.assignment, coeffs))
-    return GlobalDerivation(cov, X.partition, new_locals)
-
-
-# ---------------------------------------------------------------------------
-# smash product
-
-
-class SmashElement(Immutable):
-    """Finite combination of (basis element # polynomial label) pairs."""
-
-    __slots__ = ("context", "terms")
-
-    def __init__(self, context, terms):
-        clean = {}
-        for (i, key), coeff in terms.items():
-            coeff = Scalar.promote(coeff)
-            if not coeff:
-                continue
-            beta, n = key
-            beta = tuple(beta)
-            if sum(beta) + n > context.bound:
-                raise DegreeOverflow(
-                    "monomial of degree %d exceeds bound %d"
-                    % (sum(beta) + n, context.bound)
-                )
-            k = (i, (beta, n))
-            clean[k] = clean.get(k, Scalar(0)) + coeff
-        clean = {k: c for k, c in clean.items() if c}
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", clean)
-
-    def __add__(self, other):
-        if other.context is not self.context:
-            raise AlgebraError("smash elements from different contexts")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Scalar(0)) + c
-        return SmashElement(self.context, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(Scalar(-1))
-
-    def scale(self, c):
-        c = Scalar.promote(c)
-        return SmashElement(
-            self.context, {k: c * v for k, v in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, SmashElement):
-            return NotImplemented
-        return self.context is other.context and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-
-class SmashAlgebra(Immutable):
-    """Smash product of a local algebra with the polynomial symmetry
-    labels, truncated at a hard degree bound."""
-
-    __slots__ = ("assignment", "bound", "_ik")
-
-    def __init__(self, assignment, bound):
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "_ik", _i_over(assignment.kappa))
-
-    def zero(self):
-        return SmashElement(self, {})
-
-    def embed_algebra(self, vector):
-        unit_key = ((0,) * self.assignment.d, 0)
-        return SmashElement(
-            self,
-            {(i, unit_key): c for i, c in enumerate(vector)},
-        )
-
-    def embed_label(self, f):
-        """1 # f for a polynomial label f."""
-        A = self.assignment.algebra
-        if A.unit is None:
-            raise AlgebraError("embedding labels needs a unital algebra")
-        if f.d != self.assignment.d or f.kappa != self.assignment.kappa:
-            raise AlgebraError("label parameters do not match the context")
-        terms = {}
-        for key, c in f.terms.items():
-            for i, u in enumerate(A.unit):
-                if u:
-                    terms[(i, key)] = terms.get((i, key), Scalar(0)) + u * c
-        return SmashElement(self, terms)
-
-    def _act_monomial(self, key, vector):
-        """Action of a normal-ordered label on an algebra element;
-        rightmost factors act first."""
-        beta, n = key
-        out = tuple(vector)
-        for _ in range(n):
-            out = self.assignment.operators[0].apply(out)
-        for j in range(len(beta) - 1, -1, -1):
-            for _ in range(beta[j]):
-                out = self.assignment.operators[j + 1].apply(out)
-        return out
-
-    def multiply(self, x, y):
-        """(a # p)(b # q) = sum a (p_(1) acting on b) # (p_(2) star q)."""
-        if x.context is not self or y.context is not self:
-            raise AlgebraError("operands from a different context")
-        from nctangent.minkowski import coproduct
-
-        A = self.assignment.algebra
-        d, kappa = self.assignment.d, self.assignment.kappa
-        out = {}
-        for (i, pkey), c1 in x.terms.items():
-            delta = coproduct(PBWElement.monomial(d, kappa, pkey[0], pkey[1]))
-            for (j, qkey), c2 in y.terms.items():
-                b = A.basis_vector(j)
-                base = c1 * c2
-                for (k1, k2), c3 in delta.terms.items():
-                    acted = self._act_monomial(k1, b)
-                    av = A.multiply(A.basis_vector(i), acted)
-                    tail = _star_monomials(k2, qkey, self._ik)
-                    for lkey, c4 in tail.items():
-                        if sum(lkey[0]) + lkey[1] > self.bound:
-                            raise DegreeOverflow(
-                                "product degree %d exceeds bound %d"
-                                % (sum(lkey[0]) + lkey[1], self.bound)
-                            )
-                        f = base * c3 * c4
-                        for r, entry in enumerate(av):
-                            if entry:
-                                k = (r, lkey)
-                                out[k] = out.get(k, Scalar(0)) + f * entry
-        return SmashElement(self, out)

@@ -40,18 +40,14 @@ from nctangent.minkowski import (
     hopf_axiom_check,
     integral_star_oracle,
     module_law_sides,
-    random_element,
 )
 from nctangent.partition import (
     IllDefined,
     Partition,
     functional,
     overlap_covering,
-    partition_ok,
     product_partition,
     reconstruction_check,
-    seeded_partition,
-    subordination_ok,
     verify_adapted,
     verify_partition,
 )
@@ -64,6 +60,8 @@ from nctangent.tangent import (
     glue,
     leibniz_failures,
 )
+
+from seeded import random_element, seeded_partition
 
 
 def ok(line):
@@ -151,7 +149,7 @@ def test_criterion_04_module_law():
 def _diagonal_sweep(A, n):
     zetas = [A.basis_vector(m * n + m) for m in range(n)]
     P = Partition.from_zetas(A, zetas)
-    assert partition_ok(verify_partition(A, P))
+    assert all(ok for _, ok, _ in verify_partition(A, P))
     for k in range(A.dim):
         base = A.basis_vector(k)
         total = zero_vec(A.dim)
@@ -172,14 +170,14 @@ def test_criterion_06_product_partition_adapted():
     P = seeded_partition(A, rng, parts=2)
     Q = seeded_partition(A, rng, parts=2)
     R = product_partition(P, Q)
-    assert partition_ok(verify_partition(A, R))
+    assert all(ok for _, ok, _ in verify_partition(A, R))
     # the product is indexed by chart pairs, so adaptedness is judged
     # against the overlap covering; matrix-block quotients admit no
     # characters and the report must come back all-clear
     ocov, pairs = overlap_covering(cov, cov)
     assert len(pairs) == 4
     R_full = product_partition(P, Q, keep_zero=True)
-    assert subordination_ok(verify_adapted(R_full, ocov))
+    assert all(ok for _, ok, _, _ in verify_adapted(R_full, ocov))
     ok("criterion 06: product of seeded partitions, adapted on block overlaps")
 
 
@@ -289,10 +287,10 @@ def test_criterion_12_commutative_recovery():
     A, P, cov = four_point_model()
     assert reconstruction_check(P, cov) is None
     literal = verify_adapted(P, cov, variant="literal")
-    assert not subordination_ok(literal)
+    assert not all(ok for _, ok, _, _ in literal)
     blocked = [row for row in literal if row[1] is False]
     assert blocked
     leaked = blocked[0][3][3]
     assert leaked in (sc(Fraction(9, 25)), sc(Fraction(16, 25)))
-    assert subordination_ok(verify_adapted(P, cov, variant="closure"))
+    assert all(ok for _, ok, _, _ in verify_adapted(P, cov, variant="closure"))
     ok("criterion 12: four-point reconstruction and overlap discrepancy")

@@ -20,7 +20,6 @@ from nctangent.covering import (
     IntersectionNonzero,
     NotAnIdeal,
     ideal_from_declaration,
-    overlap_maps,
     verify_covering,
     verify_ideal,
 )
@@ -102,10 +101,10 @@ def test_function_covering_overlap():
     assert cov.chart(0).dim == 3
     assert cov.chart(1).dim == 2
     # the overlap is the single common point
-    alg, joint, via1, via2 = overlap_maps(cov, 0, 1)
-    assert alg.dim == 1
-    assert (via1 @ cov.projection(0)).entries == joint.entries
-    assert (via2 @ cov.projection(1)).entries == joint.entries
+    joint = cov.overlap_projection(0, 1)
+    assert cov.overlap_algebra(0, 1).dim == 1
+    assert (cov.chart_to_overlap(0, 1) @ cov.projection(0)).entries == joint.entries
+    assert (cov.chart_to_overlap(1, 0) @ cov.projection(1)).entries == joint.entries
     assert verify_covering(cov) == []
 
 

@@ -20,7 +20,6 @@ from nctangent.forms import (
     DerivationBasis,
     FormN,
     NotBracketClosed,
-    OneFormR,
     d_locality_check,
     differential_of,
     duality_rank,
@@ -30,7 +29,6 @@ from nctangent.forms import (
     glued_basis,
     kappa_basis,
     koszul_d,
-    omega_R1,
     restrict_form,
     wedge,
     wedge_compat_check,
@@ -331,55 +329,66 @@ def test_restrict_form_matches_projection():
             assert res.coefficient((mu,)) == tuple(want)
 
 
+def contract(rho, coefficients):
+    """Value of the one-form rho on the derivation sum_mu z_mu D_mu:
+    the sum of z_mu times rho on D_mu."""
+    A = rho.basis.algebra
+    out = zero_vec(A.dim)
+    for mu, z in enumerate(coefficients):
+        out = vec_add(out, A.multiply(z, rho.coefficient((mu,))))
+    return out
+
+
 def test_one_form_differential_coefficients():
     assign, basis = m2_basis()
     A = basis.algebra
     a = A.basis_vector(1)
-    rho = OneFormR.from_differential(basis, a)
+    rho = differential_of(basis, a)
+    assert rho.degree == 1
     for mu, D in enumerate(basis.operators):
-        assert rho.coefficients[mu] == tuple(D.apply(a))
-    X = LocalDerivation(assign, [A.unit, A.unit])
-    direct = vec_add(
-        basis.operators[0].apply(a), basis.operators[1].apply(a)
-    )
-    assert rho.evaluate(X) == tuple(direct)
-    assert rho.evaluate([A.unit, A.unit]) == tuple(direct)
+        assert rho.coefficient((mu,)) == tuple(D.apply(a))
+    # (da)(X) = X(a)
+    for coeffs in (
+        [A.unit, A.unit],
+        [vec_scale(sc(2), A.unit), vec_scale(sc(1, 1), A.unit)],
+    ):
+        X = LocalDerivation(assign, coeffs)
+        assert contract(rho, coeffs) == tuple(X.apply(a))
 
 
 def test_one_form_unit_differential_is_zero():
     _, basis = m2_basis()
-    assert OneFormR.from_differential(basis, basis.algebra.unit).is_zero()
+    A = basis.algebra
+    assert differential_of(basis, A.unit).is_zero()
+    assert differential_of(basis, vec_scale(sc(3, -2), A.unit)).is_zero()
+    assert not differential_of(basis, A.basis_vector(1)).is_zero()
 
 
 def test_one_form_module_actions():
     assign, basis = m2_basis()
     A = basis.algebra
     rng = random.Random(23)
-    rho = OneFormR(basis, [rand_vec(rng, A.dim) for _ in range(basis.rank)])
+    rho = rand_form(rng, basis, 1)
     a = rand_vec(rng, A.dim)
     zcoeffs = [vec_scale(sc(2), A.unit), vec_scale(sc(1, 1), A.unit)]
-    left = rho.left_mult(a)
-    right = rho.right_mult(a)
-    assert left.evaluate(zcoeffs) == A.multiply(a, rho.evaluate(zcoeffs))
-    assert right.evaluate(zcoeffs) == A.multiply(rho.evaluate(zcoeffs), a)
+    left = wedge(form0(basis, a), rho)
+    right = wedge(rho, form0(basis, a))
+    assert left.degree == right.degree == 1
+    assert contract(left, zcoeffs) == A.multiply(a, contract(rho, zcoeffs))
+    assert contract(right, zcoeffs) == A.multiply(contract(rho, zcoeffs), a)
 
 
 def test_omega_glue_and_recover_block():
     A, cov, P, assigns = block_setup()
     gbasis, locals_ = glued_basis(cov, P, assigns)
     rng = random.Random(29)
-    chart_forms = [
-        OneFormR(
-            locals_[alpha],
-            [rand_vec(rng, cov.chart(alpha).dim) for _ in range(2)],
-        )
-        for alpha in (0, 1)
-    ]
-    glued = omega_R1(cov, P, chart_forms, gbasis)
+    chart_forms = [rand_form(rng, locals_[alpha], 1) for alpha in (0, 1)]
+    glued = FormN.zero(gbasis, 1)
+    for alpha, rho in enumerate(chart_forms):
+        glued = glued + form_loc2glob(rho, cov, P, alpha, gbasis)
     for alpha in (0, 1):
-        for mu in range(2):
-            back = cov.projection(alpha).apply(glued.coefficients[mu])
-            assert tuple(back) == chart_forms[alpha].coefficients[mu]
+        back = restrict_form(glued, cov, alpha, locals_[alpha])
+        assert back == chart_forms[alpha]
 
 
 def test_duality_full_rank_canonical():

@@ -21,9 +21,10 @@ from nctangent.minkowski import (
     module_law_sides,
     monomials_up_to,
     pairing,
-    random_element,
 )
 from nctangent.scalars import ONE, Scalar, ZERO, sc
+
+from seeded import random_element
 
 
 def gen(d, kappa, mu):

@@ -18,19 +18,16 @@ from nctangent.partition import (
     functional,
     functional_module_check,
     functional_product_check,
-    multiplication_maps,
     overlap_covering,
-    partition_ok,
     product_partition,
-    random_rational_unitary,
     reconstruction_check,
-    seeded_partition,
-    subordination_ok,
     verify_adapted,
     verify_partition,
     verify_subordinate,
 )
 from nctangent.scalars import Matrix, Scalar, Subspace, sc, vec, zero_vec
+
+from seeded import multiplication_maps, random_rational_unitary, seeded_partition
 
 
 def diagonal_partition(n):
@@ -72,25 +69,25 @@ def block_covering():
 def test_diagonal_partition_passes():
     A, P = diagonal_partition(4)
     report = verify_partition(A, P)
-    assert partition_ok(report)
+    assert all(ok for _, ok, _ in report)
     assert [name for name, _, _ in report] == [
         "membership",
         "local-finiteness",
         "positivity-witness",
         "sum-law",
     ]
-    assert partition_ok(verify_partition(A, P, side="right"))
+    assert all(ok for _, ok, _ in verify_partition(A, P, side="right"))
 
 
 def test_unit_partition_passes():
     A = make_matrix_algebra(3)
     P = Partition.from_zetas(A, [A.unit])
-    assert partition_ok(verify_partition(A, P))
+    assert all(ok for _, ok, _ in verify_partition(A, P))
 
 
 def test_four_point_partition_passes():
     A, P = four_point_partition()
-    assert partition_ok(verify_partition(A, P))
+    assert all(ok for _, ok, _ in verify_partition(A, P))
     assert P.elements[0].chi == vec(1, 1, Fraction(9, 25), 0)
     assert P.elements[1].chi == vec(0, 0, Fraction(16, 25), 1)
 
@@ -108,7 +105,7 @@ def test_failing_sum_law_reported():
     A = make_matrix_algebra(2)
     P = Partition.from_zetas(A, [A.basis_vector(0)])  # E_11 alone
     report = verify_partition(A, P)
-    assert not partition_ok(report)
+    assert not all(ok for _, ok, _ in report)
     names = {name: ok for name, ok, _ in report}
     assert names["sum-law"] is False
     assert names["positivity-witness"] is True
@@ -145,10 +142,10 @@ def test_product_of_seeded_partitions():
     rng = random.Random(9)
     P = seeded_partition(A, rng, parts=2)
     Q = seeded_partition(A, rng, parts=3)
-    assert partition_ok(verify_partition(A, P))
-    assert partition_ok(verify_partition(A, Q))
+    assert all(ok for _, ok, _ in verify_partition(A, P))
+    assert all(ok for _, ok, _ in verify_partition(A, Q))
     R = product_partition(P, Q)
-    assert partition_ok(verify_partition(A, R))
+    assert all(ok for _, ok, _ in verify_partition(A, R))
 
 
 def test_random_rational_unitary_exact():
@@ -163,28 +160,28 @@ def test_seeded_partition_deterministic():
     P1 = seeded_partition(A, random.Random(12), parts=2)
     P2 = seeded_partition(A, random.Random(12), parts=2)
     assert [el.zeta for el in P1.elements] == [el.zeta for el in P2.elements]
-    assert partition_ok(verify_partition(A, P1))
+    assert all(ok for _, ok, _ in verify_partition(A, P1))
 
 
 def test_seeded_partition_function_model():
     A = make_function_algebra(5)
     P = seeded_partition(A, random.Random(2), parts=3)
-    assert partition_ok(verify_partition(A, P))
+    assert all(ok for _, ok, _ in verify_partition(A, P))
 
 
 def test_adapted_block_model_vacuous():
     A, cov, P = block_covering()
-    assert partition_ok(verify_partition(A, P))
+    assert all(ok for _, ok, _ in verify_partition(A, P))
     report = verify_adapted(P, cov)
-    assert subordination_ok(report)
-    assert subordination_ok(verify_subordinate(P, cov))
+    assert all(ok for _, ok, _, _ in report)
+    assert all(ok for _, ok, _, _ in verify_subordinate(P, cov))
 
 
 def test_adapted_four_point_literal_fails_closure_passes():
     A, P = four_point_partition()
     cov = four_point_covering(A)
     literal = verify_adapted(P, cov, variant="literal")
-    assert not subordination_ok(literal)
+    assert not all(ok for _, ok, _, _ in literal)
     # the overlap point is the blocker and the leaked mass is 9/25 or 16/25
     _, ok, _, witness = literal[0]
     assert ok is False
@@ -192,7 +189,7 @@ def test_adapted_four_point_literal_fails_closure_passes():
     leaked = witness[3]
     assert leaked in (sc(Fraction(9, 25)), sc(Fraction(16, 25)))
     closure = verify_adapted(P, cov, variant="closure")
-    assert subordination_ok(closure)
+    assert all(ok for _, ok, _, _ in closure)
 
 
 def test_adapted_disjoint_indicators_pass_literal():
@@ -201,8 +198,8 @@ def test_adapted_disjoint_indicators_pass_literal():
     i1 = ideal_from_declaration(A, {"type": "vanishing_on", "points": [1, 2]})
     i2 = ideal_from_declaration(A, {"type": "vanishing_on", "points": [3, 4]})
     cov = Covering(A, [i1, i2])
-    assert subordination_ok(verify_adapted(P, cov, variant="literal"))
-    assert subordination_ok(verify_adapted(P, cov, variant="closure"))
+    assert all(ok for _, ok, _, _ in verify_adapted(P, cov, variant="literal"))
+    assert all(ok for _, ok, _, _ in verify_adapted(P, cov, variant="closure"))
 
 
 def test_adapted_needs_matching_sizes():
@@ -211,7 +208,7 @@ def test_adapted_needs_matching_sizes():
     with pytest.raises(AlgebraError):
         verify_adapted(P, cov)
     # subordination tolerates any covering size
-    assert subordination_ok(verify_subordinate(P, cov))
+    assert all(ok for _, ok, _, _ in verify_subordinate(P, cov))
 
 
 def test_functional_block_model():

@@ -23,7 +23,7 @@ from nctangent.connection import (
     curvature_components,
     generator_derivation,
 )
-from nctangent.forms import FormN, OneFormR, kappa_basis
+from nctangent.forms import FormN, kappa_basis
 from nctangent.minkowski import PBWElement, PoincareGenerator, coproduct
 from nctangent.scalars import (
     I,
@@ -43,7 +43,7 @@ from nctangent.scalars import (
     vec_is_zero,
     vec_sub,
 )
-from nctangent.tangent import SmashAlgebra, canonical_inner_model, glue
+from nctangent.tangent import canonical_inner_model, glue
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -185,7 +185,6 @@ def immutable_instances():
         cov,
         basis,
         FormN.zero(basis, 1),
-        OneFormR.from_differential(basis, assign.algebra.unit),
         p0,
         coproduct(p0),
         PoincareGenerator("P0"),
@@ -194,8 +193,6 @@ def immutable_instances():
         assign,
         generator_derivation(assign, 0),
         glue(cov, P, [generator_derivation(a, 0) for a in scn.actions]),
-        SmashAlgebra(assign, 1).zero(),
-        SmashAlgebra(assign, 1),
     ]
     return {type(x).__name__: x for x in out}
 
@@ -203,9 +200,9 @@ def immutable_instances():
 IMMUTABLE_CLASSES = (
     "Matrix", "Subspace", "QuotientSpace", "StarAlgebra", "Character",
     "ConnectionCoefficients", "CurvatureTensor", "Covering", "DerivationBasis",
-    "FormN", "OneFormR", "PBWElement", "TensorElement", "PoincareGenerator",
+    "FormN", "PBWElement", "TensorElement", "PoincareGenerator",
     "PartitionElement", "Partition", "ActionAssignment", "LocalDerivation",
-    "GlobalDerivation", "SmashElement", "SmashAlgebra",
+    "GlobalDerivation",
 )
 
 

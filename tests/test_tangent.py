@@ -14,7 +14,6 @@ from nctangent.algebras import (
 )
 from nctangent import tangent
 from nctangent.covering import Covering, ideal_from_declaration
-from nctangent.minkowski import PBWElement
 from nctangent.partition import Partition
 from nctangent.scalars import (
     Matrix,
@@ -28,11 +27,9 @@ from nctangent.scalars import (
 )
 from nctangent.tangent import (
     ActionAssignment,
-    DegreeOverflow,
     GlobalDerivation,
     LocalDerivation,
     NonCentralCoefficient,
-    SmashAlgebra,
     bracket,
     canonical_generator_vectors,
     canonical_inner_model,
@@ -42,7 +39,6 @@ from nctangent.tangent import (
     project_global,
     restrict,
     verify_action,
-    zmodule_action,
 )
 
 
@@ -256,6 +252,37 @@ def test_glue_decompose_roundtrip():
         assert got == locs[alpha].coefficients
 
 
+def test_glue_commutes_with_central_scaling():
+    """c X is the glue of the chart derivations scaled by pi_alpha(c),
+    for c central."""
+    A, cov, P, assigns = block_setup()
+    locs = [
+        LocalDerivation(a, [a.algebra.unit, a.algebra.unit]) for a in assigns
+    ]
+    X = glue(cov, P, locs)
+
+    def scaled(c, alpha):
+        chart = cov.chart(alpha)
+        cc = cov.project(alpha, c)
+        return [chart.multiply(cc, z) for z in locs[alpha].coefficients]
+
+    c = vec_add(
+        vec_scale(Scalar(2), P.elements[0].chi),
+        vec_scale(Scalar(3), P.elements[1].chi),
+    )
+    Y = glue(
+        cov,
+        P,
+        [LocalDerivation(a, scaled(c, alpha)) for alpha, a in enumerate(assigns)],
+    )
+    assert Y.matrix.entries == (A.left_mult_matrix(c) @ X.matrix).entries
+    for alpha, factor in ((0, Scalar(2)), (1, Scalar(3))):
+        want = locs[alpha].as_matrix().scale(factor)
+        assert project_global(Y, alpha).entries == want.entries
+    with pytest.raises(NonCentralCoefficient):
+        LocalDerivation(assigns[0], scaled(A.basis_vector(1), 0))
+
+
 def test_glue_single_trivial_chart():
     from nctangent.scalars import Subspace
 
@@ -270,80 +297,6 @@ def test_glue_single_trivial_chart():
     )
     X = glue(cov, P, [LocalDerivation(chart_assign, [cov.chart(0).unit] * 2)])
     assert X.matrix.entries == loc.as_matrix().entries
-
-
-def test_zmodule_action():
-    A, cov, P, assigns = block_setup()
-    locs = [
-        LocalDerivation(a, [a.algebra.unit, a.algebra.unit]) for a in assigns
-    ]
-    X = glue(cov, P, locs)
-    cU = A.unit
-    assert zmodule_action(cU, X).matrix.entries == X.matrix.entries
-    blocks = vec_add(
-        vec_scale(Scalar(2), P.elements[0].chi),
-        vec_scale(Scalar(3), P.elements[1].chi),
-    )
-    Y_left = zmodule_action(blocks, X, side="left")
-    Y_right = zmodule_action(blocks, X, side="right")
-    assert Y_left.matrix.entries == Y_right.matrix.entries
-    for alpha, scale_by in ((0, Scalar(2)), (1, Scalar(3))):
-        want = locs[alpha].as_matrix().scale(scale_by)
-        assert project_global(Y_left, alpha).entries == want.entries
-    with pytest.raises(NonCentralCoefficient):
-        zmodule_action(A.basis_vector(1), X)
-
-
-def test_smash_embeds_and_counit_slice():
-    assign = canonical_inner_model(2, 1, 1)
-    A = assign.algebra
-    E = SmashAlgebra(assign, bound=3)
-    a = E.embed_algebra(A.basis_vector(1))
-    b = E.embed_algebra(A.basis_vector(2))
-    ab = E.embed_algebra(A.multiply(A.basis_vector(1), A.basis_vector(2)))
-    assert E.multiply(a, b) == ab
-
-
-def test_smash_primitive_cross_term():
-    from nctangent.tangent import SmashElement
-
-    assign = canonical_inner_model(2, 1, 1)
-    A = assign.algebra
-    E = SmashAlgebra(assign, bound=3)
-    p0 = E.embed_label(PBWElement.generator(1, 1, 0))
-    b = A.basis_vector(1)
-    eb = E.embed_algebra(b)
-    got = E.multiply(p0, eb)
-    # (1 # p0)(b # 1) = (D_0 b) # 1 + b # p0
-    acted = E.embed_algebra(assign.operators[0].apply(b))
-    carried = SmashElement(
-        E, {(i, ((0,), 1)): c for (i, _k), c in eb.terms.items()}
-    )
-    assert got == acted + carried
-
-
-def test_smash_associative_with_action():
-    assign = canonical_inner_model(2, 1, 1)
-    A = assign.algebra
-    E = SmashAlgebra(assign, bound=4)
-    p0 = E.embed_label(PBWElement.generator(1, 1, 0))
-    p1 = E.embed_label(PBWElement.generator(1, 1, 1))
-    a = E.embed_algebra(A.basis_vector(1))
-    lhs = E.multiply(E.multiply(p0, p1), a)
-    rhs = E.multiply(p0, E.multiply(p1, a))
-    assert lhs == rhs
-    mixed = E.multiply(a, E.multiply(p0, p0))
-    assert E.multiply(E.multiply(a, p0), p0) == mixed
-
-
-def test_smash_degree_overflow():
-    assign = canonical_inner_model(2, 1, 1)
-    E = SmashAlgebra(assign, bound=1)
-    p0 = E.embed_label(PBWElement.generator(1, 1, 0))
-    with pytest.raises(DegreeOverflow):
-        E.multiply(p0, p0)
-    with pytest.raises(DegreeOverflow):
-        E.embed_label(PBWElement.monomial(1, 1, (1,), 1))
 
 
 def test_glue_rejects_wrong_chart():
