@@ -156,7 +156,8 @@ def _block_sizes(model):
             return [("point", 1)] * model[1]
         if model[0] == "sum":
             return _block_sizes(model[1].model) + _block_sizes(model[2].model)
-    raise AlgebraError("no seeded partition recipe for model %r" % (model,))
+    kind = model[0] if isinstance(model, tuple) else model
+    raise AlgebraError("model %r is not built from matrix or function blocks" % (kind,))
 
 
 def _block_zetas(A):

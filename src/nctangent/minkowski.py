@@ -18,7 +18,8 @@ coproduct of a monomial is computed in closed form by the binomial
 formula for primitive elements; the multiplicative route (one generator
 at a time through `TensorElement.multiply`) is kept in the tests as its
 oracle.  `hopf_axiom_check` builds each monomial, its coproduct and its
-antipode once per call.
+antipode once per call, and normal-orders each monomial product that its
+antipode slots need once per call.
 
 kappa and the monomial keys are validated by the public constructors
 only; internal results are built by `_Combination._trusted`.
@@ -410,15 +411,25 @@ def hopf_axiom_check(d, kappa, max_degree):
     every identity holds on all monomials up to the degree bound.  Every
     tensor factor of a swept coproduct is itself a swept monomial, so
     each monomial's element, coproduct and antipode are built once per
-    call and kept in local dicts.
+    call and kept in local dicts.  The antipode slots expand each sum
+    over the terms of those antipodes, and each monomial product a * b
+    they need is normal-ordered once per call, at this call's i/kappa.
     """
     failures = []
     kappa = _kappa_of(kappa)
+    ik = _i_over(kappa)
     keys = monomials_up_to(d, max_degree)
     element = {key: PBWElement.monomial(d, kappa, key[0], key[1]) for key in keys}
     delta = {key: coproduct(f) for key, f in element.items()}
     anti = {key: antipode(f) for key, f in element.items()}
     one = PBWElement.one(d, kappa)
+    products = {}
+
+    def star(a, b):
+        if (a, b) not in products:
+            products[a, b] = _star_monomials(a, b, ik)
+        return products[a, b]
+
     for key in keys:
         f = element[key]
         terms = delta[key].terms
@@ -440,10 +451,11 @@ def hopf_axiom_check(d, kappa, max_degree):
             total = {}
             for (k1, k2), c in terms.items():
                 if slot == 1:
-                    term = anti[k1].star(element[k2])
+                    for a, e in anti[k1].terms.items():
+                        _add_into(total, star(a, k2), c * e)
                 else:
-                    term = element[k1].star(anti[k2])
-                _add_into(total, term.terms, c)
+                    for b, e in anti[k2].terms.items():
+                        _add_into(total, star(k1, b), c * e)
             if _nonzero(total) != target:
                 failures.append(("antipode slot %d" % slot, key))
     return failures

@@ -9,8 +9,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctangent import cli
+from nctangent import cli, minkowski
+from nctangent.algebras import make_function_algebra, quotient_algebra
 from nctangent.cli import main
+from nctangent.covering import ideal_from_declaration
+
+from test_minkowski import unordered_antipode
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -39,6 +43,22 @@ def test_hopf_check_passes():
         "hopf:commutators": "pass",
         "hopf:counit": "pass",
     }
+
+
+def test_hopf_check_reports_an_antipode_without_reordering(monkeypatch):
+    monkeypatch.setattr(minkowski, "antipode", unordered_antipode)
+    result = run("hopf-check", "--scenario", str(SCENARIOS / "hopf_d3.json"))
+    assert result.exit_code == 1
+    checks = {c["id"]: c for c in report_of(result)["checks"]}
+    assert {name: c["status"] for name, c in checks.items()} == {
+        "hopf:antipode": "fail",
+        "hopf:coassociativity": "pass",
+        "hopf:commutators": "pass",
+        "hopf:counit": "pass",
+    }
+    # p3 p0 is the first swept monomial whose reversed word p0 p3 needs
+    # reordering: slot 1 sums to -(i/kappa) p3 instead of 0
+    assert checks["hopf:antipode"]["witness"] == ["antipode slot 1", "((0, 0, 1), 1)"]
 
 
 def test_partition_check_matrix_diagonal():
@@ -581,6 +601,20 @@ def test_partition_size_must_match_covering_size(tmp_path):
         assert "partition has %d elements but the covering has 2 charts" % count in (
             result.output
         )
+
+
+def test_block_partition_of_a_quotient_names_what_is_missing():
+    # scenarios build only matrix, moyal, function and sum models, so this
+    # message is reached only from the library
+    A = make_function_algebra(3)
+    Q, _, _ = quotient_algebra(
+        A, ideal_from_declaration(A, {"type": "vanishing_on", "points": [1]})
+    )
+    with pytest.raises(cli.ScenarioError) as err:
+        cli._block_zetas(Q)
+    assert str(err.value) == (
+        "block partition: model 'quotient' is not built from matrix or function blocks"
+    )
 
 
 # same-type mutations: each keeps the JSON type of what it replaces but

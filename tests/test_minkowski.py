@@ -331,6 +331,127 @@ def test_sweep_keeps_no_state_between_calls(monkeypatch):
     assert hopf_axiom_check(2, Fraction(2, 3), 3) == first
 
 
+def unordered_antipode(f):
+    # the mutation of test_sweep_catches_antipode_without_reordering
+    return PBWElement(
+        f.d,
+        f.kappa,
+        {k: (-c if (k[1] + sum(k[0])) % 2 else c) for k, c in f.terms.items()},
+    )
+
+
+def stepwise_antipode_slots(d, kappa, max_degree):
+    """The antipode slots summed with one `PBWElement.star` per coproduct
+    term, as the sweep did before it kept its monomial products.
+
+    Returns the per-key [slot 1, slot 2] totals and the failures.
+    """
+    keys = monomials_up_to(d, max_degree)
+    element = {key: mono(d, kappa, *key) for key in keys}
+    anti = {key: minkowski.antipode(f) for key, f in element.items()}
+    totals = {}
+    failures = []
+    for key in keys:
+        target = PBWElement.one(d, kappa).scale(counit(element[key]))
+        totals[key] = []
+        for slot in (1, 2):
+            total = PBWElement.zero(d, kappa)
+            for (k1, k2), c in coproduct(element[key]).terms.items():
+                if slot == 1:
+                    term = anti[k1].star(element[k2])
+                else:
+                    term = element[k1].star(anti[k2])
+                total = total + term.scale(c)
+            totals[key].append(total.terms)
+            if total != target:
+                failures.append(("antipode slot %d" % slot, key))
+    return totals, failures
+
+
+def swept_antipode_slots(monkeypatch, d, kappa, max_degree):
+    """Run the sweep and read back its per-key [slot 1, slot 2] totals.
+
+    For each key in order the sweep takes `_nonzero` of the two
+    coassociativity sides, then of the slot 1 and slot 2 totals.
+    """
+    real = minkowski._nonzero
+    seen = []
+
+    def recording(terms):
+        seen.append(real(terms))
+        return seen[-1]
+
+    monkeypatch.setattr(minkowski, "_nonzero", recording)
+    failures = hopf_axiom_check(d, kappa, max_degree)
+    monkeypatch.setattr(minkowski, "_nonzero", real)
+    keys = monomials_up_to(d, max_degree)
+    assert len(seen) == 4 * len(keys)
+    totals = {key: seen[4 * i + 2 : 4 * i + 4] for i, key in enumerate(keys)}
+    return totals, failures
+
+
+ORACLE_KAPPAS = (1, Fraction(1, 3), Fraction(3, 4), Fraction(5, 2))
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["antipode", "unordered"])
+@pytest.mark.parametrize("d, degree", [(1, 4), (2, 3), (3, 3), (1, 5)])
+def test_sweep_slots_match_the_stepwise_star_route(monkeypatch, d, degree, mutated):
+    if mutated:
+        monkeypatch.setattr(minkowski, "antipode", unordered_antipode)
+    for kappa in ORACLE_KAPPAS:
+        want_totals, want_failures = stepwise_antipode_slots(d, kappa, degree)
+        got_totals, got_failures = swept_antipode_slots(monkeypatch, d, kappa, degree)
+        assert got_totals == want_totals, kappa
+        # with the true coproduct only the antipode slots can fail
+        assert got_failures == want_failures, kappa
+        assert bool(got_failures) == mutated, kappa
+
+
+def slot_products(d, kappa, max_degree):
+    """Every monomial product a * b the two antipode slots need, once
+    per coproduct term and antipode term, repeats included."""
+    pairs = []
+    for key in monomials_up_to(d, max_degree):
+        for k1, k2 in coproduct(mono(d, kappa, *key)).terms:
+            pairs += [(a, k2) for a in antipode(mono(d, kappa, *k1)).terms]
+            pairs += [(k1, b) for b in antipode(mono(d, kappa, *k2)).terms]
+    return pairs
+
+
+def test_sweep_normal_orders_each_slot_product_once_per_call(monkeypatch):
+    kappas = (Fraction(2, 3), Fraction(5, 2), Fraction(2, 3))
+    needed = {kappa: slot_products(2, kappa, 3) for kappa in kappas}
+    real_star = minkowski._star_monomials
+    real_antipode = minkowski.antipode
+    inside_antipode = []
+    made = []
+
+    def antipode_spy(f):
+        inside_antipode.append(f)
+        try:
+            return real_antipode(f)
+        finally:
+            inside_antipode.pop()
+
+    def star_spy(k1, k2, ik):
+        if not inside_antipode:
+            made.append((k1, k2, ik))
+        return real_star(k1, k2, ik)
+
+    monkeypatch.setattr(minkowski, "antipode", antipode_spy)
+    monkeypatch.setattr(minkowski, "_star_monomials", star_spy)
+    for kappa in kappas:
+        need = needed[kappa]
+        # the slots repeat products, so computing each once saves work
+        assert len(need) > 2 * len(set(need))
+        mark = len(made)
+        assert hopf_axiom_check(2, kappa, 3) == []
+        # every product is made again in each call, once, at its own
+        # i/kappa: none is served from another call or another kappa
+        assert Counter((a, b) for a, b, _ in made[mark:]) == Counter(set(need))
+        assert {ik for _, _, ik in made[mark:]} == {Scalar(0, 1 / kappa)}
+
+
 def test_epsilon3():
     assert epsilon3(1, 2, 3) == 1
     assert epsilon3(2, 1, 3) == -1
