@@ -101,14 +101,22 @@ class StarAlgebra(Immutable):
         `table[i][j]` is the coordinate vector of basis_i . basis_j.  No
         code in this package reads it; the benchmark's density probe and
         the tests do."""
-        out = []
-        for row in self.terms:
-            cells = [[ZERO] * self.dim for _ in range(self.dim)]
-            for j, cell in row:
-                for m, c in cell:
-                    cells[j][m] = cells[j][m] + c
-            out.append(tuple(map(tuple, cells)))
-        return tuple(out)
+        zero = zero_vec(self.dim)
+        return tuple(
+            tuple(products.get(j, zero) for j in range(self.dim))
+            for products in map(self.basis_products, range(self.dim))
+        )
+
+    def basis_products(self, i):
+        """{j: coordinate vector of basis_i . basis_j} for the nonzero
+        products, read from `terms[i]`."""
+        out = {}
+        for j, cell in self.terms[i]:
+            product = [ZERO] * self.dim
+            for m, c in cell:
+                product[m] = product[m] + c
+            out[j] = tuple(product)
+        return out
 
     def __repr__(self):
         return "StarAlgebra(dim %d, model %r)" % (self.dim, self.model)
@@ -305,29 +313,32 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
 
     Structure constants are transported through the section; the result
     is independent of the section because the subspace is an ideal.  The
-    model tag ("quotient", A, ideal, section) keeps what `characters`
-    needs to pull the parent's characters back.
+    section lifts quotient basis element i to the parent basis element
+    c_i (the complement indices), so the product of two lifts is one of
+    the parent's nonzero basis products or zero, and the involute of a
+    lift is a column of the parent's involution.  The model tag
+    ("quotient", A, ideal, section) keeps what `characters` needs to
+    pull the parent's characters back.
     """
     Q = QuotientSpace(A.dim, ideal_subspace)
     qdim = Q.dim
     labels = ["%s%d" % (labels_prefix, i) for i in range(qdim)]
-    lifted = [Q.lift(unit_vec(qdim, i)) for i in range(qdim)]
-    # the constructor drops the zero coordinates and zero products
+    kept = Q.complement_indices
+    position = {c: i for i, c in enumerate(kept)}
+    # the constructor drops zero coordinates and products
     terms = [
         tuple(
-            (j, tuple(enumerate(Q.project(A.multiply(lifted[i], lifted[j])))))
-            for j in range(qdim)
+            (position[j], tuple(enumerate(Q.project(product))))
+            for j, product in A.basis_products(c).items()
+            if j in position
         )
-        for i in range(qdim)
+        for c in kept
     ]
-    invol_cols = []
-    for i in range(qdim):
-        w = A.involute(lifted[i])
-        invol_cols.append(Q.project(w))
-    # the coordinate involution must see through the conjugation done on
-    # quotient coordinates: project o invol o lift is antilinear, so its
-    # matrix part is (project o invol o lift) composed with conjugation
-    invol = Matrix.from_columns(invol_cols, rows=qdim)
+    # project o invol o lift is antilinear; on the lift of a basis
+    # element, which is real, it is the projected involution column
+    invol = Matrix.from_columns(
+        [Q.project(A.involution.column(c)) for c in kept], rows=qdim
+    )
     unit = Q.project(A.unit) if A.unit is not None else None
     alg = StarAlgebra(
         labels, terms, invol, unit, model=("quotient", A, ideal_subspace, Q.section)

@@ -16,7 +16,14 @@ from nctangent.algebras import (
     quotient_algebra,
     two_sided_ideal_closure,
 )
-from nctangent.scalars import Immutable, Matrix, QuotientSpace, Subspace
+from nctangent.scalars import (
+    ZERO,
+    Immutable,
+    Matrix,
+    QuotientSpace,
+    Subspace,
+    zero_vec,
+)
 
 
 class NotAnIdeal(AlgebraError):
@@ -35,27 +42,45 @@ class IntersectionNonzero(AlgebraError):
         self.witness = witness
 
 
+def _products_with_basis(n, v, cells):
+    """The sum of v_j * cell_j over the `(j, cell)` entries of `cells`,
+    as a vector of length n: e_i . v when `cells` is row i of `terms`,
+    v . e_i when it is column i.  None when no cell meets a nonzero
+    coordinate of v, so that the product is zero."""
+    out = None
+    for j, cell in cells:
+        x = v[j]
+        if x:
+            if out is None:
+                out = [ZERO] * n
+            for m, c in cell:
+                out[m] = out[m] + x * c
+    return None if out is None else tuple(out)
+
+
 def verify_ideal(algebra, subspace):
-    """Raise NotAnIdeal unless the subspace is a two-sided *-ideal."""
+    """Raise NotAnIdeal unless the subspace is a two-sided *-ideal.
+
+    For each basis vector v of the subspace and each i, e_i . v and then
+    v . e_i are read from the structure constants (row i of `terms` and
+    its column i); a zero product is in the subspace without a test.
+    """
     if subspace.ambient_dim != algebra.dim:
         raise NotAnIdeal("subspace lives in the wrong dimension")
+    n = algebra.dim
+    columns = [[] for _ in range(n)]
+    for j, row in enumerate(algebra.terms):
+        for i, cell in row:
+            columns[i].append((j, cell))
     for v in subspace.basis:
-        for i in range(algebra.dim):
-            e = algebra.basis_vector(i)
-            left = algebra.multiply(e, v)
-            if not subspace.contains(left):
-                raise NotAnIdeal(
-                    "not closed under left multiplication by %s"
-                    % algebra.labels[i],
-                    witness=("left", algebra.labels[i], left),
-                )
-            right = algebra.multiply(v, e)
-            if not subspace.contains(right):
-                raise NotAnIdeal(
-                    "not closed under right multiplication by %s"
-                    % algebra.labels[i],
-                    witness=("right", algebra.labels[i], right),
-                )
+        for i, label in enumerate(algebra.labels):
+            for side, cells in (("left", algebra.terms[i]), ("right", columns[i])):
+                product = _products_with_basis(n, v, cells)
+                if product is not None and not subspace.contains(product):
+                    raise NotAnIdeal(
+                        "not closed under %s multiplication by %s" % (side, label),
+                        witness=(side, label, product),
+                    )
         star = algebra.involute(v)
         if not subspace.contains(star):
             raise NotAnIdeal(
@@ -182,8 +207,14 @@ class Covering(Immutable):
 
     def chart_to_overlap(self, alpha, beta):
         """Matrix of the restriction map from chart alpha to the
-        (alpha, beta) overlap."""
-        return self.overlap_projection(alpha, beta) @ self.section(alpha)
+        (alpha, beta) overlap: the overlap projection applied to each
+        column of the section, which for the deterministic section is
+        the projection's column at a complement index."""
+        P = self.overlap_projection(alpha, beta)
+        S = self.section(alpha)
+        return Matrix.from_columns(
+            [P.apply(S.column(k)) for k in range(S.cols)], rows=P.rows
+        )
 
 
 def verify_covering(cov):
@@ -192,23 +223,34 @@ def verify_covering(cov):
     Laws: each projection is a unital *-homomorphism onto its chart, the
     stacked projections are jointly injective, and for every pair both
     chart-to-overlap composites equal the joint projection.
+
+    The base algebra's side of each law is read once for all charts:
+    the involute of e_i is column i of the involution, and e_i e_j comes
+    from the structure constants, absent when the product is zero.  The
+    image of e_i is column i of the projection, and the chart multiplies
+    two images only when both are nonzero.
     """
     failures = []
     A = cov.algebra
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    # the base algebra's side of each law is the same for every chart
-    involutes = [A.involute(ei) for ei in basis]
-    products = [[A.multiply(ei, ej) for ej in basis] for ei in basis]
+    n = A.dim
+    involutes = [A.involution.column(i) for i in range(n)]
+    products = [A.basis_products(i) for i in range(n)]
     for alpha in range(cov.size):
         chart = cov.chart(alpha)
         pi = cov.projection(alpha)
-        images = [pi.apply(ei) for ei in basis]
-        for i in range(A.dim):
+        zero = zero_vec(chart.dim)
+        images = [pi.column(i) for i in range(n)]
+        nonzero = [any(image) for image in images]
+        for i in range(n):
             if chart.involute(images[i]) != pi.apply(involutes[i]):
                 failures.append(("star-compatibility", (alpha, A.labels[i])))
-            for j in range(A.dim):
-                lhs = pi.apply(products[i][j])
-                rhs = chart.multiply(images[i], images[j])
+            for j in range(n):
+                product = products[i].get(j)
+                lhs = zero if product is None else pi.apply(product)
+                if nonzero[i] and nonzero[j]:
+                    rhs = chart.multiply(images[i], images[j])
+                else:
+                    rhs = zero
                 if lhs != rhs:
                     failures.append(
                         ("homomorphism", (alpha, A.labels[i], A.labels[j]))

@@ -17,7 +17,7 @@ structure constants, which the basis constructor verifies once.
 from itertools import combinations
 
 from nctangent.algebras import AlgebraError, center
-from nctangent.partition import functional
+from nctangent.partition import functional, verify_functional_defined
 from nctangent.scalars import (
     Immutable,
     Matrix,
@@ -333,7 +333,7 @@ def form_glob2loc(rho, cov, P, alpha, local_basis):
     to every coefficient.  The partition functional must be well defined
     on the chart, matching the hypothesis under which the localization
     is multilinear."""
-    functional(P, cov, alpha)
+    verify_functional_defined(P, cov, alpha)
     return restrict_form(rho, cov, alpha, local_basis)
 
 

@@ -222,18 +222,31 @@ def _subordination_report(P, cov, variant, adapted):
     return report
 
 
-def functional(P, cov, alpha):
-    """Matrix of the map chart_alpha -> A induced by left multiplication
-    with chi_alpha; raises IllDefined when chi_alpha does not kill the
-    chart ideal."""
+def verify_functional_defined(P, cov, alpha):
+    """Raise IllDefined unless chi_alpha kills the chart ideal, the
+    condition under which the functional of chart alpha is well
+    defined."""
     A = cov.algebra
-    el = P.elements[alpha]
+    chi = P.elements[alpha].chi
     for x in cov.ideals[alpha].basis:
-        if not vec_is_zero(A.multiply(el.chi, x)):
+        if not vec_is_zero(A.multiply(chi, x)):
             raise IllDefined(
                 "chi does not kill the chart ideal", witness=(alpha, x)
             )
-    return A.left_mult_matrix(el.chi) @ cov.section(alpha)
+
+
+def functional(P, cov, alpha):
+    """Matrix of the map chart_alpha -> A induced by left multiplication
+    with chi_alpha; raises IllDefined when chi_alpha does not kill the
+    chart ideal.  Column k is chi_alpha times column k of the section,
+    the lift of the chart's basis element k."""
+    verify_functional_defined(P, cov, alpha)
+    A = cov.algebra
+    chi = P.elements[alpha].chi
+    sigma = cov.section(alpha)
+    return Matrix.from_columns(
+        [A.multiply(chi, sigma.column(k)) for k in range(sigma.cols)], rows=A.dim
+    )
 
 
 def functional_module_check(P, cov, alpha):

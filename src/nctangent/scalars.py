@@ -321,11 +321,11 @@ class Matrix(Immutable):
     """Dense matrix of Scalar entries; shape-checked exact arithmetic.
 
     `Matrix(...)` promotes every entry to a Scalar.  Arithmetic,
-    `transpose`, `identity` and `zero` build their results through
-    `_of`, which takes rows of Scalars as they are.  `apply` reads the
-    nonzero `(row, entry)` pairs of each column, kept in the `_columns`
-    slot from the first call on.  Equality and the hash use `entries`
-    only.
+    `transpose`, `identity`, `zero` and `from_columns` on Scalar columns
+    build their results through `_of`, which takes rows of Scalars as
+    they are.  `apply` reads the nonzero `(row, entry)` pairs of each
+    column, kept in the `_columns` slot from the first call on.
+    Equality and the hash use `entries` only.
     """
 
     __slots__ = ("rows", "cols", "entries", "_columns")
@@ -370,12 +370,22 @@ class Matrix(Immutable):
 
     @classmethod
     def from_columns(cls, columns, rows=None):
+        """The matrix with these columns.  `rows`, when given, must be
+        the columns' length; it is needed only for an empty list.
+        Columns of Scalars are taken as they are, others promoted."""
         if not columns:
             if rows is None:
                 raise ValueError("empty column list needs an explicit row count")
             return cls.zero(rows, 0)
         n = len(columns[0])
-        return cls([[columns[j][i] for j in range(len(columns))] for i in range(n)])
+        if rows is not None and rows != n:
+            raise ValueError("explicit row count contradicts the columns")
+        if any(len(col) != n for col in columns):
+            raise ValueError("ragged columns")
+        entries = tuple(zip(*columns))
+        if all(isinstance(e, Scalar) for col in columns for e in col):
+            return cls._of(entries, len(columns))
+        return cls(entries, cols=len(columns))
 
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -671,7 +681,7 @@ class QuotientSpace(Immutable):
                 a = row[n - 1 - c]
                 if a:
                     rows[i][r] = -a
-        projection = Matrix(rows, cols=n)
+        projection = Matrix._of(tuple(map(tuple, rows)), n)
         section = Matrix.from_columns([unit_vec(n, c) for c in chosen], rows=n)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "subspace", subspace)

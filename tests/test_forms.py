@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from nctangent import forms
 from nctangent.algebras import (
     AlgebraError,
     StarAlgebra,
@@ -33,7 +34,7 @@ from nctangent.forms import (
     wedge,
     wedge_compat_check,
 )
-from nctangent.partition import Partition
+from nctangent.partition import IllDefined, Partition, functional
 from nctangent.scalars import (
     ONE,
     Matrix,
@@ -278,6 +279,25 @@ def test_glob2loc_extracts_block():
         for mu in range(2):
             want = cov.projection(alpha).apply(rho.coefficient((mu,)))
             assert loc.coefficient((mu,)) == tuple(want)
+
+
+def test_glob2loc_checks_the_functional_without_building_it(monkeypatch):
+    A, cov, P, assigns = block_setup()
+    gbasis, locals_ = glued_basis(cov, P, assigns)
+    rho = rand_form(random.Random(7), gbasis, 1)
+    swapped = Partition(A, P.elements[::-1])
+    witnesses = []
+    for alpha in (0, 1):
+        with pytest.raises(IllDefined) as err:
+            functional(swapped, cov, alpha)
+        witnesses.append(err.value.witness)
+    monkeypatch.setattr(forms, "functional", lambda *args: pytest.fail("matrix built"))
+    for alpha in (0, 1):
+        assert form_glob2loc(rho, cov, P, alpha, locals_[alpha]).degree == 1
+        # a chart whose chi does not kill its ideal raises as `functional` does
+        with pytest.raises(IllDefined) as err:
+            form_glob2loc(rho, cov, swapped, alpha, locals_[alpha])
+        assert err.value.witness == witnesses[alpha]
 
 
 def test_loc2glob_roundtrip_block():

@@ -715,3 +715,37 @@ def test_identity_and_zero_match_the_promoting_constructor(rows, cols):
     )
     with pytest.raises(ValueError, match="shape mismatch in addition"):
         Matrix.zero(rows, cols) - Matrix.zero(rows + 1, cols)
+
+
+@given(matrix_pair())
+@settings(max_examples=100, deadline=None)
+def test_from_columns_matches_the_promoting_constructor(case):
+    M = case[0]
+    columns = [M.column(j) for j in range(M.cols)]
+    built = Matrix.from_columns(columns, rows=M.rows)
+    assert_built_like_the_promoting_route(built, M.entries, M.cols)
+    # Scalar columns are taken as they are, not promoted again
+    assert all(a is b for r, s in zip(built.entries, M.entries) for a, b in zip(r, s))
+
+
+def test_from_columns_promotes_ints_strings_and_fractions():
+    columns = [(1, "1/2", sc(0, 1)), (Fraction(-3, 4), 0, "2")]
+    M = Matrix.from_columns(columns, rows=3)
+    assert_built_like_the_promoting_route(
+        M, [[1, Fraction(-3, 4)], ["1/2", 0], [I, 2]], 2
+    )
+
+
+@pytest.mark.parametrize("columns, rows", [([(1, 2)], 3), ([(1, 2)], 1), ([(), ()], 1)])
+def test_from_columns_rejects_a_row_count_the_columns_contradict(columns, rows):
+    with pytest.raises(ValueError, match="explicit row count contradicts the columns"):
+        Matrix.from_columns(columns, rows=rows)
+
+
+def test_from_columns_keeps_the_shape_of_empty_columns():
+    M = Matrix.from_columns([(), (), ()], rows=0)
+    assert (M.rows, M.cols, M.entries) == (0, 3, ())
+    empty = Matrix.from_columns([], rows=2)
+    assert (empty.rows, empty.cols) == (2, 0)
+    with pytest.raises(ValueError, match="ragged columns"):
+        Matrix.from_columns([(ONE, ZERO), (ONE,)])
