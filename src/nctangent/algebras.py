@@ -7,24 +7,17 @@ algebras, pointwise-function algebras, a truncated oscillator-basis
 surrogate for a deformed plane, direct sums and quotients.  On top of
 that sit centers, derivation spaces and characters.
 
-Characters are enumerated model-aware where a closed description exists.
-A quotient A/I whose parent A is commutative by construction, or has no
-characters by construction, takes them from A: its characters are those
-of A that vanish on I, pulled back through the section.  Any other
-algebra takes a generic path that abelianizes it (characters kill every
-commutator) and splits the dual of the quotient into common eigenspaces
-of the multiplication operators.  Eigenvalues are extracted exactly from
-minimal polynomials by the rational root theorem over the Gaussian
-integers; an algebra whose characters would need values outside Q(i)
-raises rather than returning a partial list.
+Characters are read from the model tag that every constructor sets.  The
+matrix, Moyal, function and sum models have closed descriptions.  A
+quotient A/I takes its characters from A, at any depth and for any
+parent: they are the characters of A that vanish on I, pulled back
+through the section.  An algebra without a model tag has no character
+route and raises.
 """
 
 from __future__ import annotations
 
-from math import isqrt, lcm
-
 from nctangent.scalars import (
-    I,
     Immutable,
     Matrix,
     ONE,
@@ -33,24 +26,15 @@ from nctangent.scalars import (
     Subspace,
     ZERO,
     nullspace,
-    solve_linear,
     unit_vec,
     vec_add,
     vec_conj,
-    vec_is_zero,
-    vec_scale,
     zero_vec,
 )
-
-CHARACTER_DIM_BOUND = 64
 
 
 class AlgebraError(ValueError):
     pass
-
-
-class UnsupportedCharacters(AlgebraError):
-    """Raised when the complete character list cannot be produced exactly."""
 
 
 class StarAlgebra(Immutable):
@@ -472,47 +456,19 @@ class Character(Immutable):
         return "Character(%s)" % self.label
 
 
-def is_character(A, coords):
-    phi = Character(coords, "?")
-    if all(not c for c in coords):
-        return False
-    values = phi.coords
-    for x, row in zip(values, A.terms):
-        # phi(b_i b_j) - phi(b_i) phi(b_j) for every j; zero cells add nothing
-        defect = [-(x * y) for y in values]
-        for j, cell in row:
-            for m, c in cell:
-                defect[j] = defect[j] + values[m] * c
-        if any(defect):
-            return False
-    if A.unit is not None and phi(A.unit) != ONE:
-        return False
-    return True
-
-
 def characters(A):
-    """Complete character list.
+    """Complete character list, read from the model tag.
 
-    Model-aware where possible (matrix, Moyal, function and sum models).
-    A quotient B = A/I takes the parent route when A is commutative by
-    construction (a function model, or a quotient of one at any depth)
-    or has no characters by construction (M_n or Moyal with n >= 2, or a
-    sum of such).  A character of B is a character of A that vanishes on
-    I, so the route keeps those of `characters(A)` and pulls each back
-    through the section, phi_B(b) = phi_A(section b).  It lists them as
-    the generic path would: a commutative B is its own commutative
-    quotient, so the generic values are B's own coordinates, sorted and
-    labelled phi_0, phi_1, ...; a character-free A gives [].
-
-    Every other algebra takes the generic path, which proves emptiness
-    through the abelianization, or enumerates exactly: the values come
-    from the common eigenvalues of the multiplication operators of the
-    commutative quotient, found as roots over Q(i) of their minimal
-    polynomials by `_linear_roots`.  Raises UnsupportedCharacters when a
-    character value would lie outside Q(i), or when the generic path
-    meets a dimension above CHARACTER_DIM_BOUND.  The bound guards the
-    cost of the eigen-split only: the model-aware and parent routes
-    enumerate at any dimension.
+    M_n and Moyal truncations with n >= 2 have none, M_1 has one, a
+    function model has its point evaluations, and a sum lists those of
+    its left block and then those of its right one.  A quotient B = A/I
+    takes its characters from its parent: a character of B is a
+    character of A that vanishes on I (Calow-Matthes), so the route keeps
+    those of `characters(A)` and pulls each back through the section,
+    phi_B(b) = phi_A(section b).  They are sorted by their values on B's
+    basis and labelled phi_0, phi_1, ....  Every route enumerates at any
+    dimension.  An algebra without a model tag has no route and raises
+    AlgebraError; `verify` never builds one.
     """
     model = A.model[0] if A.model else None
     if model in ("matrix", "moyal"):
@@ -538,71 +494,16 @@ def characters(A):
         return out
     if model == "quotient":
         _, parent, ideal, section = A.model
-        if _commutative_model(parent) or _characterless_model(parent):
-            values = sorted(
-                (
-                    tuple(phi(section.column(j)) for j in range(A.dim))
-                    for phi in characters(parent)
-                    if not any(phi(v) for v in ideal.basis)
-                ),
-                key=_tuple_sort_key,
-            )
-            return [Character(coords, "phi_%d" % k) for k, coords in enumerate(values)]
-    return _generic_characters(A)
-
-
-def _commutative_model(A):
-    """A function model, or a quotient of one at any depth."""
-    model = A.model[0] if A.model else None
-    if model == "quotient":
-        return _commutative_model(A.model[1])
-    return model == "function"
-
-
-def _characterless_model(A):
-    """M_n or Moyal with n >= 2, or a sum of such: no characters."""
-    model = A.model[0] if A.model else None
-    if model in ("matrix", "moyal"):
-        return A.model[1] >= 2
-    if model == "sum":
-        return _characterless_model(A.model[1]) and _characterless_model(A.model[2])
-    return False
-
-
-def _generic_characters(A):
-    if A.dim > CHARACTER_DIM_BOUND:
-        raise UnsupportedCharacters(
-            "generic character enumeration limited to dimension %d" % CHARACTER_DIM_BOUND
+        values = sorted(
+            (
+                tuple(phi(section.column(j)) for j in range(A.dim))
+                for phi in characters(parent)
+                if not any(phi(v) for v in ideal.basis)
+            ),
+            key=_tuple_sort_key,
         )
-    if A.dim == 0:
-        return []
-    # characters kill every commutator, hence the two-sided ideal they
-    # generate; quotient by it and work in the commutative remainder
-    comms = []
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            c = A.commutator(unit_vec(A.dim, i), unit_vec(A.dim, j))
-            if not vec_is_zero(c):
-                comms.append(c)
-    C = two_sided_ideal_closure(A, comms)
-    if C.dim == A.dim:
-        return []
-    B, proj, _sect = quotient_algebra(A, C)
-    tuples = _split_common_eigenvalues(B)
-    out = []
-    seen = set()
-    for k, values in enumerate(sorted(tuples, key=_tuple_sort_key)):
-        if not is_character(B, values):
-            continue
-        # pull back along the projection: phi(a) = phi_B(proj a)
-        coords = tuple(
-            Character(values, "?")(proj.column(j)) for j in range(A.dim)
-        )
-        if coords in seen:
-            continue
-        seen.add(coords)
-        out.append(Character(coords, "phi_%d" % len(out)))
-    return out
+        return [Character(coords, "phi_%d" % k) for k, coords in enumerate(values)]
+    raise AlgebraError("characters need a model tag; this algebra has none")
 
 
 def _tuple_sort_key(values):
@@ -625,195 +526,3 @@ def two_sided_ideal_closure(A, vectors):
         if S2.dim == S.dim:
             return S2
         S = S2
-
-
-def _split_common_eigenvalues(B):
-    """Common eigenvalue tuples of the transposed multiplication
-    operators of a commutative algebra, over Q(i).
-
-    Splits the dual space into exact common eigenspaces one operator at a
-    time, with eigenvalues from `_linear_roots` on each restricted
-    operator's minimal polynomial.  A minimal polynomial that does not
-    split into linear factors over Q(i) means some character value lies
-    outside Q(i); that raises UnsupportedCharacters.
-    """
-    n = B.dim
-    blocks = [([unit_vec(n, r) for r in range(n)], ())]
-    for i in range(n):
-        L = B.left_mult_matrix(unit_vec(n, i))
-        T = L.transpose()
-        new_blocks = []
-        for basis, values in blocks:
-            Bcols = Matrix.from_columns([tuple(b) for b in basis], rows=n)
-            restricted_cols = []
-            for b in basis:
-                image = T.apply(b)
-                sol = solve_linear(Bcols, image)
-                if sol is None:
-                    raise AlgebraError("dual block not invariant")
-                restricted_cols.append(sol[0])
-            M = Matrix.from_columns(restricted_cols, rows=len(basis))
-            for root, sub in _eigensplit(M, basis):
-                new_blocks.append((sub, values + (root,)))
-        blocks = new_blocks
-    return [values for _basis, values in blocks]
-
-
-def _eigensplit(M, basis):
-    """Split `basis` into exact eigenspaces of the operator M given in
-    that basis.  Yields (eigenvalue, sub-basis) pairs."""
-    k = M.rows
-    roots = _linear_roots(_minimal_polynomial(M))
-    out = []
-    for r in roots:
-        shifted = M - Matrix.identity(k).scale(r)
-        ker = nullspace(shifted)
-        if not ker:
-            continue
-        sub = []
-        for coeffs in ker:
-            w = zero_vec(len(basis[0]))
-            for c, b in zip(coeffs, basis):
-                if c:
-                    w = vec_add(w, vec_scale(c, b))
-            sub.append(w)
-        out.append((r, sub))
-    return out
-
-
-def _minimal_polynomial(M):
-    """Monic minimal polynomial of M as a low-to-high coefficient list."""
-    k = M.rows
-    if k == 0:
-        return [ONE]
-    power = Matrix.identity(k)
-    flats = []
-    while True:
-        flats.append(tuple(a for row in power.entries for a in row))
-        cols = Matrix.from_columns(flats[:-1], rows=k * k) if len(flats) > 1 else None
-        if cols is not None:
-            sol = solve_linear(cols, flats[-1])
-            if sol is not None:
-                coeffs = list(sol[0]) + [Scalar(-1)]
-                # normalize to monic with +1 leading coefficient
-                return [(-c) for c in coeffs[:-1]] + [ONE]
-        power = power @ M
-        if len(flats) > k + 1:
-            raise AlgebraError("minimal polynomial search exceeded dimension")
-
-
-def _linear_roots(coeffs):
-    """The distinct roots in Q(i) of the polynomial with low-to-high
-    coefficients `coeffs` (the last one nonzero), in no set order.
-
-    Raises UnsupportedCharacters unless the polynomial splits into linear
-    factors over Q(i).  Exact and complete: each root comes from
-    `_next_root` (the rational root theorem over Z[i]) and is divided out
-    for as long as it divides.  The root 0 and a linear remainder cost no
-    factoring, so t^k (a t + b) is solved at any coefficient size.  A
-    remainder of degree 2 or more has the norms of its end coefficients
-    factored by trial division, which runs up to the square root of what
-    is left of a norm once its small primes are removed: an end
-    coefficient that is a prime near 10^12 (norm near 10^24) does not
-    finish in practice.
-    """
-    p = list(coeffs)
-    roots = []
-    while len(p) > 1:
-        root = _next_root(p)
-        if root is None:
-            raise UnsupportedCharacters(
-                "character values are not Gaussian rational (a factor of "
-                "degree %d has no root in Q(i))" % (len(p) - 1)
-            )
-        roots.append(root)
-        quotient, rest = _divide_linear(p, root)
-        while not rest:
-            p = quotient
-            quotient, rest = _divide_linear(p, root)
-    return roots
-
-
-def _next_root(p):
-    """A root in Q(i) of p (degree at least 1), or None when it has none.
-
-    A zero constant term is the root 0 and a linear p has the root
-    -p[0]/p[1].  Otherwise, Z[i] being a unique factorization domain, once
-    p is scaled to Gaussian integers P a root u/w in lowest terms has u
-    dividing P[0] and w dividing P[-1]; each such u/w is tested with
-    Horner's rule.
-    """
-    if not p[0]:
-        return ZERO
-    if len(p) == 2:
-        return -p[0] / p[1]
-    scale = lcm(*(c.denominator for c in p))
-    for w in _gaussian_divisors(p[-1] * scale):
-        for d in _gaussian_divisors(p[0] * scale):
-            for u in (d, d * I, -d, -d * I):
-                r = u / w
-                if not _divide_linear(p, r)[1]:
-                    return r
-    return None
-
-
-def _divide_linear(p, r):
-    """Synthetic division of p (low-to-high) by t - r: the quotient and
-    the remainder p(r), by Horner's rule."""
-    acc = p[-1]
-    quotient = [acc]
-    for c in reversed(p[:-1]):
-        acc = c + acc * r
-        quotient.append(acc)
-    rest = quotient.pop()
-    quotient.reverse()
-    return quotient, rest
-
-
-def _gaussian_divisors(z):
-    """The divisors of the nonzero Gaussian integer z, one per class of
-    associates, smallest norm first."""
-    divisors = [ONE]
-    for prime in _prime_factors(_norm(z)):
-        if prime == 2:
-            gaussian_primes = [Scalar(1, 1)]
-        elif prime % 4 == 3:
-            gaussian_primes = [Scalar(prime)]
-        else:
-            # prime = x^2 + y^2 splits as (x + yi)(x - yi), not associates
-            x = next(
-                x for x in range(1, isqrt(prime) + 1)
-                if isqrt(prime - x * x) ** 2 == prime - x * x
-            )
-            y = isqrt(prime - x * x)
-            gaussian_primes = [Scalar(x, y), Scalar(x, -y)]
-        for pi in gaussian_primes:
-            powers = [ONE]
-            quotient = z / pi
-            while quotient.denominator == 1:
-                z = quotient
-                powers.append(powers[-1] * pi)
-                quotient = z / pi
-            divisors = [d * e for d in divisors for e in powers]
-    return sorted(divisors, key=lambda d: (_norm(d), d.re, d.im))
-
-
-def _norm(z):
-    """|z|^2 of the Gaussian integer z, as an int."""
-    return (z * z.conjugate()).re.numerator
-
-
-def _prime_factors(n):
-    """The distinct primes dividing the positive integer n, by trial
-    division."""
-    primes = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            primes.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        primes.append(n)
-    return primes

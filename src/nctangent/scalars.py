@@ -481,16 +481,6 @@ class Matrix(Immutable):
     def rank(self):
         return len(rref(list(self.entries))[1])
 
-    def inverse(self):
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        aug = [list(self.entries[i]) + list(Matrix.identity(n).entries[i]) for i in range(n)]
-        reduced, pivots = rref(aug)
-        if len(pivots) != n or any(p >= n for p in pivots):
-            raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in reduced])
-
 
 def rref(rows):
     """Reduced row echelon form.  Returns (rows, pivot column list)."""

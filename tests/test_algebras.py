@@ -3,24 +3,28 @@ characters, supports."""
 
 import inspect
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import character_oracle
+from character_oracle import (
+    CHARACTER_DIM_BOUND,
+    UnsupportedCharacters,
+    generic_characters,
+    is_character,
+)
 from nctangent import algebras
 from nctangent.algebras import (
-    CHARACTER_DIM_BOUND,
     AlgebraError,
     Character,
     StarAlgebra,
-    UnsupportedCharacters,
-    _generic_characters,
     center,
     characters,
     derivations,
     direct_sum,
-    is_character,
     make_function_algebra,
     make_matrix_algebra,
     make_moyal_truncation,
@@ -221,20 +225,30 @@ def test_ad_m_is_always_a_derivation(a, b, c, d):
     assert leibniz_failures(A, ad) == []
 
 
-# -- characters via the generic path ---------------------------------------
+# -- the generic route, the oracle of `characters` -------------------------
+#
+# The oracle needs no model tag, so these tests strip it or build the
+# algebra untagged; `characters` raises on such an algebra.
+
+
+def test_characters_of_an_untagged_algebra_raise():
+    F = make_function_algebra(2)
+    stripped = StarAlgebra(F.labels, F.terms, F.involution, F.unit, model=None)
+    with pytest.raises(AlgebraError, match="need a model tag"):
+        characters(stripped)
 
 
 def test_generic_path_confirms_matrix_blocks_empty():
     # strip the model tag so the abelianization route is exercised
     A4 = make_matrix_algebra(4)
     stripped = StarAlgebra(A4.labels, A4.terms, A4.involution, A4.unit, model=None)
-    assert characters(stripped) == []
+    assert generic_characters(stripped) == []
 
 
 def test_generic_path_agrees_with_function_model():
     F = make_function_algebra(3)
     stripped = StarAlgebra(F.labels, F.terms, F.involution, F.unit, model=None)
-    got = {phi.coords for phi in characters(stripped)}
+    got = {phi.coords for phi in generic_characters(stripped)}
     want = {phi.coords for phi in characters(F)}
     assert got == want
 
@@ -242,7 +256,7 @@ def test_generic_path_agrees_with_function_model():
 def test_generic_path_on_block_sum_empty():
     A = direct_sum(make_matrix_algebra(2), make_matrix_algebra(3))
     stripped = StarAlgebra(A.labels, A.terms, A.involution, A.unit, model=None)
-    assert characters(stripped) == []
+    assert generic_characters(stripped) == []
 
 
 def test_generic_path_on_scaled_function_basis():
@@ -258,7 +272,7 @@ def test_generic_path_on_scaled_function_basis():
     ]
     B = StarAlgebra(["u", "w"], terms_of(table), Matrix.identity(2), vec(1, 0), model=None)
     assert B.check_axioms() == []
-    chars = sorted(characters(B), key=lambda p: str(p.coords))
+    chars = sorted(generic_characters(B), key=lambda p: str(p.coords))
     assert len(chars) == 2
     values = {tuple(str(c) for c in phi.coords) for phi in chars}
     assert values == {("1", "1/2"), ("1", "-1/2")}
@@ -275,7 +289,7 @@ def test_generic_path_raises_on_irrational_values():
         UnsupportedCharacters,
         match=r"not Gaussian rational \(a factor of degree 2 has no root in Q\(i\)\)",
     ):
-        characters(B)
+        generic_characters(B)
 
 
 def test_generic_path_finds_gaussian_character_values():
@@ -287,7 +301,7 @@ def test_generic_path_finds_gaussian_character_values():
     ]
     B = StarAlgebra(["one", "t"], terms_of(table), Matrix.identity(2), vec(1, 0), model=None)
     assert B.check_axioms() == []
-    got = {phi.coords for phi in characters(B)}
+    got = {phi.coords for phi in generic_characters(B)}
     assert got == {(ONE, Scalar(0, 1)), (ONE, Scalar(0, -1))}
 
 
@@ -301,30 +315,34 @@ def test_generic_path_finds_a_large_prime_character_value():
     ]
     B = StarAlgebra(["one", "t"], terms_of(table), Matrix.identity(2), vec(1, 0), model=None)
     assert B.check_axioms() == []
-    got = {phi.coords for phi in characters(B)}
+    got = {phi.coords for phi in generic_characters(B)}
     assert got == {(ONE, ZERO), (ONE, sc(c))}
 
 
 def test_character_dimension_bound():
-    # one past the bound, and far past it; the model-aware path has no bound
+    # one past the oracle's bound, and far past it; `characters` has none
     F = make_function_algebra(CHARACTER_DIM_BOUND + 1)
     assert len(characters(F)) == CHARACTER_DIM_BOUND + 1
     A = make_matrix_algebra(9)  # dim 81 > 64
     for B in (F, A):
         stripped = StarAlgebra(B.labels, B.terms, B.involution, B.unit, model=None)
         with pytest.raises(UnsupportedCharacters, match="limited to dimension 64$"):
-            characters(stripped)
+            generic_characters(stripped)
     # the bound guards the eigen-split only: a function quotient one past
-    # it takes the parent route and enumerates, while the generic route
-    # on the same quotient still raises
+    # it, and F_65 + M_2 over its matrix block, take the parent route and
+    # enumerate, while the generic route on the same quotients still raises
     G = make_function_algebra(CHARACTER_DIM_BOUND + 2)
-    Q = point_quotient(G, range(1, CHARACTER_DIM_BOUND + 2))
-    assert Q.dim == CHARACTER_DIM_BOUND + 1
-    assert character_list(characters(Q)) == [
-        ("phi_%d" % k, unit_vec(Q.dim, Q.dim - 1 - k)) for k in range(Q.dim)
-    ]
-    with pytest.raises(UnsupportedCharacters, match="limited to dimension 64$"):
-        _generic_characters(Q)
+    mixed = direct_sum(make_function_algebra(CHARACTER_DIM_BOUND + 1), make_matrix_algebra(2))
+    for Q in (
+        point_quotient(G, range(1, CHARACTER_DIM_BOUND + 2)),
+        quotient_algebra(mixed, ideal_from_declaration(mixed, {"type": "blocks", "kill": ["2"]}))[0],
+    ):
+        assert Q.dim == CHARACTER_DIM_BOUND + 1
+        assert character_list(characters(Q)) == [
+            ("phi_%d" % k, unit_vec(Q.dim, Q.dim - 1 - k)) for k in range(Q.dim)
+        ]
+        with pytest.raises(UnsupportedCharacters, match="limited to dimension 64$"):
+            generic_characters(Q)
 
 
 # -- characters of a quotient from its parent --------------------------------
@@ -347,10 +365,57 @@ def subsets(n):
     return [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
 
 
+def block_quotients(blocks):
+    """The quotients of the sum of `blocks`, left to right, by the span of
+    every subset of its blocks."""
+    A = blocks[0]
+    for B in blocks[1:]:
+        A = direct_sum(A, B)
+    starts = [0]
+    for B in blocks:
+        starts.append(starts[-1] + B.dim)
+    return [
+        quotient_algebra(
+            A,
+            Subspace(A.dim, [
+                unit_vec(A.dim, i) for k in killed for i in range(starts[k], starts[k + 1])
+            ]),
+        )[0]
+        for killed in subsets(len(blocks))
+    ]
+
+
+def closure_quotients(Q):
+    """Q over the ideals generated by its first and by its last basis
+    vector."""
+    if not Q.dim:
+        return []
+    return [
+        quotient_algebra(Q, two_sided_ideal_closure(Q, [unit_vec(Q.dim, i)]))[0]
+        for i in (0, Q.dim - 1)
+    ]
+
+
+def mixed_sums():
+    """Sums that mix function blocks, M_n and a Moyal truncation."""
+    F, M = make_function_algebra, make_matrix_algebra
+    return [
+        [F(1), M(2)],
+        [M(2), M(1)],
+        [make_moyal_truncation(2), F(2)],
+        [M(2), F(2), M(1)],
+        [F(3), M(2), F(1)],
+        [M(1), M(1), M(2)],
+    ]
+
+
+@lru_cache(maxsize=None)
 def parent_route_corpus():
-    """Quotients that take the parent route: every quotient of F_1 to F_4
-    by a coordinate ideal, every quotient of those of F_4 in turn, and
-    the block charts of M_2+M_2 and Moyal_2+M_3 and two quotients of M_2."""
+    """(quotient, its generic-route characters) for every quotient of F_1
+    to F_4 by a coordinate ideal and every quotient of those of F_4 in
+    turn; the block charts of M_2+M_2 and Moyal_2+M_3 and two quotients
+    of M_2; and every block quotient of the mixed sums, each with two
+    ideal-closure quotients of it."""
     out = []
     for n in range(1, 5):
         F = make_function_algebra(n)
@@ -364,30 +429,32 @@ def parent_route_corpus():
             out.append(quotient_algebra(A, ideal)[0])
     for basis in ([], [unit_vec(4, i) for i in range(4)]):
         out.append(quotient_algebra(M2, Subspace(4, basis))[0])
-    return out
+    for blocks in mixed_sums():
+        for Q in block_quotients(blocks):
+            out += [Q] + closure_quotients(Q)
+    return tuple((B, character_list(generic_characters(B))) for B in out)
 
 
 def parent_route_mismatches(route):
     """The corpus quotients on which `route` and the generic route differ
     in labels, values or order."""
-    return [
-        B
-        for B in parent_route_corpus()
-        if character_list(route(B)) != character_list(_generic_characters(B))
-    ]
+    return [B for B, want in parent_route_corpus() if character_list(route(B)) != want]
 
 
 def test_parent_route_matches_the_generic_route():
-    assert parent_route_mismatches(characters) == []
-
-
-def test_parent_route_corpus_does_not_take_the_generic_route(monkeypatch):
     corpus = parent_route_corpus()
-    calls = []
-    monkeypatch.setattr(algebras, "_generic_characters", calls.append)
-    for B in corpus:
-        characters(B)
-    assert calls == []
+    assert all(B.model[0] == "quotient" for B, _ in corpus)
+    # quotients of mixed sums at depths one and two, with and without
+    # characters
+    depths = {}
+    for B, want in corpus:
+        depth, root = 1, B.model[1]
+        while root.model[0] == "quotient":
+            depth, root = depth + 1, root.model[1]
+        if root.model[0] == "sum":
+            depths.setdefault(depth, set()).add(len(want))
+    assert depths == {1: {0, 1, 2, 3, 4}, 2: {0, 1, 2, 3}}
+    assert parent_route_mismatches(characters) == []
 
 
 @given(st.data())
@@ -401,20 +468,21 @@ def test_parent_route_matches_the_generic_route_on_random_function_quotients(dat
     QQ = point_quotient(Q, data.draw(st.sets(st.integers(0, n - 1))))
     for B in (Q, QQ):
         got = character_list(characters(B))
-        assert got == character_list(_generic_characters(B))
+        assert got == character_list(generic_characters(B))
         assert len(got) == B.dim
 
 
-def test_quotient_of_a_mixed_sum_keeps_the_generic_route(monkeypatch):
-    # commutative, but its parent M_2+F_2 is neither commutative nor
-    # character-free by construction
+def test_quotient_of_a_mixed_sum_takes_the_parent_route(monkeypatch):
+    # commutative, while its parent M_2+F_2 is neither commutative nor
+    # free of characters
     A = direct_sum(make_matrix_algebra(2), make_function_algebra(2))
     Q = quotient_algebra(A, ideal_from_declaration(A, {"type": "blocks", "kill": ["1"]}))[0]
     calls = []
-    real = algebras._generic_characters
-    monkeypatch.setattr(algebras, "_generic_characters", lambda B: calls.append(B) or real(B))
-    got = characters(Q)
-    assert calls == [Q]
+    real = algebras.characters
+    monkeypatch.setattr(algebras, "characters", lambda B: calls.append(B) or real(B))
+    got = algebras.characters(Q)
+    assert calls[0] is Q and calls[1] is A
+    assert [B.model[0] for B in calls] == ["quotient", "sum", "matrix", "function"]
     assert character_list(got) == [("phi_0", (ZERO, ONE)), ("phi_1", (ONE, ZERO))]
     assert all(is_character(Q, phi.coords) for phi in got)
 
@@ -514,26 +582,27 @@ def test_is_character_guards():
 
 def test_non_invariant_dual_block_raises_a_typed_error(monkeypatch):
     # the invariance check must not be an assert, which `python -O` strips
-    monkeypatch.setattr(algebras, "solve_linear", lambda A, b: None)
+    monkeypatch.setattr(character_oracle, "solve_linear", lambda A, b: None)
     with pytest.raises(AlgebraError, match="dual block not invariant"):
-        algebras._split_common_eigenvalues(make_function_algebra(2))
+        character_oracle.split_common_eigenvalues(make_function_algebra(2))
 
 
 def test_runaway_minimal_polynomial_raises_a_typed_error(monkeypatch):
     # the CLI turns AlgebraError into exit 2; a bare AssertionError would
     # give a traceback
-    monkeypatch.setattr(algebras, "solve_linear", lambda A, b: None)
+    monkeypatch.setattr(character_oracle, "solve_linear", lambda A, b: None)
     with pytest.raises(AlgebraError, match="minimal polynomial search exceeded"):
-        algebras._minimal_polynomial(Matrix.identity(2))
+        character_oracle.minimal_polynomial(Matrix.identity(2))
 
 
 # -- sparse structure constants against the dense oracle -------------------
 #
 # The builders write the sparse `terms` directly, and `multiply`, `center`,
-# `is_character`, `check_axioms` and `derivations` read only `terms`.  The
-# dense builders and routes they replaced are kept here as oracles.  Each
-# oracle works on its own dense table, never on `A.table`, which is
-# derived from `terms` and so would make the comparison circular.
+# `check_axioms`, `derivations` and the character oracle's `is_character`
+# read only `terms`.  The dense builders and routes they replaced are kept
+# here as oracles.  Each oracle works on its own dense table, never on
+# `A.table`, which is derived from `terms` and so would make the
+# comparison circular.
 
 
 def dense_matrix_table(n):
@@ -861,7 +930,7 @@ def test_center_matches_dense_reference_on_random_tables(case):
 
 def test_is_character_matches_dense_reference_on_models():
     for A, table in MODELS:
-        candidates = [phi.coords for phi in characters(A)]
+        candidates = [phi.coords for phi in generic_characters(A)]
         candidates += [unit_vec(A.dim, i) for i in range(A.dim)]
         candidates += [zero_vec(A.dim), tuple(ONE for _ in range(A.dim))]
         if A.labels == ("u", "w"):
@@ -991,8 +1060,9 @@ def test_constructor_keeps_only_the_nonzero_cells():
 
 # -- exact roots over Q(i) against the sympy factorization -----------------
 #
-# `_linear_roots` finds roots by the rational root theorem over Z[i]; the
-# sympy `factor_list` route it replaced is kept here only as the oracle.
+# The character oracle's `linear_roots` finds roots by the rational root
+# theorem over Z[i]; the sympy `factor_list` route it replaced is kept
+# here to check it.
 
 
 def sympy_linear_roots(coeffs):
@@ -1075,7 +1145,7 @@ def split_polynomial():
 @settings(max_examples=150, deadline=None)
 def test_linear_roots_find_exactly_the_constructed_roots(case):
     coeffs, want = case
-    assert root_set_or_raise(algebras._linear_roots, coeffs) == want
+    assert root_set_or_raise(character_oracle.linear_roots, coeffs) == want
 
 
 @given(split_polynomial())
@@ -1083,7 +1153,7 @@ def test_linear_roots_find_exactly_the_constructed_roots(case):
 def test_linear_roots_match_sympy_factorization(case):
     coeffs, _ = case
     want = root_set_or_raise(sympy_linear_roots, coeffs)
-    assert root_set_or_raise(algebras._linear_roots, coeffs) == want
+    assert root_set_or_raise(character_oracle.linear_roots, coeffs) == want
 
 
 @pytest.mark.parametrize(
@@ -1098,7 +1168,7 @@ def test_linear_roots_match_sympy_factorization(case):
 )
 def test_linear_roots_named_cases(factors, want):
     coeffs = poly_product(*factors)
-    assert root_set_or_raise(algebras._linear_roots, coeffs) == want
+    assert root_set_or_raise(character_oracle.linear_roots, coeffs) == want
     assert root_set_or_raise(sympy_linear_roots, coeffs) == want
 
 
@@ -1107,4 +1177,4 @@ def test_rootless_factor_is_named_by_its_degree():
     with pytest.raises(
         UnsupportedCharacters, match=r"a factor of degree 4 has no root in Q\(i\)"
     ):
-        algebras._linear_roots(coeffs)
+        character_oracle.linear_roots(coeffs)

@@ -4,11 +4,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from character_oracle import generic_characters
 from nctangent import algebras, cli, covering
 from nctangent.algebras import (
     AlgebraError,
     StarAlgebra,
-    _generic_characters,
     characters,
     direct_sum,
     make_function_algebra,
@@ -199,7 +199,7 @@ def test_every_overlap_ideal_is_a_star_ideal():
     # Covering does not re-verify the sums of its ideals: a sum of two-sided
     # *-ideals is one
     coverings = shipped_and_test_coverings()
-    assert len(coverings) == 6
+    assert len(coverings) == 7
     for cov in coverings:
         for a in range(cov.size):
             for b in range(a, cov.size):
@@ -308,7 +308,7 @@ def block_sum_m2_m2_covering():
 def chart_and_overlap_algebras():
     """Every chart and overlap algebra of the shipped and test coverings
     and of the `M_2+M_2` block covering: all quotients of a function
-    model or of a sum of matrix blocks."""
+    model or of a sum of matrix and function blocks."""
     out = []
     for cov in shipped_and_test_coverings() + [block_sum_m2_m2_covering()]:
         out += [cov.chart(a) for a in range(cov.size)]
@@ -319,22 +319,13 @@ def chart_and_overlap_algebras():
 
 
 def test_chart_characters_match_the_generic_route():
-    # labels, values and order, against the route the parent route replaces
+    # labels, values and order, against the generic route of the oracle
     counts = []
     for B in chart_and_overlap_algebras():
         got = [(phi.label, phi.coords) for phi in characters(B)]
-        assert got == [(phi.label, phi.coords) for phi in _generic_characters(B)]
+        assert got == [(phi.label, phi.coords) for phi in generic_characters(B)]
         counts.append(len(got))
     assert sum(counts) > 0 and 0 in counts
-
-
-def test_chart_characters_do_not_take_the_generic_route(monkeypatch):
-    quotients = chart_and_overlap_algebras()
-    calls = []
-    monkeypatch.setattr(algebras, "_generic_characters", calls.append)
-    for B in quotients:
-        characters(B)
-    assert calls == []
 
 
 def test_load_scenario_verifies_each_declared_ideal_once(monkeypatch):
@@ -352,7 +343,7 @@ def test_load_scenario_verifies_each_declared_ideal_once(monkeypatch):
         if cov is not None:
             assert calls == list(cov.ideals)
             loaded += 1
-    assert loaded == 2
+    assert loaded == 3
 
 
 def test_block_prefix_matching_no_label_is_rejected():

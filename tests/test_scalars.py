@@ -306,7 +306,7 @@ def test_solve_inconsistent():
 
 def test_matrix_inverse_and_rank():
     A = Matrix([[1, 2], [3, 5]])
-    assert A @ A.inverse() == Matrix.identity(2)
+    assert A @ matrix_inverse(A) == Matrix.identity(2)
     assert A.rank() == 2
     assert Matrix([[1, 2], [2, 4]]).rank() == 1
 
@@ -423,6 +423,19 @@ def test_short_complement_raises_a_typed_error():
 # oracles: the routes that stored pivots and the closed-form quotient replace
 
 
+def matrix_inverse(M):
+    """The inverse of the square, invertible M, from the reduced form of
+    [M | 1]."""
+    n = M.rows
+    if M.cols != n:
+        raise ValueError("inverse of non-square matrix")
+    aug = [list(M.entries[i]) + list(Matrix.identity(n).entries[i]) for i in range(n)]
+    reduced, pivots = rref(aug)
+    if len(pivots) != n or any(p >= n for p in pivots):
+        raise ValueError("matrix is singular")
+    return Matrix([row[n:] for row in reduced])
+
+
 def oracle_contains(S, v):
     """Membership by reducing along each basis row, its pivot found anew."""
     v = list(v)
@@ -450,7 +463,7 @@ def oracle_quotient(n, S):
     assert len(chosen) == q
     columns = list(S.basis) + [unit_vec(n, idx) for idx in chosen]
     if n:
-        Minv = Matrix.from_columns(columns, rows=n).inverse()
+        Minv = matrix_inverse(Matrix.from_columns(columns, rows=n))
         projection = Matrix([Minv.entries[S.dim + i] for i in range(q)], cols=n)
     else:
         projection = Matrix.zero(0, 0)
