@@ -5,7 +5,8 @@ An algebra is a coordinate space Q(i)^n with sparse structure constants
 unit.  Model constructors write those constants directly for matrix
 algebras, pointwise-function algebras, a truncated oscillator-basis
 surrogate for a deformed plane, direct sums and quotients.  On top of
-that sit centers, derivation spaces and characters.
+that sit centers, derivation spaces, commutators and characters; a
+multiple of the unit takes its noncentral witness from the unit's.
 
 Characters are read from the model tag that every constructor sets.  The
 matrix, Moyal, function and sum models have closed descriptions.  A
@@ -46,10 +47,11 @@ class StarAlgebra(Immutable):
     Zero products cost nothing (M_n has n^3 nonzero cells of n^6).  The
     involution acts antilinearly: conjugate the coordinates, then apply
     `involution` as a matrix.  `unit` is a coordinate vector or None for
-    a non-unital algebra.
+    a non-unital algebra.  `_unit_witness` is set on first use.
     """
 
-    __slots__ = ("dim", "labels", "terms", "involution", "unit", "model")
+    __slots__ = ("dim", "labels", "terms", "involution", "unit", "model",
+                 "_unit_witness")
 
     def __init__(self, labels, terms, involution, unit, model=None):
         dim = len(labels)
@@ -358,18 +360,11 @@ def center(A):
     return Subspace(n, nullspace(Matrix._of(equations, n)))
 
 
-def noncentral_witness(A, v):
-    """None when v is central, else (basis label, commutator value) for
-    the first basis element b_i with [v, b_i] != 0.
-
-    All the commutators come from one pass over `terms`: a nonzero
-    basis_k . basis_j adds v_k times it to [v, b_j] and subtracts v_j
-    times it from [v, b_k].  Each commutator is a dict of the
-    coordinates it reaches; the witness is the first nonzero one in
-    ascending i, written out as a full coordinate tuple.
-    """
-    if len(v) != A.dim:
-        raise AlgebraError("element length mismatch")
+def commutators(A, v):
+    """{i: {m: coordinate}} holding [v, b_i] for every basis element b_i
+    that some nonzero product reaches, from one pass over `terms`: a
+    nonzero basis_k . basis_j adds v_k times it to [v, b_j] and subtracts
+    v_j times it from [v, b_k].  A column may sum to zero."""
     comms = {}
     for k, (x, row) in enumerate(zip(v, A.terms)):
         for j, cell in row:
@@ -382,6 +377,45 @@ def noncentral_witness(A, v):
                 out = comms.setdefault(k, {})
                 for m, c in cell:
                     out[m] = out.get(m, ZERO) - y * c
+    return comms
+
+
+def noncentral_witness(A, v):
+    """None when v is central, else (basis label, commutator value) for
+    the first basis element b_i with [v, b_i] != 0.
+
+    An exact multiple c.unit answers with the unit's own witness scaled
+    by c, which is exact by linearity whether or not the unit is central;
+    that witness is kept in the algebra's `_unit_witness` slot from its
+    first use on.  Any other v reads `commutators` and writes the first
+    nonzero one in ascending i out as a full coordinate tuple.
+    """
+    if len(v) != A.dim:
+        raise AlgebraError("element length mismatch")
+    c = None if A.unit is None else _unit_multiple(A.unit, v)
+    if c is None:
+        return _first_commutator(A, v)
+    try:
+        witness = A._unit_witness
+    except AttributeError:
+        witness = _first_commutator(A, A.unit)
+        object.__setattr__(A, "_unit_witness", witness)
+    if witness is None or not c:
+        return None
+    return (witness[0], tuple(c * x for x in witness[1]))
+
+
+def _unit_multiple(unit, v):
+    """The c with v = c.unit exactly, or None when there is none."""
+    k = next((k for k, u in enumerate(unit) if u), None)
+    c = None if k is None else v[k] / unit[k]
+    if c is not None and all(x == c * u for x, u in zip(v, unit)):
+        return c
+    return None
+
+
+def _first_commutator(A, v):
+    comms = commutators(A, v)
     for i in sorted(comms):
         comm = comms[i]
         if any(comm.values()):

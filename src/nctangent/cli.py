@@ -727,7 +727,9 @@ def _run(families, strict, scenario, seed, max_degree, out):
     records.sort(key=lambda r: r["id"])
     report = {"version": REPORT_VERSION, "seed": seed, "checks": records}
     text = json.dumps(report, indent=2)
-    click.echo(text)
+    # not click.echo, which keeps every stream it writes to alive: a caller
+    # redirecting stdout per report would keep every report's text
+    print(text)
     if out:
         with open(out, "w") as handle:
             handle.write(text + "\n")

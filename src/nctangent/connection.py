@@ -10,6 +10,9 @@ basis triple.  The operator side of that check builds each covariant
 derivative of the generators once and shares it between triples; the
 component side is computed on its own, sharing nothing with it, and
 `curvature_operator` is the unshared operator route for one triple.
+Both sides read only the nonzero Gamma entries and skip zero images, so
+a zero connection makes no products; the unskipped component formula
+is the oracle in tests/test_calculus_routes.py.
 """
 
 from fractions import Fraction
@@ -134,7 +137,7 @@ def nabla(gamma, X, Y):
 
     Only the nonzero Gamma entries enter the contraction, each with the
     product X_mu Y_nu built once per (mu, nu) and skipped when zero; a
-    zero connection makes no products.  A zero X_mu or a zero image
+    zero connection makes no products.  A zero X_mu, Y_lam or image
     D_mu(Y_lam) adds nothing to the action term and is skipped too.
     """
     assign = gamma.assignment
@@ -155,10 +158,11 @@ def nabla(gamma, X, Y):
             prod = prods[(mu, nu)]
             if prod is not None:
                 total = vec_add(total, A.multiply(prod, g))
-        for x, D in acting:
-            image = D.apply(ys[lam])
-            if not vec_is_zero(image):
-                total = vec_add(total, A.multiply(x, image))
+        if not vec_is_zero(ys[lam]):
+            for x, D in acting:
+                image = D.apply(ys[lam])
+                if not vec_is_zero(image):
+                    total = vec_add(total, A.multiply(x, image))
         out.append(total)
     # valid inputs give central output; unchecked negative-control grids
     # must still flow through
@@ -284,10 +288,13 @@ class CurvatureTensor(Immutable):
 
 def curvature_components(gamma):
     """Component formula: generator derivatives of Gamma, the quadratic
-    Gamma contraction, and the structure-constant term."""
+    Gamma contraction, and the structure-constant term, over the nonzero
+    Gamma entries only."""
     assign = gamma.assignment
     A = assign.algebra
     n = assign.d + 1
+    # (mu, nu, lam) -> the entry, for the nonzero entries only
+    G = {(mu, nu, lam): g for lam, by in enumerate(gamma._by_lam) for mu, nu, g in by}
     grid = []
     for mu in range(n):
         cube = []
@@ -296,31 +303,27 @@ def curvature_components(gamma):
             for lam in range(n):
                 row = []
                 for tau in range(n):
-                    total = vec_sub(
-                        assign.operators[mu].apply(gamma.entry(nu, lam, tau)),
-                        assign.operators[nu].apply(gamma.entry(mu, lam, tau)),
-                    )
+                    total = zero_vec(A.dim)
+                    for D, g, add in (
+                        (assign.operators[mu], G.get((nu, lam, tau)), vec_add),
+                        (assign.operators[nu], G.get((mu, lam, tau)), vec_sub),
+                    ):
+                        if g is not None:
+                            image = D.apply(g)
+                            if not vec_is_zero(image):
+                                total = add(total, image)
                     for sigma in range(n):
-                        total = vec_add(
-                            total,
-                            A.multiply(
-                                gamma.entry(nu, lam, sigma),
-                                gamma.entry(mu, sigma, tau),
-                            ),
-                        )
-                        total = vec_sub(
-                            total,
-                            A.multiply(
-                                gamma.entry(mu, lam, sigma),
-                                gamma.entry(nu, sigma, tau),
-                            ),
-                        )
-                        c = structure_scalar(assign.kappa, mu, nu, sigma)
-                        if not c.is_zero():
-                            total = vec_sub(
-                                total,
-                                vec_scale(c, gamma.entry(sigma, lam, tau)),
-                            )
+                        for g, h, add in (
+                            (G.get((nu, lam, sigma)), G.get((mu, sigma, tau)), vec_add),
+                            (G.get((mu, lam, sigma)), G.get((nu, sigma, tau)), vec_sub),
+                        ):
+                            if g is not None and h is not None:
+                                total = add(total, A.multiply(g, h))
+                        g = G.get((sigma, lam, tau))
+                        if g is not None:
+                            c = structure_scalar(assign.kappa, mu, nu, sigma)
+                            if c:
+                                total = vec_sub(total, vec_scale(c, g))
                     row.append(total)
                 plane.append(row)
             cube.append(plane)

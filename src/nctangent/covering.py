@@ -264,7 +264,7 @@ def verify_covering(cov):
     rows = []
     for alpha in range(cov.size):
         rows.extend(cov.projection(alpha).entries)
-    stacked = Matrix(rows, cols=A.dim)
+    stacked = Matrix._of(tuple(rows), A.dim)
     if stacked.rank() != A.dim:
         failures.append(("joint-injectivity", stacked.rank()))
     for alpha in range(cov.size):

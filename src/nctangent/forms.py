@@ -11,7 +11,9 @@ chart forms glue into a global one through `form_loc2glob`.
 The differential follows the Koszul pattern: an alternating sum of
 derivation actions plus an alternating sum over bracket insertions.  It
 is only defined when the basis closes under commutator with scalar
-structure constants, which the basis constructor verifies once.
+structure constants, which the basis constructor verifies once.  Both
+work on nonzero data only; their dense routes are the oracles in
+tests/test_calculus_routes.py.
 """
 
 from itertools import combinations
@@ -22,11 +24,13 @@ from nctangent.scalars import (
     Immutable,
     Matrix,
     Scalar,
+    ZERO,
     rref,
     solve_linear,
     vec_add,
     vec_is_zero,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
 from nctangent.tangent import LocalDerivation, glue, leibniz_failures
@@ -61,8 +65,9 @@ class DerivationBasis(Immutable):
     """Bracket-closed family of derivation operators on one algebra.
 
     Structure constants are solved for at construction; failure to solve
-    is reported with the offending index pair.  Every operator is also
-    checked against the Leibniz rule.
+    is reported with the offending index pair; column c of a commutator
+    DE - ED is D(E e_c) - E(D e_c), from sparse `apply`.  Every operator
+    is also checked against the Leibniz rule.
     """
 
     __slots__ = ("algebra", "operators", "structure")
@@ -86,7 +91,14 @@ class DerivationBasis(Immutable):
         structure = {}
         for mu in range(len(ops)):
             for nu in range(mu + 1, len(ops)):
-                comm = ops[mu] @ ops[nu] - ops[nu] @ ops[mu]
+                D, E = ops[mu], ops[nu]
+                comm = Matrix.from_columns(
+                    [
+                        vec_sub(D.apply(E.column(c)), E.apply(D.column(c)))
+                        for c in range(algebra.dim)
+                    ],
+                    rows=algebra.dim,
+                )
                 sol = solve_linear(span, _flatten(comm))
                 if sol is None:
                     raise NotBracketClosed(
@@ -289,37 +301,35 @@ def wedge(rho, eta):
 def koszul_d(rho):
     """Degree-raising differential: alternating derivation actions plus
     alternating bracket insertions, resolved through the structure
-    constants of the basis."""
+    constants of the basis.  Each output key sums into one coordinate
+    list from the stored entries of rho, the operators' nonzero columns
+    and the nonzero structure constants; a sign picks add or subtract."""
     basis = rho.basis
-    A = basis.algebra
     n = rho.degree
+    entries = rho.entries
+    columns = [D.nonzero_columns() for D in basis.operators]
     out = {}
     for key in _increasing_tuples(basis.rank, n + 1):
-        total = zero_vec(A.dim)
+        total = [ZERO] * basis.algebra.dim
         for k in range(n + 1):
-            rest = key[:k] + key[k + 1:]
-            term = basis.operators[key[k]].apply(rho.coefficient(rest))
-            if k % 2:
-                term = vec_scale(MINUS_ONE, term)
-            total = vec_add(total, term)
+            value = entries.get(key[:k] + key[k + 1:], ())
+            for x, column in zip(value, columns[key[k]]):
+                if x:
+                    for i, a in column:
+                        total[i] = total[i] - a * x if k % 2 else total[i] + a * x
         for k in range(n + 1):
             for l in range(k + 1, n + 1):
-                rest = tuple(
-                    key[i] for i in range(n + 1) if i != k and i != l
-                )
-                inserted = zero_vec(A.dim)
+                rest = key[:k] + key[k + 1:l] + key[l + 1:]
                 coeffs = basis.bracket_coefficients(key[k], key[l])
                 for lam, c in enumerate(coeffs):
-                    if c.is_zero():
+                    if not c:
                         continue
-                    inserted = vec_add(
-                        inserted,
-                        vec_scale(c, rho.coefficient((lam,) + rest)),
-                    )
-                if (k + l) % 2:
-                    inserted = vec_scale(MINUS_ONE, inserted)
-                total = vec_add(total, inserted)
-        out[key] = total
+                    skey, sign = _sort_key((lam,) + rest)  # None: repeated index
+                    minus = (sign < 0) != ((k + l) % 2 == 1)
+                    for i, x in enumerate(entries.get(skey, ())):
+                        if x:
+                            total[i] = total[i] - c * x if minus else total[i] + c * x
+        out[key] = tuple(total)
     return FormN(basis, n + 1, out)
 
 

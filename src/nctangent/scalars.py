@@ -324,7 +324,8 @@ class Matrix(Immutable):
     `transpose`, `identity`, `zero` and `from_columns` on Scalar columns
     build their results through `_of`, which takes rows of Scalars as
     they are.  `apply` reads the nonzero `(row, entry)` pairs of each
-    column, kept in the `_columns` slot from the first call on.
+    column from `nonzero_columns`, kept in the `_columns` slot from the
+    first call on.
     Equality and the hash use `entries` only.
     """
 
@@ -445,19 +446,23 @@ class Matrix(Immutable):
             out.append(tuple(orow))
         return Matrix._of(tuple(out), ocols)
 
-    def apply(self, v):
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
+    def nonzero_columns(self):
+        """The nonzero `(row, entry)` pairs of each column."""
         try:
-            columns = self._columns
+            return self._columns
         except AttributeError:
             columns = tuple(
                 tuple((i, row[j]) for i, row in enumerate(self.entries) if row[j])
                 for j in range(self.cols)
             )
             object.__setattr__(self, "_columns", columns)
+            return columns
+
+    def apply(self, v):
+        if len(v) != self.cols:
+            raise ValueError("vector length mismatch")
         out = [ZERO] * self.rows
-        for x, column in zip(v, columns):
+        for x, column in zip(v, self.nonzero_columns()):
             if not x:
                 continue
             for i, a in column:

@@ -5,7 +5,8 @@ An action assignment realizes the d+1 translation generators as linear
 operators on a local algebra, each a derivation, with the single
 nontrivial bracket [D_0, D_j] = (i/kappa) D_j.  The canonical inner
 model on M_N takes m_0 = -(i/kappa) diag(0,1,...,1) and m_j = E_{1,1+j}
-and acts by commutators.
+and acts by commutators: column j of ad_g is [g, b_j], read from the
+structure constants (the oracle, L(g) - R(g), is in the tests).
 
 A local derivation is a central-coefficient combination sum_mu Z^mu D_mu;
 its bracket has the displayed coefficient formula (derivatives of the
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from nctangent.algebras import AlgebraError, center, noncentral_witness
+from nctangent.algebras import AlgebraError, center, commutators, noncentral_witness
 from nctangent.partition import functional
 from nctangent.scalars import (
     Immutable,
@@ -71,10 +72,15 @@ class ActionAssignment(Immutable):
     def from_inner(cls, algebra, d, kappa, generators):
         """Commutator action with the given elements."""
         generators = [tuple(g) for g in generators]
-        ops = [
-            algebra.left_mult_matrix(g) - algebra.right_mult_matrix(g)
-            for g in generators
-        ]
+        ops = []
+        for g in generators:
+            if len(g) != algebra.dim:
+                raise AlgebraError("element length mismatch")
+            rows = [[ZERO] * algebra.dim for _ in range(algebra.dim)]
+            for j, comm in commutators(algebra, g).items():
+                for m, x in comm.items():
+                    rows[m][j] = x
+            ops.append(Matrix._of(tuple(map(tuple, rows)), algebra.dim))
         return cls(algebra, d, kappa, ops, inner_generators=generators)
 
 

@@ -1,7 +1,11 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -673,3 +677,17 @@ def test_verify_all_leaves_sympy_unimported():
     proc = run_python("-c", code, "scenarios/function_4pt.json", "scenarios/block_model.json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[1, 0], False]
+
+
+def test_an_in_process_report_keeps_no_reference_to_its_stream():
+    # click.echo cached every stream it wrote to, so a caller redirecting
+    # stdout per report kept each StringIO and its report alive
+    out = io.StringIO()
+    stream = weakref.ref(out)
+    args = ["hopf-check", "--scenario", str(SCENARIOS / "curvature_d1.json")]
+    with contextlib.redirect_stdout(out):
+        main(args + ["--max-degree", "1"], standalone_mode=False)
+    assert json.loads(out.getvalue())["checks"]
+    del out
+    gc.collect()
+    assert stream() is None

@@ -1,0 +1,143 @@
+"""Compare the reports of two checkouts of `verify`, timing apart.
+
+    python tools/compare_reports.py PARENT_DIR [--perfbench-seeds S [S ...]]
+
+PARENT_DIR is another checkout of this repository, usually the parent
+commit.  Both trees run the same cases on the same scenario files, plain
+and under `python -O`:
+
+* every command of `verify` (`all` and each check family) on every
+  shipped scenario in `scenarios/` at `--seed` 0-3;
+* `all` at `--seed` 0-3 on the scenarios that `perfbench/scenarios.py`
+  generates for each workload and each given perfbench seed.
+
+A case is its stdout with the `millis` values blanked, its exit code
+and its stderr.  Every case that differs between the trees is printed,
+and the tool exits 1 if there is one, else 0.  Each tree and mode runs
+its cases in one interpreter, through the click entry point in
+standalone mode, as `verify` runs from the shell.  Nothing under
+`perfbench/` is changed: the generated scenarios go to a temporary
+directory.
+"""
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1, 2, 3)
+
+
+def _worker(src, cases_path, out_path):
+    """Run every case with the package under `src`; write the results."""
+    sys.path.insert(0, src)
+    from nctangent import cli
+
+    cases = json.loads(Path(cases_path).read_text())
+    results = {}
+    for name, path in cases["shipped"]:
+        for command in sorted(cli.main.commands):
+            for seed in SEEDS:
+                results["%s %s %d" % (command, name, seed)] = _run(cli, command, path, seed)
+    for name, path in cases["generated"]:
+        for seed in SEEDS:
+            results["all %s %d" % (name, seed)] = _run(cli, "all", path, seed)
+    Path(out_path).write_text(json.dumps(results))
+
+
+def _run(cli, command, path, seed):
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cli.main(
+                [command, "--scenario", path, "--seed", str(seed)], prog_name="verify"
+            )
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+    except Exception as exc:  # a traceback from `verify` is a result too
+        code = "raised %s: %s" % (type(exc).__name__, exc)
+    return {"report": _strip_timing(out.getvalue()), "exit": code, "stderr": err.getvalue()}
+
+
+def _strip_timing(text):
+    """The stdout bytes with every `millis` value blanked."""
+    return re.sub(r'"millis": \d+', '"millis": _', text)
+
+
+def _generated(seeds, directory):
+    """(name, path) of every perfbench scenario of these seeds."""
+    sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_scenarios", ROOT / "perfbench" / "scenarios.py"
+    )
+    scenarios = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenarios)
+    out = []
+    for workload in scenarios.WORKLOADS:
+        for seed in seeds:
+            target = Path(directory) / ("%s-%d" % (workload, seed))
+            target.mkdir()
+            for case in scenarios.write_cases(scenarios.generate(workload, seed), target):
+                out.append(("%s/%d/%s" % (workload, seed, case.name), str(case.path)))
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="the other checkout")
+    parser.add_argument("--perfbench-seeds", type=int, nargs="*", default=[])
+    args = parser.parse_args()
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
+    for tree in trees.values():
+        if not (tree / "src" / "nctangent" / "cli.py").is_file():
+            parser.error("%s is not a checkout with src/nctangent" % tree)
+    with tempfile.TemporaryDirectory() as tmp:
+        shipped = [(p.name, str(p)) for p in sorted((ROOT / "scenarios").glob("*.json"))]
+        cases = {"shipped": shipped, "generated": _generated(args.perfbench_seeds, tmp)}
+        cases_path = Path(tmp) / "cases.json"
+        cases_path.write_text(json.dumps(cases))
+        runs = {}
+        for mode in ("plain", "-O"):
+            procs = {}
+            for label, tree in trees.items():
+                out_path = Path(tmp) / ("%s%s.json" % (label, mode))
+                command = [sys.executable] + (["-O"] if mode == "-O" else [])
+                command += [__file__, "--worker", str(tree / "src"), str(cases_path),
+                            str(out_path)]
+                procs[label] = (subprocess.Popen(command), out_path)
+            for label, (proc, out_path) in procs.items():
+                if proc.wait() != 0:
+                    print("%s %s: the worker exited %d" % (label, mode, proc.returncode))
+                    return 1
+                runs[(label, mode)] = json.loads(out_path.read_text())
+    differences = 0
+    for mode in ("plain", "-O"):
+        parent, change = runs[("parent", mode)], runs[("change", mode)]
+        keys = sorted(set(parent) | set(change))
+        differ = [key for key in keys if parent.get(key) != change.get(key)]
+        differences += len(differ)
+        for key in differ:
+            print("DIFF [%s] %s" % (mode, key))
+            for part in ("exit", "stderr", "report"):
+                old = (parent.get(key) or {}).get(part)
+                new = (change.get(key) or {}).get(part)
+                if old != new:
+                    print("  %s: parent %r" % (part, old))
+                    print("  %s: change %r" % (part, new))
+        print("%s: %d cases, %d differ" % (mode, len(keys), len(differ)))
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        _worker(*sys.argv[2:5])
+    else:
+        sys.exit(main())
