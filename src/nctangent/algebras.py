@@ -6,17 +6,23 @@ unit.  Model constructors write those constants directly for matrix
 algebras, pointwise-function algebras, a truncated oscillator-basis
 surrogate for a deformed plane, direct sums and quotients.  On top of
 that sit centers, derivation spaces, commutators and characters; a
-multiple of the unit takes its noncentral witness from the unit's.
+multiple of the unit takes its noncentral witness from the unit's.  The
+center is solved from sparse equation rows, once per algebra, and kept
+on it (the dense equation matrix is the test oracle).
 
 Characters are read from the model tag that every constructor sets.  The
 matrix, Moyal, function and sum models have closed descriptions.  A
 quotient A/I takes its characters from A, at any depth and for any
 parent: they are the characters of A that vanish on I, pulled back
-through the section.  An algebra without a model tag has no character
-route and raises.
+through the section, and sorted by value as integers over the values'
+common denominator.  A character reads only its nonzero values and
+rejects a vector of the wrong length.  An algebra without a model tag
+has no character route and raises.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from nctangent.scalars import (
     Immutable,
@@ -27,6 +33,7 @@ from nctangent.scalars import (
     Subspace,
     ZERO,
     nullspace,
+    sparse_nullspace,
     unit_vec,
     vec_add,
     vec_conj,
@@ -47,11 +54,12 @@ class StarAlgebra(Immutable):
     Zero products cost nothing (M_n has n^3 nonzero cells of n^6).  The
     involution acts antilinearly: conjugate the coordinates, then apply
     `involution` as a matrix.  `unit` is a coordinate vector or None for
-    a non-unital algebra.  `_unit_witness` is set on first use.
+    a non-unital algebra.  `_unit_witness` and `_center` are set on
+    first use.
     """
 
     __slots__ = ("dim", "labels", "terms", "involution", "unit", "model",
-                 "_unit_witness")
+                 "_unit_witness", "_center")
 
     def __init__(self, labels, terms, involution, unit, model=None):
         dim = len(labels)
@@ -137,12 +145,6 @@ class StarAlgebra(Immutable):
     def left_mult_matrix(self, a):
         return Matrix.from_columns(
             [self.multiply(a, unit_vec(self.dim, j)) for j in range(self.dim)],
-            rows=self.dim,
-        )
-
-    def right_mult_matrix(self, a):
-        return Matrix.from_columns(
-            [self.multiply(unit_vec(self.dim, j), a) for j in range(self.dim)],
             rows=self.dim,
         )
 
@@ -337,27 +339,34 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
 
 
 def center(A):
-    """Exact solution space of [z, b_i] = 0 for every basis element.
+    """Exact solution space of [z, b_i] = 0 for every basis element,
+    solved once per algebra and kept in its `_center` slot.
 
-    Equation row (i, m) is the m-th coordinate of z b_i - b_i z, that is
+    Equation (i, m) is the m-th coordinate of z b_i - b_i z, that is
     sum over k of z_k (c_ki^m - c_ik^m), where basis_k . basis_j = sum
     over m of c_kj^m basis_m; each nonzero c_kj^m from `terms` enters two
-    rows.  The rows that stay zero are dropped before `nullspace` (148 of
-    the 256 rows of M_4), which leaves the kernel as it was.
+    equations.  They are built as sparse rows ({k: coefficient}) and
+    solved by `sparse_nullspace`: an equation that no constant reaches is
+    never made (144 of the 256 of M_4), and the elimination drops the 4
+    more that cancel to zero.
     """
+    try:
+        return A._center
+    except AttributeError:
+        pass
     n = A.dim
-    if not n:
-        return Subspace(0, [])
-    rows = [[ZERO] * n for _ in range(n * n)]
+    rows = {}
     for k, row in enumerate(A.terms):
         for j, cell in row:
             for m, c in cell:
-                zb = rows[j * n + m]
-                zb[k] = zb[k] + c
-                bz = rows[k * n + m]
-                bz[j] = bz[j] - c
-    equations = tuple(tuple(row) for row in rows if any(row))
-    return Subspace(n, nullspace(Matrix._of(equations, n)))
+                zb = rows.setdefault(j * n + m, {})
+                zb[k] = zb.get(k, ZERO) + c
+                bz = rows.setdefault(k * n + m, {})
+                bz[j] = bz.get(j, ZERO) - c
+    equations = [{k: c for k, c in row.items() if c} for row in rows.values()]
+    space = Subspace(n, sparse_nullspace(equations, n))
+    object.__setattr__(A, "_center", space)
+    return space
 
 
 def commutators(A, v):
@@ -463,18 +472,27 @@ def derivations(A):
 
 class Character(Immutable):
     """A nonzero multiplicative linear functional, held by its values on
-    the basis."""
+    the basis.  `_nonzero` keeps the `(index, value)` pairs of the
+    nonzero values, which are all that a call reads; a vector whose
+    length is not the algebra's raises AlgebraError."""
 
-    __slots__ = ("coords", "label")
+    __slots__ = ("coords", "label", "_nonzero")
 
     def __init__(self, coords, label):
-        object.__setattr__(self, "coords", tuple(Scalar.promote(c) for c in coords))
+        coords = tuple(Scalar.promote(c) for c in coords)
+        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "label", label)
+        object.__setattr__(
+            self, "_nonzero", tuple((k, c) for k, c in enumerate(coords) if c)
+        )
 
     def __call__(self, v):
+        if len(v) != len(self.coords):
+            raise AlgebraError("element length mismatch")
         out = ZERO
-        for c, x in zip(self.coords, v):
-            if c and x:
+        for k, c in self._nonzero:
+            x = v[k]
+            if x:
                 out = out + c * x
         return out
 
@@ -500,7 +518,8 @@ def characters(A):
     character of A that vanishes on I (Calow-Matthes), so the route keeps
     those of `characters(A)` and pulls each back through the section,
     phi_B(b) = phi_A(section b).  They are sorted by their values on B's
-    basis and labelled phi_0, phi_1, ....  Every route enumerates at any
+    basis, (re, im) coordinate by coordinate, and labelled phi_0,
+    phi_1, ....  Every route enumerates at any
     dimension.  An algebra without a model tag has no route and raises
     AlgebraError; `verify` never builds one.
     """
@@ -528,20 +547,25 @@ def characters(A):
         return out
     if model == "quotient":
         _, parent, ideal, section = A.model
-        values = sorted(
-            (
-                tuple(phi(section.column(j)) for j in range(A.dim))
-                for phi in characters(parent)
-                if not any(phi(v) for v in ideal.basis)
-            ),
-            key=_tuple_sort_key,
-        )
-        return [Character(coords, "phi_%d" % k) for k, coords in enumerate(values)]
+        values = [
+            tuple(phi(section.column(j)) for j in range(A.dim))
+            for phi in characters(parent)
+            if not any(phi(v) for v in ideal.basis)
+        ]
+        return [
+            Character(coords, "phi_%d" % k)
+            for k, coords in enumerate(_sorted_by_value(values))
+        ]
     raise AlgebraError("characters need a model tag; this algebra has none")
 
 
-def _tuple_sort_key(values):
-    return tuple((c.re, c.im) for c in values)
+def _sorted_by_value(rows):
+    """The coordinate tuples in ascending (re, im) order, coordinate by
+    coordinate.  Every coordinate is put over the rows' common
+    denominator L and compared as the integer pair L.(re, im); L > 0, so
+    the order is that of the parts themselves."""
+    L = lcm(*(c.denominator for row in rows for c in row))
+    return sorted(rows, key=lambda row: tuple(c.parts_over(L) for c in row))
 
 
 def two_sided_ideal_closure(A, vectors):

@@ -7,6 +7,12 @@ sum ideal, whose projection is kept and whose algebra is built on
 demand.  The chart-to-overlap maps are built as projection-after-
 section.  The covering laws, the commuting overlap diagram among them,
 are checked by `verify_covering`.
+
+Both checks read the structure constants, not products of basis
+vectors: `verify_ideal` multiplies a vector of the ideal only by the
+basis elements that a nonzero constant links to its support, and
+`verify_covering` skips each homomorphism pair whose two sides are zero
+by construction.  The dense routes are the oracles in the tests.
 """
 
 from __future__ import annotations
@@ -45,25 +51,25 @@ class IntersectionNonzero(AlgebraError):
 def _products_with_basis(n, v, cells):
     """The sum of v_j * cell_j over the `(j, cell)` entries of `cells`,
     as a vector of length n: e_i . v when `cells` is row i of `terms`,
-    v . e_i when it is column i.  None when no cell meets a nonzero
-    coordinate of v, so that the product is zero."""
-    out = None
+    v . e_i when it is column i."""
+    out = [ZERO] * n
     for j, cell in cells:
         x = v[j]
         if x:
-            if out is None:
-                out = [ZERO] * n
             for m, c in cell:
                 out[m] = out[m] + x * c
-    return None if out is None else tuple(out)
+    return tuple(out)
 
 
 def verify_ideal(algebra, subspace):
     """Raise NotAnIdeal unless the subspace is a two-sided *-ideal.
 
-    For each basis vector v of the subspace and each i, e_i . v and then
-    v . e_i are read from the structure constants (row i of `terms` and
-    its column i); a zero product is in the subspace without a test.
+    For each basis vector v of the subspace, e_i . v and v . e_i are read
+    from the structure constants (row i of `terms` and its column i),
+    and only for the indices i that some nonzero constant links to a
+    nonzero coordinate of v: every other product is zero, and zero is in
+    the subspace.  The indices run in ascending order, the left product
+    before the right one, then the involute of v.
     """
     if subspace.ambient_dim != algebra.dim:
         raise NotAnIdeal("subspace lives in the wrong dimension")
@@ -73,10 +79,20 @@ def verify_ideal(algebra, subspace):
         for i, cell in row:
             columns[i].append((j, cell))
     for v in subspace.basis:
-        for i, label in enumerate(algebra.labels):
-            for side, cells in (("left", algebra.terms[i]), ("right", columns[i])):
+        support = [j for j, x in enumerate(v) if x]
+        # e_i . v needs some e_i e_j != 0 and v . e_i some e_j e_i != 0,
+        # for a j in the support of v
+        left = {i for j in support for i, _ in columns[j]}
+        right = {i for j in support for i, _ in algebra.terms[j]}
+        for i in sorted(left | right):
+            label = algebra.labels[i]
+            for side, cells, reached in (
+                ("left", algebra.terms[i], left), ("right", columns[i], right)
+            ):
+                if i not in reached:
+                    continue
                 product = _products_with_basis(n, v, cells)
-                if product is not None and not subspace.contains(product):
+                if not subspace.contains(product):
                     raise NotAnIdeal(
                         "not closed under %s multiplication by %s" % (side, label),
                         witness=(side, label, product),
@@ -228,7 +244,10 @@ def verify_covering(cov):
     the involute of e_i is column i of the involution, and e_i e_j comes
     from the structure constants, absent when the product is zero.  The
     image of e_i is column i of the projection, and the chart multiplies
-    two images only when both are nonzero.
+    two images only when both are nonzero.  A pair (i, j) whose sides
+    are both zero by construction, with no product e_i e_j and a zero
+    image, is not compared: for a zero image of e_i only the j of its
+    nonzero products are visited.
     """
     failures = []
     A = cov.algebra
@@ -244,9 +263,15 @@ def verify_covering(cov):
         for i in range(n):
             if chart.involute(images[i]) != pi.apply(involutes[i]):
                 failures.append(("star-compatibility", (alpha, A.labels[i])))
-            for j in range(n):
-                product = products[i].get(j)
-                lhs = zero if product is None else pi.apply(product)
+            row = products[i]
+            for j in range(n) if nonzero[i] else sorted(row):
+                product = row.get(j)
+                if product is not None:
+                    lhs = pi.apply(product)
+                elif nonzero[j]:
+                    lhs = zero
+                else:
+                    continue
                 if nonzero[i] and nonzero[j]:
                     rhs = chart.multiply(images[i], images[j])
                 else:

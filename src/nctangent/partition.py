@@ -18,7 +18,9 @@ that discrepancy, not paper over it.
 The functional form of a partition element is a linear map from a local
 quotient back into the algebra, defined only when chi kills the chart
 ideal; summing the functionals against the projections reconstructs the
-identity map.
+identity map.  Each functional is built once per (partition, covering,
+chart) and kept on the partition, so gluing, decomposition and the
+reconstruction check of one report share it.
 """
 
 from __future__ import annotations
@@ -73,9 +75,12 @@ class PartitionElement(Immutable):
 
 
 class Partition(Immutable):
-    """Finite family of partition elements over one algebra."""
+    """Finite family of partition elements over one algebra.
 
-    __slots__ = ("algebra", "elements")
+    `_functionals` holds the chart functionals built so far, keyed by
+    (covering, chart index); `functional` fills it on first use."""
+
+    __slots__ = ("algebra", "elements", "_functionals")
 
     def __init__(self, algebra, elements):
         elements = tuple(elements)
@@ -84,6 +89,7 @@ class Partition(Immutable):
                 raise AlgebraError("partition element over a different algebra")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_functionals", {})
 
     @classmethod
     def from_zetas(cls, algebra, zetas):
@@ -239,14 +245,21 @@ def functional(P, cov, alpha):
     """Matrix of the map chart_alpha -> A induced by left multiplication
     with chi_alpha; raises IllDefined when chi_alpha does not kill the
     chart ideal.  Column k is chi_alpha times column k of the section,
-    the lift of the chart's basis element k."""
-    verify_functional_defined(P, cov, alpha)
-    A = cov.algebra
-    chi = P.elements[alpha].chi
-    sigma = cov.section(alpha)
-    return Matrix.from_columns(
-        [A.multiply(chi, sigma.column(k)) for k in range(sigma.cols)], rows=A.dim
-    )
+    the lift of the chart's basis element k.  It is built once per
+    (P, cov, alpha) and kept on the partition; an ill-defined one is
+    checked, and raises, on every call."""
+    key = (cov, alpha)
+    F = P._functionals.get(key)
+    if F is None:
+        verify_functional_defined(P, cov, alpha)
+        A = cov.algebra
+        chi = P.elements[alpha].chi
+        sigma = cov.section(alpha)
+        F = Matrix.from_columns(
+            [A.multiply(chi, sigma.column(k)) for k in range(sigma.cols)], rows=A.dim
+        )
+        P._functionals[key] = F
+    return F
 
 
 def functional_module_check(P, cov, alpha):

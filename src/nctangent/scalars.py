@@ -10,7 +10,10 @@ Three layers live here:
 
 * `Scalar`, the field element;
 * `Matrix` and plain tuple vectors, with exact elimination, solving and
-  null spaces;
+  null spaces.  One elimination, `eliminate`, works on sparse rows
+  ({column: entry} dicts) and touches only nonzero entries; `rref` is
+  its dense wrapper, and `sparse_nullspace` solves sparse equations
+  without a dense copy;
 * `Subspace` (canonical reduced-echelon bases) with sums, intersections,
   and quotients equipped with deterministic sections.
 """
@@ -80,6 +83,12 @@ class Scalar:
     def denominator(self):
         """The least q > 0 with q * self in Z[i]."""
         return self._q
+
+    def parts_over(self, L):
+        """The integer pair L.(re, im), for a multiple L of the
+        denominator."""
+        k = L // self._q
+        return (self._a * k, self._b * k)
 
     @classmethod
     def promote(cls, x):
@@ -283,7 +292,9 @@ def zero_vec(n):
 
 
 def unit_vec(n, k):
-    return tuple(ONE if j == k else ZERO for j in range(n))
+    if not 0 <= k < n:
+        raise ValueError("unit vector index %r out of range for length %d" % (k, n))
+    return (ZERO,) * k + (ONE,) + (ZERO,) * (n - 1 - k)
 
 
 def vec_add(u, v):
@@ -389,7 +400,7 @@ class Matrix(Immutable):
         return cls(entries, cols=len(columns))
 
     def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -487,33 +498,87 @@ class Matrix(Immutable):
         return len(rref(list(self.entries))[1])
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+def eliminate(rows, ncols):
+    """Reduced row echelon form of sparse rows, each a dict {column:
+    nonzero entry} over `ncols` columns; the dicts are taken over and
+    changed.  Returns (the nonzero reduced rows in pivot order, as such
+    dicts, pivot column list).
+
+    For each column in turn the first row left with an entry there
+    becomes the pivot row: it is scaled to a leading one and its column
+    is cleared from every other row, touching only the nonzero entries
+    of the pivot row.  A row that is cleared to zero is dropped.
+    """
+    rows = [row for row in rows if row]
+    reduced = []
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = None
-        for k in range(r, nrows):
-            if rows[k][c]:
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * a for a in rows[r]]
-        for k in range(nrows):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        if not rows:
             break
-    return [tuple(row) for row in rows], pivots
+        for k, row in enumerate(rows):
+            if c in row:
+                break
+        else:
+            continue
+        pivot = rows.pop(k)
+        inv = pivot.pop(c).inverse()
+        entries = [(col, inv * a) for col, a in pivot.items()]
+        kept = []
+        for row in rows:
+            f = row.pop(c, None)
+            if f is not None:
+                _subtract(row, f, entries)
+                if not row:
+                    continue
+            kept.append(row)
+        for row in reduced:
+            f = row.pop(c, None)
+            if f is not None:
+                _subtract(row, f, entries)
+        rows = kept
+        pivot = dict(entries)
+        pivot[c] = ONE
+        reduced.append(pivot)
+        pivots.append(c)
+    return reduced, pivots
+
+
+def _subtract(row, f, entries):
+    """row -= f * entries, in place, dropping the entries that cancel."""
+    for col, b in entries:
+        a = row.get(col)
+        if a is None:
+            row[col] = -(f * b)
+        else:
+            a = a - f * b
+            if a:
+                row[col] = a
+            else:
+                del row[col]
+
+
+def rref(rows):
+    """Reduced row echelon form of dense rows, by `eliminate`.  Returns
+    (rows, pivot column list): the reduced rows in pivot order, then one
+    zero row for each row the elimination cleared."""
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    reduced, pivots = eliminate(
+        [{c: a for c, a in enumerate(row) if a} for row in rows], ncols
+    )
+    out = _dense(reduced, ncols)
+    out += [(ZERO,) * ncols] * (len(rows) - len(reduced))
+    return out, pivots
+
+
+def _dense(rows, ncols):
+    out = []
+    for row in rows:
+        dense = [ZERO] * ncols
+        for c, a in row.items():
+            dense[c] = a
+        out.append(tuple(dense))
+    return out
 
 
 def solve_linear(A, b):
@@ -539,6 +604,14 @@ def solve_linear(A, b):
 def nullspace(A):
     reduced, pivots = rref(list(A.entries))
     return _kernel_from_rref(reduced, pivots, A.cols)
+
+
+def sparse_nullspace(rows, ncols):
+    """`nullspace` of the matrix with these sparse rows, each a dict
+    {column: entry} over `ncols` columns, taken over as `eliminate`
+    takes them; no dense copy of the rows is made."""
+    reduced, pivots = eliminate(rows, ncols)
+    return _kernel_from_rref(_dense(reduced, ncols), pivots, ncols)
 
 
 def _kernel_from_rref(reduced, pivots, n):

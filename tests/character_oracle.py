@@ -17,7 +17,6 @@ from math import isqrt, lcm
 from nctangent.algebras import (
     AlgebraError,
     Character,
-    _tuple_sort_key,
     quotient_algebra,
     two_sided_ideal_closure,
 )
@@ -41,6 +40,12 @@ CHARACTER_DIM_BOUND = 64
 
 class UnsupportedCharacters(AlgebraError):
     """Raised when the complete character list cannot be produced exactly."""
+
+
+def tuple_sort_key(values):
+    """The order of character values: (re, im) coordinate by coordinate,
+    as `Fraction` pairs."""
+    return tuple((c.re, c.im) for c in values)
 
 
 def is_character(A, coords):
@@ -89,7 +94,7 @@ def generic_characters(A):
     tuples = split_common_eigenvalues(B)
     out = []
     seen = set()
-    for k, values in enumerate(sorted(tuples, key=_tuple_sort_key)):
+    for k, values in enumerate(sorted(tuples, key=tuple_sort_key)):
         if not is_character(B, values):
             continue
         # pull back along the projection: phi(a) = phi_B(proj a)

@@ -96,13 +96,20 @@ def seeded_partition(A, rng, parts=2):
     return Partition.from_zetas(A, [tuple(z) for z in zetas])
 
 
+def right_mult_matrix(A, a):
+    """Matrix of right multiplication by a on A: column j is e_j a."""
+    return Matrix.from_columns(
+        [A.multiply(A.basis_vector(j), a) for j in range(A.dim)], rows=A.dim
+    )
+
+
 def multiplication_maps(A, side="left"):
     """The family of one-sided multiplication operators by basis
     elements."""
     if side == "left":
         return [A.left_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
     if side == "right":
-        return [A.right_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
+        return [right_mult_matrix(A, A.basis_vector(i)) for i in range(A.dim)]
     raise ValueError("side must be 'left' or 'right'")
 
 

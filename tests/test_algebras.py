@@ -49,6 +49,8 @@ from nctangent.scalars import (
 )
 from nctangent.tangent import leibniz_failures
 
+from seeded import right_mult_matrix
+
 
 def terms_of(table):
     """The sparse rows of a dense table, zeros included: the constructor
@@ -221,7 +223,7 @@ def test_derivations_of_m2_are_inner():
 def test_ad_m_is_always_a_derivation(a, b, c, d):
     A = make_matrix_algebra(2)
     m = vec(a, b, c, d)
-    ad = A.left_mult_matrix(m) - A.right_mult_matrix(m)
+    ad = A.left_mult_matrix(m) - right_mult_matrix(A, m)
     assert leibniz_failures(A, ad) == []
 
 
@@ -437,8 +439,17 @@ def parent_route_corpus():
 
 def parent_route_mismatches(route):
     """The corpus quotients on which `route` and the generic route differ
-    in labels, values or order."""
-    return [B for B, want in parent_route_corpus() if character_list(route(B)) != want]
+    in labels, values or order, or on which `route` raises AlgebraError
+    (a character called on a vector of the wrong length, say)."""
+    out = []
+    for B, want in parent_route_corpus():
+        try:
+            got = character_list(route(B))
+        except AlgebraError:
+            got = None
+        if got != want:
+            out.append(B)
+    return out
 
 
 def test_parent_route_matches_the_generic_route():
@@ -1016,6 +1027,138 @@ def test_noncentral_witness_matches_the_commutator_route_on_random_tables(case, 
     A, _ = case
     v = data.draw(vectors(A.dim))
     assert noncentral_witness(A, v) == commutator_witness(A, v)
+
+
+# -- sparse centers, characters and their order -------------------------------
+#
+# `center` builds sparse equations and solves each algebra's center once,
+# a character reads only its nonzero values, and the parent route sorts
+# characters by integers over a common denominator.  The routes they
+# replaced are kept here as the oracles.
+
+
+def dense_equation_center(A):
+    """`center` from the dense n^2 x n equation matrix and `nullspace`."""
+    n = A.dim
+    if not n:
+        return Subspace(0, [])
+    rows = [[ZERO] * n for _ in range(n * n)]
+    for k, row in enumerate(A.terms):
+        for j, cell in row:
+            for m, c in cell:
+                zb = rows[j * n + m]
+                zb[k] = zb[k] + c
+                bz = rows[k * n + m]
+                bz[j] = bz[j] - c
+    equations = tuple(tuple(row) for row in rows if any(row))
+    return Subspace(n, nullspace(Matrix._of(equations, n)))
+
+
+def center_algebras():
+    """M_1-M_5, F_1-F_6, Moyal_1-3, sums, quotients (among them the
+    covering charts and overlaps) and the zero-dimensional algebra."""
+    out = [make_matrix_algebra(n) for n in range(1, 6)]
+    out += [make_function_algebra(p) for p in range(1, 7)]
+    out += [make_moyal_truncation(N) for N in range(1, 4)]
+    out += [A for A, _ in MODELS + covering_algebras()]
+    M2 = make_matrix_algebra(2)
+    out.append(quotient_algebra(M2, Subspace(4, [unit_vec(4, i) for i in range(4)]))[0])
+    return out
+
+
+def test_center_matches_the_dense_equation_route():
+    dims = set()
+    for A in center_algebras():
+        assert center(A) == dense_equation_center(A), A
+        dims.add(A.dim)
+    assert 0 in dims and 25 in dims
+
+
+@given(random_algebra())
+@settings(max_examples=80, deadline=None)
+def test_center_matches_the_dense_equation_route_on_random_tables(case):
+    A, _ = case
+    assert center(A) == dense_equation_center(A)
+
+
+def test_center_is_solved_once_per_algebra(monkeypatch):
+    solves = []
+    real = algebras.sparse_nullspace
+    monkeypatch.setattr(
+        algebras, "sparse_nullspace", lambda *args: solves.append(1) or real(*args)
+    )
+    A = make_matrix_algebra(3)
+    first = center(A)
+    assert center(A) is first and len(solves) == 1
+    fresh = make_matrix_algebra(3)
+    assert center(fresh) == first and center(fresh) is not first
+    assert len(solves) == 2
+
+
+def zip_character_value(phi, v):
+    """A character's value through `zip` over every coordinate."""
+    out = ZERO
+    for c, x in zip(phi.coords, v):
+        if c and x:
+            out = out + c * x
+    return out
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(vectors(n), vectors(n))))
+@settings(max_examples=150, deadline=None)
+def test_character_matches_the_zip_route(case):
+    coords, v = case
+    phi = Character(coords, "?")
+    assert phi(v) == zip_character_value(phi, v)
+
+
+def test_character_rejects_a_vector_of_the_wrong_length():
+    phi = Character(vec(1, 0, 2), "?")
+    for v in (vec(1, 1), vec(1, 1, 1, 1), ()):
+        with pytest.raises(AlgebraError, match="element length mismatch"):
+            phi(v)
+    # the zip route truncated and answered a wrong value
+    assert zip_character_value(phi, vec(1, 1)) == ONE
+    assert phi(vec(1, 1, 1)) == sc(3)
+
+
+def gaussian_rows():
+    """Rows of equal length over a few small denominators, with negative
+    parts, and rows that share equal values written over other
+    denominators elsewhere in the row."""
+    part = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6]))
+    value = st.builds(Scalar, part, part)
+    return st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(value, min_size=n, max_size=n).map(tuple), max_size=6
+        )
+    )
+
+
+@given(gaussian_rows(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_value_order_matches_the_fraction_key(rows, rng):
+    rows = rows + rows[:2]  # equal rows too
+    rng.shuffle(rows)
+    assert algebras._sorted_by_value(rows) == sorted(
+        rows, key=character_oracle.tuple_sort_key
+    )
+
+
+def test_value_order_on_equal_values_over_different_denominators():
+    half, third, sixth = sc("1/2"), sc("1/3"), sc("1/6")
+    rows = [
+        (half, Scalar(0, -1)),
+        (Scalar(Fraction(3, 6), Fraction(-1, 3)), third),
+        (sc("-1/2"), sixth),
+        (half, Scalar(Fraction(-5, 6), 1)),
+        (sc(-1), sc(7)),
+    ]
+    want = sorted(rows, key=character_oracle.tuple_sort_key)
+    assert algebras._sorted_by_value(rows) == want == [
+        rows[4], rows[2], rows[1], rows[3], rows[0]
+    ]
+    assert algebras._sorted_by_value([]) == []
 
 
 # -- the constructor ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """The calculus layer works on nonzero data and reads the structure
 constants.  Each route it replaced is kept here, as it was, as the
 oracle: the dense `koszul_d` (`Matrix.apply`, `vec_add`, `vec_scale`),
-inner actions as `left_mult_matrix(g) - right_mult_matrix(g)`, the
+inner actions as `left_mult_matrix(g) - right_mult_matrix(A, g)`, the
 derivation-basis structure constants from dense `@` commutators, the
 full-walk `noncentral_witness` (no unit shortcut) and the unskipped
 `curvature_components`.  They are compared on seeded M_2-M_4, a sum
@@ -58,6 +58,7 @@ from nctangent.tangent import (
     canonical_inner_model,
 )
 
+from seeded import right_mult_matrix
 from test_algebras import random_algebra, sparse_scalar
 
 KAPPAS = (Fraction(1), Fraction(2, 3), Fraction(5, 2))
@@ -100,7 +101,7 @@ def dense_koszul_d(rho):
 
 def mult_inner_operator(A, g):
     """ad_g as L(g) - R(g)."""
-    return A.left_mult_matrix(g) - A.right_mult_matrix(g)
+    return A.left_mult_matrix(g) - right_mult_matrix(A, g)
 
 
 def matmul_structure(algebra, ops):

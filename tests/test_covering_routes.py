@@ -1,11 +1,14 @@
 """The covering layer reads the structure constants and the section's
 coordinates.  Each route it replaced is kept here, as it was, as the
-oracle: dense `verify_ideal`, `quotient_algebra` through `multiply` of
-the lifts, the dense-product `verify_covering`, the functional as
-`left_mult_matrix(chi) @ section`, and the chart-to-overlap map as
-`overlap_projection @ section`.  They are compared on seeded coverings:
-function models with shared points, `M_2+M_2` blocks, `generators`
-ideals, and quotients of quotients."""
+oracle: dense `verify_ideal` (every index on both sides), `quotient_algebra`
+through `multiply` of the lifts, the dense-product `verify_covering`
+(every pair compared), the functional as `left_mult_matrix(chi) @
+section`, and the chart-to-overlap map as `overlap_projection @ section`.
+They are compared on seeded coverings: function models with shared
+points, `M_2+M_2` blocks, `generators` ideals, and quotients of
+quotients.  Spies check that `verify_ideal` multiplies only by linked
+basis elements, and that a report builds each chart functional and
+solves each algebra's center once."""
 
 import json
 import random
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from nctangent import cli, covering
+from nctangent import algebras, cli, covering, forms, partition, tangent
 from nctangent.algebras import (
     StarAlgebra,
     direct_sum,
@@ -467,3 +470,85 @@ def test_covering_makes_no_product_with_a_base_basis_vector(monkeypatch):
     rebuilt = Covering(A, cov.ideals)
     assert verify_covering(rebuilt) == []
     assert calls == []
+
+
+def test_verify_ideal_multiplies_only_by_linked_basis_elements(monkeypatch):
+    calls = []
+    real = covering._products_with_basis
+    monkeypatch.setattr(
+        covering, "_products_with_basis",
+        lambda n, v, cells: calls.append(v) or real(n, v, cells),
+    )
+    F = make_function_algebra(10)
+    ideal = ideal_from_declaration(F, {"type": "vanishing_on", "points": [1, 2, 3]})
+    verify_ideal(F, ideal)
+    # delta_k . v and v . delta_k only for the point k of each delta_k
+    assert len(calls) == 2 * ideal.dim == 14
+    calls.clear()
+    M2 = make_matrix_algebra(2)
+    A = direct_sum(M2, M2)
+    ideal = ideal_from_declaration(A, {"type": "blocks", "kill": ["1"]})
+    verify_ideal(A, ideal)
+    # E_ki E_ij and E_ij E_jk for k = 1, 2
+    assert len(calls) == 4 * ideal.dim == 16
+
+
+def spy_functional_builds(monkeypatch):
+    """The (partition, covering, chart) of every functional built."""
+    builds = []
+    real = partition.verify_functional_defined
+
+    def spy(P, cov, alpha):
+        builds.append((id(P), id(cov), alpha))
+        return real(P, cov, alpha)
+
+    monkeypatch.setattr(partition, "verify_functional_defined", spy)
+    return builds
+
+
+def test_functional_is_built_once_per_partition_covering_and_chart(monkeypatch):
+    builds = spy_functional_builds(monkeypatch)
+    cov = block_covering(direct_sum(make_matrix_algebra(2), make_matrix_algebra(2)))
+    zetas = [cov.lift(a, cov.chart(a).unit) for a in range(cov.size)]
+    P = Partition.from_zetas(cov.algebra, zetas)
+    first = [functional(P, cov, a) for a in range(cov.size)]
+    assert [functional(P, cov, a) for a in range(cov.size)] == first
+    assert all(F is G for F, G in zip(first, (functional(P, cov, a) for a in (0, 1))))
+    assert len(builds) == 2
+    # a fresh partition or covering builds its own
+    fresh_P = Partition.from_zetas(cov.algebra, zetas)
+    fresh_cov = Covering(cov.algebra, cov.ideals)
+    assert functional(fresh_P, cov, 0) == first[0]
+    assert functional(P, fresh_cov, 0) == first[0]
+    assert len(builds) == 4
+    # an ill-defined functional is checked, and raises, on every call
+    swapped = Partition.from_zetas(cov.algebra, zetas[::-1])
+    for _ in range(2):
+        with pytest.raises(IllDefined):
+            functional(swapped, cov, 0)
+    assert len(builds) == 6
+
+
+def test_a_report_builds_each_functional_and_center_once(monkeypatch):
+    builds = spy_functional_builds(monkeypatch)
+    asked, solves = [], []
+    real_center = algebras.center
+    real_solve = algebras.sparse_nullspace
+
+    def center_spy(A):
+        asked.append(A)
+        return real_center(A)
+
+    for module in (algebras, tangent, forms):
+        monkeypatch.setattr(module, "center", center_spy)
+    monkeypatch.setattr(
+        algebras, "sparse_nullspace", lambda *args: solves.append(1) or real_solve(*args)
+    )
+    path = str(SCENARIOS / "block_model.json")
+    result = CliRunner().invoke(cli.main, ["all", "--scenario", path, "--seed", "0"])
+    assert result.exit_code == 0, result.output
+    # glue, decompose and reconstruction read the two chart functionals
+    assert sorted(alpha for _, _, alpha in builds) == [0, 1]
+    assert len(set(builds)) == len(builds)
+    distinct = {id(A) for A in asked}
+    assert len(solves) == len(distinct) and len(asked) > len(distinct)

@@ -47,6 +47,8 @@ from nctangent.scalars import (
 )
 from nctangent.tangent import ActionAssignment, LocalDerivation, canonical_inner_model
 
+from seeded import right_mult_matrix
+
 
 def m2_basis(kappa=Fraction(1)):
     assign = canonical_inner_model(2, 1, kappa)
@@ -105,7 +107,7 @@ def test_basis_rejects_non_derivation():
 
 def test_basis_not_bracket_closed():
     A = make_matrix_algebra(2)
-    ad = lambda v: A.left_mult_matrix(v) - A.right_mult_matrix(v)
+    ad = lambda v: A.left_mult_matrix(v) - right_mult_matrix(A, v)
     # ad(E_12) and ad(E_21) commute to ad(E_11 - E_22), outside their span
     with pytest.raises(NotBracketClosed) as err:
         DerivationBasis(A, [ad(A.basis_vector(1)), ad(A.basis_vector(2))])
@@ -462,7 +464,7 @@ def centerless_basis():
         None,
     )
     b = A.basis_vector(1)
-    return DerivationBasis(A, [A.left_mult_matrix(b) - A.right_mult_matrix(b)])
+    return DerivationBasis(A, [A.left_mult_matrix(b) - right_mult_matrix(A, b)])
 
 
 def duality_bases():

@@ -34,16 +34,20 @@ from nctangent.scalars import (
     QuotientSpace,
     Scalar,
     Subspace,
+    eliminate,
     nullspace,
     rref,
     sc,
     solve_linear,
+    sparse_nullspace,
     unit_vec,
     vec,
     vec_is_zero,
     vec_sub,
 )
 from nctangent.tangent import canonical_inner_model, glue
+
+from seeded import right_mult_matrix
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -598,7 +602,7 @@ def model_operators():
         make_function_algebra(5),
     ):
         dense = tuple(Scalar(i - 2, i % 3) for i in range(A.dim))
-        out += [A.involution, A.left_mult_matrix(dense), A.right_mult_matrix(dense)]
+        out += [A.involution, A.left_mult_matrix(dense), right_mult_matrix(A, dense)]
         out += [A.left_mult_matrix(unit_vec(A.dim, A.dim - 1))]
     for n in (2, 3, 4):
         out += canonical_inner_model(n, 1, Fraction(2, 3)).operators
@@ -762,3 +766,81 @@ def test_from_columns_keeps_the_shape_of_empty_columns():
     assert (empty.rows, empty.cols) == (2, 0)
     with pytest.raises(ValueError, match="ragged columns"):
         Matrix.from_columns([(ONE, ZERO), (ONE,)])
+
+
+# -- oracle: the dense elimination that the sparse-row `eliminate` replaces ---
+
+
+def dense_rref(rows):
+    """Reduced row echelon form by whole-row operations on dense lists:
+    the elimination `rref` ran before it wrapped `eliminate`."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for k in range(r, nrows):
+            if rows[k][c]:
+                pivot = k
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * a for a in rows[r]]
+        for k in range(nrows):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [tuple(row) for row in rows], pivots
+
+
+@st.composite
+def dense_rows(draw):
+    """0-6 rows of 1-6 entries, often sparse, with repeated and zero
+    rows among them."""
+    cols = draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from(SPARSE), min_size=cols, max_size=cols).map(tuple)
+    rows = draw(st.lists(row, max_size=6))
+    if rows and draw(st.booleans()):
+        rows += [rows[0], (ZERO,) * cols]
+    return rows
+
+
+@given(dense_rows())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_the_dense_elimination(rows):
+    assert rref(rows) == dense_rref(rows)
+
+
+@given(dense_rows())
+@settings(max_examples=150, deadline=None)
+def test_sparse_nullspace_matches_nullspace(rows):
+    cols = len(rows[0]) if rows else 3
+    sparse = [{c: a for c, a in enumerate(row) if a} for row in rows]
+    assert sparse_nullspace(sparse, cols) == nullspace(Matrix(rows, cols=cols))
+
+
+def test_eliminate_reads_sparse_rows_and_drops_cleared_ones():
+    rows = [{2: sc(2)}, {0: sc(1), 2: sc(4)}, {0: sc(3), 2: sc(12)}, {}]
+    reduced, pivots = eliminate(rows, 4)
+    assert pivots == [0, 2]
+    assert reduced == [{0: ONE}, {2: ONE}]
+
+
+def test_column_and_unit_vec():
+    M = Matrix([[1, 2, 3], [4, 5, 6]])
+    assert [M.column(j) for j in range(3)] == [vec(1, 4), vec(2, 5), vec(3, 6)]
+    assert Matrix.zero(0, 2).column(1) == ()
+    for n in range(1, 5):
+        for k in range(n):
+            assert unit_vec(n, k) == tuple(ONE if j == k else ZERO for j in range(n))
+    for n, k in ((3, 3), (3, -1), (0, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            unit_vec(n, k)

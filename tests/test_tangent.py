@@ -41,6 +41,8 @@ from nctangent.tangent import (
     verify_action,
 )
 
+from seeded import right_mult_matrix
+
 
 def unit_scaled(A, value):
     return vec_scale(Scalar.promote(value), A.unit)
@@ -358,12 +360,12 @@ def leibniz_cases():
     for A in algebras_:
         n = A.dim
         g = tuple(Scalar(i % 3 - 1, i % 2) for i in range(n))
-        ad = A.left_mult_matrix(g) - A.right_mult_matrix(g)
+        ad = A.left_mult_matrix(g) - right_mult_matrix(A, g)
         unit_cell = Matrix(
             [[sc(0, 2) if (r, c) == (0, n - 1) else Scalar(0) for c in range(n)] for r in range(n)]
         )
         dense = Matrix([[Scalar(r - c, (r * c) % 3) for c in range(n)] for r in range(n)])
-        left, right = A.left_mult_matrix(g), A.right_mult_matrix(g)
+        left, right = A.left_mult_matrix(g), right_mult_matrix(A, g)
         out.append(
             (A, [ad, ad + unit_cell, Matrix.identity(n).scale(3), dense, left, right])
         )
