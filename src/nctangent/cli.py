@@ -465,16 +465,14 @@ def _check_hopf(scn, rec, seed):
 
     def commutators():
         kappa = scn.kappa
+        p = [PBWElement.generator(scn.d, kappa, mu) for mu in range(scn.d + 1)]
         for j in range(1, scn.d + 1):
-            p0 = PBWElement.generator(scn.d, kappa, 0)
-            pj = PBWElement.generator(scn.d, kappa, j)
-            comm = p0.star(pj) - pj.star(p0)
-            want = pj.scale(Scalar(0, Fraction(1) / kappa))
+            comm = p[0].star(p[j]) - p[j].star(p[0])
+            want = p[j].scale(Scalar(0, Fraction(1) / kappa))
             if comm != want:
                 return ("time-space", j)
             for k in range(j + 1, scn.d + 1):
-                pk = PBWElement.generator(scn.d, kappa, k)
-                if not (pj.star(pk) - pk.star(pj)).is_zero():
+                if not (p[j].star(p[k]) - p[k].star(p[j])).is_zero():
                     return ("space-space", j, k)
         return None
 

@@ -6,7 +6,9 @@ Elements are finite linear combinations of normal-ordered monomials
 
 over Q(i), with the single nontrivial relation  p_0 p_j - p_j p_0 =
 (i/kappa) p_j.  The star product rewrites words into normal order one
-commutation step at a time.  A second, independent closed-form route
+commutation step at a time: each call builds the tower p_0^k p_j, step
+by step, once for every k it needs, and moves each spatial factor past
+a p_0 power by reading it.  A second, independent closed-form route
 (`integral_star_oracle`) evaluates the same product through the shift
 picture: multiplying by a spatial monomial of total degree b displaces
 p_0 by i*b/kappa under every crossing, which resums into a binomial
@@ -17,9 +19,10 @@ and antipode -p on generators extended as an antihomomorphism.  The
 coproduct of a monomial is computed in closed form by the binomial
 formula for primitive elements; the multiplicative route (one generator
 at a time through `TensorElement.multiply`) is kept in the tests as its
-oracle.  `hopf_axiom_check` builds each monomial, its coproduct and its
-antipode once per call, and normal-orders each monomial product that its
-antipode slots need once per call.
+oracle.  `hopf_axiom_check` numbers the swept monomials and works in
+call-local tables keyed by those integers: each coproduct and antipode
+is built once, the tower once, and each monomial product that its
+antipode slots need is normal-ordered once.
 
 kappa and the monomial keys are validated by the public constructors
 only; internal results are built by `_Combination._trusted`.
@@ -58,6 +61,15 @@ def _kappa_of(value):
     if k <= 0:
         raise ValueError("the deformation parameter must be a positive rational")
     return k
+
+
+def _monomial_key(d, key):
+    """The normal monomial key (beta, n) of `key`, checked against d."""
+    beta, n = key
+    beta = tuple(int(b) for b in beta)
+    if len(beta) != d or any(b < 0 for b in beta) or n < 0:
+        raise ValueError("bad monomial key %r" % (key,))
+    return (beta, int(n))
 
 
 def _add_into(out, terms, scale):
@@ -125,11 +137,7 @@ class PBWElement(_Combination):
         kappa = _kappa_of(kappa)
         clean = {}
         for key, coeff in terms.items():
-            beta, n = key
-            beta = tuple(int(b) for b in beta)
-            if len(beta) != d or any(b < 0 for b in beta) or n < 0:
-                raise ValueError("bad monomial key %r" % (key,))
-            k = (beta, int(n))
+            k = _monomial_key(d, key)
             clean[k] = clean.get(k, ZERO) + Scalar.promote(coeff)
         self._fill(d, kappa, clean)
 
@@ -206,11 +214,11 @@ class PBWElement(_Combination):
     def star(self, other):
         """Product by stepwise normal-ordering."""
         self._compat(other)
-        ik = _i_over(self.kappa)
+        towers = _towers(self.kappa, self.terms)
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                _add_into(out, _star_monomials(k1, k2, ik), c1 * c2)
+                _add_into(out, _star_monomials(k1, k2, towers), c1 * c2)
         return PBWElement._trusted(self.d, self.kappa, out)
 
     def dagger(self):
@@ -228,52 +236,55 @@ def _i_over(kappa):
     return Scalar(0, Fraction(1, 1) / kappa)
 
 
-def _star_monomials(k1, k2, ik):
+def _towers(kappa, keys):
+    """The stepwise tower at i/kappa, as far as the p_0 powers of `keys`
+    need: entry k holds p_0^k p_j in normal order as {t: coefficient of
+    p_j p_0^t} (the same for every j), built from entry k - 1 by one
+    commutation p_0 p_j = p_j p_0 + (i/kappa) p_j."""
+    ik = _i_over(kappa)
+    towers = [{0: ONE}]
+    for _ in range(max((n for _, n in keys), default=0)):
+        nxt = {}
+        for t, ct in towers[-1].items():
+            nxt[t + 1] = nxt.get(t + 1, ZERO) + ct
+            nxt[t] = nxt.get(t, ZERO) + ik * ct
+        towers.append(nxt)
+    return towers
+
+
+def _star_monomials(k1, k2, towers):
     """Normal form of the product of two normal monomials, as a dict;
-    `ik` is `_i_over(kappa)`."""
+    `towers` is `_towers` reaching the p_0 power of k1.
+
+    The spatial factors of k2 commute with one another, so they pass
+    the p_0 power one at a time: each step rewrites every p_0^k p_j of
+    the running product by its tower entry, which is the same for
+    every j.  The running product is kept as {p_0 power: coefficient}
+    in front of the spatial part gamma plus the factors moved so far.
+    """
     gamma, n = k1
     beta, m = k2
-    acc = {(gamma, n): ONE}
-    for j, b in enumerate(beta):
-        for _ in range(b):
-            acc = _right_mul_spatial(acc, j, ik)
-    if m:
-        acc = {(bt, k + m): c for (bt, k), c in acc.items()}
-    return acc
-
-
-def _right_mul_spatial(acc, j, ik):
-    """Multiply a normal-form combination by p_{j+1} on the right.
-
-    p_0^k p_j is rewritten by applying p_0 p_j = p_j p_0 +
-    (i/kappa) p_j one commutation at a time.
-    """
-    out = {}
-    for (beta, k), c in acc.items():
-        # X_t holds p_0^t p_j in normal order, built up step by step
-        x = {0: ONE}
-        for _ in range(k):
-            nxt = {}
-            for t, ct in x.items():
-                nxt[t + 1] = nxt.get(t + 1, ZERO) + ct
-                nxt[t] = nxt.get(t, ZERO) + ik * ct
-            x = nxt
-        beta2 = tuple(b + 1 if idx == j else b for idx, b in enumerate(beta))
-        for t, ct in x.items():
-            key = (beta2, t)
-            out[key] = out.get(key, ZERO) + c * ct
-    return {k: c for k, c in out.items() if c}
+    acc = {n: ONE}
+    for _ in range(sum(beta)):
+        out = {}
+        for k, c in acc.items():
+            for t, ct in towers[k].items():
+                out[t] = out.get(t, ZERO) + c * ct
+        acc = {t: c for t, c in out.items() if c}
+    merged = tuple(a + b for a, b in zip(gamma, beta))
+    return {(merged, t + m): c for t, c in acc.items()}
 
 
 def _reversed_words(f, coefficient):
     """Sum over the terms c p^beta p0^n of f of coefficient(c, degree)
     times the reversed word p0^n p^beta, renormal-ordered by the rewriting
     product.  `dagger` and `antipode` differ only in the coefficient."""
-    ik = _i_over(f.kappa)
+    # a word without spatial factors is already in normal order
+    towers = _towers(f.kappa, [key for key in f.terms if any(key[0])])
     origin = (0,) * f.d
     out = {}
     for (beta, n), c in f.terms.items():
-        word = _star_monomials((origin, n), (beta, 0), ik)
+        word = _star_monomials((origin, n), (beta, 0), towers)
         _add_into(out, word, coefficient(c, n + sum(beta)))
     return PBWElement._trusted(f.d, f.kappa, out)
 
@@ -318,20 +329,20 @@ class TensorElement(_Combination):
         kappa = _kappa_of(kappa)
         clean = {}
         for (k1, k2), coeff in terms.items():
-            kk = ((tuple(k1[0]), k1[1]), (tuple(k2[0]), k2[1]))
+            kk = (_monomial_key(d, k1), _monomial_key(d, k2))
             clean[kk] = clean.get(kk, ZERO) + Scalar.promote(coeff)
         self._fill(d, kappa, clean)
 
     def multiply(self, other):
         """Componentwise star product of the two tensor factors."""
         self._compat(other)
-        ik = _i_over(self.kappa)
+        towers = _towers(self.kappa, [k for pair in self.terms for k in pair])
         out = {}
         for (a1, a2), c in self.terms.items():
             for (b1, b2), e in other.terms.items():
                 f = c * e
-                left = _star_monomials(a1, b1, ik)
-                right = _star_monomials(a2, b2, ik)
+                left = _star_monomials(a1, b1, towers)
+                right = _star_monomials(a2, b2, towers)
                 for kl, cl in left.items():
                     for kr, cr in right.items():
                         key = (kl, kr)
@@ -367,7 +378,7 @@ def coproduct(f):
             spatial = prod(comb(b, g) for b, g in zip(beta, gamma))
             for k in range(n + 1):
                 key = ((gamma, k), (rest, n - k))
-                out[key] = c * Scalar.promote(spatial * comb(n, k))
+                out[key] = c * Scalar(spatial * comb(n, k))
     return TensorElement._trusted(f.d, f.kappa, out)
 
 
@@ -386,6 +397,8 @@ def antipode(f):
 
 def monomials_up_to(d, max_degree):
     """All normal-ordered monomial keys of total degree <= max_degree."""
+    if d < 0 or max_degree < 0:
+        raise ValueError("d and max_degree must be nonnegative")
     keys = []
 
     def rec(prefix, remaining, slots):
@@ -409,53 +422,68 @@ def hopf_axiom_check(d, kappa, max_degree):
 
     Returns a list of (axiom_name, monomial_key) failures; empty means
     every identity holds on all monomials up to the degree bound.  Every
-    tensor factor of a swept coproduct is itself a swept monomial, so
-    each monomial's element, coproduct and antipode are built once per
-    call and kept in local dicts.  The antipode slots expand each sum
-    over the terms of those antipodes, and each monomial product a * b
-    they need is normal-ordered once per call, at this call's i/kappa.
+    tensor factor of a swept coproduct, every antipode term and every
+    product the antipode slots need is itself a swept monomial, so the
+    call numbers the monomials and works on integer keys: each
+    coproduct and antipode is built once and re-keyed by index, the
+    stepwise tower is built once at this call's i/kappa, and each
+    monomial product a * b is normal-ordered once, from that tower.
+    Nothing outlives the call.
     """
-    failures = []
     kappa = _kappa_of(kappa)
-    ik = _i_over(kappa)
     keys = monomials_up_to(d, max_degree)
-    element = {key: PBWElement.monomial(d, kappa, key[0], key[1]) for key in keys}
-    delta = {key: coproduct(f) for key, f in element.items()}
-    anti = {key: antipode(f) for key, f in element.items()}
-    one = PBWElement.one(d, kappa)
+    index = {key: i for i, key in enumerate(keys)}
+    origin = index[((0,) * d, 0)]
+    size = len(keys)
+    towers = _towers(kappa, keys)
+    element, delta, anti = [], [], []
+    for key in keys:
+        f = PBWElement._trusted(d, kappa, {key: ONE})
+        element.append(f)
+        delta.append(
+            [(index[k1], index[k2], c) for (k1, k2), c in coproduct(f).terms.items()]
+        )
+        anti.append([(index[k], c) for k, c in antipode(f).terms.items()])
     products = {}
 
     def star(a, b):
         if (a, b) not in products:
-            products[a, b] = _star_monomials(a, b, ik)
+            made = _star_monomials(keys[a], keys[b], towers)
+            products[a, b] = [(index[k], c) for k, c in made.items()]
         return products[a, b]
 
-    for key in keys:
-        f = element[key]
-        terms = delta[key].terms
+    failures = []
+    for i, key in enumerate(keys):
+        terms = delta[i]
         left = {}
         right = {}
-        for (k1, k2), c in terms.items():
-            for (a, b), e in delta[k1].terms.items():
-                tk = (a, b, k2)
+        for k1, k2, c in terms:
+            for a, b, e in delta[k1]:
+                # the triple (a, b, k2), packed into one integer
+                tk = (a * size + b) * size + k2
                 left[tk] = left.get(tk, ZERO) + c * e
-            for (a, b), e in delta[k2].terms.items():
-                tk = (k1, a, b)
+            for a, b, e in delta[k2]:
+                tk = (k1 * size + a) * size + b
                 right[tk] = right.get(tk, ZERO) + c * e
         if _nonzero(left) != _nonzero(right):
             failures.append(("coassociativity", key))
-        if delta[key].slot_counit(1) != f or delta[key].slot_counit(2) != f:
+        kept = ({}, {})
+        for k1, k2, c in terms:
+            if k2 == origin:
+                kept[0][k1] = kept[0].get(k1, ZERO) + c
+            if k1 == origin:
+                kept[1][k2] = kept[1].get(k2, ZERO) + c
+        if any(s.pop(i, ZERO) != ONE or any(s.values()) for s in kept):
             failures.append(("counit", key))
-        target = one.scale(counit(f)).terms
+        e0 = counit(element[i])
+        target = {origin: e0} if e0 else {}
         for slot in (1, 2):
             total = {}
-            for (k1, k2), c in terms.items():
-                if slot == 1:
-                    for a, e in anti[k1].terms.items():
-                        _add_into(total, star(a, k2), c * e)
-                else:
-                    for b, e in anti[k2].terms.items():
-                        _add_into(total, star(k1, b), c * e)
+            for k1, k2, c in terms:
+                for x, e in anti[k1] if slot == 1 else anti[k2]:
+                    scale = c * e
+                    for k, v in star(x, k2) if slot == 1 else star(k1, x):
+                        total[k] = total.get(k, ZERO) + scale * v
             if _nonzero(total) != target:
                 failures.append(("antipode slot %d" % slot, key))
     return failures

@@ -17,6 +17,7 @@ from nctangent import cli, minkowski
 from nctangent.algebras import make_function_algebra, quotient_algebra
 from nctangent.cli import main
 from nctangent.covering import ideal_from_declaration
+from nctangent.scalars import ZERO
 
 from test_minkowski import unordered_antipode
 
@@ -63,6 +64,36 @@ def test_hopf_check_reports_an_antipode_without_reordering(monkeypatch):
     # p3 p0 is the first swept monomial whose reversed word p0 p3 needs
     # reordering: slot 1 sums to -(i/kappa) p3 instead of 0
     assert checks["hopf:antipode"]["witness"] == ["antipode slot 1", "((0, 0, 1), 1)"]
+
+
+def test_hopf_commutators_build_each_generator_once(monkeypatch):
+    made = []
+    real = minkowski.PBWElement.generator.__func__
+
+    def spy(cls, d, kappa, mu):
+        made.append(mu)
+        return real(cls, d, kappa, mu)
+
+    monkeypatch.setattr(minkowski.PBWElement, "generator", classmethod(spy))
+    result = run("hopf-check", "--scenario", str(SCENARIOS / "hopf_d3.json"))
+    assert statuses(result)["hopf:commutators"] == "pass"
+    assert sorted(made) == [0, 1, 2, 3]
+
+
+def test_hopf_commutators_witness_a_central_time_generator(monkeypatch):
+    # with i/kappa read as 0 the algebra is commutative: its Hopf laws
+    # hold, and the first time-space bracket is the witness
+    monkeypatch.setattr(minkowski, "_i_over", lambda kappa: ZERO)
+    result = run("hopf-check", "--scenario", str(SCENARIOS / "hopf_d3.json"))
+    assert result.exit_code == 1
+    checks = {c["id"]: c for c in report_of(result)["checks"]}
+    assert {name: c["status"] for name, c in checks.items()} == {
+        "hopf:antipode": "pass",
+        "hopf:coassociativity": "pass",
+        "hopf:commutators": "fail",
+        "hopf:counit": "pass",
+    }
+    assert checks["hopf:commutators"]["witness"] == ["time-space", 1]
 
 
 def test_partition_check_matrix_diagonal():

@@ -1,4 +1,5 @@
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -273,21 +274,24 @@ def test_sweep_catches_antipode_without_reordering(monkeypatch):
     assert {name for name, _ in failures} <= {"antipode slot 1", "antipode slot 2"}
 
 
+true_coproduct = minkowski.coproduct
+
+
+def flipped_cross_term(f):
+    """The coproduct with the sign of its first cross term flipped."""
+    delta = true_coproduct(f)
+    cross = sorted(
+        (k1, k2) for k1, k2 in delta.terms if sum(k1[0]) + k1[1] and sum(k2[0]) + k2[1]
+    )
+    if not cross:
+        return delta
+    terms = dict(delta.terms)
+    terms[cross[0]] = -terms[cross[0]]
+    return TensorElement(f.d, f.kappa, terms)
+
+
 def test_sweep_catches_one_flipped_coproduct_term(monkeypatch):
-    real = minkowski.coproduct
-
-    def flipped(f):
-        delta = real(f)
-        cross = sorted(
-            (k1, k2) for k1, k2 in delta.terms if sum(k1[0]) + k1[1] and sum(k2[0]) + k2[1]
-        )
-        if not cross:
-            return delta
-        terms = dict(delta.terms)
-        terms[cross[0]] = -terms[cross[0]]
-        return TensorElement(f.d, f.kappa, terms)
-
-    monkeypatch.setattr(minkowski, "coproduct", flipped)
+    monkeypatch.setattr(minkowski, "coproduct", flipped_cross_term)
     failures = hopf_axiom_check(*SWEEP)
     assert failures != []
     # a flipped cross term keeps the counit law, so another axiom caught it
@@ -372,7 +376,9 @@ def swept_antipode_slots(monkeypatch, d, kappa, max_degree):
     """Run the sweep and read back its per-key [slot 1, slot 2] totals.
 
     For each key in order the sweep takes `_nonzero` of the two
-    coassociativity sides, then of the slot 1 and slot 2 totals.
+    coassociativity sides, then of the slot 1 and slot 2 totals.  The
+    sweep keys each monomial by its place in `monomials_up_to`, so the
+    totals are mapped back to monomial keys here.
     """
     real = minkowski._nonzero
     seen = []
@@ -386,7 +392,10 @@ def swept_antipode_slots(monkeypatch, d, kappa, max_degree):
     monkeypatch.setattr(minkowski, "_nonzero", real)
     keys = monomials_up_to(d, max_degree)
     assert len(seen) == 4 * len(keys)
-    totals = {key: seen[4 * i + 2 : 4 * i + 4] for i, key in enumerate(keys)}
+    totals = {
+        key: [{keys[k]: c for k, c in total.items()} for total in seen[4 * i + 2 : 4 * i + 4]]
+        for i, key in enumerate(keys)
+    }
     return totals, failures
 
 
@@ -433,10 +442,10 @@ def test_sweep_normal_orders_each_slot_product_once_per_call(monkeypatch):
         finally:
             inside_antipode.pop()
 
-    def star_spy(k1, k2, ik):
+    def star_spy(k1, k2, towers):
         if not inside_antipode:
-            made.append((k1, k2, ik))
-        return real_star(k1, k2, ik)
+            made.append((k1, k2, towers))
+        return real_star(k1, k2, towers)
 
     monkeypatch.setattr(minkowski, "antipode", antipode_spy)
     monkeypatch.setattr(minkowski, "_star_monomials", star_spy)
@@ -446,10 +455,164 @@ def test_sweep_normal_orders_each_slot_product_once_per_call(monkeypatch):
         assert len(need) > 2 * len(set(need))
         mark = len(made)
         assert hopf_axiom_check(2, kappa, 3) == []
-        # every product is made again in each call, once, at its own
-        # i/kappa: none is served from another call or another kappa
+        # every product is made again in each call, once, from one tower
+        # built in that call at its own i/kappa: none is served from
+        # another call or another kappa
         assert Counter((a, b) for a, b, _ in made[mark:]) == Counter(set(need))
-        assert {ik for _, _, ik in made[mark:]} == {Scalar(0, 1 / kappa)}
+        (towers,) = {id(t): t for _, _, t in made[mark:]}.values()
+        assert towers[1] == {1: ONE, 0: Scalar(0, 1 / kappa)}
+
+
+# -- the sweep before its index tables, as its oracle -------------------------
+
+
+def parent_hopf_axiom_check(d, kappa, max_degree):
+    """Exhaustive coassociativity, counit and antipode sweep.
+
+    Returns a list of (axiom_name, monomial_key) failures; empty means
+    every identity holds on all monomials up to the degree bound.  Every
+    tensor factor of a swept coproduct is itself a swept monomial, so
+    each monomial's element, coproduct and antipode are built once per
+    call and kept in local dicts.  The antipode slots expand each sum
+    over the terms of those antipodes, and each monomial product a * b
+    they need is normal-ordered once per call, at this call's i/kappa.
+    """
+    failures = []
+    kappa = _kappa_of(kappa)
+    ik = _i_over(kappa)
+    keys = monomials_up_to(d, max_degree)
+    element = {key: PBWElement.monomial(d, kappa, key[0], key[1]) for key in keys}
+    delta = {key: coproduct(f) for key, f in element.items()}
+    anti = {key: antipode(f) for key, f in element.items()}
+    one = PBWElement.one(d, kappa)
+    products = {}
+
+    def star(a, b):
+        if (a, b) not in products:
+            products[a, b] = _star_monomials(a, b, ik)
+        return products[a, b]
+
+    for key in keys:
+        f = element[key]
+        terms = delta[key].terms
+        left = {}
+        right = {}
+        for (k1, k2), c in terms.items():
+            for (a, b), e in delta[k1].terms.items():
+                tk = (a, b, k2)
+                left[tk] = left.get(tk, ZERO) + c * e
+            for (a, b), e in delta[k2].terms.items():
+                tk = (k1, a, b)
+                right[tk] = right.get(tk, ZERO) + c * e
+        if _nonzero(left) != _nonzero(right):
+            failures.append(("coassociativity", key))
+        if delta[key].slot_counit(1) != f or delta[key].slot_counit(2) != f:
+            failures.append(("counit", key))
+        target = one.scale(counit(f)).terms
+        for slot in (1, 2):
+            total = {}
+            for (k1, k2), c in terms.items():
+                if slot == 1:
+                    for a, e in anti[k1].terms.items():
+                        _add_into(total, star(a, k2), c * e)
+                else:
+                    for b, e in anti[k2].terms.items():
+                        _add_into(total, star(k1, b), c * e)
+            if _nonzero(total) != target:
+                failures.append(("antipode slot %d" % slot, key))
+    return failures
+
+
+
+def parent_route_star(k1, k2, ik):
+    """The `_star_monomials(k1, k2, ik)` call of the sweep above, served by
+    the rewriting route as it stands, with a tower made for this one
+    product at i/kappa = ik."""
+    return minkowski._star_monomials(k1, k2, minkowski._towers(1 / ik.im, [k1]))
+
+
+def parent_sweep(d, kappa, max_degree):
+    """`parent_hopf_axiom_check`, unchanged, with its names looked up in
+    `minkowski` at call time, so a mutant patched into the module reaches
+    it as it reaches `hopf_axiom_check`."""
+    namespace = dict(vars(minkowski), _star_monomials=parent_route_star)
+    code = parent_hopf_axiom_check.__code__
+    return types.FunctionType(code, namespace)(d, kappa, max_degree)
+
+
+def dropped_counit_term(f):
+    """The coproduct without its f (x) 1 term, for f of positive degree."""
+    delta = true_coproduct(f)
+    unit = ((0,) * f.d, 0)
+    terms = {pair: c for pair, c in delta.terms.items() if pair[1] != unit or pair[0] == unit}
+    return TensorElement(f.d, f.kappa, terms)
+
+
+def towers_without_ik_after_the_first_step(kappa, keys):
+    """The tower with its i/kappa term dropped from the second commutation
+    on.  Dropped from every step, it would give the commutative polynomial
+    Hopf algebra, whose laws all hold; kept in the first, p_0 p_j stays
+    right and the laws break from p_0^2 p_j up."""
+    ik = minkowski._i_over(kappa)
+    towers = [{0: ONE}]
+    for step in range(max((n for _, n in keys), default=0)):
+        nxt = {}
+        for t, ct in towers[-1].items():
+            nxt[t + 1] = nxt.get(t + 1, ZERO) + ct
+            if step == 0:
+                nxt[t] = nxt.get(t, ZERO) + ik * ct
+        towers.append(nxt)
+    return towers
+
+
+MUTANTS = {
+    "none": {},
+    "comb-is-one": {"comb": lambda n, k: 1},
+    "unordered-antipode": {"antipode": unordered_antipode},
+    "flipped-cross-term": {"coproduct": flipped_cross_term},
+    "dropped-counit-term": {"coproduct": dropped_counit_term},
+    "tower-without-ik": {"_towers": towers_without_ik_after_the_first_step},
+}
+PARENT_SWEEPS = [(1, n) for n in range(1, 6)] + [(d, n) for d in (2, 3) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_sweep_gives_the_failures_of_the_sweep_before_its_tables(monkeypatch, mutant):
+    for name, value in MUTANTS[mutant].items():
+        monkeypatch.setattr(minkowski, name, value)
+    caught = False
+    for d, degree in PARENT_SWEEPS:
+        for kappa in (1, Fraction(2, 3), Fraction(5, 2), Fraction(3, 5)):
+            want = parent_sweep(d, kappa, degree)
+            assert hopf_axiom_check(d, kappa, degree) == want, (d, degree, kappa)
+            caught = caught or bool(want)
+    # every mutant breaks a law somewhere in the sweeps, and the true
+    # maps break none
+    assert caught == (mutant != "none")
+
+
+def test_sweep_bounds_must_be_nonnegative():
+    for d, degree in ((1, -1), (-2, 2), (-1, -1)):
+        with pytest.raises(ValueError):
+            hopf_axiom_check(d, 1, degree)
+        with pytest.raises(ValueError):
+            monomials_up_to(d, degree)
+    # degree 0 sweeps the unit alone, and d = 0 the powers of p_0
+    assert monomials_up_to(2, 0) == [((0, 0), 0)]
+    assert monomials_up_to(0, 2) == [((), 0), ((), 1), ((), 2)]
+    assert hopf_axiom_check(0, 1, 2) == []
+
+
+def test_tensor_keys_are_checked_as_monomial_keys_are():
+    for bad in (((1, 2), 0), ((-3,), 0), ((1,), -1)):
+        with pytest.raises(ValueError):
+            PBWElement(1, 1, {bad: 1})
+        with pytest.raises(ValueError):
+            TensorElement(1, 1, {(((0,), 0), bad): 1})
+        with pytest.raises(ValueError):
+            TensorElement(1, 1, {(bad, ((0,), 0)): 1})
+    with pytest.raises(ValueError):
+        TensorElement(1, 1, {(((1, 2), 0), ((-3,), -1)): 1})
 
 
 def test_epsilon3():
