@@ -17,7 +17,8 @@ parent: they are the characters of A that vanish on I, pulled back
 through the section, and sorted by value as integers over the values'
 common denominator.  A character reads only its nonzero values and
 rejects a vector of the wrong length.  An algebra without a model tag
-has no character route and raises.
+has no character route and raises.  `AlgebraError`, the library's error,
+and its subclasses in the other modules carry an optional witness.
 """
 
 from __future__ import annotations
@@ -42,7 +43,11 @@ from nctangent.scalars import (
 
 
 class AlgebraError(ValueError):
-    pass
+    """A library error; `witness`, None by default, names what broke."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class StarAlgebra(Immutable):

@@ -242,18 +242,20 @@ def _is_cube(grid, n):
     )
 
 
-def _build_connection(assign, spec, rng):
+def _build_connection(assign, spec):
+    """The connection as a function of the curvature family's random
+    source; only a seeded connection draws from it."""
     A = assign.algebra
     n = assign.d + 1
     kind = spec.get("type") if isinstance(spec, dict) else None
-    if kind == "zero":
-        return ConnectionCoefficients.zero(assign)
-    if kind == "constant":
-        value = _parse_scalar(spec.get("value", "i"), "connection value")
-        return ConnectionCoefficients.constant(assign, value, check=False)
     if kind == "seeded":
-        return random_connection(assign, rng)
-    if isinstance(spec, dict) and "grid" in spec:
+        return lambda rng: random_connection(assign, rng)
+    if kind == "zero":
+        gamma = ConnectionCoefficients.zero(assign)
+    elif kind == "constant":
+        value = _parse_scalar(spec.get("value", "i"), "connection value")
+        gamma = ConnectionCoefficients.constant(assign, value, check=False)
+    elif isinstance(spec, dict) and "grid" in spec:
         grid = spec["grid"]
         if not _is_cube(grid, n):
             raise ScenarioError("connection grid must be (d+1) cubed")
@@ -270,10 +272,12 @@ def _build_connection(assign, spec, rng):
                     ]
                 )
             built.append(rows)
-        return ConnectionCoefficients(assign, built, check=False)
-    raise ScenarioError(
-        "connection section needs type 'zero'/'constant'/'seeded' or a grid"
-    )
+        gamma = ConnectionCoefficients(assign, built, check=False)
+    else:
+        raise ScenarioError(
+            "connection section needs type 'zero'/'constant'/'seeded' or a grid"
+        )
+    return lambda rng: gamma
 
 
 def _integer(value):
@@ -404,8 +408,10 @@ def load_scenario(path):
             )
             for alpha, spec in enumerate(specs)
         ]
-    if scn.connection is not None and scn.action is None:
-        raise ScenarioError("connection section needs an action section")
+    if scn.connection is not None:
+        if scn.action is None:
+            raise ScenarioError("connection section needs an action section")
+        scn.connection = _build_connection(scn.action, scn.connection)
     return scn
 
 
@@ -646,7 +652,7 @@ def _check_curvature(scn, rec, seed):
     """Connection validity, axioms, and the two-route curvature
     comparison."""
     rng = random.Random(seed)
-    gamma = _build_connection(scn.action, scn.connection, rng)
+    gamma = scn.connection(rng)
     rec.run(
         "curvature:coefficients",
         lambda: _first(coefficient_failures(gamma)),

@@ -20,6 +20,7 @@ from fractions import Fraction
 from nctangent.algebras import AlgebraError, noncentral_witness
 from nctangent.scalars import (
     Immutable,
+    MINUS_ONE,
     Scalar,
     vec_add,
     vec_is_zero,
@@ -27,17 +28,11 @@ from nctangent.scalars import (
     vec_sub,
     zero_vec,
 )
-from nctangent.tangent import LocalDerivation, bracket
-
-MINUS_ONE = Scalar(-1)
+from nctangent.tangent import LocalDerivation, bracket, generator_derivation
 
 
 class InvalidConnection(AlgebraError):
     """Coefficient grid breaks centrality or anti-hermiticity."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class ConnectionCoefficients(Immutable):
@@ -121,15 +116,6 @@ def coefficient_failures(gamma):
     return failures
 
 
-def generator_derivation(assign, mu):
-    """The mu-th basis derivation: unit coefficient in one slot."""
-    A = assign.algebra
-    coeffs = [
-        A.unit if nu == mu else zero_vec(A.dim) for nu in range(assign.d + 1)
-    ]
-    return LocalDerivation(assign, coeffs)
-
-
 def nabla(gamma, X, Y):
     """Covariant derivative of Y along X: the Gamma contraction of the
     coefficient products plus X's coefficients times the generator
@@ -176,10 +162,6 @@ def star_derivation(X):
         vec_scale(MINUS_ONE, A.involute(c)) for c in X.coefficients
     ]
     return LocalDerivation(X.assignment, coeffs, check=False)
-
-
-def _coeffs_equal(X, Y):
-    return X.coefficients == Y.coefficients
 
 
 def _scale_coeffs(X, z, side):
@@ -229,7 +211,7 @@ def verify_connection_axioms(gamma, samples):
         # hermiticity
         lhs = star_derivation(base)
         rhs = nabla(gamma, star_derivation(X), star_derivation(Y))
-        if not _coeffs_equal(lhs, rhs):
+        if lhs.coefficients != rhs.coefficients:
             failures.append(("hermiticity", idx))
     return failures
 

@@ -35,17 +35,9 @@ from nctangent.scalars import (
 class NotAnIdeal(AlgebraError):
     """A declared subspace escapes under multiplication or involution."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class IntersectionNonzero(AlgebraError):
     """The ideals share a nonzero common vector."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def _products_with_basis(n, v, cells):

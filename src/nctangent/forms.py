@@ -10,10 +10,10 @@ chart forms glue into a global one through `form_loc2glob`.
 
 The differential follows the Koszul pattern: an alternating sum of
 derivation actions plus an alternating sum over bracket insertions.  It
-is only defined when the basis closes under commutator with scalar
-structure constants, which the basis constructor verifies once.  Both
-work on nonzero data only; their dense routes are the oracles in
-tests/test_calculus_routes.py.
+is only defined when the basis, given as operator matrices, closes under
+commutator with scalar structure constants, which its constructor
+verifies once.  Both work on nonzero data only; their dense routes are
+the oracles in tests/test_calculus_routes.py.
 """
 
 from itertools import combinations
@@ -22,6 +22,7 @@ from nctangent.algebras import AlgebraError, center
 from nctangent.partition import functional, verify_functional_defined
 from nctangent.scalars import (
     Immutable,
+    MINUS_ONE,
     Matrix,
     Scalar,
     ZERO,
@@ -33,25 +34,11 @@ from nctangent.scalars import (
     vec_sub,
     zero_vec,
 )
-from nctangent.tangent import LocalDerivation, glue, leibniz_failures
-
-MINUS_ONE = Scalar(-1)
+from nctangent.tangent import generator_derivation, glue, leibniz_failures
 
 
 class NotBracketClosed(AlgebraError):
     """Commutator of two basis operators left the basis span."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-def _operator_matrix(member):
-    if isinstance(member, Matrix):
-        return member
-    if hasattr(member, "as_matrix"):
-        return member.as_matrix()
-    return member.matrix
 
 
 def _flatten(M):
@@ -62,7 +49,7 @@ def _flatten(M):
 
 
 class DerivationBasis(Immutable):
-    """Bracket-closed family of derivation operators on one algebra.
+    """Bracket-closed family of derivation operator matrices on one algebra.
 
     Structure constants are solved for at construction; failure to solve
     is reported with the offending index pair; column c of a commutator
@@ -72,8 +59,8 @@ class DerivationBasis(Immutable):
 
     __slots__ = ("algebra", "operators", "structure")
 
-    def __init__(self, algebra, members):
-        ops = tuple(_operator_matrix(m) for m in members)
+    def __init__(self, algebra, operators):
+        ops = tuple(operators)
         if not ops:
             raise ValueError("a basis needs at least one operator")
         for D in ops:
@@ -141,17 +128,10 @@ def glued_basis(cov, P, assignments):
         if assign.d != d:
             raise AlgebraError("chart actions disagree on d")
     local_bases = tuple(kappa_basis(a) for a in assignments)
-    gens = []
-    for mu in range(d + 1):
-        locs = []
-        for assign in assignments:
-            chart = assign.algebra
-            coeffs = [
-                chart.unit if nu == mu else zero_vec(chart.dim)
-                for nu in range(d + 1)
-            ]
-            locs.append(LocalDerivation(assign, coeffs))
-        gens.append(glue(cov, P, locs))
+    gens = [
+        glue(cov, P, [generator_derivation(a, mu) for a in assignments]).matrix
+        for mu in range(d + 1)
+    ]
     return DerivationBasis(cov.algebra, gens), local_bases
 
 
@@ -371,11 +351,7 @@ def wedge_compat_check(rho, eta, cov, P, alpha, local_basis):
         form_glob2loc(eta, cov, P, alpha, local_basis),
     )
     right = form_glob2loc(wedge(rho, eta), cov, P, alpha, local_basis)
-    failures = []
-    for key in _increasing_tuples(local_basis.rank, rho.degree + eta.degree):
-        if left.coefficient(key) != right.coefficient(key):
-            failures.append(key)
-    return failures
+    return _differing_keys(left, right)
 
 
 def d_locality_check(rho, cov, alpha, local_basis):
@@ -383,11 +359,16 @@ def d_locality_check(rho, cov, alpha, local_basis):
     differentiating then restricting; empty means d is local here."""
     left = koszul_d(restrict_form(rho, cov, alpha, local_basis))
     right = restrict_form(koszul_d(rho), cov, alpha, local_basis)
-    failures = []
-    for key in _increasing_tuples(local_basis.rank, rho.degree + 1):
-        if left.coefficient(key) != right.coefficient(key):
-            failures.append(key)
-    return failures
+    return _differing_keys(left, right)
+
+
+def _differing_keys(left, right):
+    """Increasing index tuples where two forms of one basis and degree differ."""
+    return [
+        key
+        for key in _increasing_tuples(left.basis.rank, left.degree)
+        if left.coefficient(key) != right.coefficient(key)
+    ]
 
 
 def duality_rank(basis):

@@ -148,10 +148,6 @@ class PBWElement(_Combination):
         return cls(d, kappa, {})
 
     @classmethod
-    def one(cls, d, kappa):
-        return cls.monomial(d, kappa, (0,) * d, 0)
-
-    @classmethod
     def monomial(cls, d, kappa, beta, n, coeff=ONE):
         return cls(d, kappa, {(tuple(beta), n): coeff})
 
@@ -348,15 +344,6 @@ class TensorElement(_Combination):
                         key = (kl, kr)
                         out[key] = out.get(key, ZERO) + f * cl * cr
         return TensorElement._trusted(self.d, self.kappa, out)
-
-    def slot_counit(self, slot):
-        """Apply the counit in one tensor slot, returning a PBWElement."""
-        out = {}
-        for (k1, k2), c in self.terms.items():
-            keep, kill = (k1, k2) if slot == 1 else (k2, k1)
-            if kill[1] == 0 and not any(kill[0]):
-                out[keep] = out.get(keep, ZERO) + c
-        return PBWElement._trusted(self.d, self.kappa, out)
 
 
 def coproduct(f):

@@ -42,10 +42,6 @@ from nctangent.scalars import (
 class IllDefined(AlgebraError):
     """The functional formula does not descend to the quotient."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class PartitionElement(Immutable):
     """chi with its witness zeta; chi = zeta zeta* is enforced."""
@@ -159,10 +155,6 @@ def product_partition(P, Q, keep_zero=False):
     return Partition(A, out)
 
 
-def _chart_characters(cov):
-    return [characters(cov.chart(a)) for a in range(cov.size)]
-
-
 def verify_subordinate(P, cov, variant="literal"):
     """Per-element report: (element_index, ok, chosen_chart, witness).
 
@@ -186,7 +178,7 @@ def _subordination_report(P, cov, variant, adapted):
     if variant not in ("literal", "closure"):
         raise ValueError("variant must be 'literal' or 'closure'")
     if variant == "literal":
-        chars = _chart_characters(cov)
+        chars = [characters(cov.chart(a)) for a in range(cov.size)]
     else:
         base_chars = characters(cov.algebra)
     report = []

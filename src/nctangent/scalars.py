@@ -8,7 +8,7 @@ Equality is exact everywhere; the package has no notion of tolerance.
 
 Three layers live here:
 
-* `Scalar`, the field element;
+* `Scalar`, the field element, with `ZERO`, `ONE`, `MINUS_ONE` and `I`;
 * `Matrix` and plain tuple vectors, with exact elimination, solving and
   null spaces.  One elimination, `eliminate`, works on sparse rows
   ({column: entry} dicts) and touches only nonzero entries; `rref` is
@@ -271,6 +271,7 @@ def _imag_str(f):
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+MINUS_ONE = Scalar(-1)
 I = Scalar(0, 1)
 
 

@@ -9,9 +9,10 @@ and acts by commutators: column j of ad_g is [g, b_j], read from the
 structure constants (the oracle, L(g) - R(g), is in the tests).
 
 A local derivation is a central-coefficient combination sum_mu Z^mu D_mu;
-its bracket has the displayed coefficient formula (derivatives of the
-coefficients plus a structure-constant term) and must agree with the
-operator commutator.  Global derivations are glued through a partition
+`generator_derivation` is D_mu itself, the unit in slot mu.  Its bracket
+has the displayed coefficient formula (derivatives of the coefficients
+plus a structure-constant term) and must agree with the operator
+commutator.  Global derivations are glued through a partition
 of unity: X = sum_alpha functional_alpha o X_alpha o pi_alpha.
 """
 
@@ -36,10 +37,6 @@ from nctangent.scalars import (
 
 class NonCentralCoefficient(AlgebraError):
     """A derivation coefficient fails to commute with the algebra."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class ActionAssignment(Immutable):
@@ -171,6 +168,15 @@ class LocalDerivation(Immutable):
         for z, D in zip(self.coefficients, self.assignment.operators):
             total = total + A.left_mult_matrix(z) @ D
         return total
+
+
+def generator_derivation(assign, mu):
+    """The mu-th basis derivation: unit coefficient in one slot."""
+    A = assign.algebra
+    coeffs = [
+        A.unit if nu == mu else zero_vec(A.dim) for nu in range(assign.d + 1)
+    ]
+    return LocalDerivation(assign, coeffs)
 
 
 def bracket(X, Y):

@@ -32,7 +32,15 @@ from nctangent.algebras import (
     quotient_algebra,
     two_sided_ideal_closure,
 )
-from nctangent.covering import Covering, ideal_from_declaration
+from nctangent.connection import InvalidConnection
+from nctangent.covering import (
+    Covering,
+    IntersectionNonzero,
+    NotAnIdeal,
+    ideal_from_declaration,
+)
+from nctangent.forms import NotBracketClosed
+from nctangent.partition import IllDefined
 from nctangent.scalars import (
     Matrix,
     ONE,
@@ -47,7 +55,7 @@ from nctangent.scalars import (
     vec_is_zero,
     zero_vec,
 )
-from nctangent.tangent import leibniz_failures
+from nctangent.tangent import NonCentralCoefficient, leibniz_failures
 
 from seeded import right_mult_matrix
 
@@ -64,6 +72,31 @@ def label_index(A, label):
 
 def basis_of(A, label):
     return unit_vec(A.dim, label_index(A, label))
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        NotAnIdeal,
+        IntersectionNonzero,
+        IllDefined,
+        NonCentralCoefficient,
+        NotBracketClosed,
+        InvalidConnection,
+    ],
+)
+def test_errors_carry_their_witness(error):
+    assert issubclass(error, AlgebraError)
+    assert error.__doc__ and error.__doc__ != AlgebraError.__doc__
+    bare = error("what broke")
+    assert str(bare) == "what broke"
+    assert bare.witness is None
+    err = error("what broke", witness=(0, ("star", None)))
+    assert str(err) == "what broke"
+    assert err.witness == (0, ("star", None))
+    with pytest.raises(AlgebraError, match="^what broke$") as caught:
+        raise err
+    assert caught.value.witness == (0, ("star", None))
 
 
 # -- matrix model -----------------------------------------------------------

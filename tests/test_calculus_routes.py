@@ -34,7 +34,6 @@ from nctangent.covering import ideal_from_declaration
 from nctangent.forms import (
     DerivationBasis,
     FormN,
-    MINUS_ONE,
     NotBracketClosed,
     _flatten,
     _increasing_tuples,
@@ -42,6 +41,7 @@ from nctangent.forms import (
     koszul_d,
 )
 from nctangent.scalars import (
+    MINUS_ONE,
     Matrix,
     Scalar,
     ZERO,
@@ -337,8 +337,10 @@ def test_structure_constants_match_the_matmul_commutators():
     A = make_matrix_algebra(2)
     ops = [mult_inner_operator(A, unit_vec(4, 1)), mult_inner_operator(A, unit_vec(4, 2))]
     assert matmul_structure(A, ops) == (0, 1)
-    with pytest.raises(NotBracketClosed) as err:
+    with pytest.raises(algebras.AlgebraError) as err:
         DerivationBasis(A, ops)
+    assert type(err.value) is NotBracketClosed
+    assert str(err.value) == "commutator of operators 0 and 1 is outside the basis span"
     assert err.value.witness == (0, 1)
 
 

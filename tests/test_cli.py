@@ -566,6 +566,30 @@ def test_malformed_connection_grid_rejected(tmp_path, grid):
     assert "connection grid must be (d+1) cubed" in result.output
 
 
+@pytest.mark.parametrize(
+    "connection, message",
+    [
+        ({"type": "bogus"}, "connection section needs type 'zero'/'constant'/'seeded' or a grid"),
+        ({"type": "constant", "value": "x"}, "bad scalar literal in connection value"),
+    ],
+    ids=["bogus-type", "bad-value"],
+)
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_validates_the_connection(tmp_path, command, connection, message):
+    # the loader builds the connection, so a command that never reads it
+    # still rejects it, with the message the curvature family gives
+    scenario = {
+        "d": 1,
+        "algebra": {"model": "matrix", "n": 2},
+        "action": {"type": "canonical", "N": 2},
+        "connection": connection,
+    }
+    result = run(command, "--scenario", write_scenario(tmp_path, scenario))
+    assert result.exit_code == 2
+    assert message in result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+
+
 def test_optimized_python_matches_golden_reports():
     # `python -O` strips assert statements; no check may depend on them
     for path in sorted(SCENARIOS.glob("*.json")):

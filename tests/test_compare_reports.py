@@ -1,6 +1,8 @@
 """`tools/compare_reports.py` blanks the timing of two reports before it
 compares them; the byte-identity check of every speed-up rests on
-`_strip_timing` blanking `millis` values and nothing else."""
+`_strip_timing` blanking `millis` values and nothing else.  Beside the
+case counts it prints the `src/` line count of both trees, which must
+not change its exit status."""
 
 import importlib.util
 import json
@@ -59,3 +61,42 @@ def test_strip_timing_makes_two_runs_of_a_report_equal():
     for check in report["checks"]:
         check["millis"] = -1
     assert json.loads(stripped[0].replace('"millis": _', '"millis": -1')) == report
+
+
+def test_src_lines_counts_the_python_lines_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\n")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "c.py").write_text("not = 'counted'\n")
+    assert compare_reports()._src_lines(tmp_path) == 4
+
+
+def fake_tree(root, name, lines):
+    tree = root / name
+    (tree / "src").mkdir(parents=True)
+    (tree / "src" / "m.py").write_text("pass\n" * lines)
+    return tree
+
+
+def test_report_prints_src_lines_beside_the_cases_and_keeps_the_exit_status(
+    tmp_path, capsys
+):
+    tool = compare_reports()
+    trees = {"parent": fake_tree(tmp_path, "p", 7), "change": fake_tree(tmp_path, "c", 5)}
+    case = {"report": "{}", "exit": 0, "stderr": ""}
+    same = {(label, mode): {"all x 0": case} for label in trees for mode in ("plain", "-O")}
+    assert tool._report(same, trees) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "plain: 1 cases, 0 differ",
+        "-O: 1 cases, 0 differ",
+        "src/ lines: parent 7, change 5 (-2)",
+    ]
+    differ = dict(same)
+    differ[("change", "-O")] = {"all x 0": dict(case, exit=1)}
+    assert tool._report(differ, trees) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "plain: 1 cases, 0 differ"
+    assert out[1] == "DIFF [-O] all x 0"
+    assert out[-2:] == ["-O: 1 cases, 1 differ", "src/ lines: parent 7, change 5 (-2)"]

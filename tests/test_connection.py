@@ -13,7 +13,6 @@ from nctangent.connection import (
     curvature_components,
     curvature_cross_check,
     curvature_operator,
-    generator_derivation,
     nabla,
     random_connection,
     star_derivation,
@@ -34,6 +33,7 @@ from nctangent.tangent import (
     LocalDerivation,
     canonical_generator_vectors,
     canonical_inner_model,
+    generator_derivation,
 )
 
 

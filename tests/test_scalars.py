@@ -18,11 +18,7 @@ from nctangent.algebras import (
     quotient_algebra,
 )
 from nctangent.cli import _jsonable
-from nctangent.connection import (
-    ConnectionCoefficients,
-    curvature_components,
-    generator_derivation,
-)
+from nctangent.connection import ConnectionCoefficients, curvature_components
 from nctangent.forms import FormN, kappa_basis
 from nctangent.minkowski import PBWElement, PoincareGenerator, coproduct
 from nctangent.scalars import (
@@ -45,7 +41,7 @@ from nctangent.scalars import (
     vec_is_zero,
     vec_sub,
 )
-from nctangent.tangent import canonical_inner_model, glue
+from nctangent.tangent import canonical_inner_model, generator_derivation, glue
 
 from seeded import right_mult_matrix
 

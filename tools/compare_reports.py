@@ -13,7 +13,9 @@ and under `python -O`:
 
 A case is its stdout with the `millis` values blanked, its exit code
 and its stderr.  Every case that differs between the trees is printed,
-and the tool exits 1 if there is one, else 0.  Each tree and mode runs
+and the tool exits 1 if there is one, else 0.  Beside the case counts
+it prints the line count of each tree's `src/`, the other half of the
+simplicity gate; the count does not change the exit status.  Each tree and mode runs
 its cases in one interpreter, through the click entry point in
 standalone mode, as `verify` runs from the shell.  Nothing under
 `perfbench/` is changed: the generated scenarios go to a temporary
@@ -72,6 +74,36 @@ def _strip_timing(text):
     return re.sub(r'"millis": \d+', '"millis": _', text)
 
 
+def _src_lines(tree):
+    """Lines in the Python files under the tree's `src/`, as `wc -l`
+    counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+
+
+def _report(runs, trees):
+    """Print each differing case, the case counts and the `src/` line
+    counts; return the exit status, 1 when some case differs."""
+    differences = 0
+    for mode in ("plain", "-O"):
+        parent, change = runs[("parent", mode)], runs[("change", mode)]
+        keys = sorted(set(parent) | set(change))
+        differ = [key for key in keys if parent.get(key) != change.get(key)]
+        differences += len(differ)
+        for key in differ:
+            print("DIFF [%s] %s" % (mode, key))
+            for part in ("exit", "stderr", "report"):
+                old = (parent.get(key) or {}).get(part)
+                new = (change.get(key) or {}).get(part)
+                if old != new:
+                    print("  %s: parent %r" % (part, old))
+                    print("  %s: change %r" % (part, new))
+        print("%s: %d cases, %d differ" % (mode, len(keys), len(differ)))
+    lines = {label: _src_lines(tree) for label, tree in trees.items()}
+    print("src/ lines: parent %d, change %d (%+d)"
+          % (lines["parent"], lines["change"], lines["change"] - lines["parent"]))
+    return 1 if differences else 0
+
+
 def _generated(seeds, directory):
     """(name, path) of every perfbench scenario of these seeds."""
     sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
@@ -118,22 +150,7 @@ def main():
                     print("%s %s: the worker exited %d" % (label, mode, proc.returncode))
                     return 1
                 runs[(label, mode)] = json.loads(out_path.read_text())
-    differences = 0
-    for mode in ("plain", "-O"):
-        parent, change = runs[("parent", mode)], runs[("change", mode)]
-        keys = sorted(set(parent) | set(change))
-        differ = [key for key in keys if parent.get(key) != change.get(key)]
-        differences += len(differ)
-        for key in differ:
-            print("DIFF [%s] %s" % (mode, key))
-            for part in ("exit", "stderr", "report"):
-                old = (parent.get(key) or {}).get(part)
-                new = (change.get(key) or {}).get(part)
-                if old != new:
-                    print("  %s: parent %r" % (part, old))
-                    print("  %s: change %r" % (part, new))
-        print("%s: %d cases, %d differ" % (mode, len(keys), len(differ)))
-    return 1 if differences else 0
+    return _report(runs, trees)
 
 
 if __name__ == "__main__":
