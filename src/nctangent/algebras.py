@@ -2,13 +2,16 @@
 
 An algebra is a coordinate space Q(i)^n with sparse structure constants
 (the nonzero products of basis elements), an involution, and an optional
-unit.  Model constructors write those constants directly for matrix
-algebras, pointwise-function algebras, a truncated oscillator-basis
-surrogate for a deformed plane, direct sums and quotients.  On top of
-that sit centers, derivation spaces, commutators and characters; a
-multiple of the unit takes its noncentral witness from the unit's.  The
-center is solved from sparse equation rows, once per algebra, and kept
-on it (the dense equation matrix is the test oracle).
+unit.  `multiply` sums x_i y_j c over the nonzero constants on ints, in
+the accumulator of `scalars`; the same walk one Scalar operation at a
+time is the oracle in tests/test_algebras.py.  Model constructors write
+those constants directly for matrix algebras, pointwise-function
+algebras, a truncated oscillator-basis surrogate for a deformed plane,
+direct sums and quotients.  On top of that sit centers, derivation
+spaces, commutators and characters; a multiple of the unit takes its
+noncentral witness from the unit's.  The center is solved from sparse
+equation rows, once per algebra, and kept on it (the dense equation
+matrix is the test oracle).
 
 Characters are read from the model tag that every constructor sets.  The
 matrix, Moyal, function and sum models have closed descriptions.  A
@@ -33,6 +36,8 @@ from nctangent.scalars import (
     Scalar,
     Subspace,
     ZERO,
+    _axpy,
+    _scalars,
     nullspace,
     sparse_nullspace,
     unit_vec,
@@ -125,18 +130,17 @@ class StarAlgebra(Immutable):
     def multiply(self, u, v):
         if len(u) != self.dim or len(v) != self.dim:
             raise AlgebraError("element length mismatch")
-        out = list(zero_vec(self.dim))
+        sums = {}
         for x, row in zip(u, self.terms):
-            if not x:
-                continue
-            for j, cell in row:
-                y = v[j]
-                if not y:
-                    continue
-                f = x * y
-                for m, c in cell:
-                    out[m] = out[m] + f * c
-        return tuple(out)
+            xa, xb, xq = x._a, x._b, x._q
+            if xa or xb:
+                for j, cell in row:
+                    y = v[j]
+                    ya, yb = y._a, y._b
+                    if ya or yb:
+                        a, b = xa * ya - xb * yb, xa * yb + xb * ya
+                        _axpy(sums, a, b, xq * y._q, cell)
+        return _scalars(sums, self.dim)
 
     def involute(self, v):
         return self.involution.apply(vec_conj(v))

@@ -531,13 +531,11 @@ def _check_adapted(scn, rec, seed):
 def _chart_samples(assign, rng, count):
     """Seeded derivations with scalar coefficients on one chart."""
     A = assign.algebra
+    draws = range(-3, 4)
     out = []
     for _ in range(count):
         coeffs = [
-            vec_scale(
-                Scalar(rng.randint(-3, 3), rng.randint(-3, 3)),
-                A.unit,
-            )
+            vec_scale(Scalar(rng.choice(draws), rng.choice(draws)), A.unit)
             for _ in range(assign.d + 1)
         ]
         out.append(LocalDerivation(assign, coeffs))
@@ -575,10 +573,8 @@ def _check_glue(scn, rec, seed):
 
 
 def _random_element(rng, dim, span=2):
-    return tuple(
-        Scalar(rng.randint(-span, span), rng.randint(-span, span))
-        for _ in range(dim)
-    )
+    draws = range(-span, span + 1)
+    return tuple(Scalar(rng.choice(draws), rng.choice(draws)) for _ in range(dim))
 
 
 def _random_form(rng, basis, degree):

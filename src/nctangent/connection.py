@@ -389,10 +389,12 @@ def random_connection(assign, rng, span=3):
             h = vec_scale(Scalar(0, 1), c)
         hermitian.append(h)
 
+    draws = range(-span, span + 1)
+
     def draw():
         out = zero_vec(A.dim)
         for h in hermitian:
-            t = rng.randint(-span, span)
+            t = rng.choice(draws)
             out = vec_add(out, vec_scale(Scalar(0, t), h))
         return out
 

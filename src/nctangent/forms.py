@@ -12,8 +12,10 @@ The differential follows the Koszul pattern: an alternating sum of
 derivation actions plus an alternating sum over bracket insertions.  It
 is only defined when the basis, given as operator matrices, closes under
 commutator with scalar structure constants, which its constructor
-verifies once.  Both work on nonzero data only; their dense routes are
-the oracles in tests/test_calculus_routes.py.
+verifies once.  Both work on nonzero data only, and the differential
+sums on ints in the accumulator of `scalars`; their dense routes, and
+the differential one Scalar operation at a time, are the oracles in
+tests/test_calculus_routes.py.
 """
 
 from itertools import combinations
@@ -25,7 +27,8 @@ from nctangent.scalars import (
     MINUS_ONE,
     Matrix,
     Scalar,
-    ZERO,
+    _axpy,
+    _scalars,
     rref,
     solve_linear,
     vec_add,
@@ -283,20 +286,20 @@ def koszul_d(rho):
     alternating bracket insertions, resolved through the structure
     constants of the basis.  Each output key sums into one coordinate
     list from the stored entries of rho, the operators' nonzero columns
-    and the nonzero structure constants; a sign picks add or subtract."""
+    and the nonzero structure constants; a sign negates the factor."""
     basis = rho.basis
     n = rho.degree
     entries = rho.entries
     columns = [D.nonzero_columns() for D in basis.operators]
     out = {}
     for key in _increasing_tuples(basis.rank, n + 1):
-        total = [ZERO] * basis.algebra.dim
+        sums = {}
         for k in range(n + 1):
+            s = -1 if k % 2 else 1
             value = entries.get(key[:k] + key[k + 1:], ())
             for x, column in zip(value, columns[key[k]]):
-                if x:
-                    for i, a in column:
-                        total[i] = total[i] - a * x if k % 2 else total[i] + a * x
+                if x._a or x._b:
+                    _axpy(sums, s * x._a, s * x._b, x._q, column)
         for k in range(n + 1):
             for l in range(k + 1, n + 1):
                 rest = key[:k] + key[k + 1:l] + key[l + 1:]
@@ -305,11 +308,11 @@ def koszul_d(rho):
                     if not c:
                         continue
                     skey, sign = _sort_key((lam,) + rest)  # None: repeated index
-                    minus = (sign < 0) != ((k + l) % 2 == 1)
-                    for i, x in enumerate(entries.get(skey, ())):
-                        if x:
-                            total[i] = total[i] - c * x if minus else total[i] + c * x
-        out[key] = tuple(total)
+                    s = -1 if (sign < 0) != ((k + l) % 2 == 1) else 1
+                    value = entries.get(skey, ())
+                    pairs = [(i, x) for i, x in enumerate(value) if x._a or x._b]
+                    _axpy(sums, s * c._a, s * c._b, c._q, pairs)
+        out[key] = _scalars(sums, basis.algebra.dim)
     return FormN(basis, n + 1, out)
 
 

@@ -10,10 +10,16 @@ Three layers live here:
 
 * `Scalar`, the field element, with `ZERO`, `ONE`, `MINUS_ONE` and `I`;
 * `Matrix` and plain tuple vectors, with exact elimination, solving and
-  null spaces.  One elimination, `eliminate`, works on sparse rows
-  ({column: entry} dicts) and touches only nonzero entries; `rref` is
-  its dense wrapper, and `sparse_nullspace` solves sparse equations
-  without a dense copy;
+  null spaces.  The element kernels (`Matrix.apply`, `Matrix @`,
+  `StarAlgebra.multiply`, `forms.koszul_d`) sum their products on the
+  ints of the Scalars, in one accumulator (`_axpy` adds into a dict of
+  running sums, `_scalars` reads it out), and build one Scalar per
+  nonzero output coordinate; their Scalar-operator routes are the
+  oracles in tests/test_scalars.py, tests/test_algebras.py and
+  tests/test_calculus_routes.py.  One elimination, `eliminate`, works
+  on sparse rows ({column: entry} dicts) and touches only nonzero
+  entries; `rref` is its dense wrapper, and `sparse_nullspace` solves
+  sparse equations without a dense copy;
 * `Subspace` (canonical reduced-echelon bases) with sums, intersections,
   and quotients equipped with deterministic sections.
 """
@@ -43,6 +49,10 @@ class Scalar:
     from ints, without going through `Fraction` or `__init__`; a zero
     term, or a factor of zero or one, hands back an operand unchanged,
     which is safe because Scalars are immutable.
+
+    The triple `(_a, _b, _q)` is the element kernels' contract: they read
+    it directly, sum their products on it in `_axpy`, and build their
+    results with `_scalars`, which reduces each nonzero sum once.
     """
 
     __slots__ = ("_a", "_b", "_q")
@@ -209,9 +219,10 @@ class Scalar:
         body = s[:-1] if s.endswith("i") else None
         if body is None:
             raise ValueError("trailing characters after i in %r" % text)
-        # split off a real part if one precedes the imaginary term
+        # split off a real part if one precedes the imaginary term; a
+        # sign after e or E belongs to an exponent
         for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/":
+            if body[k] in "+-" and body[k - 1] not in "+-/eE":
                 re_part, im_part = body[:k], body[k:]
                 break
         else:
@@ -261,6 +272,49 @@ def _sum(x, a, b, q):
     return _reduced(x._a * q + a * q1, x._b * q + b * q1, q1 * q)
 
 
+def _axpy(sums, a, b, q, pairs):
+    """Add (a + b*i)/q * c to sum m for each (m, c) in `pairs`, c a
+    nonzero Scalar, for any q > 0.  `sums` maps m to its running
+    [A, B, Q], (A + B*i)/Q; a sum keeps its denominator while the terms
+    share it and moves to the lcm when one does not."""
+    for m, c in pairs:
+        ca, cb, tq = c._a, c._b, c._q * q
+        if b or cb:
+            ta, tb = a * ca - b * cb, a * cb + b * ca
+        else:
+            ta, tb = a * ca, 0
+        s = sums.get(m)
+        if s is None:
+            sums[m] = [ta, tb, tq]
+        elif s[2] == tq:
+            s[0] += ta
+            s[1] += tb
+        else:
+            Q = s[2]
+            g = gcd(Q, tq)
+            u, t = tq // g, Q // g
+            s[0] = s[0] * u + ta * t
+            s[1] = s[1] * u + tb * t
+            s[2] = Q * u
+
+
+def _scalars(sums, n):
+    """The n sums as a tuple of reduced Scalars, ZERO where one is zero
+    or was never added to.  A Gaussian integer with both parts in
+    [-8, 8] is taken from `_GAUSSIAN_INTS` instead of being built again."""
+    out = [ZERO] * n
+    for m, (a, b, q) in sums.items():
+        if a or b:
+            if q == 1 and -8 <= a <= 8 and -8 <= b <= 8:
+                out[m] = _GAUSSIAN_INTS[17 * a + b + 144]
+            else:
+                out[m] = _reduced(a, b, q)
+    return tuple(out)
+
+
+_GAUSSIAN_INTS = tuple(_make(a, b, 1) for a in range(-8, 9) for b in range(-8, 9))
+
+
 def _imag_str(f):
     if f == 1:
         return "i"
@@ -299,16 +353,19 @@ def unit_vec(n, k):
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("vector length mismatch")
+    return tuple(map(Scalar.__add__, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("vector length mismatch")
+    return tuple(map(Scalar.__sub__, u, v))
 
 
 def vec_scale(c, u):
-    c = Scalar.promote(c)
-    return tuple(c * a for a in u)
+    return tuple(map(Scalar.promote(c).__mul__, u))
 
 
 def vec_conj(u):
@@ -316,7 +373,7 @@ def vec_conj(u):
 
 
 def vec_is_zero(u):
-    return all(not a for a in u)
+    return not any(u)
 
 
 class Immutable:
@@ -442,21 +499,18 @@ class Matrix(Immutable):
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Matrix.zero(self.rows, other.cols)
-        ocols = other.cols
+        rows = [
+            tuple((j, b) for j, b in enumerate(row) if b._a or b._b)
+            for row in other.entries
+        ]
         out = []
-        for i in range(self.rows):
-            ri = self.entries[i]
-            orow = [ZERO] * ocols
-            for k in range(self.cols):
-                a = ri[k]
-                if not a:
-                    continue
-                brow = other.entries[k]
-                orow = [x + a * b for x, b in zip(orow, brow)]
-            out.append(tuple(orow))
-        return Matrix._of(tuple(out), ocols)
+        for ri in self.entries:
+            sums = {}
+            for a, row in zip(ri, rows):
+                if a._a or a._b:
+                    _axpy(sums, a._a, a._b, a._q, row)
+            out.append(_scalars(sums, other.cols))
+        return Matrix._of(tuple(out), other.cols)
 
     def nonzero_columns(self):
         """The nonzero `(row, entry)` pairs of each column."""
@@ -473,13 +527,11 @@ class Matrix(Immutable):
     def apply(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        out = [ZERO] * self.rows
+        sums = {}
         for x, column in zip(v, self.nonzero_columns()):
-            if not x:
-                continue
-            for i, a in column:
-                out[i] = out[i] + a * x
-        return tuple(out)
+            if x._a or x._b:
+                _axpy(sums, x._a, x._b, x._q, column)
+        return _scalars(sums, self.rows)
 
     def transpose(self):
         if not self.rows:

@@ -715,6 +715,26 @@ def dense_multiply(table, u, v):
     return tuple(out)
 
 
+def terms_multiply(A, u, v):
+    """`StarAlgebra.multiply` one Scalar operation at a time: walk the
+    nonzero `terms`, skip zero coordinates, add each f * c into its
+    coordinate."""
+    if len(u) != A.dim or len(v) != A.dim:
+        raise AlgebraError("element length mismatch")
+    out = [ZERO] * A.dim
+    for x, row in zip(u, A.terms):
+        if not x:
+            continue
+        for j, cell in row:
+            y = v[j]
+            if not y:
+                continue
+            f = x * y
+            for m, c in cell:
+                out[m] = out[m] + f * c
+    return tuple(out)
+
+
 def dense_center(table):
     """Nullspace of the stacked R(b_i) - L(b_i), built with dense_multiply."""
     n = len(table)

@@ -1,9 +1,11 @@
 """The calculus layer works on nonzero data and reads the structure
 constants.  Each route it replaced is kept here, as it was, as the
-oracle: the dense `koszul_d` (`Matrix.apply`, `vec_add`, `vec_scale`),
-inner actions as `left_mult_matrix(g) - right_mult_matrix(A, g)`, the
-derivation-basis structure constants from dense `@` commutators, the
-full-walk `noncentral_witness` (no unit shortcut) and the unskipped
+oracle: the dense `koszul_d` (dense coefficient vectors through the
+Scalar operators), the sparse `koszul_d` one Scalar operation at a time
+(the route the int kernel replaced), inner actions as
+`left_mult_matrix(g) - right_mult_matrix(A, g)`, the derivation-basis
+structure constants from dense `@` commutators, the full-walk
+`noncentral_witness` (no unit shortcut) and the unskipped
 `curvature_components`.  They are compared on seeded M_2-M_4, a sum
 model, quotient charts and a non-unital algebra, at kappa 1, 2/3, 5/2."""
 
@@ -37,6 +39,7 @@ from nctangent.forms import (
     NotBracketClosed,
     _flatten,
     _increasing_tuples,
+    _sort_key,
     kappa_basis,
     koszul_d,
 )
@@ -60,6 +63,7 @@ from nctangent.tangent import (
 
 from seeded import right_mult_matrix
 from test_algebras import random_algebra, sparse_scalar
+from test_scalars import operator_apply, operator_vec_add, operator_vec_scale
 
 KAPPAS = (Fraction(1), Fraction(2, 3), Fraction(5, 2))
 
@@ -68,7 +72,8 @@ KAPPAS = (Fraction(1), Fraction(2, 3), Fraction(5, 2))
 
 
 def dense_koszul_d(rho):
-    """`koszul_d` on dense coefficient vectors."""
+    """`koszul_d` on dense coefficient vectors, through the Scalar
+    operators."""
     basis = rho.basis
     A = basis.algebra
     n = rho.degree
@@ -77,10 +82,10 @@ def dense_koszul_d(rho):
         total = zero_vec(A.dim)
         for k in range(n + 1):
             rest = key[:k] + key[k + 1:]
-            term = basis.operators[key[k]].apply(rho.coefficient(rest))
+            term = operator_apply(basis.operators[key[k]], rho.coefficient(rest))
             if k % 2:
-                term = vec_scale(MINUS_ONE, term)
-            total = vec_add(total, term)
+                term = operator_vec_scale(MINUS_ONE, term)
+            total = operator_vec_add(total, term)
         for k in range(n + 1):
             for l in range(k + 1, n + 1):
                 rest = tuple(key[i] for i in range(n + 1) if i != k and i != l)
@@ -89,13 +94,46 @@ def dense_koszul_d(rho):
                 for lam, c in enumerate(coeffs):
                     if c.is_zero():
                         continue
-                    inserted = vec_add(
-                        inserted, vec_scale(c, rho.coefficient((lam,) + rest))
+                    inserted = operator_vec_add(
+                        inserted, operator_vec_scale(c, rho.coefficient((lam,) + rest))
                     )
                 if (k + l) % 2:
-                    inserted = vec_scale(MINUS_ONE, inserted)
-                total = vec_add(total, inserted)
+                    inserted = operator_vec_scale(MINUS_ONE, inserted)
+                total = operator_vec_add(total, inserted)
         out[key] = total
+    return FormN(basis, n + 1, out)
+
+
+def operator_koszul_d(rho):
+    """`koszul_d` over the stored entries, the operators' nonzero columns
+    and the nonzero structure constants, one Scalar operation at a time;
+    a sign picks add or subtract."""
+    basis = rho.basis
+    n = rho.degree
+    entries = rho.entries
+    columns = [D.nonzero_columns() for D in basis.operators]
+    out = {}
+    for key in _increasing_tuples(basis.rank, n + 1):
+        total = [ZERO] * basis.algebra.dim
+        for k in range(n + 1):
+            value = entries.get(key[:k] + key[k + 1:], ())
+            for x, column in zip(value, columns[key[k]]):
+                if x:
+                    for i, a in column:
+                        total[i] = total[i] - a * x if k % 2 else total[i] + a * x
+        for k in range(n + 1):
+            for l in range(k + 1, n + 1):
+                rest = key[:k] + key[k + 1:l] + key[l + 1:]
+                coeffs = basis.bracket_coefficients(key[k], key[l])
+                for lam, c in enumerate(coeffs):
+                    if not c:
+                        continue
+                    skey, sign = _sort_key((lam,) + rest)  # None: repeated index
+                    minus = (sign < 0) != ((k + l) % 2 == 1)
+                    for i, x in enumerate(entries.get(skey, ())):
+                        if x:
+                            total[i] = total[i] - c * x if minus else total[i] + c * x
+        out[key] = tuple(total)
     return FormN(basis, n + 1, out)
 
 
@@ -375,6 +413,7 @@ def test_koszul_d_matches_the_dense_route():
             want = dense_koszul_d(rho)
             assert got.degree == want.degree
             assert got.entries == want.entries
+            assert got.entries == operator_koszul_d(rho).entries
             degrees.add((rho.degree, got.is_zero()))
     assert {(0, True), (0, False), (1, False), (2, False), (3, False)} <= degrees
 

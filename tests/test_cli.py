@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -14,10 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nctangent import cli, minkowski
-from nctangent.algebras import make_function_algebra, quotient_algebra
+from nctangent.algebras import (
+    direct_sum,
+    make_function_algebra,
+    make_matrix_algebra,
+    quotient_algebra,
+)
 from nctangent.cli import main
+from nctangent.connection import random_connection
 from nctangent.covering import ideal_from_declaration
 from nctangent.scalars import ZERO
+from nctangent.tangent import ActionAssignment, canonical_generator_vectors, canonical_inner_model
 
 from test_minkowski import unordered_antipode
 
@@ -588,6 +596,62 @@ def test_every_command_validates_the_connection(tmp_path, command, connection, m
     assert result.exit_code == 2
     assert message in result.output
     assert isinstance(result.exception, SystemExit), result.exception
+
+
+def test_a_constant_connection_reads_an_exponent_literal(tmp_path):
+    reports = []
+    for value in ("1e-2i", "1/100i"):
+        scenario = {
+            "d": 1,
+            "algebra": {"model": "matrix", "n": 2},
+            "action": {"type": "canonical", "N": 2},
+            "connection": {"type": "constant", "value": value},
+        }
+        result = run("curvature", "--scenario", write_scenario(tmp_path, scenario))
+        assert result.exit_code != 2, result.output
+        report = report_of(result)
+        for check in report["checks"]:
+            del check["millis"]
+        reports.append((result.exit_code, report))
+    assert reports[0] == reports[1]
+
+
+class RandintRoute(random.Random):
+    """Every draw as `randint(-span, span)`, the route that
+    `choice(range(-span, span + 1))` replaced: both are
+    -span + _randbelow(2 * span + 1)."""
+
+    def __init__(self, seed, span):
+        super().__init__(seed)
+        self.span = span
+
+    def choice(self, seq):
+        assert seq == range(-self.span, self.span + 1)
+        return self.randint(-self.span, self.span)
+
+
+def test_seeded_draws_match_the_randint_route():
+    M2 = make_matrix_algebra(2)
+    assigns = [
+        canonical_inner_model(2, 1, 1),
+        ActionAssignment.from_inner(
+            direct_sum(M2, M2), 1, 1, [g + g for g in canonical_generator_vectors(2, 1, 1)]
+        ),
+    ]
+    # (draw, spans); `_chart_samples` always draws from -3..3
+    draws = [
+        (lambda rng, span: cli._random_element(rng, 9, span), (2, 3)),
+        (lambda rng, span: [s.coefficients for s in cli._chart_samples(assigns[1], rng, 3)], (3,)),
+    ]
+    draws += [
+        (lambda rng, span, a=a: random_connection(a, rng, span).grid, (2, 3)) for a in assigns
+    ]
+    for seed in range(50):
+        for draw, spans in draws:
+            for span in spans:
+                rng, oracle = random.Random(seed), RandintRoute(seed, span)
+                assert draw(rng, span) == draw(oracle, span)
+                assert [rng.random() for _ in range(3)] == [oracle.random() for _ in range(3)]
 
 
 def test_optimized_python_matches_golden_reports():

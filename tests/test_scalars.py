@@ -274,6 +274,31 @@ def test_scalar_str_parse_roundtrip():
     assert Scalar.parse("-i") == -I
 
 
+@pytest.mark.parametrize(
+    "text, value, shown",
+    [
+        ("1e-2i", sc(0, Fraction(1, 100)), "1/100i"),
+        ("1+1e-2i", sc(1, Fraction(1, 100)), "1+1/100i"),
+        ("1E+2i", sc(0, 100), "100i"),
+        ("1e2i", sc(0, 100), "100i"),
+        ("1/100i", sc(0, Fraction(1, 100)), "1/100i"),
+        ("1e-2", sc(Fraction(1, 100)), "1/100"),
+        ("2e-1-3E-1i", sc(Fraction(1, 5), Fraction(-3, 10)), "1/5-3/10i"),
+    ],
+)
+def test_parse_reads_a_signed_exponent(text, value, shown):
+    x = Scalar.parse(text)
+    assert x == value
+    assert str(x) == shown
+    assert Scalar.parse(str(x)) == x
+
+
+@pytest.mark.parametrize("text", ["1--i", "i1"])
+def test_parse_still_rejects_malformed_literals(text):
+    with pytest.raises(ValueError):
+        Scalar.parse(text)
+
+
 def test_solve_identity():
     A = Matrix.identity(2)
     particular, kernel = solve_linear(A, vec(1, 2))
@@ -543,6 +568,49 @@ def oracle_apply(M, v):
             if a:
                 out[i] = out[i] + a * x
     return tuple(out)
+
+
+def operator_apply(M, v):
+    """`Matrix.apply` one Scalar operation at a time, over the nonzero
+    pairs of each column."""
+    if len(v) != M.cols:
+        raise ValueError("vector length mismatch")
+    out = [ZERO] * M.rows
+    for x, column in zip(v, M.nonzero_columns()):
+        if not x:
+            continue
+        for i, a in column:
+            out[i] = out[i] + a * x
+    return tuple(out)
+
+
+def operator_matmul(M, N):
+    """`M @ N` one Scalar operation at a time, row by row."""
+    if M.cols != N.rows:
+        raise ValueError("shape mismatch in product")
+    if M.rows == 0 or N.cols == 0 or M.cols == 0:
+        return Matrix.zero(M.rows, N.cols)
+    out = []
+    for ri in M.entries:
+        orow = [ZERO] * N.cols
+        for a, brow in zip(ri, N.entries):
+            if a:
+                orow = [x + a * b for x, b in zip(orow, brow)]
+        out.append(tuple(orow))
+    return Matrix._of(tuple(out), N.cols)
+
+
+def operator_vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def operator_vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def operator_vec_scale(c, u):
+    c = Scalar.promote(c)
+    return tuple(c * a for a in u)
 
 
 @st.composite
