@@ -279,10 +279,7 @@ def _axpy(sums, a, b, q, pairs):
     share it and moves to the lcm when one does not."""
     for m, c in pairs:
         ca, cb, tq = c._a, c._b, c._q * q
-        if b or cb:
-            ta, tb = a * ca - b * cb, a * cb + b * ca
-        else:
-            ta, tb = a * ca, 0
+        ta, tb = a * ca - b * cb, a * cb + b * ca
         s = sums.get(m)
         if s is None:
             sums[m] = [ta, tb, tq]
@@ -300,19 +297,12 @@ def _axpy(sums, a, b, q, pairs):
 
 def _scalars(sums, n):
     """The n sums as a tuple of reduced Scalars, ZERO where one is zero
-    or was never added to.  A Gaussian integer with both parts in
-    [-8, 8] is taken from `_GAUSSIAN_INTS` instead of being built again."""
+    or was never added to."""
     out = [ZERO] * n
     for m, (a, b, q) in sums.items():
         if a or b:
-            if q == 1 and -8 <= a <= 8 and -8 <= b <= 8:
-                out[m] = _GAUSSIAN_INTS[17 * a + b + 144]
-            else:
-                out[m] = _reduced(a, b, q)
+            out[m] = _reduced(a, b, q)
     return tuple(out)
-
-
-_GAUSSIAN_INTS = tuple(_make(a, b, 1) for a in range(-8, 9) for b in range(-8, 9))
 
 
 def _imag_str(f):

@@ -133,16 +133,6 @@ def test_untouched_and_cancelled_sums_are_zero():
     assert got[2] == x
 
 
-def test_small_gaussian_integers_come_from_the_table():
-    for a in range(-10, 11):
-        for b in range(-10, 11):
-            if a or b:
-                for q in (1, 3):
-                    (got,) = _scalars({0: [a * q, b * q, q]}, 1)
-                    assert triples([got]) == [(a, b, 1)]
-                    assert got == Scalar(a, b)
-
-
 # -- multiply -----------------------------------------------------------------
 
 
