@@ -27,7 +27,6 @@ from nctangent.algebras import (
 )
 from nctangent.connection import (
     ConnectionCoefficients,
-    coefficient_failures,
     curvature_cross_check,
     random_connection,
     verify_connection_axioms,
@@ -651,7 +650,7 @@ def _check_curvature(scn, rec, seed):
     gamma = scn.connection(rng)
     rec.run(
         "curvature:coefficients",
-        lambda: _first(coefficient_failures(gamma)),
+        lambda: _first(gamma.failures()),
     )
     samples = [
         (X, Y, vec_scale(Scalar(1, 1), scn.action.algebra.unit))

@@ -39,9 +39,11 @@ class ConnectionCoefficients(Immutable):
     """Gamma grid over an action assignment; entry(mu, nu, lam) is the
     coefficient of the lam-th generator in the derivative of slot nu
     along slot mu.  `_by_lam[lam]` lists the (mu, nu, entry) triples
-    with a nonzero entry, in ascending (mu, nu), for `nabla`."""
+    with a nonzero entry, in ascending (mu, nu), for `nabla`.
+    `_checked` keeps the constructor's `coefficient_failures`, or None
+    when it was built unchecked."""
 
-    __slots__ = ("assignment", "grid", "_by_lam")
+    __slots__ = ("assignment", "grid", "_by_lam", "_checked")
 
     def __init__(self, assignment, grid, check=True):
         n = assignment.d + 1
@@ -75,13 +77,13 @@ class ConnectionCoefficients(Immutable):
                 for lam in range(n)
             ),
         )
-        if check:
-            bad = coefficient_failures(self)
-            if bad:
-                raise InvalidConnection(
-                    "coefficient grid fails the %s condition" % bad[0][0],
-                    witness=bad[0],
-                )
+        bad = coefficient_failures(self) if check else None
+        object.__setattr__(self, "_checked", bad)
+        if bad:
+            raise InvalidConnection(
+                "coefficient grid fails the %s condition" % bad[0][0],
+                witness=bad[0],
+            )
 
     @classmethod
     def zero(cls, assignment):
@@ -98,6 +100,13 @@ class ConnectionCoefficients(Immutable):
 
     def entry(self, mu, nu, lam):
         return self.grid[mu][nu][lam]
+
+    def failures(self):
+        """`coefficient_failures` of this grid, read from the constructor's
+        check when it made one."""
+        if self._checked is None:
+            return coefficient_failures(self)
+        return self._checked
 
 
 def coefficient_failures(gamma):

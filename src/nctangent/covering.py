@@ -239,13 +239,16 @@ def verify_covering(cov):
     two images only when both are nonzero.  A pair (i, j) whose sides
     are both zero by construction, with no product e_i e_j and a zero
     image, is not compared: for a zero image of e_i only the j of its
-    nonzero products are visited.
+    nonzero products are visited, and its involute is zero.  For alpha =
+    beta the chart-to-overlap map is pi_alpha sigma_alpha, the product
+    the section law has just formed, and it is reused.
     """
     failures = []
     A = cov.algebra
     n = A.dim
     involutes = [A.involution.column(i) for i in range(n)]
     products = [A.basis_products(i) for i in range(n)]
+    round_trips = []
     for alpha in range(cov.size):
         chart = cov.chart(alpha)
         pi = cov.projection(alpha)
@@ -253,7 +256,8 @@ def verify_covering(cov):
         images = [pi.column(i) for i in range(n)]
         nonzero = [any(image) for image in images]
         for i in range(n):
-            if chart.involute(images[i]) != pi.apply(involutes[i]):
+            image_star = chart.involute(images[i]) if nonzero[i] else zero
+            if image_star != pi.apply(involutes[i]):
                 failures.append(("star-compatibility", (alpha, A.labels[i])))
             row = products[i]
             for j in range(n) if nonzero[i] else sorted(row):
@@ -275,8 +279,8 @@ def verify_covering(cov):
         if A.unit is not None and chart.unit is not None:
             if pi.apply(A.unit) != chart.unit:
                 failures.append(("unit", alpha))
-        sigma = cov.section(alpha)
-        if (pi @ sigma).entries != Matrix.identity(chart.dim).entries:
+        round_trips.append(pi @ cov.section(alpha))
+        if round_trips[alpha].entries != Matrix.identity(chart.dim).entries:
             failures.append(("section", alpha))
     rows = []
     for alpha in range(cov.size):
@@ -287,7 +291,11 @@ def verify_covering(cov):
     for alpha in range(cov.size):
         for beta in range(cov.size):
             joint = cov.overlap_projection(alpha, beta)
-            via = cov.chart_to_overlap(alpha, beta) @ cov.projection(alpha)
+            if alpha == beta:
+                to_overlap = round_trips[alpha]
+            else:
+                to_overlap = cov.chart_to_overlap(alpha, beta)
+            via = to_overlap @ cov.projection(alpha)
             if via.entries != joint.entries:
                 failures.append(("overlap-diagram", (alpha, beta)))
     return failures

@@ -22,7 +22,8 @@ at a time through `TensorElement.multiply`) is kept in the tests as its
 oracle.  `hopf_axiom_check` numbers the swept monomials and works in
 call-local tables keyed by those integers: each coproduct and antipode
 is built once, the tower once, and each monomial product that its
-antipode slots need is normal-ordered once.
+antipode slots need is normal-ordered once.  Each table is then put
+over one common denominator, and the laws are summed on ints.
 
 kappa and the monomial keys are validated by the public constructors
 only; internal results are built by `_Combination._trusted`.
@@ -39,9 +40,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, lcm, prod
 
-from nctangent.scalars import ONE, Immutable, Scalar, ZERO
+from nctangent.scalars import ONE, Immutable, Scalar, ZERO, _make, _reduced
 
 # numeric totally antisymmetric symbol on indices 1..3, eps[1][2][3] = +1
 EPS3 = {}
@@ -228,8 +229,9 @@ class PBWElement(_Combination):
 
 
 def _i_over(kappa):
-    """The reordering constant i/kappa of p_0 p_j = p_j p_0 + (i/kappa) p_j."""
-    return Scalar(0, Fraction(1, 1) / kappa)
+    """The reordering constant i/kappa of p_0 p_j = p_j p_0 + (i/kappa) p_j:
+    for kappa = p/q in lowest terms, the reduced triple (0, q, p)."""
+    return _make(0, kappa.denominator, kappa.numerator)
 
 
 def _towers(kappa, keys):
@@ -365,7 +367,7 @@ def coproduct(f):
             spatial = prod(comb(b, g) for b, g in zip(beta, gamma))
             for k in range(n + 1):
                 key = ((gamma, k), (rest, n - k))
-                out[key] = c * Scalar(spatial * comb(n, k))
+                out[key] = c * _make(spatial * comb(n, k), 0, 1)
     return TensorElement._trusted(f.d, f.kappa, out)
 
 
@@ -400,8 +402,18 @@ def monomials_up_to(d, max_degree):
     return sorted(keys)
 
 
-def _nonzero(terms):
-    return {k: c for k, c in terms.items() if c}
+def _over_lcm(tables):
+    """Each table, a list of (k, c) with c a Scalar, as a list of (k, a, b)
+    with c = (a + b*i)/q, where q is the lcm of the denominators of all
+    the c; returns q and the tables."""
+    q = lcm(*(c._q for rows in tables for _, c in rows))
+    return q, [[(k, c._a * (u := q // c._q), c._b * u) for k, c in rows] for rows in tables]
+
+
+def _slot_total(re, im, scale):
+    """An antipode slot's sums as {k: (re[k] + im[k] i)/scale}, reduced
+    where nonzero: only f's counit at the unit when the law holds."""
+    return {k: _reduced(a, im[k], scale) for k, a in re.items() if a or im[k]}
 
 
 def hopf_axiom_check(d, kappa, max_degree):
@@ -412,10 +424,22 @@ def hopf_axiom_check(d, kappa, max_degree):
     tensor factor of a swept coproduct, every antipode term and every
     product the antipode slots need is itself a swept monomial, so the
     call numbers the monomials and works on integer keys: each
-    coproduct and antipode is built once and re-keyed by index, the
+    coproduct and antipode is built once by the public maps, the
     stepwise tower is built once at this call's i/kappa, and each
-    monomial product a * b is normal-ordered once, from that tower.
-    Nothing outlives the call.
+    monomial product a * b the slots need is normal-ordered once, from
+    that tower.  Nothing outlives the call.
+
+    The laws are summed on ints.  Each table is put once over its own
+    common denominator: the coproduct terms over dq (1 for the true
+    coproduct), the antipode terms over aq and the products over sq.
+    Coassociativity sums left minus right over dq^2, the counit slots
+    sum against the target dq, and each antipode slot sums over
+    dq*aq*sq and is reduced by `_slot_total` only where nonzero.  The
+    sums reuse each converted factor thousands of times, which is why
+    they do not go through the `scalars` accumulator `_axpy` and its
+    per-term denominator check: that made the sweep slower.  The
+    Scalar-sum sweep is the oracle `scalar_sum_sweep` in
+    tests/test_minkowski.py.
     """
     kappa = _kappa_of(kappa)
     keys = monomials_up_to(d, max_degree)
@@ -428,50 +452,62 @@ def hopf_axiom_check(d, kappa, max_degree):
         f = PBWElement._trusted(d, kappa, {key: ONE})
         element.append(f)
         delta.append(
-            [(index[k1], index[k2], c) for (k1, k2), c in coproduct(f).terms.items()]
+            [((index[k1], index[k2]), c) for (k1, k2), c in coproduct(f).terms.items()]
         )
         anti.append([(index[k], c) for k, c in antipode(f).terms.items()])
+    # every product a * b the slots need, keyed a * size + b, is made
+    # before the sums: sq is the lcm over all of them
     products = {}
-
-    def star(a, b):
-        if (a, b) not in products:
-            made = _star_monomials(keys[a], keys[b], towers)
-            products[a, b] = [(index[k], c) for k, c in made.items()]
-        return products[a, b]
+    for terms in delta:
+        for (k1, k2), _ in terms:
+            for x, _ in anti[k1]:
+                products.setdefault(x * size + k2, (x, k2))
+            for x, _ in anti[k2]:
+                products.setdefault(k1 * size + x, (k1, x))
+    made = (_star_monomials(keys[a], keys[b], towers) for a, b in products.values())
+    sq, made = _over_lcm([[(index[k], c) for k, c in m.items()] for m in made])
+    products = dict(zip(products, made))
+    dq, delta = _over_lcm(delta)
+    aq, anti = _over_lcm(anti)
+    scale = dq * aq * sq
 
     failures = []
     for i, key in enumerate(keys):
         terms = delta[i]
-        left = {}
-        right = {}
-        for k1, k2, c in terms:
-            for a, b, e in delta[k1]:
+        re, im = {}, {}
+        for (k1, k2), ca, cb in terms:
+            for (a, b), ea, eb in delta[k1]:
                 # the triple (a, b, k2), packed into one integer
                 tk = (a * size + b) * size + k2
-                left[tk] = left.get(tk, ZERO) + c * e
-            for a, b, e in delta[k2]:
+                re[tk] = re.get(tk, 0) + ca * ea - cb * eb
+                im[tk] = im.get(tk, 0) + ca * eb + cb * ea
+            for (a, b), ea, eb in delta[k2]:
                 tk = (k1 * size + a) * size + b
-                right[tk] = right.get(tk, ZERO) + c * e
-        if _nonzero(left) != _nonzero(right):
+                re[tk] = re.get(tk, 0) - ca * ea + cb * eb
+                im[tk] = im.get(tk, 0) - ca * eb - cb * ea
+        if any(re.values()) or any(im.values()):
             failures.append(("coassociativity", key))
-        kept = ({}, {})
-        for k1, k2, c in terms:
-            if k2 == origin:
-                kept[0][k1] = kept[0].get(k1, ZERO) + c
-            if k1 == origin:
-                kept[1][k2] = kept[1].get(k2, ZERO) + c
-        if any(s.pop(i, ZERO) != ONE or any(s.values()) for s in kept):
+        # each counit slot's real and imaginary sums, less the target dq at f
+        kept = ({i: -dq}, {}), ({i: -dq}, {})
+        for (k1, k2), ca, cb in terms:
+            for (re, im), k, other in ((kept[0], k1, k2), (kept[1], k2, k1)):
+                if other == origin:
+                    re[k] = re.get(k, 0) + ca
+                    im[k] = im.get(k, 0) + cb
+        if any(any(part.values()) for side in kept for part in side):
             failures.append(("counit", key))
         e0 = counit(element[i])
         target = {origin: e0} if e0 else {}
         for slot in (1, 2):
-            total = {}
-            for k1, k2, c in terms:
-                for x, e in anti[k1] if slot == 1 else anti[k2]:
-                    scale = c * e
-                    for k, v in star(x, k2) if slot == 1 else star(k1, x):
-                        total[k] = total.get(k, ZERO) + scale * v
-            if _nonzero(total) != target:
+            re, im = {}, {}
+            for (k1, k2), ca, cb in terms:
+                for x, ea, eb in anti[k1] if slot == 1 else anti[k2]:
+                    sa, sb = ca * ea - cb * eb, ca * eb + cb * ea
+                    pair = x * size + k2 if slot == 1 else k1 * size + x
+                    for k, va, vb in products[pair]:
+                        re[k] = re.get(k, 0) + sa * va - sb * vb
+                        im[k] = im.get(k, 0) + sa * vb + sb * va
+            if _slot_total(re, im, scale) != target:
                 failures.append(("antipode slot %d" % slot, key))
     return failures
 

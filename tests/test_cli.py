@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctangent import cli, minkowski
+from nctangent import cli, connection, minkowski
 from nctangent.algebras import (
     direct_sum,
     make_function_algebra,
@@ -218,6 +218,47 @@ def test_curvature_real_gamma_fails(tmp_path):
     got = statuses(result)
     assert got["curvature:coefficients"] == "fail"
     assert got["curvature:axioms"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "name", ["m3_model.json", "curvature_kappa.json", "curvature_d1.json", "zero"]
+)
+def test_each_connection_grid_is_checked_once_per_report(monkeypatch, tmp_path, name):
+    # seeded and zero grids are checked by their constructor, and
+    # curvature:coefficients reads that result instead of checking again
+    if name == "zero":
+        scenario = json.loads((SCENARIOS / "curvature_d1.json").read_text())
+        scenario["connection"] = {"type": "zero"}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(scenario))
+    else:
+        path = SCENARIOS / name
+    real_check = connection.coefficient_failures
+    real_init = connection.ConnectionCoefficients.__init__
+    built, checked = [], []
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def check(gamma):
+        checked.append(gamma)
+        return real_check(gamma)
+
+    monkeypatch.setattr(connection.ConnectionCoefficients, "__init__", init)
+    # patched wherever the name is bound, so a caller that imported it
+    # by name is counted too
+    for module in (connection, cli):
+        if hasattr(module, "coefficient_failures"):
+            monkeypatch.setattr(module, "coefficient_failures", check)
+    for seed in ("0", "7"):
+        mark = len(built), len(checked)
+        result = run("all", "--scenario", str(path), "--seed", seed)
+        assert result.exit_code == 0
+        assert statuses(result)["curvature:coefficients"] == "pass"
+        grids = built[mark[0]:]
+        assert len(grids) == 1
+        assert [id(g) for g in checked[mark[1]:]] == [id(g) for g in grids]
 
 
 def test_all_command_block_model():

@@ -100,3 +100,26 @@ def test_report_prints_src_lines_beside_the_cases_and_keeps_the_exit_status(
     assert out[0] == "plain: 1 cases, 0 differ"
     assert out[1] == "DIFF [-O] all x 0"
     assert out[-2:] == ["-O: 1 cases, 1 differ", "src/ lines: parent 7, change 5 (-2)"]
+
+
+def test_cases_cover_every_command_and_the_sweep_above_the_workload_degrees(
+    monkeypatch,
+):
+    tool = compare_reports()
+    shipped = sorted((ROOT / "scenarios").glob("*.json"))
+    cases = {"shipped": [(p.name, str(p)) for p in shipped], "generated": [("g", "g.json")]}
+    got = dict(tool._cases(cli.main.commands, cases))
+    per_scenario = len(cli.main.commands) * len(tool.SEEDS) + 1
+    assert len(got) == len(shipped) * per_scenario + len(tool.SEEDS)
+    for p in shipped:
+        args = got["hopf-check --max-degree 5 %s 0" % p.name]
+        assert args == ["hopf-check", "--scenario", str(p), "--seed", "0", "--max-degree", "5"]
+        assert got["all %s 3" % p.name] == ["all", "--scenario", str(p), "--seed", "3"]
+    assert got["all g 0"] == ["all", "--scenario", "g.json", "--seed", "0"]
+    # the degree-5 case runs, and sweeps at degree 5
+    swept = []
+    real = cli.hopf_axiom_check
+    monkeypatch.setattr(cli, "hopf_axiom_check", lambda *args: swept.append(args) or real(*args))
+    result = CliRunner().invoke(cli.main, got["hopf-check --max-degree 5 hopf_d3.json 0"])
+    assert result.exit_code == 0
+    assert [(d, degree) for d, _, degree in swept] == [(3, 5)]

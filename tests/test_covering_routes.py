@@ -472,6 +472,36 @@ def test_covering_makes_no_product_with_a_base_basis_vector(monkeypatch):
     assert calls == []
 
 
+def test_verify_covering_reuses_the_section_product(monkeypatch):
+    # chart_to_overlap(alpha, alpha) is the section law's pi @ sigma, and
+    # the involute of a zero image is zero: neither is formed again
+    pairs, involuted = [], []
+    real_overlap = Covering.chart_to_overlap
+    real_involute = StarAlgebra.involute
+
+    def overlap_spy(self, alpha, beta):
+        pairs.append((alpha, beta))
+        return real_overlap(self, alpha, beta)
+
+    def involute_spy(self, v):
+        involuted.append(any(v))
+        return real_involute(self, v)
+
+    monkeypatch.setattr(Covering, "chart_to_overlap", overlap_spy)
+    monkeypatch.setattr(StarAlgebra, "involute", involute_spy)
+    zero_images = 0
+    for cov in COVERINGS:
+        mark = len(pairs)
+        assert verify_covering(cov) == []
+        r = range(cov.size)
+        assert pairs[mark:] == [(a, b) for a in r for b in r if a != b]
+        zero_images += sum(
+            not any(cov.projection(a).column(i)) for a in r for i in range(cov.algebra.dim)
+        )
+    assert zero_images > 0
+    assert involuted and all(involuted)
+
+
 def test_verify_ideal_multiplies_only_by_linked_basis_elements(monkeypatch):
     calls = []
     real = covering._products_with_basis

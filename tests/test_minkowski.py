@@ -380,25 +380,26 @@ def stepwise_antipode_slots(d, kappa, max_degree):
 def swept_antipode_slots(monkeypatch, d, kappa, max_degree):
     """Run the sweep and read back its per-key [slot 1, slot 2] totals.
 
-    For each key in order the sweep takes `_nonzero` of the two
-    coassociativity sides, then of the slot 1 and slot 2 totals.  The
-    sweep keys each monomial by its place in `monomials_up_to`, so the
-    totals are mapped back to monomial keys here.
+    For each key in order the sweep reduces the slot 1 and then the
+    slot 2 sums through `_slot_total`, which returns each total as a
+    Scalar dict.  The sweep keys each monomial by its place in
+    `monomials_up_to`, so the totals are mapped back to monomial keys
+    here.
     """
-    real = minkowski._nonzero
+    real = minkowski._slot_total
     seen = []
 
-    def recording(terms):
-        seen.append(real(terms))
+    def recording(re, im, scale):
+        seen.append(real(re, im, scale))
         return seen[-1]
 
-    monkeypatch.setattr(minkowski, "_nonzero", recording)
+    monkeypatch.setattr(minkowski, "_slot_total", recording)
     failures = hopf_axiom_check(d, kappa, max_degree)
-    monkeypatch.setattr(minkowski, "_nonzero", real)
+    monkeypatch.setattr(minkowski, "_slot_total", real)
     keys = monomials_up_to(d, max_degree)
-    assert len(seen) == 4 * len(keys)
+    assert len(seen) == 2 * len(keys)
     totals = {
-        key: [{keys[k]: c for k, c in total.items()} for total in seen[4 * i + 2 : 4 * i + 4]]
+        key: [{keys[k]: c for k, c in total.items()} for total in seen[2 * i : 2 * i + 2]]
         for i, key in enumerate(keys)
     }
     return totals, failures
@@ -466,6 +467,12 @@ def test_sweep_normal_orders_each_slot_product_once_per_call(monkeypatch):
         assert Counter((a, b) for a, b, _ in made[mark:]) == Counter(set(need))
         (towers,) = {id(t): t for _, _, t in made[mark:]}.values()
         assert towers[1] == {1: ONE, 0: Scalar(0, 1 / kappa)}
+
+
+def _nonzero(terms):
+    """The nonzero entries of a Scalar dict: the two oracle sweeps below
+    compare sums through it."""
+    return {k: c for k, c in terms.items() if c}
 
 
 # -- the sweep before its index tables, as its oracle -------------------------
@@ -553,10 +560,99 @@ def parent_sweep(d, kappa, max_degree):
     namespace = dict(
         vars(minkowski),
         _star_monomials=parent_route_star,
+        _nonzero=_nonzero,
         slot_counit=slot_counit,
         pbw_one=pbw_one,
     )
     code = parent_hopf_axiom_check.__code__
+    return types.FunctionType(code, namespace)(d, kappa, max_degree)
+
+
+# -- the sweep before it summed on ints, as its oracle -------------------------
+
+
+def scalar_sum_hopf_axiom_check(d, kappa, max_degree):
+    """The sweep with its tables kept as Scalars and every sum made by
+    the Scalar operators, as `hopf_axiom_check` summed before it moved
+    its laws onto ints.  Its own description follows.
+
+    Exhaustive coassociativity, counit and antipode sweep.
+
+    Returns a list of (axiom_name, monomial_key) failures; empty means
+    every identity holds on all monomials up to the degree bound.  Every
+    tensor factor of a swept coproduct, every antipode term and every
+    product the antipode slots need is itself a swept monomial, so the
+    call numbers the monomials and works on integer keys: each
+    coproduct and antipode is built once and re-keyed by index, the
+    stepwise tower is built once at this call's i/kappa, and each
+    monomial product a * b is normal-ordered once, from that tower.
+    Nothing outlives the call.
+    """
+    kappa = _kappa_of(kappa)
+    keys = monomials_up_to(d, max_degree)
+    index = {key: i for i, key in enumerate(keys)}
+    origin = index[((0,) * d, 0)]
+    size = len(keys)
+    towers = _towers(kappa, keys)
+    element, delta, anti = [], [], []
+    for key in keys:
+        f = PBWElement._trusted(d, kappa, {key: ONE})
+        element.append(f)
+        delta.append(
+            [(index[k1], index[k2], c) for (k1, k2), c in coproduct(f).terms.items()]
+        )
+        anti.append([(index[k], c) for k, c in antipode(f).terms.items()])
+    products = {}
+
+    def star(a, b):
+        if (a, b) not in products:
+            made = _star_monomials(keys[a], keys[b], towers)
+            products[a, b] = [(index[k], c) for k, c in made.items()]
+        return products[a, b]
+
+    failures = []
+    for i, key in enumerate(keys):
+        terms = delta[i]
+        left = {}
+        right = {}
+        for k1, k2, c in terms:
+            for a, b, e in delta[k1]:
+                # the triple (a, b, k2), packed into one integer
+                tk = (a * size + b) * size + k2
+                left[tk] = left.get(tk, ZERO) + c * e
+            for a, b, e in delta[k2]:
+                tk = (k1 * size + a) * size + b
+                right[tk] = right.get(tk, ZERO) + c * e
+        if _nonzero(left) != _nonzero(right):
+            failures.append(("coassociativity", key))
+        kept = ({}, {})
+        for k1, k2, c in terms:
+            if k2 == origin:
+                kept[0][k1] = kept[0].get(k1, ZERO) + c
+            if k1 == origin:
+                kept[1][k2] = kept[1].get(k2, ZERO) + c
+        if any(s.pop(i, ZERO) != ONE or any(s.values()) for s in kept):
+            failures.append(("counit", key))
+        e0 = counit(element[i])
+        target = {origin: e0} if e0 else {}
+        for slot in (1, 2):
+            total = {}
+            for k1, k2, c in terms:
+                for x, e in anti[k1] if slot == 1 else anti[k2]:
+                    scale = c * e
+                    for k, v in star(x, k2) if slot == 1 else star(k1, x):
+                        total[k] = total.get(k, ZERO) + scale * v
+            if _nonzero(total) != target:
+                failures.append(("antipode slot %d" % slot, key))
+    return failures
+
+
+def scalar_sum_sweep(d, kappa, max_degree):
+    """`scalar_sum_hopf_axiom_check`, unchanged, with its names looked up
+    in `minkowski` at call time, so a mutant patched into the module
+    reaches it as it reaches `hopf_axiom_check`."""
+    namespace = dict(vars(minkowski), _nonzero=_nonzero)
+    code = scalar_sum_hopf_axiom_check.__code__
     return types.FunctionType(code, namespace)(d, kappa, max_degree)
 
 
@@ -609,6 +705,43 @@ def test_sweep_gives_the_failures_of_the_sweep_before_its_tables(monkeypatch, mu
     # every mutant breaks a law somewhere in the sweeps, and the true
     # maps break none
     assert caught == (mutant != "none")
+
+
+def twisted_coproduct(f):
+    """The coproduct conjugated by the linear map m -> w(m) m, with
+    w(p^beta p0^n) = 1 + (2n - |beta|) i/3: coassociative and counital
+    (w(1) = 1), with Gaussian-rational coefficients off Z, so the sweep's
+    coproduct table has imaginary parts and a denominator dq > 1."""
+
+    def w(key):
+        beta, n = key
+        return Scalar(1, Fraction(2 * n - sum(beta), 3))
+
+    (key,) = f.terms
+    delta = true_coproduct(f)
+    terms = {(a, b): c * w(a) * w(b) / w(key) for (a, b), c in delta.terms.items()}
+    return TensorElement(f.d, f.kappa, terms)
+
+
+STRESS_MUTANTS = dict(MUTANTS, **{"twisted-coproduct": {"coproduct": twisted_coproduct}})
+# composite numerators and denominators: the tables' common denominators
+# are products of several prime powers
+STRESS_KAPPAS = (Fraction(6, 35), Fraction(12, 7), Fraction(35, 6), Fraction(1, 30))
+HOPF_SWEEP_SLOTS = ((1, 4), (2, 3), (3, 3), (1, 5))
+
+
+@pytest.mark.parametrize("mutant", sorted(STRESS_MUTANTS))
+def test_int_sums_give_the_failures_of_the_scalar_sums(monkeypatch, mutant):
+    for name, value in STRESS_MUTANTS[mutant].items():
+        monkeypatch.setattr(minkowski, name, value)
+    for d, degree in HOPF_SWEEP_SLOTS:
+        for kappa in STRESS_KAPPAS:
+            want = scalar_sum_sweep(d, kappa, degree)
+            assert hopf_axiom_check(d, kappa, degree) == want, (d, degree, kappa)
+            assert bool(want) == (mutant != "none"), (d, degree, kappa)
+            if mutant == "twisted-coproduct":
+                # the twist keeps coassociativity and the counit law
+                assert {name for name, _ in want} <= {"antipode slot 1", "antipode slot 2"}
 
 
 def test_sweep_bounds_must_be_nonnegative():

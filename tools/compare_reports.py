@@ -8,6 +8,8 @@ and under `python -O`:
 
 * every command of `verify` (`all` and each check family) on every
   shipped scenario in `scenarios/` at `--seed` 0-3;
+* `hopf-check --max-degree 5` at `--seed` 0 on every shipped scenario,
+  which sweeps above the degrees of the scenarios and the workloads;
 * `all` at `--seed` 0-3 on the scenarios that `perfbench/scenarios.py`
   generates for each workload and each given perfbench seed.
 
@@ -37,31 +39,40 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2, 3)
 
 
+def _cases(commands, cases):
+    """(name, arguments) of every case, for `verify` with these commands
+    and the scenario paths in `cases`."""
+    out = []
+    for name, path in cases["shipped"]:
+        for command in sorted(commands):
+            for seed in SEEDS:
+                out.append(("%s %s %d" % (command, name, seed),
+                            [command, "--scenario", path, "--seed", str(seed)]))
+        out.append(("hopf-check --max-degree 5 %s 0" % name,
+                    ["hopf-check", "--scenario", path, "--seed", "0", "--max-degree", "5"]))
+    for name, path in cases["generated"]:
+        for seed in SEEDS:
+            out.append(("all %s %d" % (name, seed),
+                        ["all", "--scenario", path, "--seed", str(seed)]))
+    return out
+
+
 def _worker(src, cases_path, out_path):
     """Run every case with the package under `src`; write the results."""
     sys.path.insert(0, src)
     from nctangent import cli
 
     cases = json.loads(Path(cases_path).read_text())
-    results = {}
-    for name, path in cases["shipped"]:
-        for command in sorted(cli.main.commands):
-            for seed in SEEDS:
-                results["%s %s %d" % (command, name, seed)] = _run(cli, command, path, seed)
-    for name, path in cases["generated"]:
-        for seed in SEEDS:
-            results["all %s %d" % (name, seed)] = _run(cli, "all", path, seed)
+    results = {name: _run(cli, args) for name, args in _cases(cli.main.commands, cases)}
     Path(out_path).write_text(json.dumps(results))
 
 
-def _run(cli, command, path, seed):
+def _run(cli, args):
     out, err = io.StringIO(), io.StringIO()
     code = 0
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            cli.main(
-                [command, "--scenario", path, "--seed", str(seed)], prog_name="verify"
-            )
+            cli.main(args, prog_name="verify")
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
     except Exception as exc:  # a traceback from `verify` is a result too
