@@ -37,12 +37,12 @@ from nctangent.scalars import (
     Subspace,
     ZERO,
     _axpy,
+    _reduced,
     _scalars,
     nullspace,
     sparse_nullspace,
     unit_vec,
     vec_add,
-    vec_conj,
     zero_vec,
 )
 
@@ -128,22 +128,38 @@ class StarAlgebra(Immutable):
     # -- arithmetic on coordinate vectors ---------------------------------
 
     def multiply(self, u, v):
+        return _scalars(self._mac({}, u, v), self.dim)
+
+    def _mac(self, sums, u, v, c=None):
+        """The multiply-accumulate kernel: add c.(u v) into `sums`, a dict
+        of running [a, b, q] sums as `_axpy` keeps them, and return it.
+        The factor c is a Scalar, 1 when None; it is folded into each
+        nonzero coordinate of u once."""
         if len(u) != self.dim or len(v) != self.dim:
             raise AlgebraError("element length mismatch")
-        sums = {}
         for x, row in zip(u, self.terms):
             xa, xb, xq = x._a, x._b, x._q
             if xa or xb:
+                if c is not None:
+                    ca, cb = c._a, c._b
+                    xa, xb, xq = xa * ca - xb * cb, xa * cb + xb * ca, xq * c._q
                 for j, cell in row:
                     y = v[j]
                     ya, yb = y._a, y._b
                     if ya or yb:
                         a, b = xa * ya - xb * yb, xa * yb + xb * ya
                         _axpy(sums, a, b, xq * y._q, cell)
-        return _scalars(sums, self.dim)
+        return sums
 
     def involute(self, v):
-        return self.involution.apply(vec_conj(v))
+        """Each nonzero (a, b, q) enters the involution's columns as (a, -b, q)."""
+        if len(v) != self.dim:
+            raise ValueError("vector length mismatch")
+        sums = {}
+        for x, column in zip(v, self.involution.nonzero_columns()):
+            if x._a or x._b:
+                _axpy(sums, x._a, -x._b, x._q, column)
+        return _scalars(sums, self.dim)
 
     def commutator(self, u, v):
         return tuple(
@@ -379,23 +395,23 @@ def center(A):
 
 
 def commutators(A, v):
-    """{i: {m: coordinate}} holding [v, b_i] for every basis element b_i
-    that some nonzero product reaches, from one pass over `terms`: a
-    nonzero basis_k . basis_j adds v_k times it to [v, b_j] and subtracts
-    v_j times it from [v, b_k].  A column may sum to zero."""
+    """{i: {m: coordinate}} holding the nonzero coordinates of [v, b_i]
+    for every basis element b_i that some nonzero product reaches, from
+    one pass over `terms` summed on ints: a nonzero basis_k . basis_j
+    adds v_k times it to [v, b_j] and subtracts v_j times it from
+    [v, b_k].  A commutator that sums to zero is an empty dict."""
     comms = {}
     for k, (x, row) in enumerate(zip(v, A.terms)):
         for j, cell in row:
             y = v[j]
-            if x:
-                into = comms.setdefault(j, {})
-                for m, c in cell:
-                    into[m] = into.get(m, ZERO) + x * c
-            if y:
-                out = comms.setdefault(k, {})
-                for m, c in cell:
-                    out[m] = out.get(m, ZERO) - y * c
-    return comms
+            if x._a or x._b:
+                _axpy(comms.setdefault(j, {}), x._a, x._b, x._q, cell)
+            if y._a or y._b:
+                _axpy(comms.setdefault(k, {}), -y._a, -y._b, y._q, cell)
+    return {
+        i: {m: _reduced(a, b, q) for m, (a, b, q) in sums.items() if a or b}
+        for i, sums in comms.items()
+    }
 
 
 def noncentral_witness(A, v):
@@ -436,7 +452,7 @@ def _first_commutator(A, v):
     comms = commutators(A, v)
     for i in sorted(comms):
         comm = comms[i]
-        if any(comm.values()):
+        if comm:
             return (A.labels[i], tuple(comm.get(m, ZERO) for m in range(A.dim)))
     return None
 

@@ -8,11 +8,14 @@ ways, as a commutator of covariant derivatives and through the component
 formula, and the module's central check is that both agree on every
 basis triple.  The operator side of that check builds each covariant
 derivative of the generators once and shares it between triples; the
-component side is computed on its own, sharing nothing with it, and
-`curvature_operator` is the unshared operator route for one triple.
-Both sides read only the nonzero Gamma entries and skip zero images, so
-a zero connection makes no products; the unskipped component formula
-is the oracle in tests/test_calculus_routes.py.
+component side is computed on its own, sharing only the summing kernels
+with it, and `curvature_operator` is the unshared operator route for
+one triple.  Both sides read only the nonzero Gamma entries, so a zero
+connection makes no products; the unskipped component formula is the
+oracle in tests/test_calculus_routes.py.  Each output coefficient of
+either side, and of the axioms' Leibniz right-hand sides, sums on ints
+in the kernels `StarAlgebra._mac` and `scalars._axpy` and is built
+into Scalars once.
 """
 
 from fractions import Fraction
@@ -22,6 +25,8 @@ from nctangent.scalars import (
     Immutable,
     MINUS_ONE,
     Scalar,
+    _axpy,
+    _scalars,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -110,7 +115,8 @@ class ConnectionCoefficients(Immutable):
 
 
 def coefficient_failures(gamma):
-    """Centrality and anti-hermiticity violations as (kind, index)."""
+    """Centrality and anti-hermiticity violations as (kind, index).  A
+    zero entry is central and anti-hermitian, so it is skipped."""
     A = gamma.assignment.algebra
     n = gamma.assignment.d + 1
     failures = []
@@ -118,6 +124,8 @@ def coefficient_failures(gamma):
         for nu in range(n):
             for lam in range(n):
                 e = gamma.entry(mu, nu, lam)
+                if vec_is_zero(e):
+                    continue
                 if noncentral_witness(A, e) is not None:
                     failures.append(("central", (mu, nu, lam)))
                 if not vec_is_zero(vec_add(A.involute(e), e)):
@@ -134,6 +142,7 @@ def nabla(gamma, X, Y):
     product X_mu Y_nu built once per (mu, nu) and skipped when zero; a
     zero connection makes no products.  A zero X_mu, Y_lam or image
     D_mu(Y_lam) adds nothing to the action term and is skipped too.
+    Both terms add into one multiply-accumulate sum per coefficient.
     """
     assign = gamma.assignment
     if X.assignment is not assign or Y.assignment is not assign:
@@ -145,20 +154,20 @@ def nabla(gamma, X, Y):
     prods = {}  # (mu, nu) -> X_mu Y_nu, or None when it is zero
     out = []
     for lam, entries in enumerate(gamma._by_lam):
-        total = zero_vec(A.dim)
+        sums = {}
         for mu, nu, g in entries:
             if (mu, nu) not in prods:
                 prod = A.multiply(xs[mu], ys[nu])
                 prods[(mu, nu)] = None if vec_is_zero(prod) else prod
             prod = prods[(mu, nu)]
             if prod is not None:
-                total = vec_add(total, A.multiply(prod, g))
+                A._mac(sums, prod, g)
         if not vec_is_zero(ys[lam]):
             for x, D in acting:
                 image = D.apply(ys[lam])
                 if not vec_is_zero(image):
-                    total = vec_add(total, A.multiply(x, image))
-        out.append(total)
+                    A._mac(sums, x, image)
+        out.append(_scalars(sums, A.dim))
     # valid inputs give central output; unchecked negative-control grids
     # must still flow through
     return LocalDerivation(assign, out, check=False)
@@ -196,14 +205,14 @@ def verify_connection_axioms(gamma, samples):
         # Leibniz in the second argument, both sides
         left = nabla(gamma, X, _scale_coeffs(Y, z, "left"))
         want = [
-            vec_add(A.multiply(z, c), A.multiply(xz, yc))
+            _scalars(A._mac(A._mac({}, z, c), xz, yc), A.dim)
             for c, yc in zip(base.coefficients, Y.coefficients)
         ]
         if list(left.coefficients) != want:
             failures.append(("leibniz-left", idx))
         right = nabla(gamma, X, _scale_coeffs(Y, z, "right"))
         want = [
-            vec_add(A.multiply(c, z), A.multiply(yc, xz))
+            _scalars(A._mac(A._mac({}, c, z), yc, xz), A.dim)
             for c, yc in zip(base.coefficients, Y.coefficients)
         ]
         if list(right.coefficients) != want:
@@ -280,7 +289,9 @@ class CurvatureTensor(Immutable):
 def curvature_components(gamma):
     """Component formula: generator derivatives of Gamma, the quadratic
     Gamma contraction, and the structure-constant term, over the nonzero
-    Gamma entries only."""
+    Gamma entries only.  Each component sums on ints: the derivatives
+    through the operators' nonzero columns, the contraction through the
+    multiply-accumulate kernel, the structure term through `_axpy`."""
     assign = gamma.assignment
     A = assign.algebra
     n = assign.d + 1
@@ -294,28 +305,29 @@ def curvature_components(gamma):
             for lam in range(n):
                 row = []
                 for tau in range(n):
-                    total = zero_vec(A.dim)
-                    for D, g, add in (
-                        (assign.operators[mu], G.get((nu, lam, tau)), vec_add),
-                        (assign.operators[nu], G.get((mu, lam, tau)), vec_sub),
+                    sums = {}
+                    for D, g, s in (
+                        (assign.operators[mu], G.get((nu, lam, tau)), 1),
+                        (assign.operators[nu], G.get((mu, lam, tau)), -1),
                     ):
                         if g is not None:
-                            image = D.apply(g)
-                            if not vec_is_zero(image):
-                                total = add(total, image)
+                            for x, column in zip(g, D.nonzero_columns()):
+                                if x._a or x._b:
+                                    _axpy(sums, s * x._a, s * x._b, x._q, column)
                     for sigma in range(n):
-                        for g, h, add in (
-                            (G.get((nu, lam, sigma)), G.get((mu, sigma, tau)), vec_add),
-                            (G.get((mu, lam, sigma)), G.get((nu, sigma, tau)), vec_sub),
+                        for g, h, c in (
+                            (G.get((nu, lam, sigma)), G.get((mu, sigma, tau)), None),
+                            (G.get((mu, lam, sigma)), G.get((nu, sigma, tau)), MINUS_ONE),
                         ):
                             if g is not None and h is not None:
-                                total = add(total, A.multiply(g, h))
+                                A._mac(sums, g, h, c)
                         g = G.get((sigma, lam, tau))
                         if g is not None:
                             c = structure_scalar(assign.kappa, mu, nu, sigma)
                             if c:
-                                total = vec_sub(total, vec_scale(c, g))
-                    row.append(total)
+                                pairs = [(m, x) for m, x in enumerate(g) if x]
+                                _axpy(sums, -c._a, -c._b, c._q, pairs)
+                    row.append(_scalars(sums, A.dim))
                 plane.append(row)
             cube.append(plane)
         grid.append(cube)

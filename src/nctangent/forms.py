@@ -199,6 +199,16 @@ class FormN(Immutable):
         object.__setattr__(self, "entries", norm)
 
     @classmethod
+    def _of(cls, basis, degree, entries):
+        """The form with these entries, keyed by increasing tuples, all
+        values nonzero; no normalization and no check."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "basis", basis)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(form, "entries", entries)
+        return form
+
+    @classmethod
     def zero(cls, basis, degree):
         return cls(basis, degree, {})
 
@@ -286,7 +296,9 @@ def koszul_d(rho):
     alternating bracket insertions, resolved through the structure
     constants of the basis.  Each output key sums into one coordinate
     list from the stored entries of rho, the operators' nonzero columns
-    and the nonzero structure constants; a sign negates the factor."""
+    and the nonzero structure constants; a sign negates the factor.  The
+    keys are increasing and the zero values are dropped, so the result
+    is built by `FormN._of`."""
     basis = rho.basis
     n = rho.degree
     entries = rho.entries
@@ -312,8 +324,9 @@ def koszul_d(rho):
                     value = entries.get(skey, ())
                     pairs = [(i, x) for i, x in enumerate(value) if x._a or x._b]
                     _axpy(sums, s * c._a, s * c._b, c._q, pairs)
-        out[key] = _scalars(sums, basis.algebra.dim)
-    return FormN(basis, n + 1, out)
+        if any(a or b for a, b, _ in sums.values()):
+            out[key] = _scalars(sums, basis.algebra.dim)
+    return FormN._of(basis, n + 1, out)
 
 
 def differential_of(basis, a):

@@ -11,15 +11,15 @@ Three layers live here:
 * `Scalar`, the field element, with `ZERO`, `ONE`, `MINUS_ONE` and `I`;
 * `Matrix` and plain tuple vectors, with exact elimination, solving and
   null spaces.  The element kernels (`Matrix.apply`, `Matrix @`,
-  `StarAlgebra.multiply`, `forms.koszul_d`) sum their products on the
-  ints of the Scalars, in one accumulator (`_axpy` adds into a dict of
-  running sums, `_scalars` reads it out), and build one Scalar per
-  nonzero output coordinate; their Scalar-operator routes are the
-  oracles in tests/test_scalars.py, tests/test_algebras.py and
-  tests/test_calculus_routes.py.  One elimination, `eliminate`, works
-  on sparse rows ({column: entry} dicts) and touches only nonzero
-  entries; `rref` is its dense wrapper, and `sparse_nullspace` solves
-  sparse equations without a dense copy;
+  `StarAlgebra.multiply` and its multiply-accumulate `_mac`,
+  `StarAlgebra.involute`, `forms.koszul_d`), and the calculus routes on
+  them, sum their products on the ints of the Scalars, in one
+  accumulator (`_axpy` adds into a dict of running sums, `_scalars`
+  reads it out), and build one Scalar per nonzero output coordinate;
+  their Scalar-operator routes are the oracles in tests/.  One
+  elimination, `eliminate`, works on sparse rows ({column: entry}
+  dicts) and touches only nonzero entries; `rref` is its dense wrapper,
+  and `sparse_nullspace` solves sparse equations without a dense copy;
 * `Subspace` (canonical reduced-echelon bases) with sums, intersections,
   and quotients equipped with deterministic sections.
 """
@@ -356,10 +356,6 @@ def vec_sub(u, v):
 
 def vec_scale(c, u):
     return tuple(map(Scalar.promote(c).__mul__, u))
-
-
-def vec_conj(u):
-    return tuple(a.conjugate() for a in u)
 
 
 def vec_is_zero(u):

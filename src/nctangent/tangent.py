@@ -24,13 +24,15 @@ from nctangent.algebras import AlgebraError, center, commutators, noncentral_wit
 from nctangent.partition import functional
 from nctangent.scalars import (
     Immutable,
+    MINUS_ONE,
     Matrix,
     Scalar,
     ZERO,
+    _axpy,
+    _scalars,
     solve_linear,
     vec_add,
     vec_scale,
-    vec_sub,
     zero_vec,
 )
 
@@ -157,10 +159,10 @@ class LocalDerivation(Immutable):
 
     def apply(self, a):
         A = self.assignment.algebra
-        out = zero_vec(A.dim)
+        sums = {}
         for z, D in zip(self.coefficients, self.assignment.operators):
-            out = vec_add(out, A.multiply(z, D.apply(a)))
-        return out
+            A._mac(sums, z, D.apply(a))
+        return _scalars(sums, A.dim)
 
     def as_matrix(self):
         A = self.assignment.algebra
@@ -180,37 +182,26 @@ def generator_derivation(assign, mu):
 
 
 def bracket(X, Y):
-    """Coefficient-formula bracket of two local derivations."""
+    """Coefficient-formula bracket of two local derivations, each output
+    coefficient summed on ints: X_mu D_mu(Y_lam) - Y_mu D_mu(X_lam),
+    plus (i/kappa)(X_0 Y_lam - Y_0 X_lam) for lam >= 1, the swing term,
+    with i/kappa as the kernel's factor."""
     if X.assignment is not Y.assignment:
         raise AlgebraError("derivations over different assignments")
     assign = X.assignment
     A = assign.algebra
     ik = Scalar(0, Fraction(1) / assign.kappa)
+    xs, ys = X.coefficients, Y.coefficients
     out = []
     for lam in range(assign.d + 1):
-        acc = zero_vec(A.dim)
-        zy = Y.coefficients[lam]
-        zx = X.coefficients[lam]
-        for mu in range(assign.d + 1):
-            acc = vec_add(
-                acc,
-                A.multiply(
-                    X.coefficients[mu], assign.operators[mu].apply(zy)
-                ),
-            )
-            acc = vec_sub(
-                acc,
-                A.multiply(
-                    Y.coefficients[mu], assign.operators[mu].apply(zx)
-                ),
-            )
+        sums = {}
+        for x, y, D in zip(xs, ys, assign.operators):
+            A._mac(sums, x, D.apply(ys[lam]))
+            A._mac(sums, y, D.apply(xs[lam]), MINUS_ONE)
         if lam >= 1:
-            swing = vec_sub(
-                A.multiply(X.coefficients[0], Y.coefficients[lam]),
-                A.multiply(Y.coefficients[0], X.coefficients[lam]),
-            )
-            acc = vec_add(acc, vec_scale(ik, swing))
-        out.append(acc)
+            A._mac(sums, xs[0], ys[lam], ik)
+            A._mac(sums, ys[0], xs[lam], -ik)
+        out.append(_scalars(sums, A.dim))
     # derivations preserve centrality, so checked inputs give checked
     # outputs; unchecked (negative-control) inputs must still flow
     return LocalDerivation(assign, out, check=False)
@@ -226,7 +217,8 @@ def leibniz_failures(algebra, operator):
     the constants of b_i . b_j, D(b_i) b_j sums x times b_k . b_j over
     the nonzero coordinates x of D(b_i), and b_i D(b_j) sums y times
     b_i . b_k over the pairs (j, y) with y the k-th coordinate of D(b_j).
-    A pair fails when some coordinate of the sum is nonzero.
+    The sums run on ints in the accumulator of `scalars`; a pair fails
+    when some sum has a nonzero real or imaginary part.
     """
     n = algebra.dim
     images = [
@@ -242,22 +234,16 @@ def leibniz_failures(algebra, operator):
     for i, terms in enumerate(algebra.terms):
         sums = [{} for _ in range(n)]
         for j, cell in terms:
-            total = sums[j]
             for m, c in cell:
-                for r, y in images[m]:
-                    total[r] = total.get(r, ZERO) + c * y
+                _axpy(sums[j], c._a, c._b, c._q, images[m])
         for k, cell in terms:
             for j, y in rows[k]:
-                total = sums[j]
-                for m, c in cell:
-                    total[m] = total.get(m, ZERO) - y * c
+                _axpy(sums[j], -y._a, -y._b, y._q, cell)
         for k, x in images[i]:
             for j, cell in algebra.terms[k]:
-                total = sums[j]
-                for m, c in cell:
-                    total[m] = total.get(m, ZERO) - x * c
+                _axpy(sums[j], -x._a, -x._b, x._q, cell)
         for j, total in enumerate(sums):
-            if any(total.values()):
+            if total and any(a or b for a, b, _ in total.values()):
                 failures.append((algebra.labels[i], algebra.labels[j]))
     return failures
 

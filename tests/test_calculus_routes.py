@@ -450,7 +450,7 @@ def test_a_zero_connection_makes_no_products(monkeypatch):
     assign = canonical_inner_model(4, 1, Fraction(2, 3))
     gamma = ConnectionCoefficients.zero(assign)
     calls = []
-    real_multiply, real_apply = StarAlgebra.multiply, Matrix.apply
+    real_multiply, real_apply, real_mac = StarAlgebra.multiply, Matrix.apply, StarAlgebra._mac
 
     def multiply(self, u, v):
         calls.append("multiply")
@@ -460,7 +460,12 @@ def test_a_zero_connection_makes_no_products(monkeypatch):
         calls.append("apply")
         return real_apply(self, v)
 
+    def mac(self, sums, u, v, c=None):
+        calls.append("mac")
+        return real_mac(self, sums, u, v, c)
+
     monkeypatch.setattr(StarAlgebra, "multiply", multiply)
     monkeypatch.setattr(Matrix, "apply", apply)
+    monkeypatch.setattr(StarAlgebra, "_mac", mac)
     assert curvature_components(gamma).is_zero()
     assert calls == []

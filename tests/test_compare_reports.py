@@ -10,7 +10,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from nctangent import cli
+from nctangent import algebras, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -123,3 +123,27 @@ def test_cases_cover_every_command_and_the_sweep_above_the_workload_degrees(
     result = CliRunner().invoke(cli.main, got["hopf-check --max-degree 5 hopf_d3.json 0"])
     assert result.exit_code == 0
     assert [(d, degree) for d, _, degree in swept] == [(3, 5)]
+
+
+def test_cases_cover_the_sum_model_with_a_two_dimensional_center(tmp_path):
+    tool = compare_reports()
+    generated = tool._sum_model(tmp_path)
+    assert [name for name, _ in generated] == ["sum-model/seeded", "sum-model/constant"]
+    cases = {"shipped": [], "generated": generated}
+    got = dict(tool._cases(cli.main.commands, cases))
+    assert len(got) == len(generated) * len(tool.SEEDS) == 8
+    for name, path in generated:
+        scenario = json.loads(Path(path).read_text())
+        assert scenario["kappa"] == "2/3"
+        assert scenario["connection"] == {"type": name.split("/")[1]}
+        assert scenario["algebra"]["terms"] == [{"model": "matrix", "n": 2}] * 2
+        for seed in tool.SEEDS:
+            args = got["all %s %d" % (name, seed)]
+            assert args == ["all", "--scenario", path, "--seed", str(seed)]
+        scn = cli.load_scenario(path)
+        # the block units span the center: entries need not be unit multiples
+        assert len(algebras.center(scn.action.algebra).basis) == 2
+        result = CliRunner().invoke(cli.main, got["all %s 0" % name])
+        assert result.exit_code == 0, result.output
+        statuses = {c["id"]: c["status"] for c in json.loads(result.output)["checks"]}
+        assert statuses["curvature:cross-check"] == statuses["curvature:axioms"] == "pass"

@@ -545,9 +545,12 @@ def test_zero_connection_makes_no_products(monkeypatch):
     pairs = [(X, Y) for X in basis for Y in basis]
     want = [per_lam_nabla(gamma, X, Y) for X, Y in pairs]
     calls = []
-    real = StarAlgebra.multiply
+    real, real_mac = StarAlgebra.multiply, StarAlgebra._mac
     monkeypatch.setattr(
         StarAlgebra, "multiply", lambda self, u, v: calls.append(1) or real(self, u, v)
+    )
+    monkeypatch.setattr(
+        StarAlgebra, "_mac", lambda self, *args: calls.append(2) or real_mac(self, *args)
     )
     assert [nabla(gamma, X, Y).coefficients for X, Y in pairs] == want
     # no Gamma entry is nonzero, and the action kills the unit coefficients

@@ -404,7 +404,7 @@ def mutated_leibniz_failures(old, new):
     [
         ("for j, y in rows[k]:", "for j, y in ():"),
         ("for k, x in images[i]:", "for k, x in ():"),
-        ("for r, y in images[m]:", "for r, y in images[m][1:]:"),
+        ("c._q, images[m])", "c._q, images[m][1:])"),
     ],
     ids=["no-b_i-D(b_j)", "no-D(b_i)-b_j", "one-image-entry-short"],
 )

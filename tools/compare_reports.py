@@ -11,7 +11,13 @@ and under `python -O`:
 * `hopf-check --max-degree 5` at `--seed` 0 on every shipped scenario,
   which sweeps above the degrees of the scenarios and the workloads;
 * `all` at `--seed` 0-3 on the scenarios that `perfbench/scenarios.py`
-  generates for each workload and each given perfbench seed.
+  generates for each workload and each given perfbench seed;
+* `all` at `--seed` 0-3 on the block sum M_2 + M_2 with the canonical
+  inner generators on both blocks at kappa = 2/3, with a `seeded` and
+  with a `constant` connection (`SUM_MODEL`).  Its center is
+  two-dimensional, so its connections have central entries that are not
+  multiples of the unit, which no shipped or workload curvature
+  scenario has.
 
 A case is its stdout with the `millis` values blanked, its exit code
 and its stderr.  Every case that differs between the trees is printed,
@@ -37,6 +43,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2, 3)
+
+# m_0 = -(i/kappa) diag(0, 1) and m_1 = E_12 on each block, kappa = 2/3
+SUM_MODEL = {
+    "kappa": "2/3",
+    "d": 1,
+    "algebra": {"model": "sum", "terms": [{"model": "matrix", "n": 2}] * 2},
+    "action": {"type": "inner", "generators": [
+        ["0", "0", "0", "-3/2i"] * 2,
+        ["0", "1", "0", "0"] * 2,
+    ]},
+}
+SUM_MODEL_CONNECTIONS = ("seeded", "constant")
 
 
 def _cases(commands, cases):
@@ -133,6 +151,17 @@ def _generated(seeds, directory):
     return out
 
 
+def _sum_model(directory):
+    """(name, path) of the `SUM_MODEL` scenario with each connection of
+    `SUM_MODEL_CONNECTIONS`, written to `directory`."""
+    out = []
+    for kind in SUM_MODEL_CONNECTIONS:
+        path = Path(directory) / ("sum-model-%s.json" % kind)
+        path.write_text(json.dumps(dict(SUM_MODEL, connection={"type": kind})))
+        out.append(("sum-model/%s" % kind, str(path)))
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the other checkout")
@@ -144,7 +173,8 @@ def main():
             parser.error("%s is not a checkout with src/nctangent" % tree)
     with tempfile.TemporaryDirectory() as tmp:
         shipped = [(p.name, str(p)) for p in sorted((ROOT / "scenarios").glob("*.json"))]
-        cases = {"shipped": shipped, "generated": _generated(args.perfbench_seeds, tmp)}
+        generated = _generated(args.perfbench_seeds, tmp) + _sum_model(tmp)
+        cases = {"shipped": shipped, "generated": generated}
         cases_path = Path(tmp) / "cases.json"
         cases_path.write_text(json.dumps(cases))
         runs = {}
