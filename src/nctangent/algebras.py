@@ -64,12 +64,12 @@ class StarAlgebra(Immutable):
     Zero products cost nothing (M_n has n^3 nonzero cells of n^6).  The
     involution acts antilinearly: conjugate the coordinates, then apply
     `involution` as a matrix.  `unit` is a coordinate vector or None for
-    a non-unital algebra.  `_unit_witness` and `_center` are set on
-    first use.
+    a non-unital algebra.  `_unit_witness`, `_center` and `_characters`
+    are set on first use.
     """
 
     __slots__ = ("dim", "labels", "terms", "involution", "unit", "model",
-                 "_unit_witness", "_center")
+                 "_unit_witness", "_center", "_characters")
 
     def __init__(self, labels, terms, involution, unit, model=None):
         dim = len(labels)
@@ -329,28 +329,39 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
     section lifts quotient basis element i to the parent basis element
     c_i (the complement indices), so the product of two lifts is one of
     the parent's nonzero basis products or zero, and the involute of a
-    lift is a column of the parent's involution.  The model tag
-    ("quotient", A, ideal, section) keeps what `characters` needs to
-    pull the parent's characters back.
+    lift is a column of the parent's involution.  Each is projected by
+    summing its nonzero coordinates on ints over the projection's
+    nonzero columns; the constructor drops the sums that cancel.  The
+    model tag ("quotient", A, ideal, section) keeps what `characters`
+    needs to pull the parent's characters back.
     """
     Q = QuotientSpace(A.dim, ideal_subspace)
     qdim = Q.dim
     labels = ["%s%d" % (labels_prefix, i) for i in range(qdim)]
     kept = Q.complement_indices
     position = {c: i for i, c in enumerate(kept)}
-    # the constructor drops zero coordinates and products
-    terms = [
-        tuple(
-            (position[j], tuple(enumerate(Q.project(product))))
-            for j, product in A.basis_products(c).items()
-            if j in position
-        )
-        for c in kept
-    ]
+    columns = Q.projection.nonzero_columns()
+
+    def project(cell):
+        sums = {}
+        for m, x in cell:
+            _axpy(sums, x._a, x._b, x._q, columns[m])
+        return sums
+
+    terms = []
+    for c in kept:
+        row = []
+        for j, cell in A.terms[c]:
+            if j in position:
+                sums = project(cell)
+                image = tuple((i, _reduced(*sums[i])) for i in sorted(sums))
+                row.append((position[j], image))
+        terms.append(tuple(row))
     # project o invol o lift is antilinear; on the lift of a basis
     # element, which is real, it is the projected involution column
+    involution = A.involution.nonzero_columns()
     invol = Matrix.from_columns(
-        [Q.project(A.involution.column(c)) for c in kept], rows=qdim
+        [_scalars(project(involution[c]), qdim) for c in kept], rows=qdim
     )
     unit = Q.project(A.unit) if A.unit is not None else None
     alg = StarAlgebra(
@@ -534,7 +545,8 @@ class Character(Immutable):
 
 
 def characters(A):
-    """Complete character list, read from the model tag.
+    """Complete character list as a tuple, read from the model tag,
+    enumerated once per algebra and kept in its `_characters` slot.
 
     M_n and Moyal truncations with n >= 2 have none, M_1 has one, a
     function model has its point evaluations, and a sum lists those of
@@ -548,6 +560,18 @@ def characters(A):
     dimension.  An algebra without a model tag has no route and raises
     AlgebraError; `verify` never builds one.
     """
+    try:
+        return A._characters
+    except AttributeError:
+        pass
+    chars = tuple(_enumerate_characters(A))
+    object.__setattr__(A, "_characters", chars)
+    return chars
+
+
+def _enumerate_characters(A):
+    """The characters of A by its model tag, as `characters` describes
+    them; a parent's come from `characters`."""
     model = A.model[0] if A.model else None
     if model in ("matrix", "moyal"):
         n = A.model[1]
@@ -572,8 +596,9 @@ def characters(A):
         return out
     if model == "quotient":
         _, parent, ideal, section = A.model
+        lifts = [section.column(j) for j in range(A.dim)]
         values = [
-            tuple(phi(section.column(j)) for j in range(A.dim))
+            tuple(map(phi, lifts))
             for phi in characters(parent)
             if not any(phi(v) for v in ideal.basis)
         ]

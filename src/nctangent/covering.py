@@ -4,13 +4,16 @@ A covering is a finite family of *-ideals whose intersection is zero.
 Each ideal yields a local quotient algebra with a canonical projection
 and a fixed linear section; each pair yields an overlap quotient by the
 sum ideal, whose projection is kept and whose algebra is built on
-demand.  The chart-to-overlap maps are built as projection-after-
-section.  The covering laws, the commuting overlap diagram among them,
-are checked by `verify_covering`.
+demand.  Every projection comes from one elimination of the ideals'
+sparse rows, a pair's from both ideals' rows at once.  The
+chart-to-overlap maps are built as projection-after-section.  The
+covering laws, the commuting overlap diagram among them, are checked by
+`verify_covering`.
 
 Both checks read the structure constants, not products of basis
-vectors: `verify_ideal` multiplies a vector of the ideal only by the
-basis elements that a nonzero constant links to its support, and
+vectors: `verify_ideal` sums the products of each sparse row of the
+ideal on ints, only with the basis elements that a nonzero constant
+links to its support, and tests them against the ideal's rows as sums;
 `verify_covering` skips each homomorphism pair whose two sides are zero
 by construction.  The dense routes are the oracles in the tests.
 """
@@ -23,11 +26,13 @@ from nctangent.algebras import (
     two_sided_ideal_closure,
 )
 from nctangent.scalars import (
-    ZERO,
+    ONE,
     Immutable,
     Matrix,
-    QuotientSpace,
     Subspace,
+    _axpy,
+    _scalars,
+    quotient_projection,
     zero_vec,
 )
 
@@ -40,28 +45,31 @@ class IntersectionNonzero(AlgebraError):
     """The ideals share a nonzero common vector."""
 
 
-def _products_with_basis(n, v, cells):
-    """The sum of v_j * cell_j over the `(j, cell)` entries of `cells`,
-    as a vector of length n: e_i . v when `cells` is row i of `terms`,
-    v . e_i when it is column i."""
-    out = [ZERO] * n
+def _products_with_basis(v, cells):
+    """The running sums, as `_axpy` keeps them, of v_j * cell_j over the
+    `(j, cell)` entries of `cells`, for the sparse row v: e_i . v when
+    `cells` is row i of `terms`, v . e_i when it is column i."""
+    sums = {}
     for j, cell in cells:
-        x = v[j]
-        if x:
-            for m, c in cell:
-                out[m] = out[m] + x * c
-    return tuple(out)
+        x = v.get(j)
+        if x is not None:
+            _axpy(sums, x._a, x._b, x._q, cell)
+    return sums
 
 
 def verify_ideal(algebra, subspace):
     """Raise NotAnIdeal unless the subspace is a two-sided *-ideal.
 
-    For each basis vector v of the subspace, e_i . v and v . e_i are read
-    from the structure constants (row i of `terms` and its column i),
-    and only for the indices i that some nonzero constant links to a
-    nonzero coordinate of v: every other product is zero, and zero is in
-    the subspace.  The indices run in ascending order, the left product
-    before the right one, then the involute of v.
+    For each sparse basis row v of the subspace, e_i . v and v . e_i are
+    summed on ints from the structure constants (row i of `terms` and
+    its column i), and only for the indices i that some nonzero constant
+    links to a nonzero coordinate of v: every other product is zero, and
+    zero is in the subspace.  The involute of v sums its conjugated
+    coordinates over the involution's columns.  Each sum is tested
+    against the subspace's rows as it stands; a failing product is
+    written out as a coordinate tuple for the witness.  The indices run
+    in ascending order, the left product before the right one, then the
+    involute of v.
     """
     if subspace.ambient_dim != algebra.dim:
         raise NotAnIdeal("subspace lives in the wrong dimension")
@@ -70,29 +78,30 @@ def verify_ideal(algebra, subspace):
     for j, row in enumerate(algebra.terms):
         for i, cell in row:
             columns[i].append((j, cell))
-    for v in subspace.basis:
-        support = [j for j, x in enumerate(v) if x]
+    involution = algebra.involution.nonzero_columns()
+    for v, dense in zip(subspace._rows, subspace.basis):
         # e_i . v needs some e_i e_j != 0 and v . e_i some e_j e_i != 0,
         # for a j in the support of v
-        left = {i for j in support for i, _ in columns[j]}
-        right = {i for j in support for i, _ in algebra.terms[j]}
+        left = {i for j in v for i, _ in columns[j]}
+        right = {i for j in v for i, _ in algebra.terms[j]}
         for i in sorted(left | right):
-            label = algebra.labels[i]
             for side, cells, reached in (
                 ("left", algebra.terms[i], left), ("right", columns[i], right)
             ):
-                if i not in reached:
-                    continue
-                product = _products_with_basis(n, v, cells)
-                if not subspace.contains(product):
+                if i in reached and not subspace._holds(_products_with_basis(v, cells)):
+                    label = algebra.labels[i]
+                    product = _scalars(_products_with_basis(v, cells), n)
                     raise NotAnIdeal(
                         "not closed under %s multiplication by %s" % (side, label),
                         witness=(side, label, product),
                     )
-        star = algebra.involute(v)
-        if not subspace.contains(star):
+        star = {}
+        for j, x in v.items():
+            _axpy(star, x._a, -x._b, x._q, involution[j])
+        if not subspace._holds(star):
             raise NotAnIdeal(
-                "not closed under the involution", witness=("star", None, star)
+                "not closed under the involution",
+                witness=("star", None, algebra.involute(dense)),
             )
 
 
@@ -106,17 +115,24 @@ def ideal_from_declaration(algebra, decl):
       {"type": "generators", "vectors": [...]}   closure of the vectors
 
     The first three return the plain span; `Covering` verifies that it
-    is a *-ideal.  Each block prefix must name at least one label.
+    is a *-ideal.  A block prefix matches the labels that equal it or
+    start with it and a colon, so it names a block at any nesting depth:
+    a sum of three terms labels them `1:1:...`, `1:2:...` and `2:...`,
+    `"1:1"` names the first and `"1"` the first two.  Each block prefix
+    must name at least one label.
     """
     kind = decl.get("type")
     if kind == "blocks":
         kill = {str(k) for k in decl["kill"]}
-        prefixes = [lab.split(":", 1)[0] for lab in algebra.labels]
-        unmatched = kill.difference(prefixes)
+        matched = [
+            {k for k in kill if lab == k or lab.startswith(k + ":")}
+            for lab in algebra.labels
+        ]
+        unmatched = kill.difference(*matched)
         if unmatched:
             raise AlgebraError("no basis labels match block prefixes %s" % sorted(unmatched))
-        idx = [i for i, prefix in enumerate(prefixes) if prefix in kill]
-        return Subspace(algebra.dim, [algebra.basis_vector(i) for i in idx])
+        idx = [i for i, m in enumerate(matched) if m]
+        return _coordinate_subspace(algebra.dim, idx)
     if kind == "vanishing_on":
         model = algebra.model
         if not (isinstance(model, tuple) and model and model[0] == "function"):
@@ -127,12 +143,18 @@ def ideal_from_declaration(algebra, decl):
         if bad:
             raise AlgebraError("points out of range: %s" % sorted(bad))
         idx = [p - 1 for p in range(1, count + 1) if p not in points]
-        return Subspace(algebra.dim, [algebra.basis_vector(i) for i in idx])
+        return _coordinate_subspace(algebra.dim, idx)
     if kind == "span":
         return Subspace(algebra.dim, list(decl["vectors"]))
     if kind == "generators":
         return two_sided_ideal_closure(algebra, list(decl["vectors"]))
     raise AlgebraError("unknown ideal declaration type %r" % (kind,))
+
+
+def _coordinate_subspace(n, indices):
+    """The span of the unit vectors e_i for these ascending indices,
+    whose rows are already in reduced echelon form."""
+    return Subspace._of(n, [{i: ONE} for i in indices], indices)
 
 
 class Covering(Immutable):
@@ -162,12 +184,13 @@ class Covering(Immutable):
             for k, sub in enumerate(ideals)
         )
         object.__setattr__(self, "_charts", charts)
-        # a sum of two-sided *-ideals is one: no need to verify it; an
-        # ideal's sum with itself is the ideal, so (a, a) is chart a's
+        # a sum of two-sided *-ideals is one: no need to verify it; its
+        # projection comes from one elimination of both ideals' rows, and
+        # an ideal's sum with itself is the ideal, so (a, a) is chart a's
         r = len(ideals)
         overlaps = {
             (a, b): charts[a][1] if a == b
-            else QuotientSpace(algebra.dim, ideals[a].sum(ideals[b])).projection
+            else quotient_projection(algebra.dim, ideals[a]._rows + ideals[b]._rows)[1]
             for a in range(r)
             for b in range(a, r)
         }
@@ -285,9 +308,9 @@ def verify_covering(cov):
     rows = []
     for alpha in range(cov.size):
         rows.extend(cov.projection(alpha).entries)
-    stacked = Matrix._of(tuple(rows), A.dim)
-    if stacked.rank() != A.dim:
-        failures.append(("joint-injectivity", stacked.rank()))
+    rank = Matrix._of(tuple(rows), A.dim).rank()
+    if rank != A.dim:
+        failures.append(("joint-injectivity", rank))
     for alpha in range(cov.size):
         for beta in range(cov.size):
             joint = cov.overlap_projection(alpha, beta)

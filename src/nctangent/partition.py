@@ -32,6 +32,8 @@ from nctangent.algebras import (
 from nctangent.scalars import (
     Immutable,
     Matrix,
+    _axpy,
+    _scalars,
     vec_add,
     vec_is_zero,
     vec_sub,
@@ -203,11 +205,12 @@ def _subordination_report(P, cov, variant, adapted):
             else:
                 ideal = cov.ideals[alpha0]
                 for phi in base_chars:
-                    if not phi(el.chi):
+                    value = phi(el.chi)
+                    if not value:
                         continue
                     for v in ideal.basis:
                         if phi(v):
-                            violation = (alpha0, alpha0, phi.label, phi(el.chi))
+                            violation = (alpha0, alpha0, phi.label, value)
                             break
                     if violation:
                         break
@@ -275,22 +278,28 @@ def functional_module_check(P, cov, alpha):
 def reconstruction_check(P, cov):
     """Sum of functional-after-projection composites against identity.
 
-    Returns None when the reconstruction is exact, else a basis witness.
+    Column j of the sum over alpha of F_alpha pi_alpha is summed on ints
+    in one pass: each nonzero entry pi_alpha[k][j] adds itself times
+    column k of F_alpha.  Returns None when every column j is e_j, else a
+    witness from the first column that is not.
     """
     if len(P) != cov.size:
         raise AlgebraError("reconstruction needs matching index sets")
     A = cov.algebra
-    total = Matrix.zero(A.dim, A.dim)
+    totals = [{} for _ in range(A.dim)]
     for alpha in range(cov.size):
-        total = total + functional(P, cov, alpha) @ cov.projection(alpha)
-    if total.entries == Matrix.identity(A.dim).entries:
-        return None
-    for i in range(A.dim):
-        e = A.basis_vector(i)
-        got = total.apply(e)
-        if got != e:
-            return (A.labels[i], A.element_str(vec_sub(got, e)))
-    return ("identity", "mismatch")
+        F = functional(P, cov, alpha).nonzero_columns()
+        for sums, column in zip(totals, cov.projection(alpha).nonzero_columns()):
+            for k, x in column:
+                _axpy(sums, x._a, x._b, x._q, F[k])
+    for j, sums in enumerate(totals):
+        # (a + b*i)/q is one exactly when a = q and b = 0
+        a, b, q = sums.get(j, (0, 0, 1))
+        if a != q or b or any(s[0] or s[1] for m, s in sums.items() if m != j):
+            got = _scalars(sums, A.dim)
+            e = A.basis_vector(j)
+            return (A.labels[j], A.element_str(vec_sub(got, e)))
+    return None
 
 
 def centrality_check(P, cov, maps):

@@ -21,7 +21,13 @@ Three layers live here:
   dicts) and touches only nonzero entries; `rref` is its dense wrapper,
   and `sparse_nullspace` solves sparse equations without a dense copy;
 * `Subspace` (canonical reduced-echelon bases) with sums, intersections,
-  and quotients equipped with deterministic sections.
+  and quotients equipped with deterministic sections.  A subspace keeps
+  the sparse rows of its one elimination and builds its dense basis from
+  them once; membership sums on ints along the rows, a sum eliminates
+  both row lists, an intersection is one Zassenhaus elimination, and
+  `quotient_projection` builds a quotient's projection from one
+  elimination of any spanning rows.  The dense routes are the oracles in
+  tests/.
 """
 
 from __future__ import annotations
@@ -668,26 +674,36 @@ def _kernel_from_rref(reduced, pivots, n):
 class Subspace(Immutable):
     """Subspace of Q(i)^n held as a canonical reduced-echelon basis.
 
-    `_rows` keeps each basis row's pivot and its other nonzero entries,
-    from the same elimination, so `contains` reduces along the pivots.
+    `_rows` keeps the basis rows as `eliminate` returns them, sparse
+    {column: entry} dicts in pivot order, and `_pivots` their pivots;
+    they are never changed, and `basis`, their dense form, is built once
+    from them.  `contains`, `sum`, `intersect` and `QuotientSpace` read
+    the rows.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_rows")
+    __slots__ = ("ambient_dim", "basis", "_rows", "_pivots")
 
     def __init__(self, ambient_dim, vectors):
         vectors = [tuple(Scalar.promote(e) for e in v) for v in vectors]
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length differs from ambient dimension")
-        reduced, pivots = rref(vectors)
-        basis = tuple(reduced[: len(pivots)])
-        rows = tuple(
-            (p, tuple((c, a) for c, a in enumerate(row) if a and c != p))
-            for p, row in zip(pivots, basis)
-        )
+        rows = [{c: a for c, a in enumerate(v) if a} for v in vectors]
+        self._set(ambient_dim, *eliminate(rows, ambient_dim))
+
+    @classmethod
+    def _of(cls, ambient_dim, rows, pivots):
+        """The subspace with these reduced rows and pivots, as `eliminate`
+        returns them; the rows are taken over."""
+        space = _new(cls)
+        space._set(ambient_dim, rows, pivots)
+        return space
+
+    def _set(self, ambient_dim, rows, pivots):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "basis", tuple(_dense(rows, ambient_dim)))
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_pivots", tuple(pivots))
 
     @property
     def dim(self):
@@ -696,15 +712,20 @@ class Subspace(Immutable):
     def contains(self, v):
         if len(v) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
-        v = list(v)
-        # a row is zero at the other rows' pivots: any order will do
-        for p, entries in self._rows:
-            f = v[p]
-            if f:
-                for c, a in entries:
-                    v[c] = v[c] - f * a
-                v[p] = ZERO
-        return all(not a for a in v)
+        v = map(Scalar.promote, v)
+        return self._holds({c: [x._a, x._b, x._q] for c, x in enumerate(v) if x})
+
+    def _holds(self, sums):
+        """Whether the vector of `sums`, {column: running [a, b, q] sum} as
+        `_axpy` keeps them, lies in the subspace; the sums are changed.
+        Subtracting x_p times row p for each pivot p leaves zero exactly
+        when the vector is in the span, and as a row is zero at the other
+        rows' pivots any order will do."""
+        for p, row in zip(self._pivots, self._rows):
+            s = sums.get(p)
+            if s is not None and (s[0] or s[1]):
+                _axpy(sums, -s[0], -s[1], s[2], row.items())
+        return not any(a or b for a, b, _ in sums.values())
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -722,33 +743,64 @@ class Subspace(Immutable):
 
     def sum(self, other):
         self._check_ambient(other)
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
+        rows = [dict(row) for row in self._rows + other._rows]
+        return Subspace._of(self.ambient_dim, *eliminate(rows, self.ambient_dim))
 
     def intersect(self, other):
-        """Exact intersection via the kernel of the stacked generator map.
+        """Exact intersection by one Zassenhaus elimination.
 
-        Writing U = span(u_k), V = span(v_l), a vector lies in both spans
-        iff sum x_k u_k - sum y_l v_l = 0 has a solution; the u-part of
-        each kernel vector spans the intersection.
+        The rows (u, u) for the rows u of this subspace and (v, 0) for
+        those of the other span the pairs (u + v, u) over 2n columns.
+        Those with first half zero have u = -v in both subspaces, so the
+        reduced rows whose pivot lies in the second half are (0, w) for
+        the rows w of the intersection's reduced echelon basis.
         """
         self._check_ambient(other)
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient_dim, [])
-        cols = [list(v) for v in self.basis] + [list(v) for v in other.basis]
-        A = Matrix.from_columns([tuple(c) for c in cols])
-        vectors = []
-        for kv in nullspace(A):
-            w = zero_vec(self.ambient_dim)
-            for x, u in zip(kv[: len(self.basis)], self.basis):
-                if x:
-                    w = vec_add(w, vec_scale(x, u))
-            if not vec_is_zero(w):
-                vectors.append(w)
-        return Subspace(self.ambient_dim, vectors)
+        n = self.ambient_dim
+        if not self._rows or not other._rows:
+            return Subspace._of(n, [], [])
+        rows = []
+        for u in self._rows:
+            row = dict(u)
+            for c, a in u.items():
+                row[n + c] = a
+            rows.append(row)
+        rows += [dict(v) for v in other._rows]
+        reduced, pivots = eliminate(rows, 2 * n)
+        k = sum(1 for p in pivots if p < n)
+        return Subspace._of(
+            n,
+            [{c - n: a for c, a in row.items()} for row in reduced[k:]],
+            [p - n for p in pivots[k:]],
+        )
 
     def _check_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+
+
+def quotient_projection(n, rows):
+    """(complement indices, projection matrix) of the quotient of Q(i)^n
+    by the span of these sparse rows, which need not be independent and
+    are not changed; see `QuotientSpace`.  One elimination of the rows
+    with their columns reversed gives both."""
+    reduced, rpivots = eliminate(
+        [{n - 1 - c: a for c, a in row.items()} for row in rows], n
+    )
+    pivots = [n - 1 - p for p in rpivots]
+    killed = set(pivots)
+    chosen = [c for c in range(n) if c not in killed]
+    position = {c: i for i, c in enumerate(chosen)}
+    out = [[ZERO] * n for _ in chosen]
+    for i, c in enumerate(chosen):
+        out[i][c] = ONE
+    # a reduced row is e_r plus entries at complement columns
+    for row, r in zip(reduced, pivots):
+        for col, a in row.items():
+            c = n - 1 - col
+            if c != r:
+                out[position[c]][r] = -a
+    return chosen, Matrix._of(tuple(map(tuple, out)), n)
 
 
 class QuotientSpace(Immutable):
@@ -761,7 +813,8 @@ class QuotientSpace(Immutable):
     at complement columns, so the projection keeps the complement
     coordinates and sends e_{r_k} to minus row k's complement entries.
     projection o section is the identity on the quotient and the kernel
-    of the projection is exactly the subspace.
+    of the projection is exactly the subspace.  `quotient_projection`
+    builds the projection from the subspace's sparse rows.
     """
 
     __slots__ = ("ambient_dim", "subspace", "dim", "projection", "section",
@@ -772,23 +825,11 @@ class QuotientSpace(Immutable):
             raise ValueError("subspace lives in a different ambient space")
         n = ambient_dim
         q = n - subspace.dim
-        reduced, rpivots = rref([row[::-1] for row in subspace.basis])
-        pivots = [n - 1 - p for p in rpivots]
-        killed = set(pivots)
-        chosen = [c for c in range(n) if c not in killed]
+        chosen, projection = quotient_projection(n, subspace._rows)
         if len(chosen) != q:
             raise ValueError(
                 "complement has %d vectors, the quotient needs %d" % (len(chosen), q)
             )
-        rows = [[ZERO] * n for _ in range(q)]
-        for i, c in enumerate(chosen):
-            rows[i][c] = ONE
-        for row, r in zip(reduced, pivots):
-            for i, c in enumerate(chosen):
-                a = row[n - 1 - c]
-                if a:
-                    rows[i][r] = -a
-        projection = Matrix._of(tuple(map(tuple, rows)), n)
         section = Matrix.from_columns([unit_vec(n, c) for c in chosen], rows=n)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "subspace", subspace)

@@ -202,7 +202,7 @@ def test_direct_sum_characters_union():
     A = direct_sum(make_matrix_algebra(1), make_function_algebra(2))
     assert len(characters(A)) == 3
     B = direct_sum(make_matrix_algebra(2), make_matrix_algebra(3))
-    assert characters(B) == []
+    assert characters(B) == ()
 
 
 # -- centers ----------------------------------------------------------------
@@ -532,12 +532,17 @@ def test_quotient_of_a_mixed_sum_takes_the_parent_route(monkeypatch):
 
 
 def mutated_characters(old, new):
-    """`characters` with one fragment of its source replaced, compiled in
-    the module's namespace, so its recursive calls reach the mutant."""
-    source = inspect.getsource(algebras.characters)
+    """`characters` with one fragment of its uncached body
+    `_enumerate_characters` replaced, compiled in a copy of the module's
+    namespace.  There `characters` is the mutant body without the cache,
+    so the recursive calls reach the mutant and no algebra's kept
+    characters are read or written."""
+    source = inspect.getsource(algebras._enumerate_characters)
     assert source.count(old) == 1
     namespace = dict(vars(algebras))
     exec(compile(source.replace(old, new), algebras.__file__, "exec"), namespace)
+    body = namespace["_enumerate_characters"]
+    namespace["characters"] = lambda A: tuple(body(A))
     return namespace["characters"]
 
 
@@ -595,7 +600,7 @@ def test_quotient_of_block_sum_recovers_block():
     for i in range(4):
         for j in range(4):
             assert Q.table[i][j] == M2.table[i][j]
-    assert characters(Q) == []
+    assert characters(Q) == ()
 
 
 def test_ideal_closure_of_commutators_in_m2_is_everything():
@@ -614,7 +619,7 @@ def test_moyal_truncation_multiplies_like_matrix_units():
     f12 = basis_of(A, "f_12")
     assert A.multiply(f01, f12) == basis_of(A, "f_02")
     assert vec_is_zero(A.multiply(f01, f01))
-    assert characters(A) == []
+    assert characters(A) == ()
 
 
 def test_is_character_guards():

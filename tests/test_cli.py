@@ -851,3 +851,49 @@ def test_an_in_process_report_keeps_no_reference_to_its_stream():
     del out
     gc.collect()
     assert stream() is None
+
+
+THREE_TERMS = {"model": "sum", "terms": [
+    {"model": "function", "points": 1},
+    {"model": "matrix", "n": 2},
+    {"model": "function", "points": 1},
+]}
+
+
+def test_nested_block_prefixes_cover_a_three_term_sum(tmp_path):
+    # F_1 + M_2 + F_1 is built as (F_1 + M_2) + F_1 and labelled 1:1:...,
+    # 1:2:... and 2:..., so "1:1" names the first F_1 at depth two and
+    # "2" the last one.  The charts M_2 + F_1 and F_1 + M_2 overlap in
+    # M_2, and chi_0 = (0, 9/25, 1), chi_1 = (1, 16/25, 0) sum to the unit.
+    # Each chi kills its own chart's ideal, and the other chart's only
+    # character, the evaluation on the F_1 that chart keeps, kills it
+    # too: every law holds
+    scenario = {
+        "kappa": "1", "d": 1, "algebra": THREE_TERMS,
+        "covering": {"ideals": [{"type": "blocks", "kill": ["1:1"]},
+                                {"type": "blocks", "kill": ["2"]}]},
+        "partition": {"zetas": [["0", "3/5", "0", "0", "3/5", "1"],
+                                ["1", "4/5", "0", "0", "4/5", "0"]]},
+    }
+    path = tmp_path / "three_terms.json"
+    path.write_text(json.dumps(scenario))
+    cov = cli.load_scenario(str(path)).covering
+    assert [sub.basis for sub in cov.ideals] == [
+        (tuple(int(k == 0) for k in range(6)),), (tuple(int(k == 5) for k in range(6)),)
+    ]
+    assert [cov.chart(a).dim for a in (0, 1)] == [5, 5]
+    assert cov.overlap_projection(0, 1).rows == 4
+    result = run("all", "--scenario", str(path), "--seed", "0")
+    assert result.exit_code == 0, result.output
+    got = statuses(result)
+    assert {"covering:overlap-diagram", "partition:reconstruction", "adapted:literal",
+            "adapted:closure"} <= set(got)
+    assert set(got.values()) == {"pass"}
+    # "1" still names the first two terms, and an unmatched prefix exits 2
+    A = cov.algebra
+    assert ideal_from_declaration(A, {"type": "blocks", "kill": ["1"]}).dim == 5
+    scenario["covering"]["ideals"][0]["kill"] = ["1:3"]
+    path.write_text(json.dumps(scenario))
+    result = run("all", "--scenario", str(path), "--seed", "0")
+    assert result.exit_code == 2
+    assert "no basis labels match block prefixes ['1:3']" in result.output

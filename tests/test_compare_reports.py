@@ -147,3 +147,29 @@ def test_cases_cover_the_sum_model_with_a_two_dimensional_center(tmp_path):
         assert result.exit_code == 0, result.output
         statuses = {c["id"]: c["status"] for c in json.loads(result.output)["checks"]}
         assert statuses["curvature:cross-check"] == statuses["curvature:axioms"] == "pass"
+
+
+def test_cases_cover_span_and_generators_ideals_and_covering_errors(tmp_path):
+    tool = compare_reports()
+    generated = tool._coverings(tmp_path)
+    assert [name for name, _ in generated] == [
+        "covering/span-and-vanishing", "covering/generators",
+        "covering/non-ideal-span", "covering/intersecting",
+    ]
+    cases = {"shipped": [], "generated": generated}
+    got = dict(tool._cases(cli.main.commands, cases))
+    assert len(got) == len(generated) * len(tool.SEEDS) == 16
+    results = {name: CliRunner().invoke(cli.main, got["all %s 0" % name])
+               for name, _ in generated}
+    assert [r.exit_code for r in results.values()] == [0, 0, 2, 2]
+    for name, path in generated:
+        ideals = json.loads(Path(path).read_text())["covering"]["ideals"]
+        assert {"span", "generators"} & {decl["type"] for decl in ideals}
+    for name in ("covering/span-and-vanishing", "covering/generators"):
+        statuses = {c["id"]: c["status"] for c in json.loads(results[name].output)["checks"]}
+        assert statuses["partition:reconstruction"] == "pass"
+        assert statuses["covering:overlap-diagram"] == "pass"
+    # the generators' closure of 2 E_12 + i/3 E_21 is all of M_2
+    assert cli.load_scenario(generated[1][1]).covering.ideals[0].dim == 4
+    assert "right multiplication by 1:E_12" in results["covering/non-ideal-span"].stderr
+    assert "the ideals intersect nontrivially" in results["covering/intersecting"].stderr

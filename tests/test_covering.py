@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from character_oracle import generic_characters
-from nctangent import algebras, cli, covering
+from nctangent import algebras, cli, covering, scalars
 from nctangent.algebras import (
     AlgebraError,
     StarAlgebra,
@@ -278,24 +278,48 @@ def test_diagonal_overlap_projection_is_the_chart_projection():
             assert cov.overlap_projection(a, a) == cov.projection(a) == want
 
 
-def test_covering_builds_one_quotient_space_per_chart_and_pair(monkeypatch):
+def test_covering_makes_one_elimination_per_chart_and_pair(monkeypatch):
+    # each chart's quotient and each off-diagonal overlap projection come
+    # from one elimination of the ideals' sparse rows, a pair's from both
+    # ideals' rows at once; beside them only the intersection of the
+    # ideals eliminates, over twice the columns, and `verify_ideal` not
+    # at all
     for cov in shipped_and_test_coverings() + [mixed_basis_covering()]:
-        calls = []
-        real = covering.QuotientSpace
+        eliminations = []
+        projections = []
+        real_eliminate = scalars.eliminate
+        real_projection = scalars.quotient_projection
 
-        def spy(dim, subspace):
-            calls.append(subspace)
-            return real(dim, subspace)
+        def eliminate_spy(rows, ncols):
+            eliminations.append(ncols)
+            return real_eliminate(rows, ncols)
 
-        monkeypatch.setattr(covering, "QuotientSpace", spy)
-        monkeypatch.setattr(algebras, "QuotientSpace", spy)
-        Covering(cov.algebra, cov.ideals)
+        def projection_spy(n, rows):
+            projections.append([dict(row) for row in rows])
+            mark = len(eliminations)
+            out = real_projection(n, rows)
+            assert eliminations[mark:] == [n]
+            return out
+
+        monkeypatch.setattr(scalars, "eliminate", eliminate_spy)
+        monkeypatch.setattr(scalars, "quotient_projection", projection_spy)
+        monkeypatch.setattr(covering, "quotient_projection", projection_spy)
+        rebuilt = Covering(cov.algebra, cov.ideals)
         monkeypatch.undo()
-        r = cov.size
+        r, n = cov.size, cov.algebra.dim
         pairs = [
-            cov.ideals[a].sum(cov.ideals[b]) for a in range(r) for b in range(a + 1, r)
+            list(cov.ideals[a]._rows + cov.ideals[b]._rows)
+            for a in range(r)
+            for b in range(a + 1, r)
         ]
-        assert calls == list(cov.ideals) + pairs
+        assert projections == [list(sub._rows) for sub in cov.ideals] + pairs
+        assert eliminations.count(n) == r + len(pairs)
+        assert set(eliminations) <= {n, 2 * n}
+        for a in range(r):
+            for b in range(a + 1, r):
+                joint = cov.ideals[a].sum(cov.ideals[b])
+                want = QuotientSpace(n, joint).projection
+                assert rebuilt.overlap_projection(a, b) == want
 
 
 def block_sum_m2_m2_covering():

@@ -503,17 +503,19 @@ def test_verify_covering_reuses_the_section_product(monkeypatch):
 
 
 def test_verify_ideal_multiplies_only_by_linked_basis_elements(monkeypatch):
+    # the products are summed from the ideal's sparse rows themselves
     calls = []
     real = covering._products_with_basis
     monkeypatch.setattr(
         covering, "_products_with_basis",
-        lambda n, v, cells: calls.append(v) or real(n, v, cells),
+        lambda v, cells: calls.append(v) or real(v, cells),
     )
     F = make_function_algebra(10)
     ideal = ideal_from_declaration(F, {"type": "vanishing_on", "points": [1, 2, 3]})
     verify_ideal(F, ideal)
     # delta_k . v and v . delta_k only for the point k of each delta_k
     assert len(calls) == 2 * ideal.dim == 14
+    assert all(any(v is row for row in ideal._rows) for v in calls)
     calls.clear()
     M2 = make_matrix_algebra(2)
     A = direct_sum(M2, M2)
@@ -521,6 +523,7 @@ def test_verify_ideal_multiplies_only_by_linked_basis_elements(monkeypatch):
     verify_ideal(A, ideal)
     # E_ki E_ij and E_ij E_jk for k = 1, 2
     assert len(calls) == 4 * ideal.dim == 16
+    assert all(any(v is row for row in ideal._rows) for v in calls)
 
 
 def spy_functional_builds(monkeypatch):

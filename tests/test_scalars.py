@@ -434,13 +434,16 @@ def test_nullspace_matches_rank():
 
 def test_short_complement_raises_a_typed_error():
     # the complement size check must not be an assert, which `python -O`
-    # strips.  A stored basis of three vectors in the plane claims three
-    # dimensions, so the quotient would need -1 vectors while the
-    # elimination leaves a complement of 0
+    # strips.  A stored basis of three vectors in the plane, with the
+    # sparse rows the quotient eliminates, claims three dimensions, so
+    # the quotient would need -1 vectors while the elimination leaves a
+    # complement of 0
     S = object.__new__(Subspace)
     object.__setattr__(S, "ambient_dim", 2)
     object.__setattr__(S, "basis", (vec(1, 0), vec(0, 1), vec(1, 0)))
-    with pytest.raises(ValueError, match="complement has 0 vectors"):
+    object.__setattr__(S, "_rows", ({0: ONE}, {1: ONE}, {0: ONE}))
+    object.__setattr__(S, "_pivots", (0, 1, 0))
+    with pytest.raises(ValueError, match="complement has 0 vectors, the quotient needs -1"):
         QuotientSpace(2, S)
 
 

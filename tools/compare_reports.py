@@ -17,7 +17,12 @@ and under `python -O`:
   with a `constant` connection (`SUM_MODEL`).  Its center is
   two-dimensional, so its connections have central entries that are not
   multiples of the unit, which no shipped or workload curvature
-  scenario has.
+  scenario has;
+* `all` at `--seed` 0-3 on the coverings of `COVERINGS`: `span` and
+  `generators` ideals with vectors that are not unit vectors, on a
+  function model and on M_2 + F_1, one of them loaded beside a
+  `vanishing_on` ideal, and a non-ideal span and two intersecting
+  ideals, which exit 2 with the reason on stderr.
 
 A case is its stdout with the `millis` values blanked, its exit code
 and its stderr.  Every case that differs between the trees is printed,
@@ -55,6 +60,48 @@ SUM_MODEL = {
     ]},
 }
 SUM_MODEL_CONNECTIONS = ("seeded", "constant")
+
+# coverings declared by `span` and `generators` ideals with vectors that
+# are not unit vectors, which no shipped or workload scenario declares;
+# the last two are rejected by `Covering` (exit 2)
+F_3 = {"model": "function", "points": 3}
+M_2_F_1 = {"model": "sum", "terms": [{"model": "matrix", "n": 2},
+                                      {"model": "function", "points": 1}]}
+COVERINGS = {
+    "span-and-vanishing": {
+        "kappa": "1", "d": 1, "algebra": F_3,
+        "covering": {"ideals": [
+            {"type": "span", "vectors": [["1", "1", "0"], ["1", "-1", "0"]]},
+            {"type": "vanishing_on", "points": [1, 2]},
+        ]},
+        "partition": {"zetas": [["0", "0", "1"], ["3/5+4/5i", "-i", "0"]]},
+    },
+    "generators": {
+        "kappa": "1", "d": 1, "algebra": M_2_F_1,
+        "covering": {"ideals": [
+            {"type": "generators", "vectors": [["0", "2", "1/3i", "0", "0"]]},
+            {"type": "blocks", "kill": ["2"]},
+        ]},
+        "partition": {"zetas": [["0", "0", "0", "0", "1"],
+                                ["3/5+4/5i", "0", "0", "-i", "0"]]},
+    },
+    # E_11 E_12 = E_12 leaves the span of E_11: right multiplication
+    "non-ideal-span": {
+        "kappa": "1", "d": 1, "algebra": M_2_F_1,
+        "covering": {"ideals": [
+            {"type": "span", "vectors": [["1", "0", "0", "0", "0"]]},
+            {"type": "blocks", "kill": ["2"]},
+        ]},
+    },
+    # span(delta_2, delta_3) and span(delta_1, delta_3) share delta_3
+    "intersecting": {
+        "kappa": "1", "d": 1, "algebra": F_3,
+        "covering": {"ideals": [
+            {"type": "span", "vectors": [["0", "1", "1"], ["0", "1", "-1"]]},
+            {"type": "vanishing_on", "points": [2]},
+        ]},
+    },
+}
 
 
 def _cases(commands, cases):
@@ -162,6 +209,17 @@ def _sum_model(directory):
     return out
 
 
+def _coverings(directory):
+    """(name, path) of each scenario of `COVERINGS`, written to
+    `directory`."""
+    out = []
+    for name, scenario in COVERINGS.items():
+        path = Path(directory) / ("covering-%s.json" % name)
+        path.write_text(json.dumps(scenario))
+        out.append(("covering/%s" % name, str(path)))
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the other checkout")
@@ -173,7 +231,8 @@ def main():
             parser.error("%s is not a checkout with src/nctangent" % tree)
     with tempfile.TemporaryDirectory() as tmp:
         shipped = [(p.name, str(p)) for p in sorted((ROOT / "scenarios").glob("*.json"))]
-        generated = _generated(args.perfbench_seeds, tmp) + _sum_model(tmp)
+        generated = _generated(args.perfbench_seeds, tmp)
+        generated += _sum_model(tmp) + _coverings(tmp)
         cases = {"shipped": shipped, "generated": generated}
         cases_path = Path(tmp) / "cases.json"
         cases_path.write_text(json.dumps(cases))
