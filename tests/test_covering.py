@@ -278,30 +278,18 @@ def test_diagonal_overlap_projection_is_the_chart_projection():
             assert cov.overlap_projection(a, a) == cov.projection(a) == want
 
 
-def test_covering_makes_one_elimination_per_chart_and_pair(monkeypatch):
-    # each chart's quotient and each off-diagonal overlap projection come
-    # from one elimination of the ideals' sparse rows, a pair's from both
-    # ideals' rows at once; beside them only the intersection of the
-    # ideals eliminates, over twice the columns, and `verify_ideal` not
-    # at all
+def test_covering_builds_one_quotient_space_per_chart_and_pair(monkeypatch):
+    # one quotient projection per chart, from the ideal's rows, then one
+    # per off-diagonal pair, from both ideals' rows at once; each is the
+    # projection of the eager quotient space by the ideal or the sum
     for cov in shipped_and_test_coverings() + [mixed_basis_covering()]:
-        eliminations = []
         projections = []
-        real_eliminate = scalars.eliminate
         real_projection = scalars.quotient_projection
-
-        def eliminate_spy(rows, ncols):
-            eliminations.append(ncols)
-            return real_eliminate(rows, ncols)
 
         def projection_spy(n, rows):
             projections.append([dict(row) for row in rows])
-            mark = len(eliminations)
-            out = real_projection(n, rows)
-            assert eliminations[mark:] == [n]
-            return out
+            return real_projection(n, rows)
 
-        monkeypatch.setattr(scalars, "eliminate", eliminate_spy)
         monkeypatch.setattr(scalars, "quotient_projection", projection_spy)
         monkeypatch.setattr(covering, "quotient_projection", projection_spy)
         rebuilt = Covering(cov.algebra, cov.ideals)
@@ -313,13 +301,41 @@ def test_covering_makes_one_elimination_per_chart_and_pair(monkeypatch):
             for b in range(a + 1, r)
         ]
         assert projections == [list(sub._rows) for sub in cov.ideals] + pairs
-        assert eliminations.count(n) == r + len(pairs)
-        assert set(eliminations) <= {n, 2 * n}
         for a in range(r):
+            assert rebuilt.projection(a) == QuotientSpace(n, cov.ideals[a]).projection
             for b in range(a + 1, r):
                 joint = cov.ideals[a].sum(cov.ideals[b])
                 want = QuotientSpace(n, joint).projection
                 assert rebuilt.overlap_projection(a, b) == want
+
+
+def test_covering_makes_one_elimination_per_chart_and_pair(monkeypatch):
+    # each quotient projection above is one elimination over the n
+    # columns; beside them only the intersection of the ideals
+    # eliminates, over twice the columns, and `verify_ideal` not at all
+    for cov in shipped_and_test_coverings() + [mixed_basis_covering()]:
+        eliminations = []
+        real_eliminate = scalars.eliminate
+        real_projection = scalars.quotient_projection
+
+        def eliminate_spy(rows, ncols):
+            eliminations.append(ncols)
+            return real_eliminate(rows, ncols)
+
+        def projection_spy(n, rows):
+            mark = len(eliminations)
+            out = real_projection(n, rows)
+            assert eliminations[mark:] == [n]
+            return out
+
+        monkeypatch.setattr(scalars, "eliminate", eliminate_spy)
+        monkeypatch.setattr(scalars, "quotient_projection", projection_spy)
+        monkeypatch.setattr(covering, "quotient_projection", projection_spy)
+        Covering(cov.algebra, cov.ideals)
+        monkeypatch.undo()
+        r, n = cov.size, cov.algebra.dim
+        assert eliminations.count(n) == r + r * (r - 1) // 2
+        assert set(eliminations) <= {n, 2 * n}
 
 
 def block_sum_m2_m2_covering():
