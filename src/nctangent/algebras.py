@@ -9,9 +9,10 @@ those constants directly for matrix algebras, pointwise-function
 algebras, a truncated oscillator-basis surrogate for a deformed plane,
 direct sums and quotients.  On top of that sit centers, derivation
 spaces, commutators and characters; a multiple of the unit takes its
-noncentral witness from the unit's.  The center is solved from sparse
-equation rows, once per algebra, and kept on it (the dense equation
-matrix is the test oracle).
+noncentral witness from the unit's.  The center and the derivations are
+solved from sparse equation rows by `nullspace`, the center once per
+algebra and kept on it (the dense equation matrices are the test
+oracles).
 
 Characters are read from the model tag that every constructor sets.  The
 matrix, Moyal, function and sum models have closed descriptions.  A
@@ -32,7 +33,6 @@ from nctangent.scalars import (
     Immutable,
     Matrix,
     ONE,
-    QuotientSpace,
     Scalar,
     Subspace,
     ZERO,
@@ -40,7 +40,7 @@ from nctangent.scalars import (
     _reduced,
     _scalars,
     nullspace,
-    sparse_nullspace,
+    quotient_projection,
     unit_vec,
     vec_add,
     zero_vec,
@@ -325,22 +325,30 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
     section.  Returns (algebra, projection matrix, section matrix).
 
     Structure constants are transported through the section; the result
-    is independent of the section because the subspace is an ideal.  The
-    section lifts quotient basis element i to the parent basis element
-    c_i (the complement indices), so the product of two lifts is one of
-    the parent's nonzero basis products or zero, and the involute of a
-    lift is a column of the parent's involution.  Each is projected by
-    summing its nonzero coordinates on ints over the projection's
-    nonzero columns; the constructor drops the sums that cancel.  The
-    model tag ("quotient", A, ideal, section) keeps what `characters`
-    needs to pull the parent's characters back.
+    is independent of the section because the subspace is an ideal.
+    `quotient_projection` of the ideal's rows gives the projection and
+    the complement indices c_i, and the section lifts quotient basis
+    element i to the parent basis element c_i, so the product of two
+    lifts is one of the parent's nonzero basis products or zero, and the
+    involute of a lift is a column of the parent's involution.  Each is
+    projected by summing its nonzero coordinates on ints over the
+    projection's nonzero columns; the constructor drops the sums that
+    cancel.  The model tag ("quotient", A, ideal, section) keeps what
+    `characters` needs to pull the parent's characters back.
     """
-    Q = QuotientSpace(A.dim, ideal_subspace)
-    qdim = Q.dim
+    n = A.dim
+    if ideal_subspace.ambient_dim != n:
+        raise ValueError("subspace lives in a different ambient space")
+    kept, projection = quotient_projection(n, ideal_subspace._rows)
+    qdim = n - ideal_subspace.dim
+    if len(kept) != qdim:
+        raise ValueError(
+            "complement has %d vectors, the quotient needs %d" % (len(kept), qdim)
+        )
+    section = Matrix.from_columns([unit_vec(n, c) for c in kept], rows=n)
     labels = ["%s%d" % (labels_prefix, i) for i in range(qdim)]
-    kept = Q.complement_indices
     position = {c: i for i, c in enumerate(kept)}
-    columns = Q.projection.nonzero_columns()
+    columns = projection.nonzero_columns()
 
     def project(cell):
         sums = {}
@@ -363,11 +371,11 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
     invol = Matrix.from_columns(
         [_scalars(project(involution[c]), qdim) for c in kept], rows=qdim
     )
-    unit = Q.project(A.unit) if A.unit is not None else None
+    unit = projection.apply(A.unit) if A.unit is not None else None
     alg = StarAlgebra(
-        labels, terms, invol, unit, model=("quotient", A, ideal_subspace, Q.section)
+        labels, terms, invol, unit, model=("quotient", A, ideal_subspace, section)
     )
-    return alg, Q.projection, Q.section
+    return alg, projection, section
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +390,7 @@ def center(A):
     sum over k of z_k (c_ki^m - c_ik^m), where basis_k . basis_j = sum
     over m of c_kj^m basis_m; each nonzero c_kj^m from `terms` enters two
     equations.  They are built as sparse rows ({k: coefficient}) and
-    solved by `sparse_nullspace`: an equation that no constant reaches is
+    solved by `nullspace`: an equation that no constant reaches is
     never made (144 of the 256 of M_4), and the elimination drops the 4
     more that cancel to zero.
     """
@@ -400,7 +408,7 @@ def center(A):
                 bz = rows.setdefault(k * n + m, {})
                 bz[j] = bz.get(j, ZERO) - c
     equations = [{k: c for k, c in row.items() if c} for row in rows.values()]
-    space = Subspace(n, sparse_nullspace(equations, n))
+    space = Subspace(n, nullspace(equations, n))
     object.__setattr__(A, "_center", space)
     return space
 
@@ -476,8 +484,9 @@ def derivations(A):
     Row (i, j, m) is the m-th coordinate of D(b_i b_j) - D(b_i) b_j -
     b_i D(b_j), built from the nonzero structure constants only: each
     c_ij^k enters row (i, j, m) for every m, each c_rj^m row (i, j, m)
-    for every i, and each c_ir^m row (i, j, m) for every j.  Returns a
-    list of matrices spanning the solution space.
+    for every i, and each c_ir^m row (i, j, m) for every j.  The rows
+    stay sparse, {column: coefficient}, for `nullspace`.  Returns a list
+    of matrices spanning the solution space.
     """
     n = A.dim
     equations = {}
@@ -493,12 +502,8 @@ def derivations(A):
                     add((a, b, t), t * n + k, c)
                     add((t, b, k), a * n + t, -c)
                     add((a, t, k), b * n + t, -c)
-    rows = [
-        tuple(equations[key].get(col, ZERO) for col in range(n * n))
-        for key in sorted(equations)
-        if any(equations[key].values())
-    ]
-    ker = nullspace(Matrix(rows, cols=n * n))
+    rows = [{col: c for col, c in row.items() if c} for row in equations.values()]
+    ker = nullspace(rows, n * n)
     return [Matrix([[v[r * n + c] for c in range(n)] for r in range(n)]) for v in ker]
 
 

@@ -33,6 +33,7 @@ from nctangent.scalars import (
     _axpy,
     _scalars,
     quotient_projection,
+    rref,
     zero_vec,
 )
 
@@ -308,7 +309,7 @@ def verify_covering(cov):
     rows = []
     for alpha in range(cov.size):
         rows.extend(cov.projection(alpha).entries)
-    rank = Matrix._of(tuple(rows), A.dim).rank()
+    rank = len(rref(rows)[1])
     if rank != A.dim:
         failures.append(("joint-injectivity", rank))
     for alpha in range(cov.size):

@@ -12,9 +12,10 @@ The differential follows the Koszul pattern: an alternating sum of
 derivation actions plus an alternating sum over bracket insertions.  It
 is only defined when the basis, given as operator matrices, closes under
 commutator with scalar structure constants, which its constructor
-verifies once.  Both work on nonzero data only, and the differential
-sums on ints in the accumulator of `scalars`; their dense routes, and
-the differential one Scalar operation at a time, are the oracles in
+verifies once, solving sparse equations over the operators' nonzero
+entries.  Both work on nonzero data only, and the differential sums on
+ints in the accumulator of `scalars`; their dense routes, and the
+differential one Scalar operation at a time, are the oracles in
 tests/test_calculus_routes.py.
 """
 
@@ -25,9 +26,9 @@ from nctangent.partition import functional, verify_functional_defined
 from nctangent.scalars import (
     Immutable,
     MINUS_ONE,
-    Matrix,
     Scalar,
     _axpy,
+    _cell_equations,
     _scalars,
     rref,
     solve_linear,
@@ -44,20 +45,17 @@ class NotBracketClosed(AlgebraError):
     """Commutator of two basis operators left the basis span."""
 
 
-def _flatten(M):
-    flat = []
-    for row in M.entries:
-        flat.extend(row)
-    return tuple(flat)
-
-
 class DerivationBasis(Immutable):
     """Bracket-closed family of derivation operator matrices on one algebra.
 
     Structure constants are solved for at construction; failure to solve
     is reported with the offending index pair; column c of a commutator
-    DE - ED is D(E e_c) - E(D e_c), from sparse `apply`.  Every operator
-    is also checked against the Leibniz rule.
+    DE - ED is D(E e_c) - E(D e_c), from sparse `apply`.  Each pair
+    solves one sparse equation per matrix cell, {mu: entry of D_mu} from
+    the operators' nonzero columns with the commutator's entry as the
+    right-hand side; a cell that only the commutator reaches is an
+    equation too, and makes the system inconsistent.  Every operator is
+    also checked against the Leibniz rule.
     """
 
     __slots__ = ("algebra", "operators", "structure")
@@ -75,28 +73,27 @@ class DerivationBasis(Immutable):
                 raise AlgebraError(
                     "operator %d breaks Leibniz at %s" % (mu, bad[0])
                 )
-        span = Matrix.from_columns(
-            [_flatten(D) for D in ops], rows=algebra.dim * algebra.dim
-        )
+        k = len(ops)
+        cells = _cell_equations(ops)
         structure = {}
-        for mu in range(len(ops)):
-            for nu in range(mu + 1, len(ops)):
+        for mu in range(k):
+            for nu in range(mu + 1, k):
                 D, E = ops[mu], ops[nu]
-                comm = Matrix.from_columns(
-                    [
-                        vec_sub(D.apply(E.column(c)), E.apply(D.column(c)))
-                        for c in range(algebra.dim)
-                    ],
-                    rows=algebra.dim,
-                )
-                sol = solve_linear(span, _flatten(comm))
+                # eliminate takes its rows over: each pair solves copies
+                rows = {cell: dict(row) for cell, row in cells.items()}
+                for c in range(algebra.dim):
+                    comm = vec_sub(D.apply(E.column(c)), E.apply(D.column(c)))
+                    for r, a in enumerate(comm):
+                        if a:
+                            rows.setdefault((r, c), {})[k] = a
+                sol = solve_linear(list(rows.values()), k)
                 if sol is None:
                     raise NotBracketClosed(
                         "commutator of operators %d and %d is outside the "
                         "basis span" % (mu, nu),
                         witness=(mu, nu),
                     )
-                structure[(mu, nu)] = tuple(sol[0])
+                structure[(mu, nu)] = sol
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "structure", structure)

@@ -18,16 +18,17 @@ Three layers live here:
   reads it out), and build one Scalar per nonzero output coordinate;
   their Scalar-operator routes are the oracles in tests/.  One
   elimination, `eliminate`, works on sparse rows ({column: entry}
-  dicts) and touches only nonzero entries; `rref` is its dense wrapper,
-  and `sparse_nullspace` solves sparse equations without a dense copy;
+  dicts) and touches only nonzero entries.  `solve_linear` and
+  `nullspace` take such rows and read the reduced rows as they are;
+  `rref` is the dense wrapper that ranks dense rows.  The dense solve
+  and null space are the oracles in tests/;
 * `Subspace` (canonical reduced-echelon bases) with sums, intersections,
-  and quotients equipped with deterministic sections.  A subspace keeps
-  the sparse rows of its one elimination and builds its dense basis from
-  them once; membership sums on ints along the rows, a sum eliminates
-  both row lists, an intersection is one Zassenhaus elimination, and
-  `quotient_projection` builds a quotient's projection from one
-  elimination of any spanning rows.  The dense routes are the oracles in
-  tests/.
+  and quotient projections.  A subspace keeps the sparse rows of its one
+  elimination and builds its dense basis from them once; membership
+  sums on ints along the rows, a sum eliminates both row lists, an
+  intersection is one Zassenhaus elimination, and `quotient_projection`
+  builds a quotient's projection from one elimination of any spanning
+  rows.  The dense routes are the oracles in tests/.
 """
 
 from __future__ import annotations
@@ -539,9 +540,6 @@ class Matrix(Immutable):
     def is_zero(self):
         return all(not a for row in self.entries for a in row)
 
-    def rank(self):
-        return len(rref(list(self.entries))[1])
-
 
 def eliminate(rows, ncols):
     """Reduced row echelon form of sparse rows, each a dict {column:
@@ -626,47 +624,51 @@ def _dense(rows, ncols):
     return out
 
 
-def solve_linear(A, b):
-    """Solve A x = b exactly.
-
-    Returns (particular, kernel_basis) or None when inconsistent.  The
-    kernel basis spans the full null space of A.
-    """
-    if A.rows != len(b):
-        raise ValueError("right-hand side length mismatch")
-    n = A.cols
-    aug = [list(A.entries[i]) + [b[i]] for i in range(A.rows)]
-    reduced, pivots = rref(aug)
-    if n in pivots:
+def solve_linear(rows, ncols):
+    """A solution of the sparse equations `rows`, each a dict {column:
+    coefficient} over `ncols` unknowns with its right-hand side at column
+    `ncols`, taken over as `eliminate` takes them; None when they are
+    inconsistent.  Each pivot unknown is its reduced row's right-hand
+    side and each free unknown is 0.  The reduced echelon form is
+    unique, so the order of the rows cannot change the solution."""
+    reduced, pivots = eliminate(rows, ncols + 1)
+    if pivots and pivots[-1] == ncols:
         return None
-    particular = [ZERO] * n
-    for r, c in enumerate(pivots):
-        particular[c] = reduced[r][n]
-    kernel = _kernel_from_rref(reduced, pivots, n)
-    return tuple(particular), kernel
+    x = [ZERO] * ncols
+    for row, c in zip(reduced, pivots):
+        x[c] = row.get(ncols, ZERO)
+    return tuple(x)
 
 
-def nullspace(A):
-    reduced, pivots = rref(list(A.entries))
-    return _kernel_from_rref(reduced, pivots, A.cols)
+def _cell_equations(matrices):
+    """One sparse equation per matrix cell that some matrix reaches,
+    {(row, column): {k: entry of matrices[k] there}}, so that unknown k
+    is the coefficient of matrices[k]."""
+    cells = {}
+    for k, M in enumerate(matrices):
+        for c, column in enumerate(M.nonzero_columns()):
+            for r, a in column:
+                cells.setdefault((r, c), {})[k] = a
+    return cells
 
 
-def sparse_nullspace(rows, ncols):
-    """`nullspace` of the matrix with these sparse rows, each a dict
-    {column: entry} over `ncols` columns, taken over as `eliminate`
-    takes them; no dense copy of the rows is made."""
+def nullspace(rows, ncols):
+    """Basis of the null space of the matrix with these sparse rows, each
+    a dict {column: entry} over `ncols` columns, taken over as
+    `eliminate` takes them.  One vector per free column f, in order: e_f
+    minus, at each pivot, the f entry of that pivot's reduced row."""
     reduced, pivots = eliminate(rows, ncols)
-    return _kernel_from_rref(_dense(reduced, ncols), pivots, ncols)
-
-
-def _kernel_from_rref(reduced, pivots, n):
-    free = [c for c in range(n) if c not in pivots]
+    pivoted = set(pivots)
     basis = []
-    for f in free:
-        v = [ZERO] * n
+    for f in range(ncols):
+        if f in pivoted:
+            continue
+        v = [ZERO] * ncols
         v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
+        for row, c in zip(reduced, pivots):
+            a = row.get(f)
+            if a is not None:
+                v[c] = -a
         basis.append(tuple(v))
     return basis
 
@@ -677,8 +679,8 @@ class Subspace(Immutable):
     `_rows` keeps the basis rows as `eliminate` returns them, sparse
     {column: entry} dicts in pivot order, and `_pivots` their pivots;
     they are never changed, and `basis`, their dense form, is built once
-    from them.  `contains`, `sum`, `intersect` and `QuotientSpace` read
-    the rows.
+    from them.  `contains`, `sum`, `intersect` and `quotient_projection`
+    read the rows.
     """
 
     __slots__ = ("ambient_dim", "basis", "_rows", "_pivots")
@@ -782,8 +784,17 @@ class Subspace(Immutable):
 def quotient_projection(n, rows):
     """(complement indices, projection matrix) of the quotient of Q(i)^n
     by the span of these sparse rows, which need not be independent and
-    are not changed; see `QuotientSpace`.  One elimination of the rows
-    with their columns reversed gives both."""
+    are not changed.
+
+    The complement is spanned by the unit vectors e_c for the columns c
+    that are not pivots of the rows' echelon form with the columns
+    reversed: the greedy choice, smallest index first, of unit vectors
+    outside the span so far.  Row k of that form is e_{r_k} plus entries
+    at complement columns, so the projection keeps the complement
+    coordinates and sends e_{r_k} to minus row k's complement entries;
+    its kernel is exactly the span, and the unit vectors at the
+    complement indices are a section of it.  One elimination gives both.
+    """
     reduced, rpivots = eliminate(
         [{n - 1 - c: a for c, a in row.items()} for row in rows], n
     )
@@ -801,45 +812,3 @@ def quotient_projection(n, rows):
             if c != r:
                 out[position[c]][r] = -a
     return chosen, Matrix._of(tuple(map(tuple, out)), n)
-
-
-class QuotientSpace(Immutable):
-    """Quotient of Q(i)^n by a subspace, with a deterministic section.
-
-    The complement is spanned by the unit vectors e_c for the columns c
-    that are not pivots of the subspace's echelon form with the columns
-    reversed: the greedy choice, smallest index first, of unit vectors
-    outside the span so far.  Row k of that form is e_{r_k} plus entries
-    at complement columns, so the projection keeps the complement
-    coordinates and sends e_{r_k} to minus row k's complement entries.
-    projection o section is the identity on the quotient and the kernel
-    of the projection is exactly the subspace.  `quotient_projection`
-    builds the projection from the subspace's sparse rows.
-    """
-
-    __slots__ = ("ambient_dim", "subspace", "dim", "projection", "section",
-                 "complement_indices")
-
-    def __init__(self, ambient_dim, subspace):
-        if subspace.ambient_dim != ambient_dim:
-            raise ValueError("subspace lives in a different ambient space")
-        n = ambient_dim
-        q = n - subspace.dim
-        chosen, projection = quotient_projection(n, subspace._rows)
-        if len(chosen) != q:
-            raise ValueError(
-                "complement has %d vectors, the quotient needs %d" % (len(chosen), q)
-            )
-        section = Matrix.from_columns([unit_vec(n, c) for c in chosen], rows=n)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "subspace", subspace)
-        object.__setattr__(self, "dim", q)
-        object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "section", section)
-        object.__setattr__(self, "complement_indices", tuple(chosen))
-
-    def project(self, v):
-        return self.projection.apply(v)
-
-    def lift(self, x):
-        return self.section.apply(x)

@@ -13,7 +13,9 @@ A local derivation is a central-coefficient combination sum_mu Z^mu D_mu;
 has the displayed coefficient formula (derivatives of the coefficients
 plus a structure-constant term) and must agree with the operator
 commutator.  Global derivations are glued through a partition
-of unity: X = sum_alpha functional_alpha o X_alpha o pi_alpha.
+of unity: X = sum_alpha functional_alpha o X_alpha o pi_alpha, and
+`decompose` solves a chart's central coefficients back from sparse
+equations, one per matrix cell.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from nctangent.scalars import (
     Scalar,
     ZERO,
     _axpy,
+    _cell_equations,
     _scalars,
     solve_linear,
     vec_add,
@@ -298,28 +301,27 @@ def decompose(X, alpha):
     """Recover central coefficients of the chart-projected derivation.
 
     Solves sum_mu L(Z^mu) D_mu = projected matrix over the chart's
-    center, coordinate by coordinate; raises when no exact solution
-    exists.
+    center, one sparse equation per matrix cell that some L(z) D_mu or
+    the projected matrix reaches; raises when no exact solution exists.
     """
     assign = X.locals[alpha].assignment
     A = assign.algebra
     target = project_global(X, alpha)
     zbasis = center(A).basis
-    columns = []
-    for mu in range(assign.d + 1):
-        for z in zbasis:
-            M = A.left_mult_matrix(z) @ assign.operators[mu]
-            columns.append([M.entries[r][c] for r in range(A.dim) for c in range(A.dim)])
-    rhs = [target.entries[r][c] for r in range(A.dim) for c in range(A.dim)]
-    if not columns:
-        if all(not v for v in rhs):
+    if not zbasis:
+        if target.is_zero():
             return tuple(zero_vec(A.dim) for _ in range(assign.d + 1))
         raise AlgebraError("chart has trivial center but nonzero projection")
-    system = Matrix.from_columns(columns, rows=A.dim * A.dim)
-    solved = solve_linear(system, tuple(rhs))
-    if solved is None:
+    products = [
+        A.left_mult_matrix(z) @ assign.operators[mu]
+        for mu in range(assign.d + 1)
+        for z in zbasis
+    ]
+    # the target's entries are the right-hand sides, at column len(products)
+    cells = _cell_equations(products + [target])
+    particular = solve_linear(list(cells.values()), len(products))
+    if particular is None:
         raise AlgebraError("projected derivation is not center-decomposable")
-    particular, _ = solved
     out = []
     pos = 0
     for mu in range(assign.d + 1):

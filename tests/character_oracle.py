@@ -10,6 +10,8 @@ by the rational root theorem over the Gaussian integers.  An algebra
 whose characters would need values outside Q(i) raises
 UnsupportedCharacters rather than returning a partial list, and so does
 one above CHARACTER_DIM_BOUND, which guards the cost of the eigen-split.
+Its solves and null spaces are the dense oracles of tests/test_scalars.py,
+so it shares no elimination with `nctangent`.
 """
 
 from math import isqrt, lcm
@@ -26,14 +28,14 @@ from nctangent.scalars import (
     ONE,
     Scalar,
     ZERO,
-    nullspace,
-    solve_linear,
     unit_vec,
     vec_add,
     vec_is_zero,
     vec_scale,
     zero_vec,
 )
+
+from test_scalars import dense_nullspace, dense_solve
 
 CHARACTER_DIM_BOUND = 64
 
@@ -129,7 +131,7 @@ def split_common_eigenvalues(B):
             restricted_cols = []
             for b in basis:
                 image = T.apply(b)
-                sol = solve_linear(Bcols, image)
+                sol = dense_solve(Bcols, image)
                 if sol is None:
                     raise AlgebraError("dual block not invariant")
                 restricted_cols.append(sol[0])
@@ -148,7 +150,7 @@ def _eigensplit(M, basis):
     out = []
     for r in roots:
         shifted = M - Matrix.identity(k).scale(r)
-        ker = nullspace(shifted)
+        ker = dense_nullspace(shifted)
         if not ker:
             continue
         sub = []
@@ -173,7 +175,7 @@ def minimal_polynomial(M):
         flats.append(tuple(a for row in power.entries for a in row))
         cols = Matrix.from_columns(flats[:-1], rows=k * k) if len(flats) > 1 else None
         if cols is not None:
-            sol = solve_linear(cols, flats[-1])
+            sol = dense_solve(cols, flats[-1])
             if sol is not None:
                 coeffs = list(sol[0]) + [Scalar(-1)]
                 # normalize to monic with +1 leading coefficient

@@ -37,7 +37,6 @@ from nctangent.forms import (
     DerivationBasis,
     FormN,
     NotBracketClosed,
-    _flatten,
     _increasing_tuples,
     _sort_key,
     kappa_basis,
@@ -48,7 +47,6 @@ from nctangent.scalars import (
     Matrix,
     Scalar,
     ZERO,
-    solve_linear,
     unit_vec,
     vec_add,
     vec_scale,
@@ -63,7 +61,7 @@ from nctangent.tangent import (
 
 from seeded import right_mult_matrix
 from test_algebras import random_algebra, sparse_scalar
-from test_scalars import operator_apply, operator_vec_add, operator_vec_scale
+from test_scalars import dense_solve, operator_apply, operator_vec_add, operator_vec_scale
 
 KAPPAS = (Fraction(1), Fraction(2, 3), Fraction(5, 2))
 
@@ -142,15 +140,20 @@ def mult_inner_operator(A, g):
     return A.left_mult_matrix(g) - right_mult_matrix(A, g)
 
 
+def flatten(M):
+    return tuple(a for row in M.entries for a in row)
+
+
 def matmul_structure(algebra, ops):
     """The structure constants of a derivation basis from dense `@`
-    commutators, or the first pair whose commutator leaves the span."""
-    span = Matrix.from_columns([_flatten(D) for D in ops], rows=algebra.dim ** 2)
+    commutators and the dense solve over the flattened operators, or the
+    first pair whose commutator leaves the span."""
+    span = Matrix.from_columns([flatten(D) for D in ops], rows=algebra.dim ** 2)
     structure = {}
     for mu in range(len(ops)):
         for nu in range(mu + 1, len(ops)):
             comm = ops[mu] @ ops[nu] - ops[nu] @ ops[mu]
-            sol = solve_linear(span, _flatten(comm))
+            sol = dense_solve(span, flatten(comm))
             if sol is None:
                 return (mu, nu)
             structure[(mu, nu)] = tuple(sol[0])

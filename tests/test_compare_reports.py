@@ -151,7 +151,7 @@ def test_cases_cover_the_sum_model_with_a_two_dimensional_center(tmp_path):
 
 def test_cases_cover_span_and_generators_ideals_and_covering_errors(tmp_path):
     tool = compare_reports()
-    generated = tool._coverings(tmp_path)
+    generated = tool._written(tmp_path, "covering", tool.COVERINGS)
     assert [name for name, _ in generated] == [
         "covering/span-and-vanishing", "covering/generators",
         "covering/non-ideal-span", "covering/intersecting",
@@ -173,3 +173,32 @@ def test_cases_cover_span_and_generators_ideals_and_covering_errors(tmp_path):
     assert cli.load_scenario(generated[1][1]).covering.ideals[0].dim == 4
     assert "right multiplication by 1:E_12" in results["covering/non-ideal-span"].stderr
     assert "the ideals intersect nontrivially" in results["covering/intersecting"].stderr
+
+
+def test_cases_cover_a_basis_that_is_not_bracket_closed_and_overlapping_charts(
+    tmp_path, monkeypatch
+):
+    tool = compare_reports()
+    generated = tool._written(tmp_path, "failure", tool.FAILURE_PATHS)
+    assert [name for name, _ in generated] == [
+        "failure/not-bracket-closed", "failure/overlapping-charts",
+    ]
+    cases = {"shipped": [], "generated": generated}
+    got = dict(tool._cases(cli.main.commands, cases))
+    assert len(got) == len(generated) * len(tool.SEEDS) == 8
+    closed = CliRunner().invoke(cli.main, got["all failure/not-bracket-closed 0"])
+    assert closed.exit_code == 2
+    assert "NotBracketClosed" in closed.stderr
+    # the charts overlap in the M_2; `decompose` runs on chart 0, whose
+    # coefficients it does not recover
+    charts = []
+    real = cli.decompose
+    monkeypatch.setattr(cli, "decompose", lambda X, a: charts.append(a) or real(X, a))
+    overlap = CliRunner().invoke(cli.main, got["all failure/overlapping-charts 0"])
+    assert overlap.exit_code == 1
+    cov = cli.load_scenario(generated[1][1]).covering
+    assert cov.overlap_projection(0, 1).rows == 4
+    assert charts == [0]
+    failed = {c["id"]: c.get("witness") for c in json.loads(overlap.output)["checks"]
+              if c["status"] == "fail"}
+    assert failed == {"glue:roundtrip": ["chart", 0]}

@@ -48,6 +48,7 @@ from nctangent.scalars import (
 from nctangent.tangent import ActionAssignment, LocalDerivation, canonical_inner_model
 
 from seeded import right_mult_matrix
+from test_scalars import dense_rref
 
 
 def m2_basis(kappa=Fraction(1)):
@@ -451,7 +452,7 @@ def stacked_duality_rank(basis):
                         col.extend(zero_vec(A.dim))
             cols.append(tuple(col))
     M = Matrix.from_columns(cols, rows=len(zbasis) * basis.rank * A.dim)
-    return M.rank(), basis.rank * A.dim
+    return len(dense_rref(M.entries)[1]), basis.rank * A.dim
 
 
 def centerless_basis():

@@ -1,4 +1,5 @@
-"""Substrate checks: field axioms, elimination, subspaces, quotients."""
+"""Substrate checks: field axioms, elimination, subspaces, quotients, and
+the dense solve and null space that are the oracles of the sparse ones."""
 
 import json
 from fractions import Fraction
@@ -6,7 +7,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nctangent import cli
@@ -27,15 +28,14 @@ from nctangent.scalars import (
     ONE,
     ZERO,
     Matrix,
-    QuotientSpace,
     Scalar,
     Subspace,
     eliminate,
     nullspace,
+    quotient_projection,
     rref,
     sc,
     solve_linear,
-    sparse_nullspace,
     unit_vec,
     vec,
     vec_is_zero,
@@ -177,7 +177,6 @@ def immutable_instances():
     out = [
         Matrix.identity(2),
         Subspace(2, [vec(1, 0)]),
-        QuotientSpace(2, Subspace(2, [vec(1, 0)])),
         assign.algebra,
         characters(make_function_algebra(2))[0],
         ConnectionCoefficients.zero(assign),
@@ -198,7 +197,7 @@ def immutable_instances():
 
 
 IMMUTABLE_CLASSES = (
-    "Matrix", "Subspace", "QuotientSpace", "StarAlgebra", "Character",
+    "Matrix", "Subspace", "StarAlgebra", "Character",
     "ConnectionCoefficients", "CurvatureTensor", "Covering", "DerivationBasis",
     "FormN", "PBWElement", "TensorElement", "PoincareGenerator",
     "PartitionElement", "Partition", "ActionAssignment", "LocalDerivation",
@@ -299,41 +298,48 @@ def test_parse_still_rejects_malformed_literals(text):
         Scalar.parse(text)
 
 
+def equations(A, b):
+    """The sparse rows of A x = b, the right-hand side at column A.cols."""
+    return [
+        {c: a for c, a in enumerate(row + (y,)) if a} for row, y in zip(A.entries, b)
+    ]
+
+
 def test_solve_identity():
     A = Matrix.identity(2)
-    particular, kernel = solve_linear(A, vec(1, 2))
-    assert particular == vec(1, 2)
-    assert kernel == []
+    assert solve_linear(equations(A, vec(1, 2)), 2) == vec(1, 2)
+    assert nullspace(equations(A, vec(0, 0)), 2) == []
 
 
 def test_solve_zero_map():
-    A = Matrix.zero(2, 2)
-    particular, kernel = solve_linear(A, vec(0, 0))
-    assert particular == vec(0, 0)
-    assert len(kernel) == 2
+    assert solve_linear(equations(Matrix.zero(2, 2), vec(0, 0)), 2) == vec(0, 0)
+    assert nullspace([], 2) == [vec(1, 0), vec(0, 1)]
 
 
 def test_solve_rank_deficient():
-    # hand elimination: x + y = 3 twice over; kernel spans (1, -1)
+    # hand elimination: x + y = 3 twice over; y is free and set to 0, and
+    # the kernel spans (-1, 1)
     A = Matrix([[1, 1], [2, 2]])
-    particular, kernel = solve_linear(A, vec(3, 6))
+    particular = solve_linear(equations(A, vec(3, 6)), 2)
+    assert particular == vec(3, 0)
     assert A.apply(particular) == vec(3, 6)
-    assert len(kernel) == 1
-    k = kernel[0]
-    assert vec_is_zero(A.apply(k))
-    assert k[0] == -k[1] and k[0]
+    assert nullspace(equations(A, vec(0, 0)), 2) == [vec(-1, 1)]
 
 
 def test_solve_inconsistent():
     A = Matrix([[1, 1], [1, 1]])
-    assert solve_linear(A, vec(0, 1)) is None
+    assert solve_linear(equations(A, vec(0, 1)), 2) is None
+    # an equation with only a right-hand side, 0 = 1, and no unknowns
+    assert solve_linear([{2: ONE}, {0: ONE}], 2) is None
+    assert solve_linear([{0: ONE}], 0) is None
+    assert solve_linear([], 0) == ()
 
 
 def test_matrix_inverse_and_rank():
     A = Matrix([[1, 2], [3, 5]])
     assert A @ matrix_inverse(A) == Matrix.identity(2)
-    assert A.rank() == 2
-    assert Matrix([[1, 2], [2, 4]]).rank() == 1
+    assert len(rref(A.entries)[1]) == 2
+    assert len(rref([vec(1, 2), vec(2, 4)])[1]) == 1
 
 
 def test_rref_pivots():
@@ -381,27 +387,36 @@ def test_dimension_formula(n, data):
     assert U.dim + V.dim == U.sum(V).dim + U.intersect(V).dim
 
 
+def quotient(n, S):
+    """(complement, projection, section) of Q(i)^n / S: `quotient_projection`
+    of S's rows, and the unit vectors at the complement indices as the
+    section, which `quotient_algebra` takes."""
+    chosen, projection = quotient_projection(n, S._rows)
+    section = Matrix.from_columns([unit_vec(n, c) for c in chosen], rows=n)
+    return tuple(chosen), projection, section
+
+
 def test_quotient_trivial_subspace():
-    Q = QuotientSpace(3, Subspace(3, []))
-    assert Q.dim == 3
+    chosen, P, section = quotient(3, Subspace(3, []))
+    assert chosen == (0, 1, 2)
     for k in range(3):
         e = unit_vec(3, k)
-        assert Q.lift(Q.project(e)) == e
+        assert section.apply(P.apply(e)) == e
 
 
 def test_quotient_full_subspace():
-    Q = QuotientSpace(2, Subspace(2, [vec(1, 0), vec(0, 1)]))
-    assert Q.dim == 0
-    assert Q.project(vec(5, 7)) == ()
+    chosen, P, _ = quotient(2, Subspace(2, [vec(1, 0), vec(0, 1)]))
+    assert chosen == ()
+    assert P.apply(vec(5, 7)) == ()
 
 
 def test_quotient_identifies_e1_e2():
-    Q = QuotientSpace(3, Subspace(3, [vec(1, -1, 0)]))
-    assert Q.dim == 2
-    assert Q.project(unit_vec(3, 0)) == Q.project(unit_vec(3, 1))
+    chosen, P, section = quotient(3, Subspace(3, [vec(1, -1, 0)]))
+    assert len(chosen) == 2
+    assert P.apply(unit_vec(3, 0)) == P.apply(unit_vec(3, 1))
     # projection composed with section is the identity on the quotient
     for x in [vec(1, 0), vec(0, 1), vec(2, 3)]:
-        assert Q.project(Q.lift(x)) == x
+        assert P.apply(section.apply(x)) == x
 
 
 @given(st.integers(1, 5), st.data())
@@ -413,20 +428,20 @@ def test_quotient_kernel_is_subspace(n, data):
         for _ in range(count)
     ]
     S = Subspace(n, vecs)
-    Q = QuotientSpace(n, S)
-    assert Q.dim == n - S.dim
+    chosen, P, section = quotient(n, S)
+    assert len(chosen) == n - S.dim
     # every subspace vector projects to zero and projection is onto
     for v in S.basis:
-        assert vec_is_zero(Q.project(v))
+        assert vec_is_zero(P.apply(v))
     probe = tuple(Scalar(data.draw(st.integers(-3, 3))) for _ in range(n))
-    assert vec_is_zero(Q.project(probe)) == S.contains(probe)
+    assert vec_is_zero(P.apply(probe)) == S.contains(probe)
     # section picks representatives: v - lift(project(v)) lies in S
-    assert S.contains(vec_sub(probe, Q.lift(Q.project(probe))))
+    assert S.contains(vec_sub(probe, section.apply(P.apply(probe))))
 
 
 def test_nullspace_matches_rank():
     A = Matrix([[1, 2, 3], [2, 4, 6]])
-    ker = nullspace(A)
+    ker = nullspace(equations(A, vec(0, 0)), 3)
     assert len(ker) == 2
     for v in ker:
         assert vec_is_zero(A.apply(v))
@@ -443,8 +458,11 @@ def test_short_complement_raises_a_typed_error():
     object.__setattr__(S, "basis", (vec(1, 0), vec(0, 1), vec(1, 0)))
     object.__setattr__(S, "_rows", ({0: ONE}, {1: ONE}, {0: ONE}))
     object.__setattr__(S, "_pivots", (0, 1, 0))
+    F = make_function_algebra(2)
     with pytest.raises(ValueError, match="complement has 0 vectors, the quotient needs -1"):
-        QuotientSpace(2, S)
+        quotient_algebra(F, S)
+    with pytest.raises(ValueError, match="subspace lives in a different ambient space"):
+        quotient_algebra(F, Subspace(3, []))
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +549,13 @@ def subspace_and_probes(draw):
 @settings(max_examples=300, deadline=None)
 def test_quotient_and_contains_match_the_oracles(case):
     n, S, probes = case
-    Q = QuotientSpace(n, S)
+    got = quotient(n, S)
     chosen, projection, section = oracle_quotient(n, S)
-    assert Q.complement_indices == chosen
-    assert Q.projection.entries == projection
-    assert Q.section.entries == section
-    assert (Q.projection.rows, Q.projection.cols) == (len(chosen), n)
-    assert (Q.section.rows, Q.section.cols) == (n, len(chosen))
+    assert got[0] == chosen
+    assert got[1].entries == projection
+    assert got[2].entries == section
+    assert (got[1].rows, got[1].cols) == (len(chosen), n)
+    assert (got[2].rows, got[2].cols) == (n, len(chosen))
     for v in probes:
         assert S.contains(v) == oracle_contains(S, v)
     assert S.contains(probes[0])
@@ -546,11 +564,13 @@ def test_quotient_and_contains_match_the_oracles(case):
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_quotient_oracle_on_the_empty_and_full_subspaces(n):
     for S in (Subspace(n, []), Subspace(n, [unit_vec(n, k) for k in range(n)])):
-        Q = QuotientSpace(n, S)
-        chosen, projection, section = oracle_quotient(n, S)
-        assert (Q.complement_indices, Q.projection.entries, Q.section.entries) == (
-            chosen, projection, section
-        )
+        chosen, projection, section = quotient(n, S)
+        want = oracle_quotient(n, S)
+        assert (chosen, projection.entries, section.entries) == want
+        if n:
+            # both are ideals of F_n: the quotient algebra's maps agree
+            _, P, sigma = quotient_algebra(make_function_algebra(n), S)
+            assert (P.entries, sigma.entries) == want[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +888,43 @@ def dense_rref(rows):
     return [tuple(row) for row in rows], pivots
 
 
+def dense_solve(A, b):
+    """Solve the dense A x = b from the dense reduced form of [A | b]:
+    (the particular solution with free unknowns 0, a kernel basis), or
+    None when inconsistent."""
+    if A.rows != len(b):
+        raise ValueError("right-hand side length mismatch")
+    n = A.cols
+    reduced, pivots = dense_rref([tuple(row) + (y,) for row, y in zip(A.entries, b)])
+    if n in pivots:
+        return None
+    particular = [ZERO] * n
+    for r, c in enumerate(pivots):
+        particular[c] = reduced[r][n]
+    return tuple(particular), dense_kernel(reduced, pivots, n)
+
+
+def dense_nullspace(A):
+    """Null space basis of the dense matrix A, from `dense_rref`."""
+    reduced, pivots = dense_rref(A.entries)
+    return dense_kernel(reduced, pivots, A.cols)
+
+
+def dense_kernel(reduced, pivots, n):
+    """One kernel vector per free column f of dense reduced rows: e_f
+    minus column f of the rows at their pivots."""
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [ZERO] * n
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
 @st.composite
 def dense_rows(draw):
     """0-6 rows of 1-6 entries, often sparse, with repeated and zero
@@ -891,7 +948,47 @@ def test_rref_matches_the_dense_elimination(rows):
 def test_sparse_nullspace_matches_nullspace(rows):
     cols = len(rows[0]) if rows else 3
     sparse = [{c: a for c, a in enumerate(row) if a} for row in rows]
-    assert sparse_nullspace(sparse, cols) == nullspace(Matrix(rows, cols=cols))
+    assert nullspace(sparse, cols) == dense_nullspace(Matrix(rows, cols=cols))
+
+
+MIXED = st.sampled_from(SPARSE) | scalars
+
+
+@st.composite
+def linear_systems(draw):
+    """A x = b over 0-5 unknowns with mixed denominators and complex
+    entries: rank-deficient systems, consistent ones (b = A x) and
+    inconsistent ones, and zero rows of A beside a nonzero b, which are
+    equations with only a right-hand side."""
+    cols = draw(st.integers(0, 5))
+    row = st.lists(MIXED, min_size=cols, max_size=cols).map(tuple)
+    rows = draw(st.lists(row, max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append(rows[0])
+    if draw(st.booleans()):
+        rows.append((ZERO,) * cols)
+    A = Matrix(rows, cols=cols)
+    if draw(st.booleans()):
+        b = A.apply(tuple(draw(MIXED) for _ in range(cols)))
+    else:
+        b = tuple(draw(MIXED) for _ in rows)
+    return A, b
+
+
+@given(linear_systems())
+@settings(max_examples=300, deadline=None)
+@example((Matrix(((),), cols=0), vec(1)))
+@example((Matrix([[0, 0], [1, 1]]), vec(2, 1)))
+@example((Matrix([[1, 1], [2, 2]]), vec(1, 2)))
+def test_solve_linear_matches_the_dense_solve(case):
+    A, b = case
+    want = dense_solve(A, b)
+    got = solve_linear(equations(A, b), A.cols)
+    assert got == (None if want is None else want[0])
+    if got is not None:
+        assert A.apply(got) == b
+    homogeneous = equations(A, (ZERO,) * A.rows)
+    assert nullspace(homogeneous, A.cols) == dense_nullspace(A)
 
 
 def test_eliminate_reads_sparse_rows_and_drops_cleared_ones():

@@ -9,8 +9,8 @@ was, as the oracle:
   form with reversed columns;
 * `verify_ideal` on dense products of the linked basis elements, tested
   by the dense `contains`;
-* `quotient_algebra` by `QuotientSpace.project` of the parent's dense
-  basis products;
+* `quotient_algebra` by the quotient projection applied to the parent's
+  dense basis products;
 * `reconstruction_check` by a chain of dense `Matrix` sums;
 * `characters` enumerated again on every call, as a list.
 
@@ -45,7 +45,6 @@ from nctangent.partition import (
 from nctangent.scalars import (
     ZERO,
     Matrix,
-    QuotientSpace,
     Scalar,
     Subspace,
     quotient_projection,
@@ -66,7 +65,7 @@ from test_covering_routes import (
     seeded_partitions,
 )
 from test_kernels import sparse_mixed_scalar
-from test_scalars import dense_rref, oracle_contains
+from test_scalars import dense_rref, oracle_contains, quotient
 
 ALL_COVERINGS = COVERINGS + shipped_and_test_coverings()
 
@@ -184,27 +183,26 @@ def linked_verify_ideal(algebra, subspace):
 def projected_quotient_algebra(A, ideal_subspace, labels_prefix="q"):
     """`quotient_algebra` by projecting the parent's dense basis products
     and involution columns."""
-    Q = QuotientSpace(A.dim, ideal_subspace)
-    qdim = Q.dim
+    kept, projection, section = quotient(A.dim, ideal_subspace)
+    qdim = len(kept)
     labels = ["%s%d" % (labels_prefix, i) for i in range(qdim)]
-    kept = Q.complement_indices
     position = {c: i for i, c in enumerate(kept)}
     terms = [
         tuple(
-            (position[j], tuple(enumerate(Q.project(product))))
+            (position[j], tuple(enumerate(projection.apply(product))))
             for j, product in A.basis_products(c).items()
             if j in position
         )
         for c in kept
     ]
     invol = Matrix.from_columns(
-        [Q.project(A.involution.column(c)) for c in kept], rows=qdim
+        [projection.apply(A.involution.column(c)) for c in kept], rows=qdim
     )
-    unit = Q.project(A.unit) if A.unit is not None else None
+    unit = projection.apply(A.unit) if A.unit is not None else None
     alg = StarAlgebra(
-        labels, terms, invol, unit, model=("quotient", A, ideal_subspace, Q.section)
+        labels, terms, invol, unit, model=("quotient", A, ideal_subspace, section)
     )
-    return alg, Q.projection, Q.section
+    return alg, projection, section
 
 
 def matrix_sum_reconstruction_check(P, cov):
@@ -303,12 +301,8 @@ def test_sparse_subspace_matches_the_dense_route(case, data):
     assert meet == V.intersect(U)
     for S in (U, V, total, meet):
         assert_rows_match_the_basis(S)
-        Q = QuotientSpace(n, S)
-        chosen, projection = dense_quotient(n, S.basis)
-        assert (Q.complement_indices, Q.projection.entries) == (chosen, projection)
-        assert Q.section.entries == Matrix.from_columns(
-            [unit_vec(n, c) for c in chosen], rows=n
-        ).entries
+        got = quotient_projection(n, S._rows)
+        assert (tuple(got[0]), got[1].entries) == dense_quotient(n, S.basis)
     # the projection of the sum from both row lists at once
     chosen, projection = quotient_projection(n, U._rows + V._rows)
     assert (tuple(chosen), projection.entries) == dense_quotient(n, total.basis)
@@ -449,7 +443,7 @@ def test_quotient_algebra_matches_the_projected_products():
              Subspace(5, [(0, 0, 1, 0, third), (0, 0, 0, 2, -third)])]
     for sub in extra:
         assert verify_ideal(A, sub) is None
-    assert len(QuotientSpace(5, extra[0]).projection.nonzero_columns()[4]) == 2
+    assert len(quotient_projection(5, extra[0]._rows)[1].nonzero_columns()[4]) == 2
     cases = [(cov.algebra, sub, prefix)
              for cov in ALL_COVERINGS for sub, prefix in chart_ideals(cov)]
     cases += [(A, sub, "n") for sub in extra]

@@ -22,7 +22,12 @@ and under `python -O`:
   `generators` ideals with vectors that are not unit vectors, on a
   function model and on M_2 + F_1, one of them loaded beside a
   `vanishing_on` ideal, and a non-ideal span and two intersecting
-  ideals, which exit 2 with the reason on stderr.
+  ideals, which exit 2 with the reason on stderr;
+* `all` at `--seed` 0-3 on the scenarios of `FAILURE_PATHS`, which reach
+  two failures that no other case reaches: a derivation basis whose
+  bracket leaves its span (exit 2), and charts that overlap in a
+  noncommutative block, where `decompose` runs on the overlap and
+  `glue:roundtrip` fails (exit 1).
 
 A case is its stdout with the `millis` values blanked, its exit code
 and its stderr.  Every case that differs between the trees is printed,
@@ -100,6 +105,34 @@ COVERINGS = {
             {"type": "span", "vectors": [["0", "1", "1"], ["0", "1", "-1"]]},
             {"type": "vanishing_on", "points": [2]},
         ]},
+    },
+}
+
+
+# ad E_12 and ad E_21 on M_2 are not bracket-closed: their commutator,
+# ad (E_11 - E_22), leaves their span.  F_1 + M_2 + F_1 is covered by
+# its charts F_1 + M_2 and M_2 + F_1, which overlap in the M_2, with an
+# inner action on each chart
+F_1 = {"model": "function", "points": 1}
+FAILURE_PATHS = {
+    "not-bracket-closed": {
+        "kappa": "1", "d": 1, "algebra": {"model": "matrix", "n": 2},
+        "action": {"type": "inner", "generators": [["0", "1", "0", "0"],
+                                                   ["0", "0", "1", "0"]]},
+    },
+    "overlapping-charts": {
+        "kappa": "1", "d": 1,
+        "algebra": {"model": "sum", "terms": [F_1, {"model": "matrix", "n": 2}, F_1]},
+        "covering": {"ideals": [{"type": "blocks", "kill": ["2"]},
+                                {"type": "blocks", "kill": ["1:1"]}]},
+        "partition": {"zetas": [["1", "3/5", "0", "0", "3/5", "0"],
+                                ["0", "4/5", "0", "0", "4/5", "1"]]},
+        "actions": [
+            {"type": "inner", "generators": [["0", "0", "0", "0", "-i"],
+                                             ["0", "0", "1", "0", "0"]]},
+            {"type": "inner", "generators": [["0", "0", "0", "-i", "0"],
+                                             ["0", "1", "0", "0", "0"]]},
+        ],
     },
 }
 
@@ -209,14 +242,14 @@ def _sum_model(directory):
     return out
 
 
-def _coverings(directory):
-    """(name, path) of each scenario of `COVERINGS`, written to
-    `directory`."""
+def _written(directory, prefix, table):
+    """(name, path) of each scenario of `table`, written to `directory`
+    and named after `prefix`."""
     out = []
-    for name, scenario in COVERINGS.items():
-        path = Path(directory) / ("covering-%s.json" % name)
+    for name, scenario in table.items():
+        path = Path(directory) / ("%s-%s.json" % (prefix, name))
         path.write_text(json.dumps(scenario))
-        out.append(("covering/%s" % name, str(path)))
+        out.append(("%s/%s" % (prefix, name), str(path)))
     return out
 
 
@@ -232,7 +265,8 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         shipped = [(p.name, str(p)) for p in sorted((ROOT / "scenarios").glob("*.json"))]
         generated = _generated(args.perfbench_seeds, tmp)
-        generated += _sum_model(tmp) + _coverings(tmp)
+        generated += _sum_model(tmp) + _written(tmp, "covering", COVERINGS)
+        generated += _written(tmp, "failure", FAILURE_PATHS)
         cases = {"shipped": shipped, "generated": generated}
         cases_path = Path(tmp) / "cases.json"
         cases_path.write_text(json.dumps(cases))
