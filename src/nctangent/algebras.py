@@ -37,12 +37,12 @@ from nctangent.scalars import (
     Subspace,
     ZERO,
     _axpy,
+    _pairs,
     _reduced,
     _scalars,
     nullspace,
     quotient_projection,
     unit_vec,
-    vec_add,
     zero_vec,
 )
 
@@ -168,10 +168,16 @@ class StarAlgebra(Immutable):
         )
 
     def left_mult_matrix(self, a):
-        return Matrix.from_columns(
-            [self.multiply(a, unit_vec(self.dim, j)) for j in range(self.dim)],
-            rows=self.dim,
-        )
+        """The matrix of b -> a b: column j sums x times basis_k . basis_j
+        over the nonzero coordinates x = a_k, from row k of `terms`."""
+        if len(a) != self.dim:
+            raise AlgebraError("element length mismatch")
+        columns = [{} for _ in range(self.dim)]
+        for x, row in zip(a, self.terms):
+            if x._a or x._b:
+                for j, cell in row:
+                    _axpy(columns[j], x._a, x._b, x._q, cell)
+        return Matrix._of(list(map(_pairs, columns)), self.dim)
 
     def basis_vector(self, i):
         return unit_vec(self.dim, i)
@@ -249,15 +255,8 @@ def make_matrix_algebra(n, label="E", index_base=1):
         for m in range(n)
         for k in range(n)
     ]
-    # the conjugate transpose sends E_mk to E_km: row (k, m) has its one
-    # at column (m, k)
-    rows = []
-    for k in range(n):
-        for m in range(n):
-            row = [ZERO] * dim
-            row[idx(m, k)] = ONE
-            rows.append(tuple(row))
-    invol = Matrix._of(tuple(rows), dim)
+    # the conjugate transpose sends E_mk to E_km
+    invol = Matrix._of([((idx(k, m), ONE),) for m in range(n) for k in range(n)], dim)
     unit = tuple(
         ONE if (m == k) else ZERO for m in range(n) for k in range(n)
     )
@@ -297,26 +296,15 @@ def direct_sum(A, B):
     """Componentwise product and involution on the concatenated basis."""
     dim = A.dim + B.dim
     labels = ["1:%s" % l for l in A.labels] + ["2:%s" % l for l in B.labels]
-
-    def embed_a(v):
-        return tuple(v) + zero_vec(B.dim)
-
-    def embed_b(v):
-        return zero_vec(A.dim) + tuple(v)
-
     shift = A.dim
     terms = list(A.terms) + [
         tuple((j + shift, tuple((m + shift, c) for m, c in cell)) for j, cell in row)
         for row in B.terms
     ]
-    invol_cols = [embed_a(A.involution.column(j)) for j in range(A.dim)] + [
-        embed_b(B.involution.column(j)) for j in range(B.dim)
-    ]
-    invol = Matrix.from_columns(invol_cols, rows=dim)
-    if A.unit is not None and B.unit is not None:
-        unit = vec_add(embed_a(A.unit), embed_b(B.unit))
-    else:
-        unit = None
+    right = B.involution.nonzero_columns()
+    shifted = tuple(tuple((i + shift, c) for i, c in column) for column in right)
+    invol = Matrix._of(A.involution.nonzero_columns() + shifted, dim)
+    unit = None if A.unit is None or B.unit is None else A.unit + B.unit
     return StarAlgebra(labels, terms, invol, unit, model=("sum", A, B))
 
 
@@ -345,7 +333,7 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
         raise ValueError(
             "complement has %d vectors, the quotient needs %d" % (len(kept), qdim)
         )
-    section = Matrix.from_columns([unit_vec(n, c) for c in kept], rows=n)
+    section = Matrix._of([((c, ONE),) for c in kept], n)
     labels = ["%s%d" % (labels_prefix, i) for i in range(qdim)]
     position = {c: i for i, c in enumerate(kept)}
     columns = projection.nonzero_columns()
@@ -368,9 +356,7 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
     # project o invol o lift is antilinear; on the lift of a basis
     # element, which is real, it is the projected involution column
     involution = A.involution.nonzero_columns()
-    invol = Matrix.from_columns(
-        [_scalars(project(involution[c]), qdim) for c in kept], rows=qdim
-    )
+    invol = Matrix._of([_pairs(project(involution[c])) for c in kept], qdim)
     unit = projection.apply(A.unit) if A.unit is not None else None
     alg = StarAlgebra(
         labels, terms, invol, unit, model=("quotient", A, ideal_subspace, section)

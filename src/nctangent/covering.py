@@ -32,8 +32,8 @@ from nctangent.scalars import (
     Subspace,
     _axpy,
     _scalars,
+    eliminate,
     quotient_projection,
-    rref,
     zero_vec,
 )
 
@@ -239,14 +239,10 @@ class Covering(Immutable):
 
     def chart_to_overlap(self, alpha, beta):
         """Matrix of the restriction map from chart alpha to the
-        (alpha, beta) overlap: the overlap projection applied to each
-        column of the section, which for the deterministic section is
-        the projection's column at a complement index."""
-        P = self.overlap_projection(alpha, beta)
-        S = self.section(alpha)
-        return Matrix.from_columns(
-            [P.apply(S.column(k)) for k in range(S.cols)], rows=P.rows
-        )
+        (alpha, beta) overlap: the overlap projection after the section,
+        whose column k, for the deterministic section, is the
+        projection's column at a complement index."""
+        return self.overlap_projection(alpha, beta) @ self.section(alpha)
 
 
 def verify_covering(cov):
@@ -259,13 +255,15 @@ def verify_covering(cov):
     The base algebra's side of each law is read once for all charts:
     the involute of e_i is column i of the involution, and e_i e_j comes
     from the structure constants, absent when the product is zero.  The
-    image of e_i is column i of the projection, and the chart multiplies
-    two images only when both are nonzero.  A pair (i, j) whose sides
-    are both zero by construction, with no product e_i e_j and a zero
-    image, is not compared: for a zero image of e_i only the j of its
-    nonzero products are visited, and its involute is zero.  For alpha =
-    beta the chart-to-overlap map is pi_alpha sigma_alpha, the product
-    the section law has just formed, and it is reused.
+    image of e_i is column i of the projection, read from its nonzero
+    columns, and the chart multiplies two images only when both are
+    nonzero.  A pair (i, j) whose sides are both zero by construction,
+    with no product e_i e_j and a zero image, is not compared: for a
+    zero image of e_i only the j of its nonzero products are visited,
+    and its involute is zero.  For alpha = beta the chart-to-overlap map
+    is pi_alpha sigma_alpha, the product the section law has just
+    formed, and it is reused.  The rank of the stacked projections is
+    read from one elimination of their columns as sparse rows.
     """
     failures = []
     A = cov.algebra
@@ -277,8 +275,8 @@ def verify_covering(cov):
         chart = cov.chart(alpha)
         pi = cov.projection(alpha)
         zero = zero_vec(chart.dim)
-        images = [pi.column(i) for i in range(n)]
-        nonzero = [any(image) for image in images]
+        nonzero = [bool(column) for column in pi.nonzero_columns()]
+        images = [pi.column(i) if nonzero[i] else zero for i in range(n)]
         for i in range(n):
             image_star = chart.involute(images[i]) if nonzero[i] else zero
             if image_star != pi.apply(involutes[i]):
@@ -304,12 +302,17 @@ def verify_covering(cov):
             if pi.apply(A.unit) != chart.unit:
                 failures.append(("unit", alpha))
         round_trips.append(pi @ cov.section(alpha))
-        if round_trips[alpha].entries != Matrix.identity(chart.dim).entries:
+        if round_trips[alpha] != Matrix.identity(chart.dim):
             failures.append(("section", alpha))
-    rows = []
+    # column j of the stacked projections, its chart rows one after another
+    stacked = [{} for _ in range(n)]
+    width = 0
     for alpha in range(cov.size):
-        rows.extend(cov.projection(alpha).entries)
-    rank = len(rref(rows)[1])
+        pi = cov.projection(alpha)
+        for row, column in zip(stacked, pi.nonzero_columns()):
+            row.update((width + i, a) for i, a in column)
+        width += pi.rows
+    rank = len(eliminate(stacked, width)[1])
     if rank != A.dim:
         failures.append(("joint-injectivity", rank))
     for alpha in range(cov.size):
@@ -320,6 +323,6 @@ def verify_covering(cov):
             else:
                 to_overlap = cov.chart_to_overlap(alpha, beta)
             via = to_overlap @ cov.projection(alpha)
-            if via.entries != joint.entries:
+            if via != joint:
                 failures.append(("overlap-diagram", (alpha, beta)))
     return failures

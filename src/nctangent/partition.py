@@ -31,7 +31,6 @@ from nctangent.algebras import (
 )
 from nctangent.scalars import (
     Immutable,
-    Matrix,
     _axpy,
     _scalars,
     vec_add,
@@ -239,20 +238,16 @@ def verify_functional_defined(P, cov, alpha):
 def functional(P, cov, alpha):
     """Matrix of the map chart_alpha -> A induced by left multiplication
     with chi_alpha; raises IllDefined when chi_alpha does not kill the
-    chart ideal.  Column k is chi_alpha times column k of the section,
-    the lift of the chart's basis element k.  It is built once per
-    (P, cov, alpha) and kept on the partition; an ill-defined one is
-    checked, and raises, on every call."""
+    chart ideal.  It is L(chi_alpha) after the section, which lifts the
+    chart's basis element k to column k.  It is built once per (P, cov,
+    alpha) and kept on the partition; an ill-defined one is checked, and
+    raises, on every call."""
     key = (cov, alpha)
     F = P._functionals.get(key)
     if F is None:
         verify_functional_defined(P, cov, alpha)
-        A = cov.algebra
         chi = P.elements[alpha].chi
-        sigma = cov.section(alpha)
-        F = Matrix.from_columns(
-            [A.multiply(chi, sigma.column(k)) for k in range(sigma.cols)], rows=A.dim
-        )
+        F = cov.algebra.left_mult_matrix(chi) @ cov.section(alpha)
         P._functionals[key] = F
     return F
 
@@ -313,7 +308,7 @@ def centrality_check(P, cov, maps):
     for alpha in range(cov.size):
         G = functional(P, cov, alpha) @ cov.projection(alpha)
         for k, f in enumerate(maps):
-            if (f @ G).entries != (G @ f).entries:
+            if f @ G != G @ f:
                 failures.append((alpha, k))
     return failures
 
@@ -347,6 +342,6 @@ def functional_product_check(P, cov_P, Q, cov_Q):
         lhs = functional(R, cov_R, k) @ cov_R.projection(k)
         Fa = functional(P, cov_P, a) @ cov_P.projection(a)
         Fb = functional(Q, cov_Q, b) @ cov_Q.projection(b)
-        if lhs.entries != (Fb @ Fa).entries:
+        if lhs != Fb @ Fa:
             failures.append((a, b))
     return failures

@@ -1,4 +1,4 @@
-"""Exact Gaussian-rational arithmetic and the dense linear algebra under it.
+"""Exact Gaussian-rational arithmetic and the sparse linear algebra under it.
 
 Everything downstream runs over Q(i).  A `Scalar` is held as three
 Python ints (a, b, q) meaning (a + b*i)/q, with q > 0 and
@@ -9,26 +9,26 @@ Equality is exact everywhere; the package has no notion of tolerance.
 Three layers live here:
 
 * `Scalar`, the field element, with `ZERO`, `ONE`, `MINUS_ONE` and `I`;
-* `Matrix` and plain tuple vectors, with exact elimination, solving and
-  null spaces.  The element kernels (`Matrix.apply`, `Matrix @`,
+* `Matrix`, stored by the nonzero `(row, entry)` pairs of its columns,
+  and plain tuple vectors, with exact elimination, solving and null
+  spaces.  The element kernels (`Matrix.apply`, `Matrix @` and `+`,
   `StarAlgebra.multiply` and its multiply-accumulate `_mac`,
   `StarAlgebra.involute`, `forms.koszul_d`), and the calculus routes on
   them, sum their products on the ints of the Scalars, in one
-  accumulator (`_axpy` adds into a dict of running sums, `_scalars`
-  reads it out), and build one Scalar per nonzero output coordinate;
-  their Scalar-operator routes are the oracles in tests/.  One
-  elimination, `eliminate`, works on sparse rows ({column: entry}
-  dicts) and touches only nonzero entries.  `solve_linear` and
-  `nullspace` take such rows and read the reduced rows as they are;
-  `rref` is the dense wrapper that ranks dense rows.  The dense solve
-  and null space are the oracles in tests/;
+  accumulator (`_axpy` adds into a dict of running sums, `_scalars` and
+  `_pairs` read it out), and build one Scalar per nonzero output
+  coordinate.  One elimination, `eliminate`, works on sparse rows
+  ({column: entry} dicts) and touches only nonzero entries;
+  `solve_linear` and `nullspace` take such rows, and `rref` ranks dense
+  rows through it.  The dense matrix arithmetic, solve and null space
+  and the Scalar-operator routes are the oracles in tests/;
 * `Subspace` (canonical reduced-echelon bases) with sums, intersections,
   and quotient projections.  A subspace keeps the sparse rows of its one
   elimination and builds its dense basis from them once; membership
   sums on ints along the rows, a sum eliminates both row lists, an
   intersection is one Zassenhaus elimination, and `quotient_projection`
-  builds a quotient's projection from one elimination of any spanning
-  rows.  The dense routes are the oracles in tests/.
+  builds a quotient's projection column by column from one elimination
+  of any spanning rows.  The dense routes are the oracles in tests/.
 """
 
 from __future__ import annotations
@@ -312,6 +312,19 @@ def _scalars(sums, n):
     return tuple(out)
 
 
+def _pairs(sums):
+    """The nonzero sums as `(m, reduced Scalar)` pairs in ascending m."""
+    return tuple([
+        (m, _reduced(a, b, q)) for m, (a, b, q) in sorted(sums.items()) if a or b
+    ])
+
+
+def _promoted_pairs(column):
+    """The `(row, entry)` pairs of a dense column's nonzero entries,
+    each promoted to a Scalar."""
+    return tuple((i, a) for i, a in enumerate(map(Scalar.promote, column)) if a)
+
+
 def _imag_str(f):
     if f == 1:
         return "i"
@@ -380,62 +393,60 @@ class Immutable:
 
 
 class Matrix(Immutable):
-    """Dense matrix of Scalar entries; shape-checked exact arithmetic.
+    """Shape-checked exact matrix, stored by its nonzero columns.
 
-    `Matrix(...)` promotes every entry to a Scalar.  Arithmetic,
-    `transpose`, `identity`, `zero` and `from_columns` on Scalar columns
-    build their results through `_of`, which takes rows of Scalars as
-    they are.  `apply` reads the nonzero `(row, entry)` pairs of each
-    column from `nonzero_columns`, kept in the `_columns` slot from the
-    first call on.
-    Equality and the hash use `entries` only.
+    `_columns`, the only store, holds the nonzero `(row, entry)` pairs of
+    each column in ascending row order.  `+`, `-` and `@` sum columns
+    through `_axpy` and read them out with `_pairs`, so no zero entry is
+    stored or visited.  Equality and the hash read the shape and the
+    columns.  `entries`, the dense rows, is a read-only view built on
+    first read; no code in this package reads it.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_columns")
+    __slots__ = ("rows", "cols", "_columns", "_entries")
 
     def __init__(self, entries, cols=None):
-        entries = tuple(tuple(Scalar.promote(e) for e in row) for row in entries)
-        rows = len(entries)
-        if rows:
+        """The matrix with these dense rows, each entry promoted."""
+        entries = [tuple(row) for row in entries]
+        if entries:
             width = len(entries[0])
             if cols is not None and cols != width:
                 raise ValueError("explicit column count contradicts entries")
             cols = width
         elif cols is None:
             cols = 0
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        if any(len(row) != cols for row in entries):
+            raise ValueError("ragged rows")
+        columns = map(_promoted_pairs, zip(*entries)) if entries else ((),) * cols
+        self._set(len(entries), cols, tuple(columns))
 
     @classmethod
-    def _of(cls, entries, cols):
-        """The matrix with these rows, each a tuple of `cols` Scalars; no
-        promotion and no shape check."""
+    def _of(cls, columns, rows):
+        """The matrix with these nonzero columns, each a tuple of
+        `(row, nonzero Scalar)` pairs in ascending row order, and this
+        many rows; no promotion and no shape check."""
         m = _new(cls)
-        object.__setattr__(m, "rows", len(entries))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
+        m._set(rows, len(columns), tuple(columns))
         return m
+
+    def _set(self, rows, cols, columns):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_columns", columns)
 
     @classmethod
     def identity(cls, n):
-        return cls._of(
-            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)),
-            n,
-        )
+        return cls._of([((j, ONE),) for j in range(n)], n)
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls._of(((ZERO,) * cols,) * rows, cols)
+        return cls._of(((),) * cols, rows)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
-        """The matrix with these columns.  `rows`, when given, must be
-        the columns' length; it is needed only for an empty list.
-        Columns of Scalars are taken as they are, others promoted."""
+        """The matrix with these dense columns, each entry promoted.
+        `rows`, when given, must be the columns' length; it is needed only
+        for an empty list."""
         if not columns:
             if rows is None:
                 raise ValueError("empty column list needs an explicit row count")
@@ -445,100 +456,105 @@ class Matrix(Immutable):
             raise ValueError("explicit row count contradicts the columns")
         if any(len(col) != n for col in columns):
             raise ValueError("ragged columns")
-        entries = tuple(zip(*columns))
-        if all(isinstance(e, Scalar) for col in columns for e in col):
-            return cls._of(entries, len(columns))
-        return cls(entries, cols=len(columns))
+        return cls._of(list(map(_promoted_pairs, columns)), n)
+
+    @property
+    def entries(self):
+        """The dense rows, built from the columns on first read."""
+        try:
+            return self._entries
+        except AttributeError:
+            columns = list(map(self.column, range(self.cols)))
+            entries = tuple(zip(*columns)) if columns else ((),) * self.rows
+            object.__setattr__(self, "_entries", entries)
+            return entries
 
     def column(self, j):
-        return tuple(row[j] for row in self.entries)
+        if not 0 <= j < self.cols:
+            raise IndexError("column %r out of range for %d columns" % (j, self.cols))
+        out = [ZERO] * self.rows
+        for i, a in self._columns[j]:
+            out[i] = a
+        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (
+            self.rows == other.rows
+            and self.cols == other.cols
+            and self._columns == other._columns
+        )
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.rows, self.cols, self._columns))
 
     def __repr__(self):
         return "Matrix(%d x %d)" % (self.rows, self.cols)
 
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return Matrix._of(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-            self.cols,
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other; where the other's column is zero, this
+        one's is kept as it stands."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in addition")
+        out = []
+        for u, v in zip(self._columns, other._columns):
+            if not v:
+                out.append(u)
+            else:
+                sums = {}
+                _axpy(sums, 1, 0, 1, u)
+                _axpy(sums, sign, 0, 1, v)
+                out.append(_pairs(sums))
+        return Matrix._of(out, self.rows)
 
     def __neg__(self):
-        return Matrix._of(
-            tuple(tuple(-a for a in row) for row in self.entries), self.cols
-        )
+        return self.scale(MINUS_ONE)
 
     def scale(self, c):
         c = Scalar.promote(c)
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
         return Matrix._of(
-            tuple(tuple(c * a for a in row) for row in self.entries), self.cols
+            [tuple((i, c * a) for i, a in column) for column in self._columns],
+            self.rows,
         )
 
     def __matmul__(self, other):
+        """Column j sums b times column k of self over the pairs (k, b)
+        of the other's column j."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        rows = [
-            tuple((j, b) for j, b in enumerate(row) if b._a or b._b)
-            for row in other.entries
-        ]
+        left = self._columns
         out = []
-        for ri in self.entries:
+        for column in other._columns:
             sums = {}
-            for a, row in zip(ri, rows):
-                if a._a or a._b:
-                    _axpy(sums, a._a, a._b, a._q, row)
-            out.append(_scalars(sums, other.cols))
-        return Matrix._of(tuple(out), other.cols)
+            for k, b in column:
+                _axpy(sums, b._a, b._b, b._q, left[k])
+            out.append(_pairs(sums))
+        return Matrix._of(out, self.rows)
 
     def nonzero_columns(self):
         """The nonzero `(row, entry)` pairs of each column."""
-        try:
-            return self._columns
-        except AttributeError:
-            columns = tuple(
-                tuple((i, row[j]) for i, row in enumerate(self.entries) if row[j])
-                for j in range(self.cols)
-            )
-            object.__setattr__(self, "_columns", columns)
-            return columns
+        return self._columns
 
     def apply(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         sums = {}
-        for x, column in zip(v, self.nonzero_columns()):
+        for x, column in zip(v, self._columns):
             if x._a or x._b:
                 _axpy(sums, x._a, x._b, x._q, column)
         return _scalars(sums, self.rows)
 
-    def transpose(self):
-        if not self.rows:
-            return Matrix.zero(self.cols, 0)
-        return Matrix._of(tuple(zip(*self.entries)), self.rows)
-
-    def conjugate(self):
-        return Matrix._of(
-            tuple(tuple(a.conjugate() for a in row) for row in self.entries),
-            self.cols,
-        )
-
     def is_zero(self):
-        return all(not a for row in self.entries for a in row)
+        return not any(self._columns)
 
 
 def eliminate(rows, ncols):
@@ -802,13 +818,9 @@ def quotient_projection(n, rows):
     killed = set(pivots)
     chosen = [c for c in range(n) if c not in killed]
     position = {c: i for i, c in enumerate(chosen)}
-    out = [[ZERO] * n for _ in chosen]
-    for i, c in enumerate(chosen):
-        out[i][c] = ONE
+    columns = [((position[c], ONE),) if c in position else () for c in range(n)]
     # a reduced row is e_r plus entries at complement columns
     for row, r in zip(reduced, pivots):
-        for col, a in row.items():
-            c = n - 1 - col
-            if c != r:
-                out[position[c]][r] = -a
-    return chosen, Matrix._of(tuple(map(tuple, out)), n)
+        del row[n - 1 - r]
+        columns[r] = tuple(sorted((position[n - 1 - c], -a) for c, a in row.items()))
+    return chosen, Matrix._of(columns, len(chosen))

@@ -13,9 +13,10 @@ A local derivation is a central-coefficient combination sum_mu Z^mu D_mu;
 has the displayed coefficient formula (derivatives of the coefficients
 plus a structure-constant term) and must agree with the operator
 commutator.  Global derivations are glued through a partition
-of unity: X = sum_alpha functional_alpha o X_alpha o pi_alpha, and
-`decompose` solves a chart's central coefficients back from sparse
-equations, one per matrix cell.
+of unity: X = sum_alpha functional_alpha o X_alpha o pi_alpha, summed
+and composed on the operators' nonzero columns, and `decompose` solves
+a chart's central coefficients back from sparse equations, one per
+matrix cell.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from nctangent.scalars import (
     MINUS_ONE,
     Matrix,
     Scalar,
-    ZERO,
     _axpy,
     _cell_equations,
     _scalars,
@@ -78,11 +78,11 @@ class ActionAssignment(Immutable):
         for g in generators:
             if len(g) != algebra.dim:
                 raise AlgebraError("element length mismatch")
-            rows = [[ZERO] * algebra.dim for _ in range(algebra.dim)]
-            for j, comm in commutators(algebra, g).items():
-                for m, x in comm.items():
-                    rows[m][j] = x
-            ops.append(Matrix._of(tuple(map(tuple, rows)), algebra.dim))
+            comms = commutators(algebra, g)
+            ops.append(Matrix._of(
+                [tuple(sorted(comms.get(j, {}).items())) for j in range(algebra.dim)],
+                algebra.dim,
+            ))
         return cls(algebra, d, kappa, ops, inner_generators=generators)
 
 
@@ -106,14 +106,16 @@ def canonical_generator_vectors(N, d, kappa):
 
 def canonical_inner_model(N, d, kappa, algebra=None):
     """The reference inner action on the N x N matrix algebra (or on a
-    supplied algebra with the same structure constants)."""
+    supplied algebra with the same structure constants).  A supplied
+    algebra's dimension is compared with N^2 before any generator is
+    built, so a huge N is refused without allocating N^2 coordinates."""
     from nctangent.algebras import make_matrix_algebra
 
+    if algebra is not None and algebra.dim != N * N:
+        raise ValueError("algebra dimension does not match N")
     gens = canonical_generator_vectors(N, d, kappa)
     if algebra is None:
         algebra = make_matrix_algebra(N)
-    elif algebra.dim != N * N:
-        raise ValueError("algebra dimension does not match N")
     return ActionAssignment.from_inner(algebra, d, kappa, gens)
 
 
@@ -131,11 +133,11 @@ def verify_action(assign):
         Dj = assign.operators[j]
         got = D0 @ Dj - Dj @ D0
         want = Dj.scale(ik)
-        if got.entries != want.entries:
+        if got != want:
             failures.append(("bracket", (0, j)))
         for k in range(j + 1, assign.d + 1):
             Dk = assign.operators[k]
-            if (Dj @ Dk - Dk @ Dj).entries != Matrix.zero(A.dim, A.dim).entries:
+            if not (Dj @ Dk - Dk @ Dj).is_zero():
                 failures.append(("bracket", (j, k)))
     return failures
 

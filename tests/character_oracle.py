@@ -124,7 +124,7 @@ def split_common_eigenvalues(B):
     blocks = [([unit_vec(n, r) for r in range(n)], ())]
     for i in range(n):
         L = B.left_mult_matrix(unit_vec(n, i))
-        T = L.transpose()
+        T = transpose(L)
         new_blocks = []
         for basis, values in blocks:
             Bcols = Matrix.from_columns([tuple(b) for b in basis], rows=n)
@@ -140,6 +140,11 @@ def split_common_eigenvalues(B):
                 new_blocks.append((sub, values + (root,)))
         blocks = new_blocks
     return [values for _basis, values in blocks]
+
+
+def transpose(M):
+    """The transpose of M: its rows, read from `entries`, as columns."""
+    return Matrix.from_columns(M.entries, rows=M.cols)
 
 
 def _eigensplit(M, basis):

@@ -1120,7 +1120,7 @@ def dense_equation_center(A):
                 bz = rows[k * n + m]
                 bz[j] = bz[j] - c
     equations = tuple(tuple(row) for row in rows if any(row))
-    return Subspace(n, dense_nullspace(Matrix._of(equations, n)))
+    return Subspace(n, dense_nullspace(Matrix(equations, cols=n)))
 
 
 def center_algebras():

@@ -897,3 +897,34 @@ def test_nested_block_prefixes_cover_a_three_term_sum(tmp_path):
     result = run("all", "--scenario", str(path), "--seed", "0")
     assert result.exit_code == 2
     assert "no basis labels match block prefixes ['1:3']" in result.output
+
+
+def _limit_child():
+    """Run in the child before exec: cap its address space at 1 GiB and
+    its CPU time at 60 s, so that a regression fails this test with a
+    MemoryError or a kill instead of exhausting the machine."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+
+def test_a_huge_canonical_N_exits_2_before_allocating(tmp_path):
+    # a chart of dimension 4 with N = 10^6 is refused by comparing N^2
+    # with the chart's dimension before the N^2-long generators are built
+    scenario = block_scenario()
+    scenario["actions"][0]["N"] = 10**6
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "nctangent.cli", "all", "--scenario",
+         write_scenario(tmp_path, scenario)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_child,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("Error")]
+    assert errors == ["Error: bad chart 0 action: algebra dimension does not match N"]

@@ -2,8 +2,10 @@
 coordinates.  Each route it replaced is kept here, as it was, as the
 oracle: dense `verify_ideal` (every index on both sides), `quotient_algebra`
 through `multiply` of the lifts, the dense-product `verify_covering`
-(every pair compared), the functional as `left_mult_matrix(chi) @
-section`, and the chart-to-overlap map as `overlap_projection @ section`.
+(every pair compared), the functional as chi times each column of the
+section, and the chart-to-overlap map as the dense product of
+`overlap_projection` and `section`; the dense products are those of
+`DenseMatrix`, the column store's oracle.
 They are compared on seeded coverings: function models with shared
 points, `M_2+M_2` blocks, `generators` ideals, and quotients of
 quotients.  Spies check that `verify_ideal` multiplies only by linked
@@ -41,6 +43,7 @@ from nctangent.scalars import (
     vec_is_zero,
 )
 
+from dense_matrix import DenseMatrix
 from seeded import seeded_partition
 from test_covering import SkewedCovering, mixed_basis_covering
 from test_scalars import dense_rref, quotient
@@ -102,7 +105,10 @@ def lifted_quotient_algebra(A, ideal_subspace, labels_prefix="q"):
 
 
 def matmul_chart_to_overlap(cov, alpha, beta):
-    return cov.overlap_projection(alpha, beta) @ cov.section(alpha)
+    """The dense product of the overlap projection and the section."""
+    return DenseMatrix.of(cov.overlap_projection(alpha, beta)) @ DenseMatrix.of(
+        cov.section(alpha)
+    )
 
 
 def dense_verify_covering(cov):
@@ -131,7 +137,7 @@ def dense_verify_covering(cov):
             if pi.apply(A.unit) != chart.unit:
                 failures.append(("unit", alpha))
         sigma = cov.section(alpha)
-        if (pi @ sigma).entries != Matrix.identity(chart.dim).entries:
+        if DenseMatrix.of(pi) @ DenseMatrix.of(sigma) != DenseMatrix.identity(chart.dim):
             failures.append(("section", alpha))
     rows = []
     for alpha in range(cov.size):
@@ -148,8 +154,9 @@ def dense_verify_covering(cov):
     return failures
 
 
-def matmul_functional(P, cov, alpha):
-    """`functional` as left multiplication by chi, after the section."""
+def column_functional(P, cov, alpha):
+    """`functional` column by column: chi times each column of the
+    section."""
     A = cov.algebra
     el = P.elements[alpha]
     for x in cov.ideals[alpha].basis:
@@ -157,7 +164,10 @@ def matmul_functional(P, cov, alpha):
             raise IllDefined(
                 "chi does not kill the chart ideal", witness=(alpha, x)
             )
-    return A.left_mult_matrix(el.chi) @ cov.section(alpha)
+    sigma = cov.section(alpha)
+    return DenseMatrix.from_columns(
+        [A.multiply(el.chi, sigma.column(k)) for k in range(sigma.cols)], rows=A.dim
+    )
 
 
 # -- seeded coverings ---------------------------------------------------------
@@ -446,7 +456,7 @@ def test_functional_matches_left_multiplication_after_the_section():
         for P in seeded_partitions(cov, rng):
             for alpha in range(cov.size):
                 got = functional_or_raised(functional, P, cov, alpha)
-                assert got == functional_or_raised(matmul_functional, P, cov, alpha)
+                assert got == functional_or_raised(column_functional, P, cov, alpha)
                 outcomes.add(len(got))
     assert outcomes == {2, 3}
 

@@ -148,11 +148,18 @@ def test_product_of_seeded_partitions():
     assert all(ok for _, ok, _ in verify_partition(A, R))
 
 
+def conjugate_transpose(U):
+    """U*: the conjugates of U's rows, read from `entries`, as columns."""
+    return Matrix.from_columns(
+        [[a.conjugate() for a in row] for row in U.entries], rows=U.cols
+    )
+
+
 def test_random_rational_unitary_exact():
     rng = random.Random(4)
     for n in (1, 2, 3):
         U = random_rational_unitary(n, rng)
-        assert (U @ U.conjugate().transpose()).entries == Matrix.identity(n).entries
+        assert (U @ conjugate_transpose(U)).entries == Matrix.identity(n).entries
 
 
 def test_seeded_partition_deterministic():

@@ -18,6 +18,10 @@ and under `python -O`:
   two-dimensional, so its connections have central entries that are not
   multiples of the unit, which no shipped or workload curvature
   scenario has;
+* `all` at `--seed` 0-3 on `BLOCK_SUM`, M_3 + M_3 at kappa = 2/3 with
+  `blocks` charts, a `blocks` partition and the canonical action on each
+  chart, which glues and decomposes at kappa != 1 on blocks above the
+  M_2 + M_2 of the perfbench workloads;
 * `all` at `--seed` 0-3 on the coverings of `COVERINGS`: `span` and
   `generators` ideals with vectors that are not unit vectors, on a
   function model and on M_2 + F_1, one of them loaded beside a
@@ -65,6 +69,17 @@ SUM_MODEL = {
     ]},
 }
 SUM_MODEL_CONNECTIONS = ("seeded", "constant")
+
+# each chart kills one block of M_3 + M_3
+BLOCK_SUM = {
+    "kappa": "2/3",
+    "d": 1,
+    "algebra": {"model": "sum", "terms": [{"model": "matrix", "n": 3}] * 2},
+    "covering": {"ideals": [{"type": "blocks", "kill": ["2"]},
+                            {"type": "blocks", "kill": ["1"]}]},
+    "partition": {"type": "blocks"},
+    "actions": [{"type": "canonical", "N": 3}] * 2,
+}
 
 # coverings declared by `span` and `generators` ideals with vectors that
 # are not unit vectors, which no shipped or workload scenario declares;
@@ -265,7 +280,8 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         shipped = [(p.name, str(p)) for p in sorted((ROOT / "scenarios").glob("*.json"))]
         generated = _generated(args.perfbench_seeds, tmp)
-        generated += _sum_model(tmp) + _written(tmp, "covering", COVERINGS)
+        generated += _sum_model(tmp) + _written(tmp, "block-sum", {"m3+m3": BLOCK_SUM})
+        generated += _written(tmp, "covering", COVERINGS)
         generated += _written(tmp, "failure", FAILURE_PATHS)
         cases = {"shipped": shipped, "generated": generated}
         cases_path = Path(tmp) / "cases.json"
