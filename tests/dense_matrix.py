@@ -3,10 +3,9 @@ nonzero columns, kept as the oracle of the column store.
 
 `DenseMatrix` holds every entry in `entries`, a tuple of dense rows of
 Scalars, and does one Scalar operation per entry: `+`, `-` and `scale`
-entry by entry, `@` row by row, `apply` and `column` over whole columns,
-and `transpose` and `conjugate` for the test helpers that need them.
-Unlike the old `Matrix`, equality and the hash read the shape as well as
-the entries, so an empty 0 x 3 and 0 x 5 differ.
+entry by entry, `@` row by row, and `apply` and `column` over whole
+columns.  Unlike the old `Matrix`, equality and the hash read the shape
+as well as the entries, so an empty 0 x 3 and 0 x 5 differ.
 """
 
 from nctangent.scalars import ONE, ZERO, Scalar
@@ -104,12 +103,6 @@ class DenseMatrix:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(sum((a * x for a, x in zip(row, v)), ZERO) for row in self.entries)
-
-    def transpose(self):
-        return DenseMatrix([self.column(j) for j in range(self.cols)], self.rows)
-
-    def conjugate(self):
-        return DenseMatrix([[a.conjugate() for a in row] for row in self.entries], self.cols)
 
     def is_zero(self):
         return not any(a for row in self.entries for a in row)
