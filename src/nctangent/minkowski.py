@@ -21,9 +21,13 @@ formula for primitive elements; the multiplicative route (one generator
 at a time through `TensorElement.multiply`) is kept in the tests as its
 oracle.  `hopf_axiom_check` numbers the swept monomials and works in
 call-local tables keyed by those integers: each coproduct and antipode
-is built once, the tower once, and each monomial product that its
-antipode slots need is normal-ordered once.  Each table is then put
-over one common denominator, and the laws are summed on ints.
+is built once, the tower once, and the crossing table once.  A product
+(gamma, n) * (beta, m) depends only on its crossing, p_0^n moved past
+|beta| spatial factors, so the table holds each crossing with
+n + |beta| <= max_degree, each one `_cross` step from the one before
+it, and every product the antipode slots need is a crossing re-keyed.
+Each table is then put over one common denominator, and the laws are
+summed on ints.
 
 kappa and the monomial keys are validated by the public constructors
 only; internal results are built by `_Combination._trusted`.
@@ -250,27 +254,50 @@ def _towers(kappa, keys):
     return towers
 
 
+def _cross(acc, towers):
+    """One rewriting step: the running product {p_0 power: coefficient}
+    `acc` with one more spatial factor p_j moved to its left.  Each
+    p_0^k p_j is rewritten by its tower entry, which is the same for
+    every j; zero coefficients are dropped."""
+    out = {}
+    for k, c in acc.items():
+        for t, ct in towers[k].items():
+            out[t] = out.get(t, ZERO) + c * ct
+    return {t: c for t, c in out.items() if c}
+
+
 def _star_monomials(k1, k2, towers):
     """Normal form of the product of two normal monomials, as a dict;
     `towers` is `_towers` reaching the p_0 power of k1.
 
     The spatial factors of k2 commute with one another, so they pass
-    the p_0 power one at a time: each step rewrites every p_0^k p_j of
-    the running product by its tower entry, which is the same for
-    every j.  The running product is kept as {p_0 power: coefficient}
-    in front of the spatial part gamma plus the factors moved so far.
+    the p_0 power one `_cross` at a time.  The running product is kept
+    as {p_0 power: coefficient} in front of the spatial part gamma plus
+    the factors moved so far.
     """
     gamma, n = k1
     beta, m = k2
     acc = {n: ONE}
     for _ in range(sum(beta)):
-        out = {}
-        for k, c in acc.items():
-            for t, ct in towers[k].items():
-                out[t] = out.get(t, ZERO) + c * ct
-        acc = {t: c for t, c in out.items() if c}
+        acc = _cross(acc, towers)
     merged = tuple(a + b for a, b in zip(gamma, beta))
     return {(merged, t + m): c for t, c in acc.items()}
+
+
+def _crossings(towers, max_degree):
+    """The crossing table of a sweep to `max_degree`: entry [n][b] is
+    p_0^n moved past b spatial factors, {t: coefficient of p^beta p_0^t}
+    for every |beta| = b, for n + b <= max_degree.  Entry [n][0] is p_0^n
+    itself and each further entry is one `_cross` of the entry before
+    it, so a product (gamma, n) * (beta, m) is entry [n][|beta|] re-keyed
+    to (gamma + beta, t + m)."""
+    table = []
+    for n in range(max_degree + 1):
+        row = [{n: ONE}]
+        for _ in range(max_degree - n):
+            row.append(_cross(row[-1], towers))
+        table.append(row)
+    return table
 
 
 def _reversed_words(f, coefficient):
@@ -424,14 +451,15 @@ def hopf_axiom_check(d, kappa, max_degree):
     tensor factor of a swept coproduct, every antipode term and every
     product the antipode slots need is itself a swept monomial, so the
     call numbers the monomials and works on integer keys: each
-    coproduct and antipode is built once by the public maps, the
-    stepwise tower is built once at this call's i/kappa, and each
-    monomial product a * b the slots need is normal-ordered once, from
-    that tower.  Nothing outlives the call.
+    coproduct and antipode is built once by the public maps, and the
+    stepwise tower and the crossing table (`_crossings`) are built once
+    at this call's i/kappa.  Each monomial product a * b the slots need
+    is read from the table when first needed: the crossing of a's p_0
+    power past b's spatial degree, re-keyed.  Nothing outlives the call.
 
     The laws are summed on ints.  Each table is put once over its own
     common denominator: the coproduct terms over dq (1 for the true
-    coproduct), the antipode terms over aq and the products over sq.
+    coproduct), the antipode terms over aq and the crossings over sq.
     Coassociativity sums left minus right over dq^2, the counit slots
     sum against the target dq, and each antipode slot sums over
     dq*aq*sq and is reduced by `_slot_total` only where nonzero.  The
@@ -446,7 +474,6 @@ def hopf_axiom_check(d, kappa, max_degree):
     index = {key: i for i, key in enumerate(keys)}
     origin = index[((0,) * d, 0)]
     size = len(keys)
-    towers = _towers(kappa, keys)
     element, delta, anti = [], [], []
     for key in keys:
         f = PBWElement._trusted(d, kappa, {key: ONE})
@@ -455,21 +482,21 @@ def hopf_axiom_check(d, kappa, max_degree):
             [((index[k1], index[k2]), c) for (k1, k2), c in coproduct(f).terms.items()]
         )
         anti.append([(index[k], c) for k, c in antipode(f).terms.items()])
-    # every product a * b the slots need, keyed a * size + b, is made
-    # before the sums: sq is the lcm over all of them
-    products = {}
-    for terms in delta:
-        for (k1, k2), _ in terms:
-            for x, _ in anti[k1]:
-                products.setdefault(x * size + k2, (x, k2))
-            for x, _ in anti[k2]:
-                products.setdefault(k1 * size + x, (k1, x))
-    made = (_star_monomials(keys[a], keys[b], towers) for a, b in products.values())
-    sq, made = _over_lcm([[(index[k], c) for k, c in m.items()] for m in made])
-    products = dict(zip(products, made))
+    rows = _crossings(_towers(kappa, keys), max_degree)
+    sq, flat = _over_lcm([list(entry.items()) for row in rows for entry in row])
+    flat = iter(flat)
+    crossings = [[next(flat) for _ in row] for row in rows]
     dq, delta = _over_lcm(delta)
     aq, anti = _over_lcm(anti)
     scale = dq * aq * sq
+    # each product a * b the slots need, keyed (a, b), is its crossing
+    # re-keyed, made when first needed
+    products = {}
+
+    def product_of(a, b):
+        (gamma, n), (beta, m) = keys[a], keys[b]
+        merged = tuple(x + y for x, y in zip(gamma, beta))
+        return [(index[merged, t + m], va, vb) for t, va, vb in crossings[n][sum(beta)]]
 
     failures = []
     for i, key in enumerate(keys):
@@ -503,8 +530,11 @@ def hopf_axiom_check(d, kappa, max_degree):
             for (k1, k2), ca, cb in terms:
                 for x, ea, eb in anti[k1] if slot == 1 else anti[k2]:
                     sa, sb = ca * ea - cb * eb, ca * eb + cb * ea
-                    pair = x * size + k2 if slot == 1 else k1 * size + x
-                    for k, va, vb in products[pair]:
+                    pair = (x, k2) if slot == 1 else (k1, x)
+                    made = products.get(pair)
+                    if made is None:
+                        made = products[pair] = product_of(*pair)
+                    for k, va, vb in made:
                         re[k] = re.get(k, 0) + sa * va - sb * vb
                         im[k] = im.get(k, 0) + sa * vb + sb * va
             if _slot_total(re, im, scale) != target:

@@ -202,3 +202,26 @@ def test_cases_cover_a_basis_that_is_not_bracket_closed_and_overlapping_charts(
     failed = {c["id"]: c.get("witness") for c in json.loads(overlap.output)["checks"]
               if c["status"] == "fail"}
     assert failed == {"glue:roundtrip": ["chart", 0]}
+
+
+def test_cases_cover_sweeps_at_composite_kappa_above_the_workload_degrees(
+    tmp_path, monkeypatch
+):
+    tool = compare_reports()
+    sweeps = tool._written(tmp_path, "hopf", tool.HOPF_SWEEPS)
+    cases = {"shipped": [], "generated": [], "sweeps": sweeps}
+    got = dict(tool._cases(cli.main.commands, cases))
+    assert len(got) == len(sweeps) == 6
+    swept = []
+    real = cli.hopf_axiom_check
+    monkeypatch.setattr(cli, "hopf_axiom_check", lambda *args: swept.append(args) or real(*args))
+    for name, path in sweeps:
+        args = got["hopf-check %s 0" % name]
+        assert args == ["hopf-check", "--scenario", path, "--seed", "0"]
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code == 0, result.output
+        statuses = {c["id"]: c["status"] for c in json.loads(result.output)["checks"]}
+        assert set(statuses.values()) == {"pass"} and "hopf:antipode" in statuses
+    want = [(kappa, d, degree) for kappa in ("6/35", "35/6", "1/30")
+            for d, degree in ((2, 5), (3, 4))]
+    assert sorted((str(kappa), d, degree) for d, kappa, degree in swept) == sorted(want)

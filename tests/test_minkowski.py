@@ -2,6 +2,7 @@ import random
 import types
 from collections import Counter
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -422,24 +423,14 @@ def test_sweep_slots_match_the_stepwise_star_route(monkeypatch, d, degree, mutat
         assert bool(got_failures) == mutated, kappa
 
 
-def slot_products(d, kappa, max_degree):
-    """Every monomial product a * b the two antipode slots need, once
-    per coproduct term and antipode term, repeats included."""
-    pairs = []
-    for key in monomials_up_to(d, max_degree):
-        for k1, k2 in coproduct(mono(d, kappa, *key)).terms:
-            pairs += [(a, k2) for a in antipode(mono(d, kappa, *k1)).terms]
-            pairs += [(k1, b) for b in antipode(mono(d, kappa, *k2)).terms]
-    return pairs
-
-
-def test_sweep_normal_orders_each_slot_product_once_per_call(monkeypatch):
+def test_sweep_makes_each_crossing_once_per_call(monkeypatch):
     kappas = (Fraction(2, 3), Fraction(5, 2), Fraction(2, 3))
-    needed = {kappa: slot_products(2, kappa, 3) for kappa in kappas}
-    real_star = minkowski._star_monomials
+    real_towers = minkowski._towers
+    real_cross = minkowski._cross
     real_antipode = minkowski.antipode
     inside_antipode = []
-    made = []
+    built = []
+    crossed = []
 
     def antipode_spy(f):
         inside_antipode.append(f)
@@ -448,25 +439,45 @@ def test_sweep_normal_orders_each_slot_product_once_per_call(monkeypatch):
         finally:
             inside_antipode.pop()
 
-    def star_spy(k1, k2, towers):
+    def towers_spy(kappa, keys):
+        towers = real_towers(kappa, keys)
         if not inside_antipode:
-            made.append((k1, k2, towers))
-        return real_star(k1, k2, towers)
+            built.append(towers)
+        return towers
+
+    def cross_spy(acc, towers):
+        out = real_cross(acc, towers)
+        if not inside_antipode:
+            crossed.append((acc, towers, out))
+        return out
 
     monkeypatch.setattr(minkowski, "antipode", antipode_spy)
-    monkeypatch.setattr(minkowski, "_star_monomials", star_spy)
+    monkeypatch.setattr(minkowski, "_towers", towers_spy)
+    monkeypatch.setattr(minkowski, "_cross", cross_spy)
+    # the crossings (n, b) of a degree-3 sweep that take a step
+    want = Counter((n, b) for n in range(4) for b in range(1, 4 - n))
     for kappa in kappas:
-        need = needed[kappa]
-        # the slots repeat products, so computing each once saves work
-        assert len(need) > 2 * len(set(need))
-        mark = len(made)
+        mark = len(built), len(crossed)
         assert hopf_axiom_check(2, kappa, 3) == []
-        # every product is made again in each call, once, from one tower
-        # built in that call at its own i/kappa: none is served from
-        # another call or another kappa
-        assert Counter((a, b) for a, b, _ in made[mark:]) == Counter(set(need))
-        (towers,) = {id(t): t for _, _, t in made[mark:]}.values()
+        # one tower per call, built in that call at its own i/kappa
+        (towers,) = built[mark[0]:]
         assert towers[1] == {1: ONE, 0: Scalar(0, 1 / kappa)}
+        # each crossing is one `_cross` of the entry before it, read
+        # from that tower: the crossing (n, 1) steps from p_0^n itself,
+        # and (n, b + 1) from the output of (n, b)
+        made = Counter()
+        place = {}
+        for acc, used, out in crossed[mark[1]:]:
+            assert used is towers
+            n, b = place.get(id(acc), (max(acc), 0))
+            if b == 0:
+                assert acc == {n: ONE}
+            place[id(out)] = n, b + 1
+            made[n, b + 1] += 1
+        assert made == want, kappa
+    # the third call, at the first call's kappa, built its own tower
+    assert built[2] is not built[0]
+    assert len(crossed) == 3 * sum(want.values())
 
 
 def _nonzero(terms):
@@ -742,6 +753,53 @@ def test_int_sums_give_the_failures_of_the_scalar_sums(monkeypatch, mutant):
             if mutant == "twisted-coproduct":
                 # the twist keeps coassociativity and the counit law
                 assert {name for name, _ in want} <= {"antipode slot 1", "antipode slot 2"}
+
+
+@pytest.mark.parametrize("d, degree", HOPF_SWEEP_SLOTS + ((2, 5), (3, 4)))
+def test_crossing_table_matches_the_stepwise_and_closed_form_products(d, degree):
+    keys = monomials_up_to(d, degree)
+    origin = (0,) * d
+    for kappa in STRESS_KAPPAS:
+        towers = minkowski._towers(kappa, keys)
+        table = minkowski._crossings(towers, degree)
+        # every crossing with n + b <= degree, and no other
+        assert [len(row) for row in table] == [degree + 1 - n for n in range(degree + 1)]
+        for n, row in enumerate(table):
+            for b, entry in enumerate(row):
+                # sum over t of C(n, t) (b i/kappa)^(n - t) p_0^t
+                shift = Scalar(0, b / kappa)
+                closed = {t: Scalar(comb(n, t)) * prod([shift] * (n - t), start=ONE)
+                          for t in range(n + 1)}
+                assert entry == _nonzero(closed), (kappa, n, b)
+                for beta in {beta for beta, _ in keys if sum(beta) == b}:
+                    want = {(beta, t): c for t, c in entry.items()}
+                    # the route the table replaced
+                    assert minkowski._star_monomials((origin, n), (beta, 0), towers) == want
+                    product = integral_star_oracle(mono(d, kappa, origin, n),
+                                                   mono(d, kappa, beta, 0))
+                    assert product.terms == want
+
+
+real_crossings = minkowski._crossings
+
+
+def crossing_without_its_ik_term(towers, max_degree):
+    """The crossing table with p_0 moved past two spatial factors left as
+    p_0: the 2i/kappa term of that one entry dropped."""
+    table = real_crossings(towers, max_degree)
+    table[1][2] = {1: ONE}
+    return table
+
+
+def test_sweep_reads_its_products_from_the_crossing_table(monkeypatch):
+    monkeypatch.setattr(minkowski, "_crossings", crossing_without_its_ik_term)
+    for d in (1, 2, 3):
+        for kappa in (1, Fraction(2, 3), Fraction(35, 6)):
+            failures = hopf_axiom_check(d, kappa, 3)
+            assert failures, (d, kappa)
+            assert {name for name, _ in failures} <= {"antipode slot 1", "antipode slot 2"}
+            # the sweep before its tables makes its products without the table
+            assert parent_sweep(d, kappa, 3) == [], (d, kappa)
 
 
 def test_sweep_bounds_must_be_nonnegative():

@@ -10,6 +10,10 @@ and under `python -O`:
   shipped scenario in `scenarios/` at `--seed` 0-3;
 * `hopf-check --max-degree 5` at `--seed` 0 on every shipped scenario,
   which sweeps above the degrees of the scenarios and the workloads;
+* `hopf-check` at `--seed` 0 on the sweeps of `HOPF_SWEEPS`: kappa =
+  6/35, 35/6 and 1/30 at (d, degree) = (2, 5) and (3, 4).  Their
+  crossing, antipode and coproduct tables are put over lcms of several
+  prime powers, above the kappa classes of the workloads;
 * `all` at `--seed` 0-3 on the scenarios that `perfbench/scenarios.py`
   generates for each workload and each given perfbench seed;
 * `all` at `--seed` 0-3 on the block sum M_2 + M_2 with the canonical
@@ -79,6 +83,16 @@ BLOCK_SUM = {
                             {"type": "blocks", "kill": ["1"]}]},
     "partition": {"type": "blocks"},
     "actions": [{"type": "canonical", "N": 3}] * 2,
+}
+
+# composite kappa: the sweep's common denominators are products of
+# several prime powers
+HOPF_SWEEPS = {
+    "%s-d%d-degree%d" % (kappa.replace("/", "_"), d, degree): {
+        "kappa": kappa, "d": d, "max_degree": degree,
+    }
+    for kappa in ("6/35", "35/6", "1/30")
+    for d, degree in ((2, 5), (3, 4))
 }
 
 # coverings declared by `span` and `generators` ideals with vectors that
@@ -167,6 +181,9 @@ def _cases(commands, cases):
         for seed in SEEDS:
             out.append(("all %s %d" % (name, seed),
                         ["all", "--scenario", path, "--seed", str(seed)]))
+    for name, path in cases.get("sweeps", []):
+        out.append(("hopf-check %s 0" % name,
+                    ["hopf-check", "--scenario", path, "--seed", "0"]))
     return out
 
 
@@ -283,7 +300,8 @@ def main():
         generated += _sum_model(tmp) + _written(tmp, "block-sum", {"m3+m3": BLOCK_SUM})
         generated += _written(tmp, "covering", COVERINGS)
         generated += _written(tmp, "failure", FAILURE_PATHS)
-        cases = {"shipped": shipped, "generated": generated}
+        sweeps = _written(tmp, "hopf", HOPF_SWEEPS)
+        cases = {"shipped": shipped, "generated": generated, "sweeps": sweeps}
         cases_path = Path(tmp) / "cases.json"
         cases_path.write_text(json.dumps(cases))
         runs = {}
