@@ -61,6 +61,10 @@ from nctangent.tangent import (
 
 REPORT_VERSION = "1"
 DEFAULT_MAX_DEGREE = 3
+# the largest spatial dimension a scenario may declare: the Hopf sweep
+# has C(d + max_degree, d) monomials, and the shipped and benchmark
+# scenarios use d <= 3
+MAX_D = 16
 
 
 class ScenarioError(click.UsageError):
@@ -344,6 +348,8 @@ def load_scenario(path):
         raise ScenarioError("d must be an integer")
     if scn.d < 1:
         raise ScenarioError("d must be at least 1")
+    if scn.d > MAX_D:
+        raise ScenarioError("d must be at most %d, got %d" % (MAX_D, scn.d))
     scn.max_degree = DEFAULT_MAX_DEGREE
     if data.get("max_degree") is not None:
         scn.max_degree = _degree_bound(data["max_degree"], "max_degree")

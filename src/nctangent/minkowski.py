@@ -17,9 +17,16 @@ formula.  The two routes share no code and cross-check each other.
 The Hopf structure has primitive coproducts, counit zero on generators,
 and antipode -p on generators extended as an antihomomorphism.  The
 coproduct of a monomial is computed in closed form by the binomial
-formula for primitive elements; the multiplicative route (one generator
-at a time through `TensorElement.multiply`) is kept in the tests as its
-oracle.  `hopf_axiom_check` numbers the swept monomials and works in
+formula for primitive elements, its coefficients built from ints; the
+multiplicative route (one generator at a time through
+`TensorElement.multiply`) is kept in the tests as its oracle.  The
+antipode and the involution `dagger` renormal order reversed words in
+closed form by the shift picture, p_0^n p^beta = p^beta (p_0 +
+|beta| i/kappa)^n, expanded binomially and built from ints, with no
+tower and no rewriting step; the stepwise route through the rewriting
+product is kept in the tests as their oracle.  The sweep's antipode law
+therefore checks the shift picture against the rewriting products.
+`hopf_axiom_check` numbers the swept monomials and works in
 call-local tables keyed by those integers: each coproduct and antipode
 is built once, the tower once, and the crossing table once.  A product
 (gamma, n) * (beta, m) depends only on its crossing, p_0^n moved past
@@ -43,8 +50,7 @@ deformed coproducts.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import comb, lcm, prod
+from math import comb, lcm
 
 from nctangent.scalars import ONE, Immutable, Scalar, ZERO, _make, _reduced
 
@@ -226,8 +232,9 @@ class PBWElement(_Combination):
         """The involution fixing every generator.
 
         Antilinear and product-reversing: a normal-ordered word maps to
-        the reversed word with conjugated coefficient, then renormal
-        orders.
+        the reversed word with conjugated coefficient, renormal ordered
+        in closed form by `_reversed_words`.  The stepwise route, through
+        the rewriting product, is its oracle in tests/test_minkowski.py.
         """
         return _reversed_words(self, lambda c, degree: c.conjugate())
 
@@ -302,15 +309,32 @@ def _crossings(towers, max_degree):
 
 def _reversed_words(f, coefficient):
     """Sum over the terms c p^beta p0^n of f of coefficient(c, degree)
-    times the reversed word p0^n p^beta, renormal-ordered by the rewriting
-    product.  `dagger` and `antipode` differ only in the coefficient."""
-    # a word without spatial factors is already in normal order
-    towers = _towers(f.kappa, [key for key in f.terms if any(key[0])])
-    origin = (0,) * f.d
+    times the reversed word p0^n p^beta, in normal order by its closed
+    form.  Each spatial factor shifts p0 by i/kappa as p0 crosses it, so
+
+        p0^n p^beta = p^beta (p0 + |beta| i/kappa)^n
+                    = sum_t C(n, t) (|beta| i/kappa)^(n-t) p^beta p0^t.
+
+    Each coefficient is built from the ints of coefficient(c, degree) and
+    of i/kappa; terms of f that land on one (beta, t) are added, and
+    cancelled ones dropped.  `dagger` and `antipode` differ only in the
+    coefficient; the stepwise route through the rewriting product is
+    their oracle in tests/test_minkowski.py."""
+    ik = _i_over(f.kappa)
     out = {}
     for (beta, n), c in f.terms.items():
-        word = _star_monomials((origin, n), (beta, 0), towers)
-        _add_into(out, word, coefficient(c, n + sum(beta)))
+        b = sum(beta)
+        c = coefficient(c, n + b)
+        ca, cb, cq = c._a, c._b, c._q
+        # (b i/kappa)^(n - t) as (sa + sb i)/sq, from t = n down
+        sa, sb, sq = 1, 0, 1
+        xa, xb, xq = b * ik._a, b * ik._b, ik._q
+        for t in range(n, -1, -1):
+            m = comb(n, t)
+            term = _reduced(m * (ca * sa - cb * sb), m * (ca * sb + cb * sa), cq * sq)
+            key = (beta, t)
+            out[key] = out[key] + term if key in out else term
+            sa, sb, sq = sa * xa - sb * xb, sa * xb + sb * xa, sq * xq
     return PBWElement._trusted(f.d, f.kappa, out)
 
 
@@ -385,16 +409,32 @@ def coproduct(f):
             prod_j C(beta_j, gamma_j) C(n, k)  p^gamma p0^k (x) p^(beta-gamma) p0^(n-k)
 
     Both tensor factors are already in normal order, and distinct
-    monomials give distinct terms.
+    monomials give distinct terms.  The binomials of each coordinate are
+    made once per term of f, and each coefficient is built from the ints
+    of c times the binomial product, with no Scalar product.  The
+    multiplicative route, one generator at a time through
+    `TensorElement.multiply`, is its oracle in tests/test_minkowski.py.
     """
     out = {}
     for (beta, n), c in f.terms.items():
-        for gamma in product(*(range(b + 1) for b in beta)):
-            rest = tuple(b - g for b, g in zip(beta, gamma))
-            spatial = prod(comb(b, g) for b, g in zip(beta, gamma))
-            for k in range(n + 1):
-                key = ((gamma, k), (rest, n - k))
-                out[key] = c * _make(spatial * comb(n, k), 0, 1)
+        ca, cb, cq = c._a, c._b, c._q
+        # a coefficient c * (int) is reduced already when c is in Z[i]
+        build = _make if cq == 1 else _reduced
+        # the spatial splits (gamma, beta - gamma, binomial product), one
+        # coordinate at a time, in the order of itertools.product
+        splits = [((), (), 1)]
+        for b in beta:
+            row = [(x, b - x, comb(b, x)) for x in range(b + 1)]
+            grown = []
+            for gamma, rest, m in splits:
+                for x, y, e in row:
+                    grown.append((gamma + (x,), rest + (y,), m * e))
+            splits = grown
+        times = [(k, n - k, comb(n, k)) for k in range(n + 1)]
+        for gamma, rest, spatial in splits:
+            for k, l, m in times:
+                m *= spatial
+                out[(gamma, k), (rest, l)] = build(ca * m, cb * m, cq)
     return TensorElement._trusted(f.d, f.kappa, out)
 
 
@@ -406,27 +446,25 @@ def antipode(f):
     """Antihomomorphism with S(p_mu) = -p_mu on generators.
 
     A normal word of total degree g maps to (-1)^g times the reversed
-    word, which the star product renormal orders.
+    word, renormal ordered in closed form by `_reversed_words`: no tower
+    is built and no rewriting step taken.  The stepwise route, through
+    the rewriting product, is its oracle in tests/test_minkowski.py.
     """
     return _reversed_words(f, lambda c, degree: -c if degree % 2 else c)
 
 
 def monomials_up_to(d, max_degree):
-    """All normal-ordered monomial keys of total degree <= max_degree."""
+    """All normal-ordered monomial keys of total degree <= max_degree, in
+    sorted order.  The spatial parts are grown one coordinate at a time,
+    each prefix followed by its extensions in ascending order, so the
+    keys come out sorted with no recursion d deep."""
     if d < 0 or max_degree < 0:
         raise ValueError("d and max_degree must be nonnegative")
-    keys = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            for n in range(remaining + 1):
-                keys.append((tuple(prefix), n))
-            return
-        for b in range(remaining + 1):
-            rec(prefix + [b], remaining - b, slots - 1)
-
-    rec([], max_degree, d)
-    return sorted(keys)
+    # (spatial prefix, degree left) pairs, in sorted order of the prefix
+    prefixes = [((), max_degree)]
+    for _ in range(d):
+        prefixes = [(p + (b,), left - b) for p, left in prefixes for b in range(left + 1)]
+    return [(p, n) for p, left in prefixes for n in range(left + 1)]
 
 
 def _over_lcm(tables):

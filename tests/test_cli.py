@@ -909,11 +909,10 @@ def _limit_child():
     resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
 
 
-def test_a_huge_canonical_N_exits_2_before_allocating(tmp_path):
-    # a chart of dimension 4 with N = 10^6 is refused by comparing N^2
-    # with the chart's dimension before the N^2-long generators are built
-    scenario = block_scenario()
-    scenario["actions"][0]["N"] = 10**6
+def _run_limited(tmp_path, scenario):
+    """`verify all` on `scenario` in a child process under `_limit_child`;
+    returns the child's exit code and its `Error` lines, after checking
+    that it printed no traceback."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
@@ -924,7 +923,32 @@ def test_a_huge_canonical_N_exits_2_before_allocating(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=_limit_child,
     )
-    assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("Error")]
+    return proc.returncode, errors
+
+
+def test_a_huge_canonical_N_exits_2_before_allocating(tmp_path):
+    # a chart of dimension 4 with N = 10^6 is refused by comparing N^2
+    # with the chart's dimension before the N^2-long generators are built
+    scenario = block_scenario()
+    scenario["actions"][0]["N"] = 10**6
+    code, errors = _run_limited(tmp_path, scenario)
+    assert code == 2, errors
     assert errors == ["Error: bad chart 0 action: algebra dimension does not match N"]
+
+
+def test_a_huge_d_exits_2_before_the_sweep(tmp_path):
+    # d = 2000 at degree 4 would sweep C(2004, 4) monomials; it is refused
+    # at load, above `MAX_D`
+    scenario = json.loads((SCENARIOS / "hopf_d3.json").read_text())
+    scenario["d"] = 2000
+    code, errors = _run_limited(tmp_path, scenario)
+    assert code == 2, errors
+    assert errors == ["Error: d must be at most %d, got 2000" % cli.MAX_D]
+    # the bound itself loads; one above it does not
+    scenario["d"] = cli.MAX_D
+    assert cli.load_scenario(write_scenario(tmp_path, scenario)).d == cli.MAX_D
+    scenario["d"] = cli.MAX_D + 1
+    with pytest.raises(cli.ScenarioError, match="d must be at most"):
+        cli.load_scenario(write_scenario(tmp_path, scenario))

@@ -211,7 +211,7 @@ def test_cases_cover_sweeps_at_composite_kappa_above_the_workload_degrees(
     sweeps = tool._written(tmp_path, "hopf", tool.HOPF_SWEEPS)
     cases = {"shipped": [], "generated": [], "sweeps": sweeps}
     got = dict(tool._cases(cli.main.commands, cases))
-    assert len(got) == len(sweeps) == 6
+    assert len(got) == len(sweeps) == 8
     swept = []
     real = cli.hopf_axiom_check
     monkeypatch.setattr(cli, "hopf_axiom_check", lambda *args: swept.append(args) or real(*args))
@@ -223,5 +223,5 @@ def test_cases_cover_sweeps_at_composite_kappa_above_the_workload_degrees(
         statuses = {c["id"]: c["status"] for c in json.loads(result.output)["checks"]}
         assert set(statuses.values()) == {"pass"} and "hopf:antipode" in statuses
     want = [(kappa, d, degree) for kappa in ("6/35", "35/6", "1/30")
-            for d, degree in ((2, 5), (3, 4))]
+            for d, degree in ((2, 5), (3, 4))] + [("6/35", 1, 8), ("35/6", 1, 8)]
     assert sorted((str(kappa), d, degree) for d, kappa, degree in swept) == sorted(want)

@@ -1,4 +1,5 @@
 import random
+import sys
 import types
 from collections import Counter
 from fractions import Fraction
@@ -159,6 +160,33 @@ def test_dagger_properties_seeded():
         assert f.scale(sc(0, 1)).dagger() == f.dagger().scale(sc(0, -1))
 
 
+real_towers = minkowski._towers
+real_star_monomials = minkowski._star_monomials
+
+
+def stepwise_reversed_words(f, coefficient):
+    """The reversed word p0^n p^beta of each term c p^beta p0^n of f, times
+    coefficient(c, degree), renormal ordered by the rewriting product
+    from a fresh tower, one `_cross` per spatial factor: the route the
+    closed form `_reversed_words` replaced, kept as its oracle."""
+    # a word without spatial factors is already in normal order
+    towers = real_towers(f.kappa, [key for key in f.terms if any(key[0])])
+    origin = (0,) * f.d
+    out = {}
+    for (beta, n), c in f.terms.items():
+        word = real_star_monomials((origin, n), (beta, 0), towers)
+        minkowski._add_into(out, word, coefficient(c, n + sum(beta)))
+    return PBWElement._trusted(f.d, f.kappa, out)
+
+
+def stepwise_antipode(f):
+    return stepwise_reversed_words(f, lambda c, degree: -c if degree % 2 else c)
+
+
+def stepwise_dagger(f):
+    return stepwise_reversed_words(f, lambda c, degree: c.conjugate())
+
+
 def test_coproduct_frozen():
     kappa = Fraction(1)
     f = mono(3, kappa, (1, 0, 0), 1)  # p1 p0
@@ -246,6 +274,33 @@ def test_monomials_up_to_count():
     # all (b1, b2, n) with b1 + b2 + n <= 2
     assert len(monomials_up_to(2, 2)) == 10
     assert len(monomials_up_to(3, 4)) == 70
+
+
+def recursive_monomials_up_to(d, max_degree):
+    """`monomials_up_to` as it was, one recursion level per spatial
+    coordinate and then sorted: the oracle of the iterative version."""
+    keys = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            for n in range(remaining + 1):
+                keys.append((tuple(prefix), n))
+            return
+        for b in range(remaining + 1):
+            rec(prefix + [b], remaining - b, slots - 1)
+
+    rec([], max_degree, d)
+    return sorted(keys)
+
+
+def test_monomials_up_to_matches_the_recursive_route():
+    for d in range(6):
+        for degree in range(7):
+            assert monomials_up_to(d, degree) == recursive_monomials_up_to(d, degree)
+    # d deeper than the interpreter's recursion limit
+    d = 3000
+    assert d > sys.getrecursionlimit()
+    assert monomials_up_to(d, 0) == [((0,) * d, 0)]
 
 
 def test_hopf_axioms_sweep():
@@ -350,6 +405,20 @@ def unordered_antipode(f):
     )
 
 
+def shift_sign_antipode(f):
+    """The closed-form antipode with the shift -|beta| i/kappa in place of
+    +|beta| i/kappa: each reversed word p0^n p^beta read as
+    p^beta (p0 - |beta| i/kappa)^n."""
+    out = {}
+    for (beta, n), c in f.terms.items():
+        sign = -1 if (n + sum(beta)) % 2 else 1
+        shift = Scalar(0, -sum(beta) / f.kappa)
+        for t in range(n + 1):
+            power = prod([shift] * (n - t), start=ONE)
+            out[beta, t] = out.get((beta, t), ZERO) + c * Scalar(sign * comb(n, t)) * power
+    return PBWElement(f.d, f.kappa, out)
+
+
 def stepwise_antipode_slots(d, kappa, max_degree):
     """The antipode slots summed with one `PBWElement.star` per coproduct
     term, as the sweep did before it kept its monomial products.
@@ -425,30 +494,28 @@ def test_sweep_slots_match_the_stepwise_star_route(monkeypatch, d, degree, mutat
 
 def test_sweep_makes_each_crossing_once_per_call(monkeypatch):
     kappas = (Fraction(2, 3), Fraction(5, 2), Fraction(2, 3))
-    real_towers = minkowski._towers
     real_cross = minkowski._cross
     real_antipode = minkowski.antipode
-    inside_antipode = []
     built = []
     crossed = []
+    antipodes = []
 
     def antipode_spy(f):
-        inside_antipode.append(f)
-        try:
-            return real_antipode(f)
-        finally:
-            inside_antipode.pop()
+        # the closed-form antipode builds no tower and takes no step
+        mark = len(built), len(crossed)
+        out = real_antipode(f)
+        assert (len(built), len(crossed)) == mark, f
+        antipodes.append(f)
+        return out
 
     def towers_spy(kappa, keys):
         towers = real_towers(kappa, keys)
-        if not inside_antipode:
-            built.append(towers)
+        built.append(towers)
         return towers
 
     def cross_spy(acc, towers):
         out = real_cross(acc, towers)
-        if not inside_antipode:
-            crossed.append((acc, towers, out))
+        crossed.append((acc, towers, out))
         return out
 
     monkeypatch.setattr(minkowski, "antipode", antipode_spy)
@@ -478,6 +545,7 @@ def test_sweep_makes_each_crossing_once_per_call(monkeypatch):
     # the third call, at the first call's kappa, built its own tower
     assert built[2] is not built[0]
     assert len(crossed) == 3 * sum(want.values())
+    assert len(antipodes) == 3 * len(monomials_up_to(2, 3))
 
 
 def _nonzero(terms):
@@ -699,6 +767,7 @@ MUTANTS = {
     "flipped-cross-term": {"coproduct": flipped_cross_term},
     "dropped-counit-term": {"coproduct": dropped_counit_term},
     "tower-without-ik": {"_towers": towers_without_ik_after_the_first_step},
+    "shift-sign-antipode": {"antipode": shift_sign_antipode},
 }
 PARENT_SWEEPS = [(1, n) for n in range(1, 6)] + [(d, n) for d in (2, 3) for n in (1, 2, 3)]
 
@@ -800,6 +869,79 @@ def test_sweep_reads_its_products_from_the_crossing_table(monkeypatch):
             assert {name for name, _ in failures} <= {"antipode slot 1", "antipode slot 2"}
             # the sweep before its tables makes its products without the table
             assert parent_sweep(d, kappa, 3) == [], (d, kappa)
+
+
+def refuse_rewriting(*args):
+    raise AssertionError("the closed form took a rewriting step")
+
+
+def closed_forms(monkeypatch, f):
+    """antipode(f) and f.dagger(), with the tower, the rewriting step and
+    the monomial product refused."""
+    with monkeypatch.context() as patched:
+        for name in ("_towers", "_cross", "_star_monomials"):
+            patched.setattr(minkowski, name, refuse_rewriting)
+        return antipode(f), f.dagger()
+
+
+@pytest.mark.parametrize("d, degree", [(1, 8), (2, 5), (3, 4)])
+def test_closed_form_antipode_and_dagger_match_the_stepwise_route(monkeypatch, d, degree):
+    for kappa in ORACLE_KAPPAS + STRESS_KAPPAS:
+        for beta, n in monomials_up_to(d, degree):
+            for c in (ONE, Scalar(Fraction(2, 3), Fraction(-5, 7))):
+                f = mono(d, kappa, beta, n, c)
+                want = stepwise_antipode(f), stepwise_dagger(f)
+                assert closed_forms(monkeypatch, f) == want, (kappa, beta, n, c)
+
+
+gaussian_rationals = st.builds(
+    Scalar,
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+SHARED_BETAS = ((0, 0), (1, 0), (2, 1))
+
+
+@st.composite
+def words_sharing_spatial_parts(draw):
+    """An element f of d = 2 whose terms share three spatial parts, so
+    several (beta, n) land on one (beta, t), and the normal order w of a
+    reversed word c p0^n p^beta: its antipode and dagger are one
+    monomial each, so every other term of the closed forms cancels."""
+    kappa = draw(st.sampled_from(ORACLE_KAPPAS + STRESS_KAPPAS))
+    keys = st.tuples(st.sampled_from(SHARED_BETAS), st.integers(0, 4))
+    f = PBWElement(2, kappa, draw(st.dictionaries(keys, gaussian_rationals, max_size=6)))
+    beta, n = draw(keys)
+    c = draw(gaussian_rationals.filter(bool))
+    w = mono(2, kappa, (0, 0), n, c).star(mono(2, kappa, beta, 0))
+    return f, w, (beta, n, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(words_sharing_spatial_parts())
+def test_closed_forms_sum_and_cancel_as_the_stepwise_route(drawn):
+    f, w, (beta, n, c) = drawn
+    for g in (f, w, f + w, f - w):
+        assert antipode(g) == stepwise_antipode(g)
+        assert g.dagger() == stepwise_dagger(g)
+    # S(c p0^n p^beta) = c S(p^beta) S(p0)^n and (c p0^n p^beta)^dagger =
+    # conj(c) p^beta p0^n: the n + 1 terms of w collapse onto one key
+    sign = -1 if (n + sum(beta)) % 2 else 1
+    assert antipode(w) == mono(2, f.kappa, beta, n, c * Scalar(sign))
+    assert w.dagger() == mono(2, f.kappa, beta, n, c.conjugate())
+
+
+def test_sweeps_catch_the_antipode_shifted_the_wrong_way(monkeypatch):
+    monkeypatch.setattr(minkowski, "antipode", shift_sign_antipode)
+    for d, degree in PARENT_SWEEPS + list(HOPF_SWEEP_SLOTS):
+        for kappa in (1,) + STRESS_KAPPAS:
+            want = hopf_axiom_check(d, kappa, degree)
+            assert parent_sweep(d, kappa, degree) == want, (d, degree, kappa)
+            assert scalar_sum_sweep(d, kappa, degree) == want, (d, degree, kappa)
+            assert {name for name, _ in want} <= {"antipode slot 1", "antipode slot 2"}
+            # p_1 p_0, of degree 2, is the first swept key whose reversed
+            # word reorders
+            assert bool(want) == (degree >= 2), (d, degree, kappa)
 
 
 def test_sweep_bounds_must_be_nonnegative():

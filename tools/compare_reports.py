@@ -11,9 +11,11 @@ and under `python -O`:
 * `hopf-check --max-degree 5` at `--seed` 0 on every shipped scenario,
   which sweeps above the degrees of the scenarios and the workloads;
 * `hopf-check` at `--seed` 0 on the sweeps of `HOPF_SWEEPS`: kappa =
-  6/35, 35/6 and 1/30 at (d, degree) = (2, 5) and (3, 4).  Their
-  crossing, antipode and coproduct tables are put over lcms of several
-  prime powers, above the kappa classes of the workloads;
+  6/35, 35/6 and 1/30 at (d, degree) = (2, 5) and (3, 4), and kappa =
+  6/35 and 35/6 at (d, degree) = (1, 8).  Their crossing, antipode and
+  coproduct tables are put over lcms of several prime powers, above the
+  kappa classes of the workloads; at degree 8 the antipode of p1 p0^7
+  has coefficients over 6^7 and 35^7;
 * `all` at `--seed` 0-3 on the scenarios that `perfbench/scenarios.py`
   generates for each workload and each given perfbench seed;
 * `all` at `--seed` 0-3 on the block sum M_2 + M_2 with the canonical
@@ -86,13 +88,16 @@ BLOCK_SUM = {
 }
 
 # composite kappa: the sweep's common denominators are products of
-# several prime powers
+# several prime powers; at d = 1 and degree 8 the antipode of p1 p0^7
+# has coefficients over 6^7 and 35^7
 HOPF_SWEEPS = {
     "%s-d%d-degree%d" % (kappa.replace("/", "_"), d, degree): {
         "kappa": kappa, "d": d, "max_degree": degree,
     }
-    for kappa in ("6/35", "35/6", "1/30")
-    for d, degree in ((2, 5), (3, 4))
+    for kappa, d, degree in [
+        (kappa, d, degree) for kappa in ("6/35", "35/6", "1/30")
+        for d, degree in ((2, 5), (3, 4))
+    ] + [("6/35", 1, 8), ("35/6", 1, 8)]
 }
 
 # coverings declared by `span` and `generators` ideals with vectors that
