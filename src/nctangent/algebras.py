@@ -161,12 +161,6 @@ class StarAlgebra(Immutable):
                 _axpy(sums, x._a, -x._b, x._q, column)
         return _scalars(sums, self.dim)
 
-    def commutator(self, u, v):
-        return tuple(
-            a - b
-            for a, b in zip(self.multiply(u, v), self.multiply(v, u))
-        )
-
     def left_mult_matrix(self, a):
         """The matrix of b -> a b: column j sums x times basis_k . basis_j
         over the nonzero coordinates x = a_k, from row k of `terms`."""

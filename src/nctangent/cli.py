@@ -577,8 +577,8 @@ def _check_glue(scn, rec, seed):
     rec.run("glue:roundtrip", roundtrip)
 
 
-def _random_element(rng, dim, span=2):
-    draws = range(-span, span + 1)
+def _random_element(rng, dim):
+    draws = range(-2, 3)
     return tuple(Scalar(rng.choice(draws), rng.choice(draws)) for _ in range(dim))
 
 

@@ -276,14 +276,6 @@ class CurvatureTensor(Immutable):
     def entry(self, mu, nu, lam, tau):
         return self.grid[mu][nu][lam][tau]
 
-    def is_zero(self):
-        return all(
-            vec_is_zero(e)
-            for cube in self.grid
-            for plane in cube
-            for row in plane
-            for e in row
-        )
 
 
 def curvature_components(gamma):

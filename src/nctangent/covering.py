@@ -2,9 +2,8 @@
 
 A covering is a finite family of *-ideals whose intersection is zero.
 Each ideal yields a local quotient algebra with a canonical projection
-and a fixed linear section; each pair yields an overlap quotient by the
-sum ideal, whose projection is kept and whose algebra is built on
-demand.  Every projection comes from one elimination of the ideals'
+and a fixed linear section; each pair yields the projection onto its
+overlap, the quotient by the sum ideal.  Every projection comes from one elimination of the ideals'
 sparse rows, a pair's from both ideals' rows at once.  The
 chart-to-overlap maps are built as projection-after-section.  The
 covering laws, the commuting overlap diagram among them, are checked by
@@ -160,8 +159,8 @@ def _coordinate_subspace(n, indices):
 
 class Covering(Immutable):
     """Verified *-ideals meeting in zero, their chart quotients and the
-    projection onto each overlap.  Overlap algebras are built on demand;
-    the covering laws are checked by `verify_covering`."""
+    projection onto each overlap; the covering laws are checked by
+    `verify_covering`."""
 
     __slots__ = ("algebra", "ideals", "_charts", "_overlaps")
 
@@ -220,19 +219,10 @@ class Covering(Immutable):
     def project(self, alpha, vector):
         return self.projection(alpha).apply(vector)
 
-    def lift(self, alpha, local_vector):
-        return self.section(alpha).apply(local_vector)
-
     def _overlap_key(self, alpha, beta):
         self._check_index(alpha)
         self._check_index(beta)
         return (min(alpha, beta), max(alpha, beta))
-
-    def overlap_algebra(self, alpha, beta):
-        """The quotient by the sum of the two ideals, built on each call."""
-        a, b = self._overlap_key(alpha, beta)
-        joint = self.ideals[a].sum(self.ideals[b])
-        return quotient_algebra(self.algebra, joint, labels_prefix="a%d%d_" % (a, b))[0]
 
     def overlap_projection(self, alpha, beta):
         return self._overlaps[self._overlap_key(alpha, beta)]

@@ -6,7 +6,7 @@ than an abstract multilinear map) keeps evaluation and equality exact:
 the basis has finite rank, so a form is determined by its values on
 strictly increasing index tuples.  Degrees above the rank carry no such
 tuples and are identically zero.  A one-form is a degree-1 `FormN`;
-chart forms glue into a global one through `form_loc2glob`.
+`form_glob2loc` localizes a global form to a chart.
 
 The differential follows the Koszul pattern: an alternating sum of
 derivation actions plus an alternating sum over bracket insertions.  It
@@ -22,7 +22,7 @@ tests/test_calculus_routes.py.
 from itertools import combinations
 
 from nctangent.algebras import AlgebraError, center
-from nctangent.partition import functional, verify_functional_defined
+from nctangent.partition import verify_functional_defined
 from nctangent.scalars import (
     Immutable,
     MINUS_ONE,
@@ -136,24 +136,13 @@ def glued_basis(cov, P, assignments):
 
 
 def _sort_key(key):
-    """Sorted tuple and permutation sign; None for a repeated index."""
+    """Sorted tuple and permutation sign, the parity of the number of
+    out-of-order pairs; None for a repeated index.  The cycle walk is
+    the oracle in tests/test_forms.py."""
     if len(set(key)) != len(key):
         return None, 0
-    order = sorted(range(len(key)), key=lambda i: key[i])
-    sign = 1
-    seen = [False] * len(key)
-    for start in range(len(key)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = order[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return tuple(key[i] for i in order), sign
+    inversions = sum(a > b for i, a in enumerate(key) for b in key[i + 1:])
+    return tuple(sorted(key)), -1 if inversions % 2 else 1
 
 
 def _increasing_tuples(rank, length):
@@ -338,14 +327,6 @@ def form_glob2loc(rho, cov, P, alpha, local_basis):
     is multilinear."""
     verify_functional_defined(P, cov, alpha)
     return restrict_form(rho, cov, alpha, local_basis)
-
-
-def form_loc2glob(rho_alpha, cov, P, alpha, global_basis):
-    """Global form induced by a chart form: the partition functional of
-    the chart applied to every coefficient."""
-    F = functional(P, cov, alpha)
-    entries = {key: F.apply(v) for key, v in rho_alpha.entries.items()}
-    return FormN(global_basis, rho_alpha.degree, entries)
 
 
 def restrict_form(rho, cov, alpha, local_basis):

@@ -93,12 +93,22 @@ class _Combination(Immutable):
     """Immutable finite map from keys to nonzero Scalars over one (d,
     kappa): the linear structure shared by PBWElement and TensorElement.
 
-    Public constructors validate kappa and the keys.  Internal results
-    already have normal keys and Scalar coefficients and are built by
-    `_trusted`, which only drops zero coefficients.
+    The public constructor validates kappa and each key through the
+    subclass's `_key`, and adds the promoted coefficients of keys that
+    normalize alike.  Internal results already have normal keys and
+    Scalar coefficients and are built by `_trusted`, which only drops
+    zero coefficients.
     """
 
     __slots__ = ("d", "kappa", "terms")
+
+    def __init__(self, d, kappa, terms):
+        kappa = _kappa_of(kappa)
+        clean = {}
+        for key, coeff in terms.items():
+            k = self._key(d, key)
+            clean[k] = clean.get(k, ZERO) + Scalar.promote(coeff)
+        self._fill(d, kappa, clean)
 
     @classmethod
     def _trusted(cls, d, kappa, terms):
@@ -144,13 +154,7 @@ class PBWElement(_Combination):
 
     __slots__ = ()
 
-    def __init__(self, d, kappa, terms):
-        kappa = _kappa_of(kappa)
-        clean = {}
-        for key, coeff in terms.items():
-            k = _monomial_key(d, key)
-            clean[k] = clean.get(k, ZERO) + Scalar.promote(coeff)
-        self._fill(d, kappa, clean)
+    _key = staticmethod(_monomial_key)
 
     # -- constructors -----------------------------------------------------
 
@@ -182,14 +186,6 @@ class PBWElement(_Combination):
 
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(n + sum(beta) for beta, n in self.terms)
-
-    def coefficient(self, beta, n):
-        return self.terms.get((tuple(beta), n), ZERO)
 
     def constant_term(self):
         return self.terms.get(((0,) * self.d, 0), ZERO)
@@ -374,13 +370,10 @@ class TensorElement(_Combination):
 
     __slots__ = ()
 
-    def __init__(self, d, kappa, terms):
-        kappa = _kappa_of(kappa)
-        clean = {}
-        for (k1, k2), coeff in terms.items():
-            kk = (_monomial_key(d, k1), _monomial_key(d, k2))
-            clean[kk] = clean.get(kk, ZERO) + Scalar.promote(coeff)
-        self._fill(d, kappa, clean)
+    @staticmethod
+    def _key(d, key):
+        k1, k2 = key
+        return (_monomial_key(d, k1), _monomial_key(d, k2))
 
     def multiply(self, other):
         """Componentwise star product of the two tensor factors."""

@@ -2,9 +2,9 @@
 
 A partition element carries a positivity witness: chi = zeta zeta*
 exactly.  A partition is a finite family whose chi's sum to a left
-(optionally right) multiplicative identity on every basis element.
-The bullet action chi . a = zeta a zeta* conjugates by the witness;
-products of partitions bullet one family through the other.
+multiplicative identity on every basis element.
+A product of partitions bullets each chi of one family through each
+element of the other, a -> zeta a zeta*, with the witness zeta_P zeta_Q.
 
 Subordination to a covering is checked in two inequivalent readings.
 The literal one asks every other chart's characters to kill the
@@ -65,11 +65,6 @@ class PartitionElement(Immutable):
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "zeta", zeta)
 
-    def bullet(self, a):
-        """zeta a zeta*; linear in a, sends the unit to chi."""
-        A = self.algebra
-        return A.multiply(A.multiply(self.zeta, a), A.involute(self.zeta))
-
 
 class Partition(Immutable):
     """Finite family of partition elements over one algebra.
@@ -102,14 +97,12 @@ class Partition(Immutable):
         return total
 
 
-def verify_partition(algebra, partition, side="left"):
+def verify_partition(algebra, partition):
     """Report (condition, ok, witness) for the four defining conditions.
 
-    The sum condition multiplies on the chosen side against every basis
+    The sum condition multiplies on the left against every basis
     element, which suffices by linearity.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     report = []
     ok = all(len(el.chi) == algebra.dim for el in partition.elements)
     report.append(("membership", ok, None))
@@ -126,10 +119,7 @@ def verify_partition(algebra, partition, side="left"):
     wit = None
     for i in range(algebra.dim):
         e = algebra.basis_vector(i)
-        if side == "left":
-            got = algebra.multiply(total, e)
-        else:
-            got = algebra.multiply(e, total)
+        got = algebra.multiply(total, e)
         if got != e:
             wit = (algebra.labels[i], algebra.element_str(vec_sub(got, e)))
             break

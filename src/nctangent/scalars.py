@@ -178,9 +178,6 @@ class Scalar:
     def __bool__(self):
         return self._a != 0 or self._b != 0
 
-    def is_zero(self):
-        return not self
-
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return (
@@ -339,17 +336,8 @@ MINUS_ONE = Scalar(-1)
 I = Scalar(0, 1)
 
 
-def sc(re=0, im=0):
-    """Shorthand constructor used pervasively in tests and fixtures."""
-    return Scalar(re, im)
-
-
 # ---------------------------------------------------------------------------
 # vectors are plain tuples of Scalar
-
-
-def vec(*entries):
-    return tuple(Scalar.promote(e) for e in entries)
 
 
 def zero_vec(n):

@@ -48,9 +48,9 @@ class ActionAssignment(Immutable):
     """Operators D_0..D_d on one algebra, expected to be derivations
     with the deformed translation bracket."""
 
-    __slots__ = ("algebra", "d", "kappa", "operators", "inner_generators")
+    __slots__ = ("algebra", "d", "kappa", "operators")
 
-    def __init__(self, algebra, d, kappa, operators, inner_generators=None):
+    def __init__(self, algebra, d, kappa, operators):
         kappa = Fraction(kappa)
         if kappa <= 0:
             raise ValueError("the deformation parameter must be positive")
@@ -64,11 +64,6 @@ class ActionAssignment(Immutable):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "operators", operators)
-        object.__setattr__(
-            self,
-            "inner_generators",
-            None if inner_generators is None else tuple(inner_generators),
-        )
 
     @classmethod
     def from_inner(cls, algebra, d, kappa, generators):
@@ -83,7 +78,7 @@ class ActionAssignment(Immutable):
                 [tuple(sorted(comms.get(j, {}).items())) for j in range(algebra.dim)],
                 algebra.dim,
             ))
-        return cls(algebra, d, kappa, ops, inner_generators=generators)
+        return cls(algebra, d, kappa, ops)
 
 
 def canonical_generator_vectors(N, d, kappa):
@@ -276,9 +271,6 @@ class GlobalDerivation(Immutable):
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "locals", local_list)
         object.__setattr__(self, "matrix", total)
-
-    def apply(self, a):
-        return self.matrix.apply(a)
 
 
 def glue(covering, partition, local_list):

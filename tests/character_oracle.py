@@ -32,6 +32,7 @@ from nctangent.scalars import (
     vec_add,
     vec_is_zero,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
 
@@ -86,7 +87,8 @@ def generic_characters(A):
     comms = []
     for i in range(A.dim):
         for j in range(i + 1, A.dim):
-            c = A.commutator(unit_vec(A.dim, i), unit_vec(A.dim, j))
+            ei, ej = unit_vec(A.dim, i), unit_vec(A.dim, j)
+            c = vec_sub(A.multiply(ei, ej), A.multiply(ej, ei))
             if not vec_is_zero(c):
                 comms.append(c)
     C = two_sided_ideal_closure(A, comms)

@@ -51,7 +51,7 @@ from nctangent.partition import (
     verify_adapted,
     verify_partition,
 )
-from nctangent.scalars import Scalar, sc, vec, vec_add, vec_is_zero, vec_scale, zero_vec
+from nctangent.scalars import Scalar, Scalar as sc, vec_add, vec_is_zero, vec_scale, zero_vec
 from nctangent.tangent import (
     LocalDerivation,
     bracket,
@@ -88,7 +88,7 @@ def block_model():
 def four_point_model():
     A = make_function_algebra(4)
     P = Partition.from_zetas(
-        A, [vec(1, 1, Fraction(3, 5), 0), vec(0, 0, Fraction(4, 5), 1)]
+        A, [(sc(1), sc(1), sc(Fraction(3, 5)), sc(0)), (sc(0), sc(0), sc(Fraction(4, 5)), sc(1))]
     )
     i1 = ideal_from_declaration(A, {"type": "vanishing_on", "points": [1, 2, 3]})
     i2 = ideal_from_declaration(A, {"type": "vanishing_on", "points": [3, 4]})

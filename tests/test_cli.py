@@ -679,9 +679,10 @@ def test_seeded_draws_match_the_randint_route():
             direct_sum(M2, M2), 1, 1, [g + g for g in canonical_generator_vectors(2, 1, 1)]
         ),
     ]
-    # (draw, spans); `_chart_samples` always draws from -3..3
+    # (draw, spans); `_random_element` always draws from -2..2 and
+    # `_chart_samples` from -3..3
     draws = [
-        (lambda rng, span: cli._random_element(rng, 9, span), (2, 3)),
+        (lambda rng, span: cli._random_element(rng, 9), (2,)),
         (lambda rng, span: [s.coefficients for s in cli._chart_samples(assigns[1], rng, 3)], (3,)),
     ]
     draws += [

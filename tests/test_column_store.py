@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nctangent.algebras import direct_sum, make_matrix_algebra
-from nctangent.scalars import ZERO, Matrix, Scalar, sc
+from nctangent.scalars import ZERO, Matrix, Scalar, Scalar as sc
 
 from dense_matrix import DenseMatrix
 from test_scalars import SPARSE, scalars

@@ -69,14 +69,16 @@ def test_src_lines_counts_the_python_lines_under_src(tmp_path):
     (tmp_path / "src" / "b.py").write_text("z = 3\n")
     (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncounted\n")
     (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "c.py").write_text("not = 'counted'\n")
-    assert compare_reports()._src_lines(tmp_path) == 4
+    (tmp_path / "tests" / "c.py").write_text("counted = 'apart'\n")
+    assert compare_reports()._py_lines(tmp_path, "src") == 4
+    assert compare_reports()._py_lines(tmp_path, "tests") == 1
 
 
-def fake_tree(root, name, lines):
+def fake_tree(root, name, lines, test_lines):
     tree = root / name
-    (tree / "src").mkdir(parents=True)
-    (tree / "src" / "m.py").write_text("pass\n" * lines)
+    for folder, count in (("src", lines), ("tests", test_lines)):
+        (tree / folder).mkdir(parents=True)
+        (tree / folder / "m.py").write_text("pass\n" * count)
     return tree
 
 
@@ -84,7 +86,7 @@ def test_report_prints_src_lines_beside_the_cases_and_keeps_the_exit_status(
     tmp_path, capsys
 ):
     tool = compare_reports()
-    trees = {"parent": fake_tree(tmp_path, "p", 7), "change": fake_tree(tmp_path, "c", 5)}
+    trees = {"parent": fake_tree(tmp_path, "p", 7, 3), "change": fake_tree(tmp_path, "c", 5, 6)}
     case = {"report": "{}", "exit": 0, "stderr": ""}
     same = {(label, mode): {"all x 0": case} for label in trees for mode in ("plain", "-O")}
     assert tool._report(same, trees) == 0
@@ -92,6 +94,7 @@ def test_report_prints_src_lines_beside_the_cases_and_keeps_the_exit_status(
         "plain: 1 cases, 0 differ",
         "-O: 1 cases, 0 differ",
         "src/ lines: parent 7, change 5 (-2)",
+        "tests/ lines: parent 3, change 6 (+3)",
     ]
     differ = dict(same)
     differ[("change", "-O")] = {"all x 0": dict(case, exit=1)}
@@ -99,7 +102,11 @@ def test_report_prints_src_lines_beside_the_cases_and_keeps_the_exit_status(
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "plain: 1 cases, 0 differ"
     assert out[1] == "DIFF [-O] all x 0"
-    assert out[-2:] == ["-O: 1 cases, 1 differ", "src/ lines: parent 7, change 5 (-2)"]
+    assert out[-3:] == [
+        "-O: 1 cases, 1 differ",
+        "src/ lines: parent 7, change 5 (-2)",
+        "tests/ lines: parent 3, change 6 (+3)",
+    ]
 
 
 def test_cases_cover_every_command_and_the_sweep_above_the_workload_degrees(

@@ -38,7 +38,7 @@ from nctangent.partition import IllDefined, Partition, functional
 from nctangent.scalars import (
     Matrix,
     Subspace,
-    sc,
+    Scalar as sc,
     unit_vec,
     vec_is_zero,
 )
@@ -433,7 +433,7 @@ def seeded_partitions(cov, rng):
     seeded partition of unity when the algebra is built from blocks."""
     A = cov.algebra
     lifts = [
-        cov.lift(alpha, cov.chart(alpha).unit) for alpha in range(cov.size)
+        cov.section(alpha).apply(cov.chart(alpha).unit) for alpha in range(cov.size)
     ]
     out = [Partition.from_zetas(A, lifts)]
     if A.model is not None and A.model[0] in ("function", "sum"):
@@ -552,7 +552,7 @@ def spy_functional_builds(monkeypatch):
 def test_functional_is_built_once_per_partition_covering_and_chart(monkeypatch):
     builds = spy_functional_builds(monkeypatch)
     cov = block_covering(direct_sum(make_matrix_algebra(2), make_matrix_algebra(2)))
-    zetas = [cov.lift(a, cov.chart(a).unit) for a in range(cov.size)]
+    zetas = [cov.section(a).apply(cov.chart(a).unit) for a in range(cov.size)]
     P = Partition.from_zetas(cov.algebra, zetas)
     first = [functional(P, cov, a) for a in range(cov.size)]
     assert [functional(P, cov, a) for a in range(cov.size)] == first

@@ -464,7 +464,7 @@ def unbalanced_partitions(cov):
     lifted chart units are, and whose composites then do not sum to the
     identity: the lifted chart units scaled by 1/2 and by 1 + i."""
     A = cov.algebra
-    lifts = [cov.lift(alpha, cov.chart(alpha).unit) for alpha in range(cov.size)]
+    lifts = [cov.section(alpha).apply(cov.chart(alpha).unit) for alpha in range(cov.size)]
     return [
         Partition.from_zetas(A, [vec_scale(c, z) for z in lifts])
         for c in (Scalar(Fraction(1, 2)), Scalar(1, 1))
@@ -523,7 +523,7 @@ def every_algebra():
             continue
         out.append(cov.algebra)
         out += [cov.chart(a) for a in range(cov.size)]
-        out += [cov.overlap_algebra(a, b)
+        out += [quotient_algebra(cov.algebra, cov.ideals[a].sum(cov.ideals[b]))[0]
                 for a in range(cov.size) for b in range(a + 1, cov.size)]
     return out
 
@@ -546,7 +546,7 @@ def test_adaptedness_enumerates_each_algebra_once(monkeypatch):
     # a fresh covering, so no algebra has kept its characters yet
     cov = function_covering(random.Random(2404), 10, 3)
     P = Partition.from_zetas(
-        cov.algebra, [cov.lift(a, cov.chart(a).unit) for a in range(cov.size)]
+        cov.algebra, [cov.section(a).apply(cov.chart(a).unit) for a in range(cov.size)]
     )
     enumerated = []
     real = algebras._enumerate_characters

@@ -19,7 +19,7 @@ from nctangent.scalars import (
     Matrix,
     Scalar,
     Subspace,
-    sc,
+    Scalar as sc,
     unit_vec,
     vec_add,
     vec_scale,

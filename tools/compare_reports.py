@@ -43,7 +43,9 @@ A case is its stdout with the `millis` values blanked, its exit code
 and its stderr.  Every case that differs between the trees is printed,
 and the tool exits 1 if there is one, else 0.  Beside the case counts
 it prints the line count of each tree's `src/`, the other half of the
-simplicity gate; the count does not change the exit status.  Each tree and mode runs
+simplicity gate, and of its `tests/`, so that code moved from `src/` to
+`tests/` reads apart from code deleted; the counts do not change the
+exit status.  Each tree and mode runs
 its cases in one interpreter, through the click entry point in
 standalone mode, as `verify` runs from the shell.  Nothing under
 `perfbench/` is changed: the generated scenarios go to a temporary
@@ -220,15 +222,16 @@ def _strip_timing(text):
     return re.sub(r'"millis": \d+', '"millis": _', text)
 
 
-def _src_lines(tree):
-    """Lines in the Python files under the tree's `src/`, as `wc -l`
+def _py_lines(tree, folder):
+    """Lines in the Python files under the tree's `folder`, as `wc -l`
     counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+    return sum(path.read_bytes().count(b"\n") for path in (tree / folder).rglob("*.py"))
 
 
 def _report(runs, trees):
-    """Print each differing case, the case counts and the `src/` line
-    counts; return the exit status, 1 when some case differs."""
+    """Print each differing case, the case counts and the `src/` and
+    `tests/` line counts; return the exit status, 1 when some case
+    differs."""
     differences = 0
     for mode in ("plain", "-O"):
         parent, change = runs[("parent", mode)], runs[("change", mode)]
@@ -244,9 +247,10 @@ def _report(runs, trees):
                     print("  %s: parent %r" % (part, old))
                     print("  %s: change %r" % (part, new))
         print("%s: %d cases, %d differ" % (mode, len(keys), len(differ)))
-    lines = {label: _src_lines(tree) for label, tree in trees.items()}
-    print("src/ lines: parent %d, change %d (%+d)"
-          % (lines["parent"], lines["change"], lines["change"] - lines["parent"]))
+    for folder in ("src", "tests"):
+        lines = {label: _py_lines(tree, folder) for label, tree in trees.items()}
+        print("%s/ lines: parent %d, change %d (%+d)"
+              % (folder, lines["parent"], lines["change"], lines["change"] - lines["parent"]))
     return 1 if differences else 0
 
 
