@@ -245,7 +245,7 @@ def test_criterion_10_curvature_cross_check():
     for d in (1, 2):
         assign = canonical_inner_model(d + 1, d, Fraction(1))
         for _ in range(5):
-            gamma = random_connection(assign, rng, span=2)
+            gamma = random_connection(assign, rng)
             assert curvature_cross_check(gamma) == []
     assign = canonical_inner_model(2, 1, Fraction(1))
     A = assign.algebra

@@ -451,6 +451,32 @@ def test_connection_axioms_match_their_operator_route():
     assert {"leibniz-left", "leibniz-right", True} <= kinds
 
 
+def test_connection_axioms_call_nabla_once_per_distinct_argument(monkeypatch):
+    # z Y = Y z and z X = X z for central z: four covariant derivatives;
+    # each pair that differs adds one, up to six
+    calls = []
+    real = connection.nabla
+    monkeypatch.setattr(
+        connection, "nabla", lambda gamma, X, Y: calls.append(1) or real(gamma, X, Y)
+    )
+    seen = set()
+    for assign, gamma, ders, rng in cases(2307):
+        A = assign.algebra
+        for X, Y in zip(ders, ders[1:] + ders[:1]):
+            for z, is_central in ((central(assign, rng), True), (element(rng, A.dim), False)):
+                distinct = sum(
+                    operator_scaled(W, z, "left").coefficients
+                    != operator_scaled(W, z, "right").coefficients
+                    for W in (Y, X)
+                )
+                del calls[:]
+                verify_connection_axioms(gamma, [(X, Y, z)])
+                assert len(calls) == 4 + distinct
+                seen.add((is_central, len(calls)))
+    assert {count for is_central, count in seen if is_central} == {4}
+    assert {(False, 5), (False, 6)} <= seen
+
+
 def test_curvature_components_match_their_operator_route():
     nonzero = 0
     for assign, gamma, ders, rng in cases(2306):

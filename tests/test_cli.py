@@ -16,16 +16,22 @@ from hypothesis import strategies as st
 
 from nctangent import cli, connection, minkowski
 from nctangent.algebras import (
+    center,
     direct_sum,
     make_function_algebra,
     make_matrix_algebra,
     quotient_algebra,
 )
 from nctangent.cli import main
-from nctangent.connection import random_connection
+from nctangent.connection import SPAN, ConnectionCoefficients, draw_ints, random_connection
 from nctangent.covering import ideal_from_declaration
-from nctangent.scalars import ZERO
-from nctangent.tangent import ActionAssignment, canonical_generator_vectors, canonical_inner_model
+from nctangent.scalars import ZERO, Scalar, vec_add, vec_is_zero, vec_scale, zero_vec
+from nctangent.tangent import (
+    ActionAssignment,
+    LocalDerivation,
+    canonical_generator_vectors,
+    canonical_inner_model,
+)
 
 from test_minkowski import unordered_antipode
 
@@ -657,21 +663,62 @@ def test_a_constant_connection_reads_an_exponent_literal(tmp_path):
     assert reports[0] == reports[1]
 
 
-class RandintRoute(random.Random):
-    """Every draw as `randint(-span, span)`, the route that
-    `choice(range(-span, span + 1))` replaced: both are
-    -span + _randbelow(2 * span + 1)."""
-
-    def __init__(self, seed, span):
-        super().__init__(seed)
-        self.span = span
-
-    def choice(self, seq):
-        assert seq == range(-self.span, self.span + 1)
-        return self.randint(-self.span, self.span)
+# The seeded draws as they read before `draw_ints`, one
+# `rng.choice(range(-span, span + 1))` call per int: the oracle of the
+# draw kernel, which never calls `choice`.
 
 
-def test_seeded_draws_match_the_randint_route():
+def choice_random_element(rng, dim):
+    draws = range(-2, 3)
+    return tuple(Scalar(rng.choice(draws), rng.choice(draws)) for _ in range(dim))
+
+
+def choice_chart_samples(assign, rng, count):
+    A = assign.algebra
+    draws = range(-3, 4)
+    out = []
+    for _ in range(count):
+        coeffs = [
+            vec_scale(Scalar(rng.choice(draws), rng.choice(draws)), A.unit)
+            for _ in range(assign.d + 1)
+        ]
+        out.append(LocalDerivation(assign, coeffs))
+    return out
+
+
+def choice_random_connection(assign, rng):
+    A = assign.algebra
+    n = assign.d + 1
+    hermitian = []
+    for c in center(A).basis:
+        h = vec_add(c, A.involute(c))
+        if vec_is_zero(h):
+            h = vec_scale(Scalar(0, 1), c)
+        hermitian.append(h)
+    draws = range(-SPAN, SPAN + 1)
+
+    def draw():
+        out = zero_vec(A.dim)
+        for h in hermitian:
+            out = vec_add(out, vec_scale(Scalar(0, rng.choice(draws)), h))
+        return out
+
+    return ConnectionCoefficients(
+        assign, [[[draw() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    )
+
+
+class CountingRandom(random.Random):
+    """A `random.Random` that counts its `getrandbits` calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_seeded_draws_match_the_choice_route():
     M2 = make_matrix_algebra(2)
     assigns = [
         canonical_inner_model(2, 1, 1),
@@ -679,21 +726,43 @@ def test_seeded_draws_match_the_randint_route():
             direct_sum(M2, M2), 1, 1, [g + g for g in canonical_generator_vectors(2, 1, 1)]
         ),
     ]
-    # (draw, spans); `_random_element` always draws from -2..2 and
-    # `_chart_samples` from -3..3
+    # (kernel route, choice route, the number of ints it draws)
     draws = [
-        (lambda rng, span: cli._random_element(rng, 9), (2,)),
-        (lambda rng, span: [s.coefficients for s in cli._chart_samples(assigns[1], rng, 3)], (3,)),
+        (
+            lambda rng, span=span: draw_ints(rng, span, 12),
+            lambda rng, span=span: [rng.choice(range(-span, span + 1)) for _ in range(12)],
+            12,
+        )
+        for span in (2, 3)
+    ]
+    draws.append(
+        (lambda rng: cli._random_element(rng, 9), lambda rng: choice_random_element(rng, 9), 18)
+    )
+    draws += [
+        (
+            lambda rng, a=a: [s.coefficients for s in cli._chart_samples(a, rng, 3)],
+            lambda rng, a=a: [s.coefficients for s in choice_chart_samples(a, rng, 3)],
+            6 * (a.d + 1),
+        )
+        for a in assigns
     ]
     draws += [
-        (lambda rng, span, a=a: random_connection(a, rng, span).grid, (2, 3)) for a in assigns
+        (
+            lambda rng, a=a: random_connection(a, rng).grid,
+            lambda rng, a=a: choice_random_connection(a, rng).grid,
+            (a.d + 1) ** 3 * len(center(a.algebra).basis),
+        )
+        for a in assigns
     ]
-    for seed in range(50):
-        for draw, spans in draws:
-            for span in spans:
-                rng, oracle = random.Random(seed), RandintRoute(seed, span)
-                assert draw(rng, span) == draw(oracle, span)
-                assert [rng.random() for _ in range(3)] == [oracle.random() for _ in range(3)]
+    for kernel, oracle, count in draws:
+        rejected = 0
+        for seed in range(50):
+            rng, reference = CountingRandom(seed), random.Random(seed)
+            assert kernel(rng) == oracle(reference)
+            assert [rng.random() for _ in range(3)] == [reference.random() for _ in range(3)]
+            rejected += rng.calls - count
+        # some seed takes the rejection loop
+        assert rejected > 0
 
 
 def test_optimized_python_matches_golden_reports():

@@ -229,7 +229,7 @@ def test_curvature_operator_matches_components():
         assign = canonical_inner_model(3, 2, kappa)
         rng = random.Random(5)
         for _ in range(2):
-            gamma = random_connection(assign, rng, span=2)
+            gamma = random_connection(assign, rng)
             assert curvature_cross_check(gamma) == []
 
 

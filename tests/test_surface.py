@@ -89,7 +89,6 @@ UNREACHED = {
     "algebras.two_sided_ideal_closure": "scenario input: `generators` ideals",
     "cli._is_cube": "scenario input: connections given as a grid",
     "cli._connection_entry": "scenario input: connections given as a grid",
-    "connection.ConnectionCoefficients.zero": "scenario input: `zero` connections",
     "algebras.AlgebraError": (
         "scenario input: the library's error, raised only on input that exits 2"
     ),
