@@ -9,14 +9,13 @@ when everything passed, 1 when some check failed, and 2 on usage or
 scenario errors, including a library error raised while a family runs.
 """
 
+import argparse
 import json
 import random
 import time
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-
-import click
 
 from nctangent.algebras import (
     AlgebraError,
@@ -68,7 +67,7 @@ DEFAULT_MAX_DEGREE = 3
 MAX_D = 16
 
 
-class ScenarioError(click.UsageError):
+class ScenarioError(Exception):
     """Scenario file is missing, malformed, or fails validation."""
 
 
@@ -598,8 +597,8 @@ def _check_forms(scn, rec, seed):
     """Differential calculus: nilpotent differential, wedge
     compatibility, locality, duality rank.
 
-    At rank 2 (d = 1) the one-form half of `forms:dd-zero` checks
-    nothing: a 2-form has no 3-tuples of slots, so d d rho is always the
+    Below rank 3 (d = 1) the one-form half of `forms:dd-zero` is
+    skipped: a 2-form has no 3-tuples of slots, so d d rho is always the
     zero form.  Its draws are kept, because the later records read the
     rest of the stream."""
     rng = random.Random(seed)
@@ -615,7 +614,7 @@ def _check_forms(scn, rec, seed):
                 return ("zero-form",)
         for _ in range(10):
             rho = _random_form(rng, gbasis, 1)
-            if not koszul_d(koszul_d(rho)).is_zero():
+            if gbasis.rank >= 3 and not koszul_d(koszul_d(rho)).is_zero():
                 return ("one-form",)
         return None
 
@@ -712,8 +711,8 @@ def _missing(family, scn):
 
 
 def _records(families, scn, seed, strict):
-    """Run the families on one scenario.  A family whose sections are
-    missing is skipped, or is a scenario error when `strict`."""
+    """Run the families on one scenario; their records, sorted by id.  A family
+    whose sections are missing is skipped, or is a scenario error when `strict`."""
     rec = Recorder()
     for family in families:
         missing = _missing(family, scn)
@@ -731,63 +730,64 @@ def _records(families, scn, seed, strict):
                 "%s cannot run on this scenario: %s: %s"
                 % (family.command, type(err).__name__, err)
             )
-    return rec.records
+    return sorted(rec.records, key=lambda r: r["id"])
 
 
-def _run(families, strict, scenario, seed, max_degree, out):
-    scn = load_scenario(scenario)
-    if max_degree is not None:
-        scn.max_degree = _degree_bound(max_degree, "--max-degree")
-    records = _records(families, scn, seed, strict)
-    records.sort(key=lambda r: r["id"])
-    report = {"version": REPORT_VERSION, "seed": seed, "checks": records}
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit 2 with the usage error `verify` printed as a click group."""
+        usage = "Usage: {0} [OPTIONS]\nTry '{0} --help' for help.\n\nError: {1}\n"
+        self.exit(2, usage.format(self.prog, message))
+
+
+def main(args=None, standalone_mode=True):
+    """Exact verification of the deformed tangent-space machinery."""
+    opts = PARSER.parse_args(args)
+    try:
+        scn = load_scenario(opts.scenario)
+        if opts.max_degree is not None:
+            scn.max_degree = _degree_bound(opts.max_degree, "--max-degree")
+        records = _records(opts.families, scn, opts.seed, opts.strict)
+    except ScenarioError as err:
+        if not standalone_mode:
+            raise
+        opts.parser.error(str(err))
+    report = {"version": REPORT_VERSION, "seed": opts.seed, "checks": records}
     text = json.dumps(report, indent=2)
-    # not click.echo, which keeps every stream it writes to alive: a caller
-    # redirecting stdout per report would keep every report's text
+    # print holds no reference to sys.stdout: a redirecting caller keeps no report alive
     print(text)
-    if out:
-        with open(out, "w") as handle:
+    if opts.out:
+        with open(opts.out, "w") as handle:
             handle.write(text + "\n")
     if any(r["status"] != "pass" for r in records):
         raise SystemExit(1)
 
 
-def _common(func):
-    for option in (
-        click.option(
-            "--out",
-            default=None,
-            type=click.Path(),
-            help="Also write the report here.",
-        ),
-        click.option("--max-degree", default=None, type=int),
-        click.option("--seed", default=0, show_default=True, type=int),
-        click.option(
-            "--scenario",
-            required=True,
-            type=click.Path(),
-            help="Path to the scenario JSON file.",
-        ),
-    ):
-        func = option(func)
-    return func
+# shim for perfbench's `main.main(args, standalone_mode=False)` until ROADMAP item 6 drops it
+main.main = main
 
 
-@click.group()
-def main():
-    """Exact verification of the deformed tangent-space machinery."""
+def _build_parser():
+    """`verify`: one command per family, its runner's docstring as its help, and `all`."""
+    parser = _Parser(prog="verify", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    runs = [(family.command, (family,), True, family.runner.__doc__) for family in FAMILIES]
+    runs.append(("all", FAMILIES, False, "Run every check family the scenario supports."))
+    for name, families, strict, doc in runs:
+        sub = commands.add_parser(
+            name, help=doc.split("\n\n")[0], description=doc.replace("\n    ", "\n"),
+            formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False,
+        )
+        sub.add_argument("--scenario", required=True, metavar="PATH",
+                         help="Path to the scenario JSON file.")
+        sub.add_argument("--seed", default=0, type=int, metavar="INTEGER", help="[default: 0]")
+        sub.add_argument("--max-degree", type=int, metavar="INTEGER")
+        sub.add_argument("--out", metavar="PATH", help="Also write the report here.")
+        sub.set_defaults(families=families, strict=strict, parser=sub)
+    return parser
 
 
-def _add_command(name, families, strict, help):
-    @main.command(name, help=help)
-    @_common
-    def command(scenario, seed, max_degree, out):
-        _run(families, strict, scenario, seed, max_degree, out)
-
-
-for _family in FAMILIES:
-    _add_command(_family.command, (_family,), True, _family.runner.__doc__)
-_add_command("all", FAMILIES, False, "Run every check family the scenario supports.")
+PARSER = _build_parser()
 
 
 if __name__ == "__main__":

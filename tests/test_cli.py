@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import inspect
 import io
 import json
 import os
@@ -10,11 +11,10 @@ import weakref
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctangent import cli, connection, minkowski
+from nctangent import cli, connection, forms, minkowski
 from nctangent.algebras import (
     center,
     direct_sum,
@@ -25,6 +25,7 @@ from nctangent.algebras import (
 from nctangent.cli import main
 from nctangent.connection import SPAN, ConnectionCoefficients, draw_ints, random_connection
 from nctangent.covering import ideal_from_declaration
+from nctangent.forms import FormN
 from nctangent.scalars import ZERO, Scalar, vec_add, vec_is_zero, vec_scale, zero_vec
 from nctangent.tangent import (
     ActionAssignment,
@@ -33,19 +34,22 @@ from nctangent.tangent import (
     canonical_inner_model,
 )
 
+from cli_runner import invoke
 from test_minkowski import unordered_antipode
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# every command of `verify`: one per check family, and `all`
+COMMANDS = sorted([family.command for family in cli.FAMILIES] + ["all"])
 
 
 def run(*args):
-    return CliRunner().invoke(main, list(args))
+    return invoke(args)
 
 
 def report_of(result):
-    return json.loads(result.output)
+    return json.loads(result.stdout)
 
 
 def statuses(result):
@@ -194,6 +198,58 @@ def test_forms_check_single_chart():
     assert set(statuses(result)) == {"forms:dd-zero", "forms:duality"}
 
 
+def _koszul_spy(monkeypatch, replacement):
+    """Route every `koszul_d` call through `replacement(real, rho)`;
+    return {record id: the degrees of the forms d was applied to}."""
+    real = forms.koszul_d
+    degrees = []
+
+    def spy(rho):
+        degrees.append(rho.degree)
+        return replacement(real, rho)
+
+    monkeypatch.setattr(forms, "koszul_d", spy)
+    monkeypatch.setattr(cli, "koszul_d", spy)
+    per_record = {}
+    real_run = cli.Recorder.run
+
+    def run_spy(self, check_id, thunk):
+        start = len(degrees)
+        real_run(self, check_id, thunk)
+        per_record[check_id] = degrees[start:]
+
+    monkeypatch.setattr(cli.Recorder, "run", run_spy)
+    return per_record
+
+
+def test_dd_zero_skips_the_one_form_half_below_rank_3(monkeypatch):
+    # d = 1: rank 2, so a 2-form has no 3-tuples of slots and d d rho = 0
+    per_record = _koszul_spy(monkeypatch, lambda real, rho: real(rho))
+    path = str(SCENARIOS / "curvature_d1.json")
+    assert cli.load_scenario(path).action.d == 1
+    result = run("forms-check", "--scenario", path)
+    assert result.exit_code == 0
+    # the zero-form half alone: d of a, then d of d a, ten times
+    assert per_record["forms:dd-zero"] == [0, 1] * 10
+
+
+def test_dd_zero_checks_the_one_form_half_at_rank_3(monkeypatch):
+    # d applied to a 2-form leaves a nonzero 3-form, so d d vanishes on
+    # zero-forms and not on one-forms
+    def broken(real, rho):
+        if rho.degree == 2:
+            return FormN(rho.basis, 3, {(0, 1, 2): rho.basis.algebra.unit})
+        return real(rho)
+
+    per_record = _koszul_spy(monkeypatch, broken)
+    result = run("forms-check", "--scenario", str(SCENARIOS / "m3_model.json"))
+    assert result.exit_code == 1
+    checks = {c["id"]: c for c in report_of(result)["checks"]}
+    assert checks["forms:dd-zero"]["status"] == "fail"
+    assert checks["forms:dd-zero"]["witness"] == ["one-form"]
+    assert per_record["forms:dd-zero"] == [0, 1] * 10 + [1, 2]
+
+
 def test_curvature_constant_imaginary():
     result = run("curvature", "--scenario", str(SCENARIOS / "curvature_d1.json"))
     assert result.exit_code == 0
@@ -310,7 +366,7 @@ def test_zero_kappa_rejected(tmp_path):
     path.write_text('{"kappa": "0", "d": 1}')
     result = run("hopf-check", "--scenario", str(path))
     assert result.exit_code == 2
-    assert "kappa must be positive" in result.output
+    assert "kappa must be positive" in result.stderr
 
 
 def test_undersized_canonical_action_rejected(tmp_path):
@@ -324,7 +380,7 @@ def test_undersized_canonical_action_rejected(tmp_path):
     path.write_text(json.dumps(scenario))
     result = run("forms-check", "--scenario", str(path))
     assert result.exit_code == 2
-    assert "N >= d+1" in result.output
+    assert "N >= d+1" in result.stderr
 
 
 def test_missing_section_named_in_diagnostic():
@@ -332,7 +388,7 @@ def test_missing_section_named_in_diagnostic():
         "partition-check", "--scenario", str(SCENARIOS / "hopf_d3.json")
     )
     assert result.exit_code == 2
-    assert "algebra" in result.output
+    assert "algebra" in result.stderr
 
 
 def test_malformed_json_rejected(tmp_path):
@@ -340,7 +396,7 @@ def test_malformed_json_rejected(tmp_path):
     path.write_text("not json")
     result = run("all", "--scenario", str(path))
     assert result.exit_code == 2
-    assert "not valid JSON" in result.output
+    assert "not valid JSON" in result.stderr
 
 
 def write_scenario(tmp_path, scenario):
@@ -430,7 +486,7 @@ def test_negative_max_degree_rejected():
         "--max-degree", "-1",
     )
     assert result.exit_code == 2
-    assert "--max-degree must be at least 0" in result.output
+    assert "--max-degree must be at least 0" in result.stderr
 
 
 @pytest.mark.parametrize("bound", ["x", -1, 2.5])
@@ -438,7 +494,7 @@ def test_bad_scenario_max_degree_rejected(tmp_path, bound):
     path = write_scenario(tmp_path, {"d": 1, "max_degree": bound})
     result = run("hopf-check", "--scenario", path)
     assert result.exit_code == 2
-    assert "max_degree must be" in result.output
+    assert "max_degree must be" in result.stderr
 
 
 @pytest.mark.parametrize("d", ["x", 1.5, True, [1]])
@@ -447,7 +503,7 @@ def test_bad_scenario_d_rejected(tmp_path, d):
     path = write_scenario(tmp_path, {"d": d})
     result = run("hopf-check", "--scenario", path)
     assert result.exit_code == 2
-    assert "d must be an integer" in result.output
+    assert "d must be an integer" in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -468,7 +524,7 @@ def test_bad_scenario_size_rejected(tmp_path, scenario):
     # 2.5 and true must not be read as 2 and 1
     result = run("all", "--scenario", write_scenario(tmp_path, scenario))
     assert result.exit_code == 2
-    assert "expected an integer, got" in result.output
+    assert "expected an integer, got" in result.stderr
 
 
 def test_library_error_inside_a_family_exits_2(tmp_path):
@@ -499,8 +555,8 @@ def test_library_error_inside_a_family_exits_2(tmp_path):
     for command in ("all", "partition-check"):
         result = run(command, "--scenario", path)
         assert result.exit_code == 2
-        assert "partition-check cannot run on this scenario" in result.output
-        assert "chi does not kill the chart ideal" in result.output
+        assert "partition-check cannot run on this scenario" in result.stderr
+        assert "chi does not kill the chart ideal" in result.stderr
 
 
 def block_scenario(**changes):
@@ -543,7 +599,7 @@ def test_missing_field_is_named(tmp_path, scenario, message):
     result = run("all", "--scenario", path)
     assert result.exit_code == 2
     assert message in result.stderr
-    assert "Traceback" not in result.output
+    assert "Traceback" not in result.stdout + result.stderr
 
 
 @pytest.mark.parametrize("command", ["all", "forms-check", "glue-derivations"])
@@ -551,7 +607,7 @@ def test_actions_without_partition_rejected(tmp_path, command):
     path = write_scenario(tmp_path, block_scenario(partition=None))
     result = run(command, "--scenario", path)
     assert result.exit_code == 2
-    assert "actions section needs a partition section" in result.output
+    assert "actions section needs a partition section" in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -584,7 +640,7 @@ def test_non_ideal_span_exits_2_with_the_not_an_ideal_message(tmp_path):
     }
     result = run("covering-check", "--scenario", write_scenario(tmp_path, scenario))
     assert result.exit_code == 2
-    assert "bad covering section: not closed under left multiplication by" in result.output
+    assert "bad covering section: not closed under left multiplication by" in result.stderr
 
 
 @pytest.mark.parametrize("points", [None, "12", ["x"], [1.5, 3], [True]])
@@ -598,7 +654,7 @@ def test_malformed_vanishing_on_points_rejected(tmp_path, points):
     )
     result = run("covering-check", "--scenario", path)
     assert result.exit_code == 2
-    assert "'points' list of integers" in result.output
+    assert "'points' list of integers" in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -618,7 +674,7 @@ def test_malformed_connection_grid_rejected(tmp_path, grid):
     )
     result = run("curvature", "--scenario", path)
     assert result.exit_code == 2
-    assert "connection grid must be (d+1) cubed" in result.output
+    assert "connection grid must be (d+1) cubed" in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -629,7 +685,7 @@ def test_malformed_connection_grid_rejected(tmp_path, grid):
     ],
     ids=["bogus-type", "bad-value"],
 )
-@pytest.mark.parametrize("command", sorted(main.commands))
+@pytest.mark.parametrize("command", COMMANDS)
 def test_every_command_validates_the_connection(tmp_path, command, connection, message):
     # the loader builds the connection, so a command that never reads it
     # still rejects it, with the message the curvature family gives
@@ -641,7 +697,7 @@ def test_every_command_validates_the_connection(tmp_path, command, connection, m
     }
     result = run(command, "--scenario", write_scenario(tmp_path, scenario))
     assert result.exit_code == 2
-    assert message in result.output
+    assert message in result.stderr
     assert isinstance(result.exception, SystemExit), result.exception
 
 
@@ -655,7 +711,7 @@ def test_a_constant_connection_reads_an_exponent_literal(tmp_path):
             "connection": {"type": "constant", "value": value},
         }
         result = run("curvature", "--scenario", write_scenario(tmp_path, scenario))
-        assert result.exit_code != 2, result.output
+        assert result.exit_code != 2, result.stderr
         report = report_of(result)
         for check in report["checks"]:
             del check["millis"]
@@ -817,12 +873,12 @@ def mutated_scenario(draw):
 def test_mutated_scenario_keeps_the_exit_code_contract(tmp_path_factory, scenario):
     path = write_scenario(tmp_path_factory.mktemp("mutant"), scenario)
     result = run("all", "--scenario", path, "--max-degree", "1")
-    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exit_code in (0, 1, 2), result.stderr
     # an exception that escapes the CLI would be a traceback in a shell
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         scenario, result.exception,
     )
-    assert "Traceback" not in result.output
+    assert "Traceback" not in result.stdout + result.stderr
 
 
 def test_partition_size_must_match_covering_size(tmp_path):
@@ -833,7 +889,7 @@ def test_partition_size_must_match_covering_size(tmp_path):
         result = run("covering-check", "--scenario", write_scenario(tmp_path, scenario))
         assert result.exit_code == 2
         assert "partition has %d elements but the covering has 2 charts" % count in (
-            result.output
+            result.stderr
         )
 
 
@@ -889,24 +945,111 @@ def test_meaning_mutation_exits_2_without_traceback(tmp_path, name, path, value)
         node = node[key]
     node[path[-1]] = value
     result = run("all", "--scenario", write_scenario(tmp_path, scenario))
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == 2, result.stderr
     assert isinstance(result.exception, SystemExit), result.exception
-    assert "Traceback" not in result.output
+    assert "Traceback" not in result.stdout + result.stderr
 
 
 def test_verify_all_leaves_sympy_unimported():
     # sympy is a test-only dependency: the verify path must not load it
     code = (
         "import json, sys\n"
-        "from click.testing import CliRunner\n"
-        "from nctangent.cli import main\n"
-        "codes = [CliRunner().invoke(main, ['all', '--scenario', path]).exit_code\n"
-        "         for path in sys.argv[1:]]\n"
+        "sys.path.insert(0, 'tests')\n"
+        "from cli_runner import invoke\n"
+        "codes = [invoke(['all', '--scenario', path]).exit_code for path in sys.argv[1:]]\n"
         "print(json.dumps([codes, 'sympy' in sys.modules]))\n"
     )
     proc = run_python("-c", code, "scenarios/function_4pt.json", "scenarios/block_model.json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[1, 0], False]
+
+
+def test_verify_all_leaves_click_unimported():
+    # the package has no runtime dependency: the entry point is argparse
+    code = (
+        "import sys\n"
+        "from nctangent.cli import main\n"
+        "main(['all', '--scenario', sys.argv[1]])\n"
+        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'click')))\n"
+    )
+    proc = run_python("-c", code, "scenarios/matrix_partition.json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["checks"]
+    assert proc.stderr == "[]"
+
+
+def test_help_lists_every_command_and_each_command_its_docstring_and_options():
+    result = run("--help")
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert "Exact verification of the deformed tangent-space machinery." in result.stdout
+    listed = [line.split()[0] for line in result.stdout.splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert sorted(listed) == COMMANDS and len(COMMANDS) == 8
+    docs = {family.command: family.runner.__doc__ for family in cli.FAMILIES}
+    docs["all"] = "Run every check family the scenario supports."
+    for command in COMMANDS:
+        result = run(command, "--help")
+        assert (result.exit_code, result.stderr) == (0, ""), command
+        assert "usage: verify %s " % command in result.stdout
+        assert inspect.cleandoc(docs[command]) in result.stdout
+        for option in ("--scenario PATH", "--seed INTEGER", "--max-degree INTEGER", "--out PATH"):
+            assert option in result.stdout, (command, option)
+        assert "Path to the scenario JSON file." in result.stdout
+        assert "Also write the report here." in result.stdout
+        assert "[default: 0]" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "args, usage, error",
+    [
+        (["all"], "verify all", "the following arguments are required: --scenario"),
+        (["all", "--scenario", "scenarios/hopf_d3.json", "--seed", "x"], "verify all",
+         "argument --seed: invalid int value: 'x'"),
+        (["fly", "--scenario", "scenarios/hopf_d3.json"], "verify",
+         "argument COMMAND: invalid choice: 'fly'"),
+        (["hopf-check", "--scenario", "scenarios/hopf_d3.json", "--max-degree", "-1"],
+         "verify hopf-check", "--max-degree must be at least 0, got -1"),
+    ],
+    ids=["missing-scenario", "seed-not-an-integer", "unknown-command", "negative-max-degree"],
+)
+def test_usage_error_exits_2_with_an_error_line(args, usage, error):
+    proc = run_module(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[:3] == ["Usage: %s [OPTIONS]" % usage, "Try '%s --help' for help." % usage, ""]
+    assert len(lines) == 4 and lines[3].startswith("Error: " + error)
+
+
+def test_a_scenario_error_prints_the_usage_error_of_click():
+    # the text `verify` printed when its entry point was a click group,
+    # which `tools/compare_reports.py` compares byte for byte
+    result = run("all", "--scenario", "missing.json")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == (
+        "Usage: verify all [OPTIONS]\n"
+        "Try 'verify all --help' for help.\n"
+        "\n"
+        "Error: cannot read scenario: [Errno 2] No such file or directory: 'missing.json'\n"
+    )
+
+
+def test_main_main_keeps_the_in_process_signature():
+    # perfbench calls `cli.main.main(args, standalone_mode=False)`
+    def call(name):
+        args = ["all", "--scenario", str(SCENARIOS / name), "--seed", "0", "--max-degree", "1"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli.main.main(args, standalone_mode=False)
+        return json.loads(out.getvalue())
+
+    assert call("matrix_partition.json")["checks"]
+    with pytest.raises(SystemExit) as failed:
+        call("function_4pt.json")
+    assert failed.value.code == 1
+    with pytest.raises(cli.ScenarioError, match="cannot read scenario"):
+        call("missing.json")
 
 
 def test_an_in_process_report_keeps_no_reference_to_its_stream():
@@ -954,7 +1097,7 @@ def test_nested_block_prefixes_cover_a_three_term_sum(tmp_path):
     assert [cov.chart(a).dim for a in (0, 1)] == [5, 5]
     assert cov.overlap_projection(0, 1).rows == 4
     result = run("all", "--scenario", str(path), "--seed", "0")
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     got = statuses(result)
     assert {"covering:overlap-diagram", "partition:reconstruction", "adapted:literal",
             "adapted:closure"} <= set(got)
@@ -966,7 +1109,7 @@ def test_nested_block_prefixes_cover_a_three_term_sum(tmp_path):
     path.write_text(json.dumps(scenario))
     result = run("all", "--scenario", str(path), "--seed", "0")
     assert result.exit_code == 2
-    assert "no basis labels match block prefixes ['1:3']" in result.output
+    assert "no basis labels match block prefixes ['1:3']" in result.stderr
 
 
 def _limit_child():

@@ -8,9 +8,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-from click.testing import CliRunner
-
 from nctangent import algebras, cli
+
+from cli_runner import invoke
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,7 +49,7 @@ def test_strip_timing_blanks_only_millis_values():
 def test_strip_timing_makes_two_runs_of_a_report_equal():
     path = str(ROOT / "scenarios" / "function_4pt.json")
     runs = [
-        CliRunner().invoke(cli.main, ["all", "--scenario", path, "--seed", "0"]).stdout
+        invoke(["all", "--scenario", path, "--seed", "0"]).stdout
         for _ in range(2)
     ]
     stripped = [STRIP(text) for text in runs]
@@ -115,8 +115,8 @@ def test_cases_cover_every_command_and_the_sweep_above_the_workload_degrees(
     tool = compare_reports()
     shipped = sorted((ROOT / "scenarios").glob("*.json"))
     cases = {"shipped": [(p.name, str(p)) for p in shipped], "generated": [("g", "g.json")]}
-    got = dict(tool._cases(cli.main.commands, cases))
-    per_scenario = len(cli.main.commands) * len(tool.SEEDS) + 1
+    got = dict(tool._cases(tool._commands(cli), cases))
+    per_scenario = len(tool._commands(cli)) * len(tool.SEEDS) + 1
     assert len(got) == len(shipped) * per_scenario + len(tool.SEEDS)
     for p in shipped:
         args = got["hopf-check --max-degree 5 %s 0" % p.name]
@@ -127,7 +127,7 @@ def test_cases_cover_every_command_and_the_sweep_above_the_workload_degrees(
     swept = []
     real = cli.hopf_axiom_check
     monkeypatch.setattr(cli, "hopf_axiom_check", lambda *args: swept.append(args) or real(*args))
-    result = CliRunner().invoke(cli.main, got["hopf-check --max-degree 5 hopf_d3.json 0"])
+    result = invoke(got["hopf-check --max-degree 5 hopf_d3.json 0"])
     assert result.exit_code == 0
     assert [(d, degree) for d, _, degree in swept] == [(3, 5)]
 
@@ -137,7 +137,7 @@ def test_cases_cover_the_sum_model_with_a_two_dimensional_center(tmp_path):
     generated = tool._sum_model(tmp_path)
     assert [name for name, _ in generated] == ["sum-model/seeded", "sum-model/constant"]
     cases = {"shipped": [], "generated": generated}
-    got = dict(tool._cases(cli.main.commands, cases))
+    got = dict(tool._cases(tool._commands(cli), cases))
     assert len(got) == len(generated) * len(tool.SEEDS) == 8
     for name, path in generated:
         scenario = json.loads(Path(path).read_text())
@@ -150,9 +150,9 @@ def test_cases_cover_the_sum_model_with_a_two_dimensional_center(tmp_path):
         scn = cli.load_scenario(path)
         # the block units span the center: entries need not be unit multiples
         assert len(algebras.center(scn.action.algebra).basis) == 2
-        result = CliRunner().invoke(cli.main, got["all %s 0" % name])
-        assert result.exit_code == 0, result.output
-        statuses = {c["id"]: c["status"] for c in json.loads(result.output)["checks"]}
+        result = invoke(got["all %s 0" % name])
+        assert result.exit_code == 0, result.stderr
+        statuses = {c["id"]: c["status"] for c in json.loads(result.stdout)["checks"]}
         assert statuses["curvature:cross-check"] == statuses["curvature:axioms"] == "pass"
 
 
@@ -164,16 +164,16 @@ def test_cases_cover_span_and_generators_ideals_and_covering_errors(tmp_path):
         "covering/non-ideal-span", "covering/intersecting",
     ]
     cases = {"shipped": [], "generated": generated}
-    got = dict(tool._cases(cli.main.commands, cases))
+    got = dict(tool._cases(tool._commands(cli), cases))
     assert len(got) == len(generated) * len(tool.SEEDS) == 16
-    results = {name: CliRunner().invoke(cli.main, got["all %s 0" % name])
+    results = {name: invoke(got["all %s 0" % name])
                for name, _ in generated}
     assert [r.exit_code for r in results.values()] == [0, 0, 2, 2]
     for name, path in generated:
         ideals = json.loads(Path(path).read_text())["covering"]["ideals"]
         assert {"span", "generators"} & {decl["type"] for decl in ideals}
     for name in ("covering/span-and-vanishing", "covering/generators"):
-        statuses = {c["id"]: c["status"] for c in json.loads(results[name].output)["checks"]}
+        statuses = {c["id"]: c["status"] for c in json.loads(results[name].stdout)["checks"]}
         assert statuses["partition:reconstruction"] == "pass"
         assert statuses["covering:overlap-diagram"] == "pass"
     # the generators' closure of 2 E_12 + i/3 E_21 is all of M_2
@@ -191,9 +191,9 @@ def test_cases_cover_a_basis_that_is_not_bracket_closed_and_overlapping_charts(
         "failure/not-bracket-closed", "failure/overlapping-charts",
     ]
     cases = {"shipped": [], "generated": generated}
-    got = dict(tool._cases(cli.main.commands, cases))
+    got = dict(tool._cases(tool._commands(cli), cases))
     assert len(got) == len(generated) * len(tool.SEEDS) == 8
-    closed = CliRunner().invoke(cli.main, got["all failure/not-bracket-closed 0"])
+    closed = invoke(got["all failure/not-bracket-closed 0"])
     assert closed.exit_code == 2
     assert "NotBracketClosed" in closed.stderr
     # the charts overlap in the M_2; `decompose` runs on chart 0, whose
@@ -201,12 +201,12 @@ def test_cases_cover_a_basis_that_is_not_bracket_closed_and_overlapping_charts(
     charts = []
     real = cli.decompose
     monkeypatch.setattr(cli, "decompose", lambda X, a: charts.append(a) or real(X, a))
-    overlap = CliRunner().invoke(cli.main, got["all failure/overlapping-charts 0"])
+    overlap = invoke(got["all failure/overlapping-charts 0"])
     assert overlap.exit_code == 1
     cov = cli.load_scenario(generated[1][1]).covering
     assert cov.overlap_projection(0, 1).rows == 4
     assert charts == [0]
-    failed = {c["id"]: c.get("witness") for c in json.loads(overlap.output)["checks"]
+    failed = {c["id"]: c.get("witness") for c in json.loads(overlap.stdout)["checks"]
               if c["status"] == "fail"}
     assert failed == {"glue:roundtrip": ["chart", 0]}
 
@@ -217,7 +217,7 @@ def test_cases_cover_sweeps_at_composite_kappa_above_the_workload_degrees(
     tool = compare_reports()
     sweeps = tool._written(tmp_path, "hopf", tool.HOPF_SWEEPS)
     cases = {"shipped": [], "generated": [], "sweeps": sweeps}
-    got = dict(tool._cases(cli.main.commands, cases))
+    got = dict(tool._cases(tool._commands(cli), cases))
     assert len(got) == len(sweeps) == 8
     swept = []
     real = cli.hopf_axiom_check
@@ -225,9 +225,9 @@ def test_cases_cover_sweeps_at_composite_kappa_above_the_workload_degrees(
     for name, path in sweeps:
         args = got["hopf-check %s 0" % name]
         assert args == ["hopf-check", "--scenario", path, "--seed", "0"]
-        result = CliRunner().invoke(cli.main, args)
-        assert result.exit_code == 0, result.output
-        statuses = {c["id"]: c["status"] for c in json.loads(result.output)["checks"]}
+        result = invoke(args)
+        assert result.exit_code == 0, result.stderr
+        statuses = {c["id"]: c["status"] for c in json.loads(result.stdout)["checks"]}
         assert set(statuses.values()) == {"pass"} and "hopf:antipode" in statuses
     want = [(kappa, d, degree) for kappa in ("6/35", "35/6", "1/30")
             for d, degree in ((2, 5), (3, 4))] + [("6/35", 1, 8), ("35/6", 1, 8)]

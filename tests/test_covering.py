@@ -2,7 +2,6 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from character_oracle import generic_characters
 from nctangent import algebras, cli, covering, scalars
@@ -25,6 +24,7 @@ from nctangent.covering import (
 )
 from nctangent.scalars import Matrix, Subspace, Scalar as sc, vec_is_zero
 
+from cli_runner import invoke
 from test_scalars import dense_rref, quotient
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -167,11 +167,9 @@ def test_broken_overlap_diagram_is_reported_by_verify_covering(monkeypatch):
     # the blocks do not overlap, so only a chart's overlap with itself breaks
     overlap = [w for law, w in failures if law == "overlap-diagram"]
     assert overlap == [(0, 0), (1, 1)]
-    result = CliRunner().invoke(
-        cli.main, ["covering-check", "--scenario", str(SCENARIOS / "block_model.json")]
-    )
+    result = invoke(["covering-check", "--scenario", str(SCENARIOS / "block_model.json")])
     assert result.exit_code == 1
-    assert "Traceback" not in result.output + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
     report = {c["id"]: c for c in json.loads(result.stdout)["checks"]}
     assert report["covering:section"]["status"] == "fail"
     assert report["covering:section"]["witness"] == 0

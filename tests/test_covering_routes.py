@@ -17,7 +17,6 @@ import random
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from nctangent import algebras, cli, covering, forms, partition, tangent
 from nctangent.algebras import (
@@ -43,6 +42,7 @@ from nctangent.scalars import (
     vec_is_zero,
 )
 
+from cli_runner import invoke
 from dense_matrix import DenseMatrix
 from seeded import seeded_partition
 from test_covering import SkewedCovering, mixed_basis_covering
@@ -420,7 +420,7 @@ def test_dropped_structure_constant_fails_the_homomorphism_law(monkeypatch):
     want = [w for law, w in dense_verify_covering(cli.load_scenario(path).covering)
             if law == "homomorphism"]
     assert want
-    result = CliRunner().invoke(cli.main, ["covering-check", "--scenario", path])
+    result = invoke(["covering-check", "--scenario", path])
     assert result.exit_code == 1
     report = {c["id"]: c for c in json.loads(result.stdout)["checks"]}
     assert report["covering:homomorphism"]["status"] == "fail"
@@ -588,8 +588,8 @@ def test_a_report_builds_each_functional_and_center_once(monkeypatch):
         algebras, "nullspace", lambda *args: solves.append(1) or real_solve(*args)
     )
     path = str(SCENARIOS / "block_model.json")
-    result = CliRunner().invoke(cli.main, ["all", "--scenario", path, "--seed", "0"])
-    assert result.exit_code == 0, result.output
+    result = invoke(["all", "--scenario", path, "--seed", "0"])
+    assert result.exit_code == 0, result.stderr
     # glue, decompose and reconstruction read the two chart functionals
     assert sorted(alpha for _, _, alpha in builds) == [0, 1]
     assert len(set(builds)) == len(builds)

@@ -25,11 +25,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
 # Code that runs at import or is made by `collections.namedtuple`, never
-# by a report: the click construction of the commands and the
+# by a report: the construction of the argparse parser and the
 # namedtuple machinery of `cli.Family`.
 EXEMPT = {
-    "cli._common",
-    "cli._add_command",
+    "cli._build_parser",
     "cli.Family",
     "cli.Family._make",
     "cli.Family._replace",
@@ -92,6 +91,8 @@ UNREACHED = {
     "algebras.AlgebraError": (
         "scenario input: the library's error, raised only on input that exits 2"
     ),
+    "cli._Parser": "bad input only: the parser of `verify`, entered only by its usage error",
+    "cli._Parser.error": "bad input only: a usage error, which exits 2",
     # failure witnesses only
     "algebras.StarAlgebra.element_str": "failure witnesses only: a nonzero element as text",
     "scalars._imag_str": "failure witnesses only: an imaginary part as text",

@@ -45,9 +45,11 @@ and the tool exits 1 if there is one, else 0.  Beside the case counts
 it prints the line count of each tree's `src/`, the other half of the
 simplicity gate, and of its `tests/`, so that code moved from `src/` to
 `tests/` reads apart from code deleted; the counts do not change the
-exit status.  Each tree and mode runs
-its cases in one interpreter, through the click entry point in
-standalone mode, as `verify` runs from the shell.  Nothing under
+exit status.  Each tree and mode runs its cases in one interpreter,
+through `cli.main(args)` in standalone mode with `sys.argv[0]` set to
+`verify`, as `verify` runs from the shell; the commands are those of
+`cli.FAMILIES` and `all`.  This drives a tree whose `main` is a click
+group as well as one whose `main` is a function.  Nothing under
 `perfbench/` is changed: the generated scenarios go to a temporary
 directory.
 """
@@ -194,13 +196,19 @@ def _cases(commands, cases):
     return out
 
 
+def _commands(cli):
+    """The commands of `verify`: one per check family, and `all`."""
+    return [family.command for family in cli.FAMILIES] + ["all"]
+
+
 def _worker(src, cases_path, out_path):
     """Run every case with the package under `src`; write the results."""
+    sys.argv[0] = "verify"  # the program name in usage errors
     sys.path.insert(0, src)
     from nctangent import cli
 
     cases = json.loads(Path(cases_path).read_text())
-    results = {name: _run(cli, args) for name, args in _cases(cli.main.commands, cases)}
+    results = {name: _run(cli, args) for name, args in _cases(_commands(cli), cases)}
     Path(out_path).write_text(json.dumps(results))
 
 
@@ -209,7 +217,7 @@ def _run(cli, args):
     code = 0
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            cli.main(args, prog_name="verify")
+            cli.main(args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
     except Exception as exc:  # a traceback from `verify` is a result too
