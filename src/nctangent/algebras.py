@@ -265,8 +265,7 @@ def make_moyal_truncation(N):
     indices starting at 0.  The deformation parameter only normalizes
     the (out-of-scope) integral and does not enter the arithmetic.
     """
-    A = make_matrix_algebra(N, label="f", index_base=0)
-    return StarAlgebra(A.labels, A.terms, A.involution, A.unit, model=("moyal", N))
+    return make_matrix_algebra(N, label="f", index_base=0)
 
 
 def make_function_algebra(point_count):
@@ -558,7 +557,7 @@ def _enumerate_characters(A):
     """The characters of A by its model tag, as `characters` describes
     them; a parent's come from `characters`."""
     model = A.model[0] if A.model else None
-    if model in ("matrix", "moyal"):
+    if model == "matrix":
         n = A.model[1]
         if n >= 2:
             return []

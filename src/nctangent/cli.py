@@ -1,12 +1,14 @@
 """Scenario-driven verification commands.
 
-Scenarios are JSON files naming an algebra model and optional covering,
-partition, action, and connection sections.  Every command loads and
-fully validates the scenario, runs check families from the `FAMILIES`
-table (one family, or for `all` every family whose sections are
-present), prints a JSON report with one record per check, and exits 0
-when everything passed, 1 when some check failed, and 2 on usage or
-scenario errors, including a library error raised while a family runs.
+A scenario is a JSON object of optional sections.  The `SECTIONS` table
+is the one list of them, in build order, with the sections each one
+needs and the builder that turns its JSON value into the object the
+checks read.  Every command loads and fully validates the scenario, runs
+check families from the `FAMILIES` table (one family, or for `all` every
+family whose sections are present), prints a JSON report with one record
+per check, and exits 0 when everything passed, 1 when some check failed,
+and 2 on usage or scenario errors, including a library error raised
+while a family runs.
 """
 
 import argparse
@@ -114,7 +116,8 @@ def _parse_ideal_decl(A, decl):
     return decl
 
 
-def _build_algebra(spec):
+def _build_algebra(scn, spec):
+    """The algebra section, or one term of a sum model."""
     if not isinstance(spec, dict) or "model" not in spec:
         raise ScenarioError("algebra section needs a 'model' field")
     model = spec["model"]
@@ -129,9 +132,9 @@ def _build_algebra(spec):
             terms = spec.get("terms", [])
             if len(terms) < 2:
                 raise ScenarioError("sum model needs at least two terms")
-            out = _build_algebra(terms[0])
+            out = _build_algebra(scn, terms[0])
             for term in terms[1:]:
-                out = direct_sum(out, _build_algebra(term))
+                out = direct_sum(out, _build_algebra(scn, term))
             return out
     except KeyError as err:
         raise ScenarioError("algebra section is missing field %r" % err.args[0])
@@ -142,7 +145,7 @@ def _build_algebra(spec):
 
 def _diagonal_zetas(A):
     model = A.model
-    if model and model[0] in ("matrix", "moyal"):
+    if model and model[0] == "matrix":
         n = model[1]
         return [A.basis_vector(m * n + m) for m in range(n)]
     if model and model[0] == "function":
@@ -153,7 +156,7 @@ def _diagonal_zetas(A):
 def _block_sizes(model):
     """Flattened (kind, size) blocks of a supported model tag."""
     if isinstance(model, tuple):
-        if model[0] in ("matrix", "moyal"):
+        if model[0] == "matrix":
             return [("matrix", model[1])]
         if model[0] == "function":
             return [("point", 1)] * model[1]
@@ -183,7 +186,22 @@ def _block_zetas(A):
     return zetas
 
 
-def _build_partition(A, spec):
+def _build_covering(scn, spec):
+    A = scn.algebra
+    if not isinstance(spec, dict) or not isinstance(spec.get("ideals"), list):
+        raise ScenarioError("covering section needs an 'ideals' list")
+    try:
+        ideals = [
+            ideal_from_declaration(A, _parse_ideal_decl(A, decl))
+            for decl in spec["ideals"]
+        ]
+        return Covering(A, ideals)
+    except AlgebraError as err:
+        raise ScenarioError("bad covering section: %s" % err)
+
+
+def _build_partition(scn, spec):
+    A = scn.algebra
     try:
         if isinstance(spec, dict) and "zetas" in spec:
             if not isinstance(spec["zetas"], list):
@@ -192,37 +210,61 @@ def _build_partition(A, spec):
                 _parse_vec(z, A.dim, "partition zeta %d" % k)
                 for k, z in enumerate(spec["zetas"])
             ]
-            return Partition.from_zetas(A, zetas)
-        if isinstance(spec, dict) and spec.get("type") == "diagonal":
-            return Partition.from_zetas(A, _diagonal_zetas(A))
-        if isinstance(spec, dict) and spec.get("type") == "blocks":
-            return Partition.from_zetas(A, _block_zetas(A))
+        elif isinstance(spec, dict) and spec.get("type") == "diagonal":
+            zetas = _diagonal_zetas(A)
+        elif isinstance(spec, dict) and spec.get("type") == "blocks":
+            zetas = _block_zetas(A)
+        else:
+            raise ScenarioError(
+                "partition section needs 'zetas' or type 'diagonal'/'blocks'"
+            )
+        partition = Partition.from_zetas(A, zetas)
     except AlgebraError as err:
         raise ScenarioError("bad partition section: %s" % err)
-    raise ScenarioError(
-        "partition section needs 'zetas' or type 'diagonal'/'blocks'"
-    )
+    if scn.covering is not None and len(partition) != scn.covering.size:
+        # reconstruction and adaptedness pair element k with chart k
+        raise ScenarioError(
+            "partition has %d elements but the covering has %d charts"
+            % (len(partition), scn.covering.size)
+        )
+    return partition
 
 
-def _build_action(algebra, spec, d, kappa, where):
+def _action(scn, algebra, spec, where):
+    """The action `spec` declares on `algebra`, called `where` in errors."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ScenarioError("%s needs a 'type' field" % where)
     try:
         if spec["type"] == "canonical":
             return canonical_inner_model(
-                _integer(spec["N"]), d, kappa, algebra=algebra
+                _integer(spec["N"]), scn.d, scn.kappa, algebra=algebra
             )
         if spec["type"] == "inner":
             gens = [
                 _parse_vec(g, algebra.dim, where)
                 for g in spec["generators"]
             ]
-            return ActionAssignment.from_inner(algebra, d, kappa, gens)
+            return ActionAssignment.from_inner(algebra, scn.d, scn.kappa, gens)
     except KeyError as err:
         raise ScenarioError("%s is missing field %r" % (where, err.args[0]))
     except (TypeError, ValueError) as err:
         raise ScenarioError("bad %s: %s" % (where, err))
     raise ScenarioError("unknown action type %r in %s" % (spec["type"], where))
+
+
+def _build_action(scn, spec):
+    return _action(scn, scn.algebra, spec, "action section")
+
+
+def _build_actions(scn, spec):
+    if not isinstance(spec, list):
+        raise ScenarioError("actions section must be a list")
+    if len(spec) != scn.covering.size:
+        raise ScenarioError("need one action per chart")
+    return [
+        _action(scn, scn.covering.chart(alpha), chart_spec, "chart %d action" % alpha)
+        for alpha, chart_spec in enumerate(spec)
+    ]
 
 
 def _connection_entry(value, A, where):
@@ -245,9 +287,10 @@ def _is_cube(grid, n):
     )
 
 
-def _build_connection(assign, spec):
+def _build_connection(scn, spec):
     """The connection as a function of the curvature family's random
     source; only a seeded connection draws from it."""
+    assign = scn.action
     A = assign.algebra
     n = assign.d + 1
     kind = spec.get("type") if isinstance(spec, dict) else None
@@ -302,21 +345,23 @@ def _degree_bound(value, where):
     return bound
 
 
+# The scenario sections in build order: the name of each, the sections it
+# needs, and its builder, called as build(scn, spec) on the section's
+# JSON value once every section it needs is built.
+SECTIONS = (
+    ("algebra", (), _build_algebra),
+    ("covering", ("algebra",), _build_covering),
+    ("partition", ("algebra",), _build_partition),
+    ("action", ("algebra",), _build_action),
+    ("actions", ("covering", "partition"), _build_actions),  # glued forms need the partition
+    ("connection", ("action",), _build_connection),
+)
+
+
 class Scenario:
     """A loaded scenario; attributes are named after its sections."""
 
-    __slots__ = (
-        "kappa",
-        "d",
-        "max_degree",
-        "algebra",
-        "covering",
-        "partition",
-        "action",
-        "actions",
-        "connection",
-        "_glued",
-    )
+    __slots__ = ("kappa", "d", "max_degree", "_glued") + tuple(s[0] for s in SECTIONS)
 
     def glued(self):
         """The glued basis and the chart bases, built once per report."""
@@ -353,70 +398,18 @@ def load_scenario(path):
     scn.max_degree = DEFAULT_MAX_DEGREE
     if data.get("max_degree") is not None:
         scn.max_degree = _degree_bound(data["max_degree"], "max_degree")
-    scn.algebra = None
-    scn.covering = None
-    scn.partition = None
-    scn.action = None
-    scn.actions = None
-    scn.connection = data.get("connection")
     scn._glued = None
-    if "algebra" in data:
-        scn.algebra = _build_algebra(data["algebra"])
-    if "covering" in data:
-        if scn.algebra is None:
-            raise ScenarioError("covering section needs an algebra section")
-        spec = data["covering"]
-        if not isinstance(spec, dict) or not isinstance(spec.get("ideals"), list):
-            raise ScenarioError("covering section needs an 'ideals' list")
-        try:
-            ideals = [
-                ideal_from_declaration(scn.algebra, _parse_ideal_decl(scn.algebra, decl))
-                for decl in spec["ideals"]
-            ]
-            scn.covering = Covering(scn.algebra, ideals)
-        except AlgebraError as err:
-            raise ScenarioError("bad covering section: %s" % err)
-    if "partition" in data:
-        if scn.algebra is None:
-            raise ScenarioError("partition section needs an algebra section")
-        scn.partition = _build_partition(scn.algebra, data["partition"])
-        if scn.covering is not None and len(scn.partition) != scn.covering.size:
-            # reconstruction and adaptedness pair element k with chart k
-            raise ScenarioError(
-                "partition has %d elements but the covering has %d charts"
-                % (len(scn.partition), scn.covering.size)
-            )
-    if "action" in data:
-        if scn.algebra is None:
-            raise ScenarioError("action section needs an algebra section")
-        scn.action = _build_action(
-            scn.algebra, data["action"], scn.d, scn.kappa, "action section"
-        )
-    if "actions" in data:
-        if scn.covering is None:
-            raise ScenarioError("actions section needs a covering section")
-        if scn.partition is None:
-            # the glued forms of every family that reads `actions` need it
-            raise ScenarioError("actions section needs a partition section")
-        specs = data["actions"]
-        if not isinstance(specs, list):
-            raise ScenarioError("actions section must be a list")
-        if len(specs) != scn.covering.size:
-            raise ScenarioError("need one action per chart")
-        scn.actions = [
-            _build_action(
-                scn.covering.chart(alpha),
-                spec,
-                scn.d,
-                scn.kappa,
-                "chart %d action" % alpha,
-            )
-            for alpha, spec in enumerate(specs)
-        ]
-    if scn.connection is not None:
-        if scn.action is None:
-            raise ScenarioError("connection section needs an action section")
-        scn.connection = _build_connection(scn.action, scn.connection)
+    for name, needs, build in SECTIONS:
+        setattr(scn, name, None)
+        # a null connection is absent; any other null section is refused
+        # by its builder
+        if name not in data or data[name] is None and build is _build_connection:
+            continue
+        missing = [need for need in needs if getattr(scn, need) is None]
+        if missing:
+            article = "an" if missing[0][0] in "aeiou" else "a"
+            raise ScenarioError("%s section needs %s %s section" % (name, article, missing[0]))
+        setattr(scn, name, build(scn, data[name]))
     return scn
 
 
@@ -595,12 +588,7 @@ def _random_form(rng, basis, degree):
 
 def _check_forms(scn, rec, seed):
     """Differential calculus: nilpotent differential, wedge
-    compatibility, locality, duality rank.
-
-    Below rank 3 (d = 1) the one-form half of `forms:dd-zero` is
-    skipped: a 2-form has no 3-tuples of slots, so d d rho is always the
-    zero form.  Its draws are kept, because the later records read the
-    rest of the stream."""
+    compatibility, locality, duality rank."""
     rng = random.Random(seed)
     if scn.actions is not None:
         gbasis, locals_ = scn.glued()
@@ -612,6 +600,10 @@ def _check_forms(scn, rec, seed):
             a = _random_element(rng, gbasis.algebra.dim)
             if not koszul_d(differential_of(gbasis, a)).is_zero():
                 return ("zero-form",)
+        # Below rank 3 (d = 1) the one-form half is skipped: a 2-form has
+        # no 3-tuples of slots, so d d rho is always the zero form.  Its
+        # draws are kept, because the later records read the rest of the
+        # stream.
         for _ in range(10):
             rho = _random_form(rng, gbasis, 1)
             if gbasis.rank >= 3 and not koszul_d(koszul_d(rho)).is_zero():

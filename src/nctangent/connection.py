@@ -21,7 +21,7 @@ argument, so z Y = Y z and z X = X z for central z share one call each.
 
 from fractions import Fraction
 
-from nctangent.algebras import AlgebraError, noncentral_witness
+from nctangent.algebras import AlgebraError, center, noncentral_witness
 from nctangent.scalars import (
     Immutable,
     MINUS_ONE,
@@ -418,8 +418,6 @@ def random_connection(assign, rng):
     anti-hermitian central element, an imaginary combination of
     hermitized center basis vectors with `draw_ints` weights in
     -SPAN..SPAN.  The center is solved once."""
-    from nctangent.algebras import center
-
     n = assign.d + 1
     A = assign.algebra
     hermitian = []

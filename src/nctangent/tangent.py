@@ -23,7 +23,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from nctangent.algebras import AlgebraError, center, commutators, noncentral_witness
+from nctangent.algebras import (
+    AlgebraError,
+    center,
+    commutators,
+    make_matrix_algebra,
+    noncentral_witness,
+)
 from nctangent.partition import functional
 from nctangent.scalars import (
     Immutable,
@@ -104,8 +110,6 @@ def canonical_inner_model(N, d, kappa, algebra=None):
     supplied algebra with the same structure constants).  A supplied
     algebra's dimension is compared with N^2 before any generator is
     built, so a huge N is refused without allocating N^2 coordinates."""
-    from nctangent.algebras import make_matrix_algebra
-
     if algebra is not None and algebra.dim != N * N:
         raise ValueError("algebra dimension does not match N")
     gens = canonical_generator_vectors(N, d, kappa)

@@ -625,6 +625,8 @@ def test_ideal_closure_of_commutators_in_m2_is_everything():
 def test_moyal_truncation_multiplies_like_matrix_units():
     A = make_moyal_truncation(3)
     assert A.labels[0] == "f_00"
+    # a relabelled M_3: every dispatch on the model tag treats it as one
+    assert A.model == ("matrix", 3)
     f01 = basis_of(A, "f_01")
     f12 = basis_of(A, "f_12")
     assert A.multiply(f01, f12) == basis_of(A, "f_02")

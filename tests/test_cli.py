@@ -610,6 +610,57 @@ def test_actions_without_partition_rejected(tmp_path, command):
     assert "actions section needs a partition section" in result.stderr
 
 
+# -- the table of scenario sections ------------------------------------------
+
+SECTION_NAMES = [name for name, _, _ in cli.SECTIONS]
+M_2 = {"model": "matrix", "n": 2}
+
+
+def test_every_family_need_names_a_section():
+    for family in cli.FAMILIES:
+        for need in family.needs:
+            for name in need.split("|"):
+                assert name in SECTION_NAMES, (family.command, name)
+
+
+def test_scenario_slots_are_the_scenario_scalars_and_the_sections():
+    want = ["kappa", "d", "max_degree", "_glued"] + SECTION_NAMES
+    assert sorted(cli.Scenario.__slots__) == sorted(want)
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"covering": {"ideals": []}}, "covering section needs an algebra section"),
+        ({"partition": {"type": "diagonal"}}, "partition section needs an algebra section"),
+        ({"action": {"type": "canonical", "N": 2}}, "action section needs an algebra section"),
+        ({"algebra": M_2, "actions": []}, "actions section needs a covering section"),
+        (
+            {"algebra": M_2, "partition": {"type": "diagonal"}, "actions": []},
+            "actions section needs a covering section",
+        ),
+        (block_scenario(partition=None), "actions section needs a partition section"),
+        ({"algebra": M_2, "connection": {"type": "zero"}}, "connection section needs an action section"),
+    ],
+    ids=[
+        "covering", "partition", "action", "actions-no-covering-no-partition",
+        "actions-no-covering", "actions-no-partition", "connection",
+    ],
+)
+def test_a_section_without_a_section_it_needs_is_refused(tmp_path, scenario, message):
+    with pytest.raises(cli.ScenarioError) as err:
+        cli.load_scenario(write_scenario(tmp_path, scenario))
+    assert str(err.value) == message
+
+
+def test_a_null_connection_is_absent_and_a_null_algebra_is_refused(tmp_path):
+    scn = cli.load_scenario(write_scenario(tmp_path, {"connection": None}))
+    assert [getattr(scn, name) for name in SECTION_NAMES] == [None] * len(SECTION_NAMES)
+    with pytest.raises(cli.ScenarioError) as err:
+        cli.load_scenario(write_scenario(tmp_path, {"algebra": None}))
+    assert str(err.value) == "algebra section needs a 'model' field"
+
+
 @pytest.mark.parametrize(
     "changes, message",
     [
@@ -994,6 +1045,9 @@ def test_help_lists_every_command_and_each_command_its_docstring_and_options():
         assert inspect.cleandoc(docs[command]) in result.stdout
         for option in ("--scenario PATH", "--seed INTEGER", "--max-degree INTEGER", "--out PATH"):
             assert option in result.stdout, (command, option)
+        # the help says what a command checks, not how its runner draws
+        for word in ("draws", "stream"):
+            assert word not in result.stdout, (command, word)
         assert "Path to the scenario JSON file." in result.stdout
         assert "Also write the report here." in result.stdout
         assert "[default: 0]" in result.stdout

@@ -232,3 +232,35 @@ def test_cases_cover_sweeps_at_composite_kappa_above_the_workload_degrees(
     want = [(kappa, d, degree) for kappa in ("6/35", "35/6", "1/30")
             for d, degree in ((2, 5), (3, 4))] + [("6/35", 1, 8), ("35/6", 1, 8)]
     assert sorted((str(kappa), d, degree) for d, kappa, degree in swept) == sorted(want)
+
+
+def test_cases_cover_each_section_decision_of_the_loader(tmp_path):
+    tool = compare_reports()
+    generated = tool._written(tmp_path, "loader", tool.LOADER_ERRORS)
+    cases = {"shipped": [], "generated": generated}
+    got = dict(tool._cases(tool._commands(cli), cases))
+    assert len(got) == len(generated) * len(tool.SEEDS) == 44
+    errors = {}
+    for name, _ in generated:
+        result = invoke(got["all %s 0" % name])
+        assert "Traceback" not in result.stderr
+        errors[name.split("/")[1]] = (result.exit_code, result.stderr.splitlines()[-1:])
+    assert errors == {
+        "covering-without-algebra": (2, ["Error: covering section needs an algebra section"]),
+        "partition-without-algebra": (2, ["Error: partition section needs an algebra section"]),
+        "action-without-algebra": (2, ["Error: action section needs an algebra section"]),
+        "actions-without-covering": (2, ["Error: actions section needs a covering section"]),
+        "actions-without-partition": (2, ["Error: actions section needs a partition section"]),
+        "connection-without-action": (2, ["Error: connection section needs an action section"]),
+        "null-connection-without-action": (0, []),
+        "null-algebra": (2, ["Error: algebra section needs a 'model' field"]),
+        "partition-size-not-chart-count": (
+            2, ["Error: partition has 3 elements but the covering has 2 charts"]
+        ),
+        "actions-not-a-list": (2, ["Error: actions section must be a list"]),
+        "one-action-for-two-charts": (2, ["Error: need one action per chart"]),
+    }
+    # every prerequisite of every section is left out by some case
+    prerequisites = {"%s-without-%s" % (name, need)
+                     for name, needs, _ in cli.SECTIONS for need in needs}
+    assert prerequisites <= errors.keys()

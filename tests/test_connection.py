@@ -295,14 +295,12 @@ def per_entry_random_grid(assign, rng, span=3):
     ],
 )
 def test_random_connection_solves_the_center_once(monkeypatch, make_assign):
-    import nctangent.algebras as algebras
-
     assign = make_assign()
     for seed in range(4):
         want = per_entry_random_grid(assign, random.Random(seed))
         calls = []
-        real = algebras.center
-        monkeypatch.setattr(algebras, "center", lambda A: calls.append(A) or real(A))
+        real = connection.center
+        monkeypatch.setattr(connection, "center", lambda A: calls.append(A) or real(A))
         gamma = random_connection(assign, random.Random(seed))
         monkeypatch.undo()
         assert len(calls) == 1

@@ -226,7 +226,7 @@ def matrix_sum_reconstruction_check(P, cov):
 def listed_characters(A):
     """`characters` enumerated again on every call, parents included."""
     model = A.model[0] if A.model else None
-    if model in ("matrix", "moyal"):
+    if model == "matrix":
         return [] if A.model[1] >= 2 else [Character((Scalar(1),), "ev")]
     if model == "function":
         return [

@@ -37,7 +37,13 @@ and under `python -O`:
   two failures that no other case reaches: a derivation basis whose
   bracket leaves its span (exit 2), and charts that overlap in a
   noncommutative block, where `decompose` runs on the overlap and
-  `glue:roundtrip` fails (exit 1).
+  `glue:roundtrip` fails (exit 1);
+* `all` at `--seed` 0-3 on the scenarios of `LOADER_ERRORS`, which pin
+  the loader's section decisions: each section without a section it
+  needs, a null algebra, a partition whose size is not the chart count,
+  an `actions` section that is not a list or has the wrong length (all
+  exit 2 with the reason on stderr), and a null connection without an
+  action, which loads.
 
 A case is its stdout with the `millis` values blanked, its exit code
 and its stderr.  Every case that differs between the trees is printed,
@@ -172,6 +178,38 @@ FAILURE_PATHS = {
                                              ["0", "1", "0", "0", "0"]]},
         ],
     },
+}
+
+
+# each scenario section without a section it needs, and the other
+# decisions of `load_scenario` about whole sections; every scenario but
+# the null connection, which counts as absent, exits 2
+M_2 = {"model": "matrix", "n": 2}
+M_2_M_2 = {"model": "sum", "terms": [M_2, M_2]}
+BLOCK_CHARTS = {"ideals": [{"type": "blocks", "kill": ["2"]},
+                           {"type": "blocks", "kill": ["1"]}]}
+CANONICAL_2 = {"type": "canonical", "N": 2}
+M_2_M_2_BLOCKS = {"algebra": M_2_M_2, "covering": BLOCK_CHARTS, "partition": {"type": "blocks"}}
+LOADER_ERRORS = {
+    "covering-without-algebra": {"covering": {"ideals": []}},
+    "partition-without-algebra": {"partition": {"type": "diagonal"}},
+    "action-without-algebra": {"action": CANONICAL_2},
+    "actions-without-covering": {"algebra": M_2, "partition": {"type": "diagonal"},
+                                 "actions": [CANONICAL_2]},
+    "actions-without-partition": {"algebra": M_2_M_2, "covering": BLOCK_CHARTS,
+                                  "actions": [CANONICAL_2] * 2},
+    "connection-without-action": {"algebra": M_2, "connection": {"type": "zero"}},
+    "null-connection-without-action": {"algebra": M_2, "connection": None},
+    "null-algebra": {"algebra": None},
+    # three points, two charts
+    "partition-size-not-chart-count": {
+        "algebra": F_3,
+        "covering": {"ideals": [{"type": "vanishing_on", "points": [1]},
+                                {"type": "vanishing_on", "points": [2, 3]}]},
+        "partition": {"type": "diagonal"},
+    },
+    "actions-not-a-list": dict(M_2_M_2_BLOCKS, actions=CANONICAL_2),
+    "one-action-for-two-charts": dict(M_2_M_2_BLOCKS, actions=[CANONICAL_2]),
 }
 
 
@@ -317,6 +355,7 @@ def main():
         generated += _sum_model(tmp) + _written(tmp, "block-sum", {"m3+m3": BLOCK_SUM})
         generated += _written(tmp, "covering", COVERINGS)
         generated += _written(tmp, "failure", FAILURE_PATHS)
+        generated += _written(tmp, "loader", LOADER_ERRORS)
         sweeps = _written(tmp, "hopf", HOPF_SWEEPS)
         cases = {"shipped": shipped, "generated": generated, "sweeps": sweeps}
         cases_path = Path(tmp) / "cases.json"
