@@ -15,26 +15,27 @@ p_0 by i*b/kappa under every crossing, which resums into a binomial
 formula.  The two routes share no code and cross-check each other.
 
 The Hopf structure has primitive coproducts, counit zero on generators,
-and antipode -p on generators extended as an antihomomorphism.  The
-coproduct of a monomial is computed in closed form by the binomial
-formula for primitive elements, its coefficients built from ints; the
-multiplicative route (one generator at a time through
-`TensorElement.multiply`) is kept in the tests as its oracle.  The
-antipode and the involution `dagger` renormal order reversed words in
-closed form by the shift picture, p_0^n p^beta = p^beta (p_0 +
-|beta| i/kappa)^n, expanded binomially and built from ints, with no
-tower and no rewriting step; the stepwise route through the rewriting
-product is kept in the tests as their oracle.  The sweep's antipode law
-therefore checks the shift picture against the rewriting products.
-`hopf_axiom_check` numbers the swept monomials and works in
-call-local tables keyed by those integers: each coproduct and antipode
-is built once, the tower once, and the crossing table once.  A product
-(gamma, n) * (beta, m) depends only on its crossing, p_0^n moved past
-|beta| spatial factors, so the table holds each crossing with
-n + |beta| <= max_degree, each one `_cross` step from the one before
-it, and every product the antipode slots need is a crossing re-keyed.
-Each table is then put over one common denominator, and the laws are
-summed on ints.
+and antipode -p on generators extended as an antihomomorphism.  Each
+closed form is an int row kernel, and the public map is its linear
+extension, the only place where its Scalars are made.  `_coproduct_rows`
+gives the coproduct of a monomial by the binomial formula for
+primitive elements; the multiplicative route (one generator at a time
+through `TensorElement.multiply`) is kept in the tests as its oracle.
+`_reversed_rows` renormal orders a reversed word by the shift picture,
+p_0^n p^beta = p^beta (p_0 + |beta| i/kappa)^n, expanded binomially,
+with no tower and no rewriting step; `antipode` signs its rows, the
+involution in the tests conjugates them, and the stepwise route through
+the rewriting product is kept in the tests as their oracle.  The
+sweep's antipode law therefore checks the shift picture against the
+rewriting products.  `hopf_axiom_check` numbers the swept monomials and
+works in call-local tables keyed by those integers: it reads each
+monomial's rows once, as ints, and builds the tower and the crossing
+table once.  A product (gamma, n) * (beta, m) depends only on its
+crossing, p_0^n moved past |beta| spatial factors, so the table holds
+each crossing with n + |beta| <= max_degree, each one `_cross` step from
+the one before it, and every product the antipode slots need is a
+crossing re-keyed.  Each table is then put over one common denominator,
+and the laws are summed on ints.
 
 kappa and the monomial keys are validated by the public constructors
 only; internal results are built by `_Combination._trusted`.
@@ -97,7 +98,7 @@ class _Combination(Immutable):
     subclass's `_key`, and adds the promoted coefficients of keys that
     normalize alike.  Internal results already have normal keys and
     Scalar coefficients and are built by `_trusted`, which only drops
-    zero coefficients.
+    zero coefficients; `_fill` sets the fields of terms that hold none.
     """
 
     __slots__ = ("d", "kappa", "terms")
@@ -108,16 +109,16 @@ class _Combination(Immutable):
         for key, coeff in terms.items():
             k = self._key(d, key)
             clean[k] = clean.get(k, ZERO) + Scalar.promote(coeff)
-        self._fill(d, kappa, clean)
+        self._fill(d, kappa, {k: c for k, c in clean.items() if c})
 
     @classmethod
     def _trusted(cls, d, kappa, terms):
-        return object.__new__(cls)._fill(d, kappa, terms)
+        return object.__new__(cls)._fill(d, kappa, {k: c for k, c in terms.items() if c})
 
     def _fill(self, d, kappa, terms):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        object.__setattr__(self, "terms", terms)
         return self
 
     def _compat(self, other):
@@ -224,16 +225,6 @@ class PBWElement(_Combination):
                 _add_into(out, _star_monomials(k1, k2, towers), c1 * c2)
         return PBWElement._trusted(self.d, self.kappa, out)
 
-    def dagger(self):
-        """The involution fixing every generator.
-
-        Antilinear and product-reversing: a normal-ordered word maps to
-        the reversed word with conjugated coefficient, renormal ordered
-        in closed form by `_reversed_words`.  The stepwise route, through
-        the rewriting product, is its oracle in tests/test_minkowski.py.
-        """
-        return _reversed_words(self, lambda c, degree: c.conjugate())
-
 
 def _i_over(kappa):
     """The reordering constant i/kappa of p_0 p_j = p_j p_0 + (i/kappa) p_j:
@@ -303,35 +294,30 @@ def _crossings(towers, max_degree):
     return table
 
 
-def _reversed_words(f, coefficient):
-    """Sum over the terms c p^beta p0^n of f of coefficient(c, degree)
-    times the reversed word p0^n p^beta, in normal order by its closed
-    form.  Each spatial factor shifts p0 by i/kappa as p0 crosses it, so
+def _reversed_rows(key, ik):
+    """The reversed word p0^n p^beta of key = (beta, n) in normal order,
+    as rows (t, a, b, q): the coefficient of p^beta p0^t is (a + b*i)/q.
+    Each spatial factor shifts p0 by i/kappa as p0 crosses it, so
 
         p0^n p^beta = p^beta (p0 + |beta| i/kappa)^n
                     = sum_t C(n, t) (|beta| i/kappa)^(n-t) p^beta p0^t.
 
-    Each coefficient is built from the ints of coefficient(c, degree) and
-    of i/kappa; terms of f that land on one (beta, t) are added, and
-    cancelled ones dropped.  `dagger` and `antipode` differ only in the
-    coefficient; the stepwise route through the rewriting product is
-    their oracle in tests/test_minkowski.py."""
-    ik = _i_over(f.kappa)
-    out = {}
-    for (beta, n), c in f.terms.items():
-        b = sum(beta)
-        c = coefficient(c, n + b)
-        ca, cb, cq = c._a, c._b, c._q
-        # (b i/kappa)^(n - t) as (sa + sb i)/sq, from t = n down
-        sa, sb, sq = 1, 0, 1
-        xa, xb, xq = b * ik._a, b * ik._b, ik._q
-        for t in range(n, -1, -1):
-            m = comb(n, t)
-            term = _reduced(m * (ca * sa - cb * sb), m * (ca * sb + cb * sa), cq * sq)
-            key = (beta, t)
-            out[key] = out[key] + term if key in out else term
-            sa, sb, sq = sa * xa - sb * xb, sa * xb + sb * xa, sq * xq
-    return PBWElement._trusted(f.d, f.kappa, out)
+    Each row is built from the ints of ik = i/kappa, with no tower and no
+    rewriting step, and no row is zero.  The stepwise route through the
+    rewriting product is its oracle in tests/test_minkowski.py."""
+    beta, n = key
+    # |beta| i/kappa is (x*i)/xq; ik's real part is zero
+    x, xq = sum(beta) * ik._b, ik._q
+    if not x:
+        # a word without spatial factors is already in normal order
+        return [(n, 1, 0, 1)]
+    rows = []
+    sa, sb, sq = 1, 0, 1
+    for t in range(n, -1, -1):
+        m = comb(n, t)
+        rows.append((t, m * sa, m * sb, sq))
+        sa, sb, sq = -sb * x, sa * x, sq * xq
+    return rows
 
 
 def integral_star_oracle(f, g):
@@ -392,43 +378,37 @@ class TensorElement(_Combination):
         return TensorElement._trusted(self.d, self.kappa, out)
 
 
-def coproduct(f):
-    """Algebra map determined by primitive values on generators.
-
-    Every generator is primitive, so the binomial formula gives each
-    normal monomial in closed form:
+def _coproduct_rows(key):
+    """The terms of Delta(p^beta p0^n), key = (beta, n), as rows (left
+    key, right key, a, b, q) with coefficient (a + b*i)/q.  Every
+    generator is primitive, so by the binomial formula
 
         Delta(p^beta p0^n) = sum over gamma <= beta and k <= n of
             prod_j C(beta_j, gamma_j) C(n, k)  p^gamma p0^k (x) p^(beta-gamma) p0^(n-k)
 
-    Both tensor factors are already in normal order, and distinct
-    monomials give distinct terms.  The binomials of each coordinate are
-    made once per term of f, and each coefficient is built from the ints
-    of c times the binomial product, with no Scalar product.  The
-    multiplicative route, one generator at a time through
-    `TensorElement.multiply`, is its oracle in tests/test_minkowski.py.
-    """
+    Both tensor factors are already in normal order, every coefficient
+    is a positive int, and distinct rows have distinct keys."""
+    beta, n = key
+    splits = [((), (), 1)]
+    for b in beta:
+        row = [(x, b - x, comb(b, x)) for x in range(b + 1)]
+        splits = [(gamma + (x,), rest + (y,), m * e) for gamma, rest, m in splits for x, y, e in row]
+    times = [(k, n - k, comb(n, k)) for k in range(n + 1)]
+    return [((gamma, k), (rest, l), m * e, 0, 1) for gamma, rest, e in splits for k, l, m in times]
+
+
+def coproduct(f):
+    """Algebra map determined by primitive values on generators: the
+    linear extension of `_coproduct_rows`.  Distinct terms of f give
+    distinct keys and c times a row is nonzero, so no term is summed or
+    tested for zero.  The multiplicative route through
+    `TensorElement.multiply` is its oracle in tests/test_minkowski.py."""
     out = {}
-    for (beta, n), c in f.terms.items():
+    for key, c in f.terms.items():
         ca, cb, cq = c._a, c._b, c._q
-        # a coefficient c * (int) is reduced already when c is in Z[i]
-        build = _make if cq == 1 else _reduced
-        # the spatial splits (gamma, beta - gamma, binomial product), one
-        # coordinate at a time, in the order of itertools.product
-        splits = [((), (), 1)]
-        for b in beta:
-            row = [(x, b - x, comb(b, x)) for x in range(b + 1)]
-            grown = []
-            for gamma, rest, m in splits:
-                for x, y, e in row:
-                    grown.append((gamma + (x,), rest + (y,), m * e))
-            splits = grown
-        times = [(k, n - k, comb(n, k)) for k in range(n + 1)]
-        for gamma, rest, spatial in splits:
-            for k, l, m in times:
-                m *= spatial
-                out[(gamma, k), (rest, l)] = build(ca * m, cb * m, cq)
-    return TensorElement._trusted(f.d, f.kappa, out)
+        for k1, k2, a, b, q in _coproduct_rows(key):
+            out[k1, k2] = _reduced(ca * a - cb * b, ca * b + cb * a, cq * q)
+    return object.__new__(TensorElement)._fill(f.d, f.kappa, out)
 
 
 def counit(f):
@@ -436,36 +416,51 @@ def counit(f):
 
 
 def antipode(f):
-    """Antihomomorphism with S(p_mu) = -p_mu on generators.
-
-    A normal word of total degree g maps to (-1)^g times the reversed
-    word, renormal ordered in closed form by `_reversed_words`: no tower
-    is built and no rewriting step taken.  The stepwise route, through
-    the rewriting product, is its oracle in tests/test_minkowski.py.
-    """
-    return _reversed_words(f, lambda c, degree: -c if degree % 2 else c)
+    """Antihomomorphism with S(p_mu) = -p_mu on generators: the linear
+    extension of `_reversed_rows`, a term c p^beta p0^n of degree g taken
+    to (-1)^g c times its reversed word.  Terms that land on one (beta, t)
+    are added, and cancelled ones dropped."""
+    ik = _i_over(f.kappa)
+    out = {}
+    for key, c in f.terms.items():
+        beta, n = key
+        s = -1 if (n + sum(beta)) % 2 else 1
+        ca, cb, cq = s * c._a, s * c._b, c._q
+        for t, a, b, q in _reversed_rows(key, ik):
+            term = _reduced(ca * a - cb * b, ca * b + cb * a, cq * q)
+            k = (beta, t)
+            out[k] = out[k] + term if k in out else term
+    return PBWElement._trusted(f.d, f.kappa, out)
 
 
 def monomials_up_to(d, max_degree):
     """All normal-ordered monomial keys of total degree <= max_degree, in
-    sorted order.  The spatial parts are grown one coordinate at a time,
-    each prefix followed by its extensions in ascending order, so the
-    keys come out sorted with no recursion d deep."""
+    sorted order.  Each spatial part is made once from the one before it
+    in lexicographic order: its last coordinate is raised while the
+    degree allows, else its last nonzero one is zeroed and the one
+    before it raised.  So the work is linear in the output."""
     if d < 0 or max_degree < 0:
         raise ValueError("d and max_degree must be nonnegative")
-    # (spatial prefix, degree left) pairs, in sorted order of the prefix
-    prefixes = [((), max_degree)]
-    for _ in range(d):
-        prefixes = [(p + (b,), left - b) for p, left in prefixes for b in range(left + 1)]
-    return [(p, n) for p, left in prefixes for n in range(left + 1)]
+    # beta's degree leaves `left` for p0; `last` is its last nonzero place
+    beta, left, last, keys = [0] * d, max_degree, 0, []
+    while True:
+        spatial = tuple(beta)
+        keys.extend((spatial, n) for n in range(left + 1))
+        j = d - 1 if left else last - 1
+        if j < 0:
+            return keys
+        left += sum(beta[j + 1:]) - 1
+        beta[j + 1:] = [0] * (d - 1 - j)
+        beta[j] += 1
+        last = j
 
 
 def _over_lcm(tables):
-    """Each table, a list of (k, c) with c a Scalar, as a list of (k, a, b)
-    with c = (a + b*i)/q, where q is the lcm of the denominators of all
-    the c; returns q and the tables."""
-    q = lcm(*(c._q for rows in tables for _, c in rows))
-    return q, [[(k, c._a * (u := q // c._q), c._b * u) for k, c in rows] for rows in tables]
+    """Each table, a list of rows (k, a, b, q) standing for (a + b*i)/q,
+    as a list of (k, a', b') over Q, the lcm of the q of all the rows;
+    returns Q and the tables."""
+    Q = lcm(*(q for rows in tables for *_, q in rows))
+    return Q, [[(k, a * (u := Q // q), b * u) for k, a, b, q in rows] for rows in tables]
 
 
 def _slot_total(re, im, scale):
@@ -481,40 +476,44 @@ def hopf_axiom_check(d, kappa, max_degree):
     every identity holds on all monomials up to the degree bound.  Every
     tensor factor of a swept coproduct, every antipode term and every
     product the antipode slots need is itself a swept monomial, so the
-    call numbers the monomials and works on integer keys: each
-    coproduct and antipode is built once by the public maps, and the
-    stepwise tower and the crossing table (`_crossings`) are built once
-    at this call's i/kappa.  Each monomial product a * b the slots need
-    is read from the table when first needed: the crossing of a's p_0
-    power past b's spatial degree, re-keyed.  Nothing outlives the call.
+    call numbers the monomials and works on integer keys: it reads each
+    monomial's rows from `_coproduct_rows` and `_reversed_rows` once, as
+    ints, with no element, tensor or Scalar built for them, reads its
+    counit from its key, and builds the stepwise tower and the crossing
+    table (`_crossings`) once at this call's i/kappa.  Each monomial
+    product a * b the slots need is read from the table when first
+    needed: the crossing of a's p_0 power past b's spatial degree,
+    re-keyed.  Nothing outlives the call.
 
     The laws are summed on ints.  Each table is put once over its own
-    common denominator: the coproduct terms over dq (1 for the true
-    coproduct), the antipode terms over aq and the crossings over sq.
+    common denominator: the coproduct rows over dq (1 for the true
+    coproduct), the antipode rows over aq and the crossings over sq.
     Coassociativity sums left minus right over dq^2, the counit slots
     sum against the target dq, and each antipode slot sums over
     dq*aq*sq and is reduced by `_slot_total` only where nonzero.  The
     sums reuse each converted factor thousands of times, which is why
     they do not go through the `scalars` accumulator `_axpy` and its
     per-term denominator check: that made the sweep slower.  The
-    Scalar-sum sweep is the oracle `scalar_sum_sweep` in
-    tests/test_minkowski.py.
+    Scalar-sum sweep through the public `coproduct` and `antipode` is
+    the oracle `scalar_sum_sweep` in tests/test_minkowski.py.
     """
     kappa = _kappa_of(kappa)
+    ik = _i_over(kappa)
     keys = monomials_up_to(d, max_degree)
     index = {key: i for i, key in enumerate(keys)}
     origin = index[((0,) * d, 0)]
     size = len(keys)
-    element, delta, anti = [], [], []
+    delta, anti = [], []
     for key in keys:
-        f = PBWElement._trusted(d, kappa, {key: ONE})
-        element.append(f)
         delta.append(
-            [((index[k1], index[k2]), c) for (k1, k2), c in coproduct(f).terms.items()]
+            [((index[k1], index[k2]), a, b, q) for k1, k2, a, b, q in _coproduct_rows(key)]
         )
-        anti.append([(index[k], c) for k, c in antipode(f).terms.items()])
+        beta, n = key
+        s = -1 if (n + sum(beta)) % 2 else 1
+        anti.append([(index[beta, t], s * a, s * b, q) for t, a, b, q in _reversed_rows(key, ik)])
     rows = _crossings(_towers(kappa, keys), max_degree)
-    sq, flat = _over_lcm([list(entry.items()) for row in rows for entry in row])
+    entries = [entry.items() for row in rows for entry in row]
+    sq, flat = _over_lcm([[(t, c._a, c._b, c._q) for t, c in items] for items in entries])
     flat = iter(flat)
     crossings = [[next(flat) for _ in row] for row in rows]
     dq, delta = _over_lcm(delta)
@@ -554,8 +553,8 @@ def hopf_axiom_check(d, kappa, max_degree):
                     im[k] = im.get(k, 0) + cb
         if any(any(part.values()) for side in kept for part in side):
             failures.append(("counit", key))
-        e0 = counit(element[i])
-        target = {origin: e0} if e0 else {}
+        # the counit of a monomial: 1 at the unit, else 0
+        target = {origin: ONE} if i == origin else {}
         for slot in (1, 2):
             re, im = {}, {}
             for (k1, k2), ca, cb in terms:

@@ -172,9 +172,6 @@ class Scalar:
             raise ZeroDivisionError("inverse of zero")
         return _reduced(q * a, -q * b, n)
 
-    def conjugate(self):
-        return _make(self._a, -self._b, self._q)
-
     def __bool__(self):
         return self._a != 0 or self._b != 0
 

@@ -36,7 +36,7 @@ from nctangent.scalars import (
     zero_vec,
 )
 
-from test_scalars import dense_nullspace, dense_solve
+from test_scalars import conjugate, dense_nullspace, dense_solve
 
 CHARACTER_DIM_BOUND = 64
 
@@ -290,7 +290,7 @@ def _gaussian_divisors(z):
 
 def _norm(z):
     """|z|^2 of the Gaussian integer z, as an int."""
-    return (z * z.conjugate()).re.numerator
+    return (z * conjugate(z)).re.numerator
 
 
 def _prime_factors(n):

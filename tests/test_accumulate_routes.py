@@ -66,7 +66,13 @@ from nctangent.tangent import (
 
 from test_algebras import terms_multiply
 from test_connection import noncentral_grid, per_lam_nabla, thinned_connection
-from test_scalars import operator_apply, operator_vec_add, operator_vec_scale, operator_vec_sub
+from test_scalars import (
+    conjugate,
+    operator_apply,
+    operator_vec_add,
+    operator_vec_scale,
+    operator_vec_sub,
+)
 from test_tangent import leibniz_cases, sum_model_assignment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,7 +142,7 @@ def operator_local_apply(X, a):
 
 
 def vec_conj(v):
-    return tuple(x.conjugate() for x in v)
+    return tuple(conjugate(x) for x in v)
 
 
 def operator_star(assign, coefficients):

@@ -35,7 +35,7 @@ from nctangent.tangent import (
 )
 
 from cli_runner import invoke
-from test_minkowski import unordered_antipode
+from test_minkowski import unordered_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -69,7 +69,7 @@ def test_hopf_check_passes():
 
 
 def test_hopf_check_reports_an_antipode_without_reordering(monkeypatch):
-    monkeypatch.setattr(minkowski, "antipode", unordered_antipode)
+    monkeypatch.setattr(minkowski, "_reversed_rows", unordered_rows)
     result = run("hopf-check", "--scenario", str(SCENARIOS / "hopf_d3.json"))
     assert result.exit_code == 1
     checks = {c["id"]: c for c in report_of(result)["checks"]}

@@ -28,6 +28,7 @@ from nctangent.partition import (
 from nctangent.scalars import Matrix, Scalar, Subspace, Scalar as sc, zero_vec
 
 from seeded import multiplication_maps, random_rational_unitary, seeded_partition
+from test_scalars import conjugate
 
 
 def diagonal_partition(n):
@@ -151,7 +152,7 @@ def test_product_of_seeded_partitions():
 def conjugate_transpose(U):
     """U*: the conjugates of U's rows, read from `entries`, as columns."""
     return Matrix.from_columns(
-        [[a.conjugate() for a in row] for row in U.entries], rows=U.cols
+        [[conjugate(a) for a in row] for row in U.entries], rows=U.cols
     )
 
 
