@@ -7,12 +7,12 @@ the accumulator of `scalars`; the same walk one Scalar operation at a
 time is the oracle in tests/test_algebras.py.  Model constructors write
 those constants directly for matrix algebras, pointwise-function
 algebras, a truncated oscillator-basis surrogate for a deformed plane,
-direct sums and quotients.  On top of that sit centers, derivation
-spaces, commutators and characters; a multiple of the unit takes its
-noncentral witness from the unit's.  The center and the derivations are
-solved from sparse equation rows by `nullspace`, the center once per
-algebra and kept on it (the dense equation matrices are the test
-oracles).
+direct sums and quotients.  On top of that sit centers, commutators
+and characters; a multiple of the unit takes its noncentral witness
+from the unit's.  The center is solved from sparse equation rows by
+`nullspace`, once per algebra, and kept on it (the dense equation
+matrices are the test oracles).  The axiom sweep and the derivation
+space are test oracles in tests/test_algebras.py.
 
 Characters are read from the model tag that every constructor sets.  The
 matrix, Moyal, function and sum models have closed descriptions.  A
@@ -122,9 +122,6 @@ class StarAlgebra(Immutable):
             out[j] = tuple(product)
         return out
 
-    def __repr__(self):
-        return "StarAlgebra(dim %d, model %r)" % (self.dim, self.model)
-
     # -- arithmetic on coordinate vectors ---------------------------------
 
     def multiply(self, u, v):
@@ -182,42 +179,6 @@ class StarAlgebra(Immutable):
             if c:
                 parts.append("(%s)%s" % (c, lab))
         return " + ".join(parts) if parts else "0"
-
-    # -- axiom sweeps -----------------------------------------------------
-
-    def check_axioms(self):
-        """Full associativity/involution/unit sweep.
-
-        Returns a list of (name, witness) failures; empty means every
-        axiom holds on all basis triples and pairs.
-        """
-        failures = []
-        n = self.dim
-        for i in range(n):
-            ei = unit_vec(n, i)
-            for j in range(n):
-                ej = unit_vec(n, j)
-                left = self.multiply(ei, ej)
-                for k in range(n):
-                    ek = unit_vec(n, k)
-                    lhs = self.multiply(left, ek)
-                    rhs = self.multiply(ei, self.multiply(ej, ek))
-                    if lhs != rhs:
-                        failures.append(
-                            ("associativity", (self.labels[i], self.labels[j], self.labels[k]))
-                        )
-                inv_prod = self.involute(self.multiply(ei, ej))
-                prod_inv = self.multiply(self.involute(ej), self.involute(ei))
-                if inv_prod != prod_inv:
-                    failures.append(
-                        ("involution antihomomorphism", (self.labels[i], self.labels[j]))
-                    )
-            if self.involute(self.involute(ei)) != ei:
-                failures.append(("involution involutive", self.labels[i]))
-            if self.unit is not None:
-                if self.multiply(self.unit, ei) != ei or self.multiply(ei, self.unit) != ei:
-                    failures.append(("unit", self.labels[i]))
-        return failures
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +319,7 @@ def quotient_algebra(A, ideal_subspace, labels_prefix="q"):
 
 
 # ---------------------------------------------------------------------------
-# centers and derivations
+# centers and commutators
 
 
 def center(A):
@@ -455,37 +416,6 @@ def _first_commutator(A, v):
     return None
 
 
-def derivations(A):
-    """Basis of all linear maps with D(ab) = D(a)b + a D(b).
-
-    The unknown map is an n x n grid D, with D(b_k) = sum over r of
-    D[r][k] b_r; Leibniz on every basis pair gives n^3 linear equations.
-    Row (i, j, m) is the m-th coordinate of D(b_i b_j) - D(b_i) b_j -
-    b_i D(b_j), built from the nonzero structure constants only: each
-    c_ij^k enters row (i, j, m) for every m, each c_rj^m row (i, j, m)
-    for every i, and each c_ir^m row (i, j, m) for every j.  The rows
-    stay sparse, {column: coefficient}, for `nullspace`.  Returns a list
-    of matrices spanning the solution space.
-    """
-    n = A.dim
-    equations = {}
-
-    def add(key, col, c):
-        coeffs = equations.setdefault(key, {})
-        coeffs[col] = coeffs.get(col, ZERO) + c
-
-    for a, row in enumerate(A.terms):
-        for b, cell in row:
-            for k, c in cell:
-                for t in range(n):
-                    add((a, b, t), t * n + k, c)
-                    add((t, b, k), a * n + t, -c)
-                    add((a, t, k), b * n + t, -c)
-    rows = [{col: c for col, c in row.items() if c} for row in equations.values()]
-    ker = nullspace(rows, n * n)
-    return [Matrix([[v[r * n + c] for c in range(n)] for r in range(n)]) for v in ker]
-
-
 # ---------------------------------------------------------------------------
 # characters
 
@@ -515,17 +445,6 @@ class Character(Immutable):
             if x:
                 out = out + c * x
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Character):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return "Character(%s)" % self.label
 
 
 def characters(A):

@@ -447,14 +447,23 @@ def _first(items):
     return items[0] if items else None
 
 
+def _once(sweep):
+    """`sweep()`, called on the first read and kept: a family's sweep runs
+    inside the thunk of the record that reads it first, which is charged
+    with it."""
+    kept = []
+
+    def result():
+        if not kept:
+            kept.append(sweep())
+        return kept[0]
+
+    return result
+
+
 def _check_hopf(scn, rec, seed):
     """Coalgebra axioms and defining commutators of the deformed space."""
-    cache = {}
-
-    def sweep():
-        if "failures" not in cache:
-            cache["failures"] = hopf_axiom_check(scn.d, scn.kappa, scn.max_degree)
-        return cache["failures"]
+    sweep = _once(lambda: hopf_axiom_check(scn.d, scn.kappa, scn.max_degree))
 
     def family_witness(family):
         hits = []
@@ -483,15 +492,20 @@ def _check_hopf(scn, rec, seed):
     rec.run("hopf:commutators", commutators)
 
 
+_PARTITION_CONDITIONS = ("membership", "local-finiteness", "positivity-witness", "sum-law")
+
+
 def _check_partition(scn, rec, seed):
     """Partition-of-unity conditions, plus reconstruction when a covering
     is present."""
-    report = verify_partition(scn.algebra, scn.partition)
-    for name, ok, witness in report:
-        rec.run(
-            "partition:%s" % name,
-            lambda ok=ok, witness=witness: None if ok else witness,
-        )
+    report = _once(lambda: verify_partition(scn.algebra, scn.partition))
+
+    def condition(name):
+        ok, witness = next((ok, w) for n, ok, w in report() if n == name)
+        return None if ok else witness
+
+    for name in _PARTITION_CONDITIONS:
+        rec.run("partition:%s" % name, lambda n=name: condition(n))
     if scn.covering is not None:
         rec.run(
             "partition:reconstruction",
@@ -511,19 +525,23 @@ _COVERING_LAWS = (
 
 def _check_covering(scn, rec, seed):
     """Covering laws: projections, sections, overlaps, injectivity."""
-    failures = verify_covering(scn.covering)
+    failures = _once(lambda: verify_covering(scn.covering))
     for law in _COVERING_LAWS:
-        hits = [w for name, w in failures if name == law]
-        rec.run("covering:%s" % law, lambda h=hits: _first(h))
+        rec.run(
+            "covering:%s" % law,
+            lambda law=law: _first([w for name, w in failures() if name == law]),
+        )
 
 
 def _check_adapted(scn, rec, seed):
     """Character subordination of the partition to the covering, in both
     the literal and closure variants."""
-    for variant in ("closure", "literal"):
+    def first_failure(variant):
         rows = verify_adapted(scn.partition, scn.covering, variant=variant)
-        bad = [row for row in rows if not row[1]]
-        rec.run("adapted:%s" % variant, lambda b=bad: _first(b))
+        return _first([row for row in rows if not row[1]])
+
+    for variant in ("closure", "literal"):
+        rec.run("adapted:%s" % variant, lambda v=variant: first_failure(v))
 
 
 def _chart_samples(assign, rng, count):

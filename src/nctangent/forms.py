@@ -194,10 +194,6 @@ class FormN(Immutable):
         object.__setattr__(form, "entries", entries)
         return form
 
-    @classmethod
-    def zero(cls, basis, degree):
-        return cls(basis, degree, {})
-
     def coefficient(self, key):
         """Value on the tuple of basis derivations named by key."""
         key = tuple(key)
@@ -224,17 +220,6 @@ class FormN(Immutable):
             merged[key] = vec_add(merged[key], value) if key in merged else value
         return FormN(self.basis, self.degree, merged)
 
-    def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
-
-    def scale(self, c):
-        c = Scalar.promote(c)
-        return FormN(
-            self.basis,
-            self.degree,
-            {k: vec_scale(c, v) for k, v in self.entries.items()},
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, FormN)
@@ -242,9 +227,6 @@ class FormN(Immutable):
             and self.degree == other.degree
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((id(self.basis), self.degree, tuple(sorted(self.entries))))
 
 
 def form0(basis, a):

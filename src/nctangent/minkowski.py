@@ -182,36 +182,11 @@ class PBWElement(_Combination):
     def __neg__(self):
         return self.scale(Scalar(-1))
 
-    def __hash__(self):
-        return hash((self.d, self.kappa, tuple(sorted(self.terms.items(), key=repr))))
-
     def is_zero(self):
         return not self.terms
 
     def constant_term(self):
         return self.terms.get(((0,) * self.d, 0), ZERO)
-
-    def __repr__(self):
-        return "PBWElement(%s)" % self
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (beta, n), c in sorted(self.terms.items()):
-            factors = []
-            for j, b in enumerate(beta):
-                if b == 1:
-                    factors.append("p%d" % (j + 1))
-                elif b > 1:
-                    factors.append("p%d^%d" % (j + 1, b))
-            if n == 1:
-                factors.append("p0")
-            elif n > 1:
-                factors.append("p0^%d" % n)
-            mono = " ".join(factors) if factors else "1"
-            bits.append("(%s) %s" % (c, mono))
-        return "  +  ".join(bits)
 
     # -- the star product -------------------------------------------------
 
@@ -604,14 +579,6 @@ class PoincareGenerator(Immutable):
         if self.index is None:
             return "PoincareGenerator(%s)" % self.tag
         return "PoincareGenerator(%s%d)" % (self.tag, self.index)
-
-    def __eq__(self, other):
-        if not isinstance(other, PoincareGenerator):
-            return NotImplemented
-        return (self.tag, self.index) == (other.tag, other.index)
-
-    def __hash__(self):
-        return hash((self.tag, self.index))
 
 
 def _partial(f, mu):

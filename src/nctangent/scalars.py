@@ -313,12 +313,6 @@ def _pairs(sums):
     ])
 
 
-def _promoted_pairs(column):
-    """The `(row, entry)` pairs of a dense column's nonzero entries,
-    each promoted to a Scalar."""
-    return tuple((i, a) for i, a in enumerate(map(Scalar.promote, column)) if a)
-
-
 def _imag_str(f):
     if f == 1:
         return "i"
@@ -384,26 +378,10 @@ class Matrix(Immutable):
     each column in ascending row order.  `+`, `-` and `@` sum columns
     through `_axpy` and read them out with `_pairs`, so no zero entry is
     stored or visited.  Equality and the hash read the shape and the
-    columns.  `entries`, the dense rows, is a read-only view built on
-    first read; no code in this package reads it.
+    columns.  `_of`, `identity` and `zero` are the only constructors.
     """
 
-    __slots__ = ("rows", "cols", "_columns", "_entries")
-
-    def __init__(self, entries, cols=None):
-        """The matrix with these dense rows, each entry promoted."""
-        entries = [tuple(row) for row in entries]
-        if entries:
-            width = len(entries[0])
-            if cols is not None and cols != width:
-                raise ValueError("explicit column count contradicts entries")
-            cols = width
-        elif cols is None:
-            cols = 0
-        if any(len(row) != cols for row in entries):
-            raise ValueError("ragged rows")
-        columns = map(_promoted_pairs, zip(*entries)) if entries else ((),) * cols
-        self._set(len(entries), cols, tuple(columns))
+    __slots__ = ("rows", "cols", "_columns")
 
     @classmethod
     def _of(cls, columns, rows):
@@ -427,33 +405,6 @@ class Matrix(Immutable):
     def zero(cls, rows, cols):
         return cls._of(((),) * cols, rows)
 
-    @classmethod
-    def from_columns(cls, columns, rows=None):
-        """The matrix with these dense columns, each entry promoted.
-        `rows`, when given, must be the columns' length; it is needed only
-        for an empty list."""
-        if not columns:
-            if rows is None:
-                raise ValueError("empty column list needs an explicit row count")
-            return cls.zero(rows, 0)
-        n = len(columns[0])
-        if rows is not None and rows != n:
-            raise ValueError("explicit row count contradicts the columns")
-        if any(len(col) != n for col in columns):
-            raise ValueError("ragged columns")
-        return cls._of(list(map(_promoted_pairs, columns)), n)
-
-    @property
-    def entries(self):
-        """The dense rows, built from the columns on first read."""
-        try:
-            return self._entries
-        except AttributeError:
-            columns = list(map(self.column, range(self.cols)))
-            entries = tuple(zip(*columns)) if columns else ((),) * self.rows
-            object.__setattr__(self, "_entries", entries)
-            return entries
-
     def column(self, j):
         if not 0 <= j < self.cols:
             raise IndexError("column %r out of range for %d columns" % (j, self.cols))
@@ -473,9 +424,6 @@ class Matrix(Immutable):
 
     def __hash__(self):
         return hash((self.rows, self.cols, self._columns))
-
-    def __repr__(self):
-        return "Matrix(%d x %d)" % (self.rows, self.cols)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -680,7 +628,7 @@ class Subspace(Immutable):
     `_rows` keeps the basis rows as `eliminate` returns them, sparse
     {column: entry} dicts in pivot order, and `_pivots` their pivots;
     they are never changed, and `basis`, their dense form, is built once
-    from them.  `contains`, `sum`, `intersect` and `quotient_projection`
+    from them.  `_holds`, `sum`, `intersect` and `quotient_projection`
     read the rows.
     """
 
@@ -712,12 +660,6 @@ class Subspace(Immutable):
     def dim(self):
         return len(self.basis)
 
-    def contains(self, v):
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length differs from ambient dimension")
-        v = map(Scalar.promote, v)
-        return self._holds({c: [x._a, x._b, x._q] for c, x in enumerate(v) if x})
-
     def _holds(self, sums):
         """Whether the vector of `sums`, {column: running [a, b, q] sum} as
         `_axpy` keeps them, lies in the subspace; the sums are changed.
@@ -734,12 +676,6 @@ class Subspace(Immutable):
         if not isinstance(other, Subspace):
             return NotImplemented
         return self.ambient_dim == other.ambient_dim and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self):
-        return "Subspace(dim %d in %d)" % (self.dim, self.ambient_dim)
 
     def is_zero(self):
         return not self.basis

@@ -36,6 +36,7 @@ from nctangent.scalars import (
     zero_vec,
 )
 
+from dense_matrix import DenseMatrix
 from test_scalars import conjugate, dense_nullspace, dense_solve
 
 CHARACTER_DIM_BOUND = 64
@@ -129,7 +130,7 @@ def split_common_eigenvalues(B):
         T = transpose(L)
         new_blocks = []
         for basis, values in blocks:
-            Bcols = Matrix.from_columns([tuple(b) for b in basis], rows=n)
+            Bcols = DenseMatrix.from_columns([tuple(b) for b in basis], rows=n)
             restricted_cols = []
             for b in basis:
                 image = T.apply(b)
@@ -137,7 +138,7 @@ def split_common_eigenvalues(B):
                 if sol is None:
                     raise AlgebraError("dual block not invariant")
                 restricted_cols.append(sol[0])
-            M = Matrix.from_columns(restricted_cols, rows=len(basis))
+            M = DenseMatrix.from_columns(restricted_cols, rows=len(basis)).to_matrix()
             for root, sub in _eigensplit(M, basis):
                 new_blocks.append((sub, values + (root,)))
         blocks = new_blocks
@@ -145,8 +146,8 @@ def split_common_eigenvalues(B):
 
 
 def transpose(M):
-    """The transpose of M: its rows, read from `entries`, as columns."""
-    return Matrix.from_columns(M.entries, rows=M.cols)
+    """The transpose of M: its dense rows as columns."""
+    return DenseMatrix.from_columns(DenseMatrix.of(M).entries, rows=M.cols).to_matrix()
 
 
 def _eigensplit(M, basis):
@@ -157,7 +158,7 @@ def _eigensplit(M, basis):
     out = []
     for r in roots:
         shifted = M - Matrix.identity(k).scale(r)
-        ker = dense_nullspace(shifted)
+        ker = dense_nullspace(DenseMatrix.of(shifted))
         if not ker:
             continue
         sub = []
@@ -179,9 +180,9 @@ def minimal_polynomial(M):
     power = Matrix.identity(k)
     flats = []
     while True:
-        flats.append(tuple(a for row in power.entries for a in row))
-        cols = Matrix.from_columns(flats[:-1], rows=k * k) if len(flats) > 1 else None
-        if cols is not None:
+        flats.append(tuple(a for row in DenseMatrix.of(power).entries for a in row))
+        if len(flats) > 1:
+            cols = DenseMatrix.from_columns(flats[:-1], rows=k * k)
             sol = dense_solve(cols, flats[-1])
             if sol is not None:
                 coeffs = list(sol[0]) + [Scalar(-1)]

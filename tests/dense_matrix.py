@@ -6,9 +6,14 @@ Scalars, and does one Scalar operation per entry: `+`, `-` and `scale`
 entry by entry, `@` row by row, and `apply` and `column` over whole
 columns.  Unlike the old `Matrix`, equality and the hash read the shape
 as well as the entries, so an empty 0 x 3 and 0 x 5 differ.
+
+`Matrix` has no dense constructor and no dense view: tests build their
+matrices as `DenseMatrix(rows).to_matrix()` or
+`DenseMatrix.from_columns(columns, rows=n).to_matrix()`, and read the
+dense rows of a `Matrix` M as `DenseMatrix.of(M).entries`.
 """
 
-from nctangent.scalars import ONE, ZERO, Scalar
+from nctangent.scalars import ONE, ZERO, Matrix, Scalar
 
 
 class DenseMatrix:
@@ -36,6 +41,14 @@ class DenseMatrix:
             for i, a in column:
                 dense[i][j] = a
         return cls(dense, cols=matrix.cols)
+
+    def to_matrix(self):
+        """The `Matrix` with these entries: the nonzero `(row, entry)`
+        pairs of each column, through `Matrix._of`."""
+        return Matrix._of(
+            [tuple((i, a) for i, a in enumerate(self.column(j)) if a) for j in range(self.cols)],
+            self.rows,
+        )
 
     @classmethod
     def identity(cls, n):

@@ -9,6 +9,8 @@ from nctangent.minkowski import PBWElement
 from nctangent.partition import Partition
 from nctangent.scalars import Matrix, Scalar
 
+from dense_matrix import DenseMatrix
+
 
 _PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
 
@@ -33,7 +35,7 @@ def random_rational_unitary(n, rng):
             ]
             rows[i][i], rows[i][j] = ca, sa
             rows[j][i], rows[j][j] = -sa, ca
-            U = U @ Matrix(rows)
+            U = U @ DenseMatrix(rows).to_matrix()
         else:
             i = rng.randrange(n)
             p = phases[rng.randrange(4)]
@@ -44,7 +46,7 @@ def random_rational_unitary(n, rng):
                 ]
                 for r in range(n)
             ]
-            U = U @ Matrix(rows)
+            U = U @ DenseMatrix(rows).to_matrix()
     return U
 
 
@@ -65,7 +67,7 @@ def seeded_partition(A, rng, parts=2):
             U = random_rational_unitary(n, rng)
             W = random_rational_unitary(n, rng)
             for alpha in range(parts):
-                proj = Matrix(
+                proj = DenseMatrix(
                     [
                         [
                             Scalar(1)
@@ -75,10 +77,9 @@ def seeded_partition(A, rng, parts=2):
                         ]
                         for r in range(n)
                     ]
-                )
-                mat = U @ proj @ W
-                for r in range(n):
-                    zetas[alpha].extend(mat.entries[r])
+                ).to_matrix()
+                for row in DenseMatrix.of(U @ proj @ W).entries:
+                    zetas[alpha].extend(row)
         else:
             a, b, c = _PYTHAGOREAN[rng.randrange(len(_PYTHAGOREAN))]
             owner = rng.randrange(parts)
@@ -98,9 +99,9 @@ def seeded_partition(A, rng, parts=2):
 
 def right_mult_matrix(A, a):
     """Matrix of right multiplication by a on A: column j is e_j a."""
-    return Matrix.from_columns(
+    return DenseMatrix.from_columns(
         [A.multiply(A.basis_vector(j), a) for j in range(A.dim)], rows=A.dim
-    )
+    ).to_matrix()
 
 
 def multiplication_maps(A, side="left"):

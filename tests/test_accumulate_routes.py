@@ -593,7 +593,7 @@ def test_koszul_d_equals_the_normalizing_constructor_on_shipped_bases():
         for degree in range(3):
             keys = list(combinations(range(basis.rank), degree))
             forms = [
-                FormN.zero(basis, degree),
+                FormN(basis, degree, {}),
                 FormN(basis, degree, {key: element(rng, A.dim) for key in keys}),
                 FormN(basis, degree, {key: A.unit for key in keys}),
             ]

@@ -60,6 +60,7 @@ from nctangent.tangent import (
     canonical_inner_model,
 )
 
+from dense_matrix import DenseMatrix
 from seeded import right_mult_matrix
 from test_algebras import random_algebra, sparse_scalar
 from test_scalars import dense_solve, operator_apply, operator_vec_add, operator_vec_scale
@@ -142,14 +143,14 @@ def mult_inner_operator(A, g):
 
 
 def flatten(M):
-    return tuple(a for row in M.entries for a in row)
+    return tuple(a for row in DenseMatrix.of(M).entries for a in row)
 
 
 def matmul_structure(algebra, ops):
     """The structure constants of a derivation basis from dense `@`
     commutators and the dense solve over the flattened operators, or the
     first pair whose commutator leaves the span."""
-    span = Matrix.from_columns([flatten(D) for D in ops], rows=algebra.dim ** 2)
+    span = DenseMatrix.from_columns([flatten(D) for D in ops], rows=algebra.dim ** 2)
     structure = {}
     for mu in range(len(ops)):
         for nu in range(mu + 1, len(ops)):
@@ -375,13 +376,13 @@ def test_inner_actions_match_left_minus_right_multiplication():
         A = assign.algebra
         assert len(gens) == len(assign.operators)
         for g, D in zip(gens, assign.operators):
-            assert D.entries == mult_inner_operator(A, g).entries
+            assert D == mult_inner_operator(A, g)
     for A in witness_algebras():
         elements = witness_probes(A, rng)
         built = ActionAssignment.from_inner(A, len(elements) - 1, 1, elements)
         for g, D in zip(elements, built.operators):
             assert (D.rows, D.cols) == (A.dim, A.dim)
-            assert D.entries == mult_inner_operator(A, g).entries
+            assert D == mult_inner_operator(A, g)
     with pytest.raises(algebras.AlgebraError, match="length mismatch"):
         ActionAssignment.from_inner(make_matrix_algebra(2), 0, 1, [zero_vec(3)])
 
@@ -409,7 +410,7 @@ def seeded_forms(basis, rng):
     out = []
     for degree in range(basis.rank + 1):
         keys = list(combinations(range(basis.rank), degree))
-        out.append(FormN.zero(basis, degree))
+        out.append(FormN(basis, degree, {}))
         out.append(FormN(basis, degree, {keys[-1]: unit_vec(A.dim, A.dim - 1)}))
         out.append(FormN(basis, degree, {
             key: tuple(Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(A.dim))

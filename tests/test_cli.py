@@ -171,6 +171,42 @@ def test_adapted_check_reports_discrepancy():
     assert "9/25" in json.dumps(witness)
 
 
+def test_each_family_sweep_is_charged_to_a_record(monkeypatch):
+    """A family's sweep runs inside the thunk of the record that reads it
+    first, so its time is in that record's `millis`: the Hopf, covering
+    and partition sweeps in their family's first record, and each adapted
+    variant in its own record."""
+    current = [None]
+    charged = {}
+    real_run = cli.Recorder.run
+
+    def run_spy(self, check_id, thunk):
+        current[0] = check_id
+        try:
+            real_run(self, check_id, thunk)
+        finally:
+            current[0] = None
+
+    def checker_spy(name, real):
+        def spy(*args, **kwargs):
+            charged.setdefault(name, []).append(current[0])
+            return real(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(cli.Recorder, "run", run_spy)
+    for name in ("hopf_axiom_check", "verify_covering", "verify_partition", "verify_adapted"):
+        monkeypatch.setattr(cli, name, checker_spy(name, getattr(cli, name)))
+    result = run("all", "--scenario", str(SCENARIOS / "function_4pt.json"))
+    assert result.exit_code == 1  # adapted:literal fails by design
+    assert charged == {
+        "hopf_axiom_check": ["hopf:antipode"],
+        "verify_covering": ["covering:homomorphism"],
+        "verify_partition": ["partition:membership"],
+        "verify_adapted": ["adapted:closure", "adapted:literal"],
+    }
+
+
 def test_glue_derivations_block_model():
     result = run(
         "glue-derivations", "--scenario", str(SCENARIOS / "block_model.json")

@@ -25,6 +25,7 @@ from nctangent.covering import (
 from nctangent.scalars import Matrix, Subspace, Scalar as sc, vec_is_zero
 
 from cli_runner import invoke
+from dense_matrix import DenseMatrix
 from test_scalars import dense_rref, quotient
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -84,7 +85,7 @@ def test_block_chart_is_matrix_algebra():
     chart = cov.chart(0)
     # the chart reproduces the 2x2 matrix product table exactly
     assert chart.table == M2.table
-    assert chart.involution.entries == M2.involution.entries
+    assert chart.involution == M2.involution
 
 
 def test_intersection_nonzero():
@@ -105,8 +106,8 @@ def test_function_covering_overlap():
     # the overlap is the single common point
     joint = cov.overlap_projection(0, 1)
     assert cov.overlap_projection(0, 1).rows == 1
-    assert (cov.chart_to_overlap(0, 1) @ cov.projection(0)).entries == joint.entries
-    assert (cov.chart_to_overlap(1, 0) @ cov.projection(1)).entries == joint.entries
+    assert cov.chart_to_overlap(0, 1) @ cov.projection(0) == joint
+    assert cov.chart_to_overlap(1, 0) @ cov.projection(1) == joint
     assert verify_covering(cov) == []
 
 
@@ -410,18 +411,18 @@ def chartwise_verify_covering(cov):
         if A.unit is not None and chart.unit is not None:
             if pi.apply(A.unit) != chart.unit:
                 failures.append(("unit", alpha))
-        if (pi @ cov.section(alpha)).entries != Matrix.identity(chart.dim).entries:
+        if DenseMatrix.of(pi @ cov.section(alpha)) != DenseMatrix.identity(chart.dim):
             failures.append(("section", alpha))
     rows = []
     for alpha in range(cov.size):
-        rows.extend(cov.projection(alpha).entries)
+        rows.extend(DenseMatrix.of(cov.projection(alpha)).entries)
     rank = len(dense_rref(rows)[1])
     if rank != A.dim:
         failures.append(("joint-injectivity", rank))
     for alpha in range(cov.size):
         for beta in range(cov.size):
             via = cov.chart_to_overlap(alpha, beta) @ cov.projection(alpha)
-            if via.entries != cov.overlap_projection(alpha, beta).entries:
+            if DenseMatrix.of(via) != DenseMatrix.of(cov.overlap_projection(alpha, beta)):
                 failures.append(("overlap-diagram", (alpha, beta)))
     return failures
 

@@ -47,6 +47,7 @@ from nctangent.scalars import (
 )
 from nctangent.tangent import ActionAssignment, LocalDerivation, canonical_inner_model
 
+from dense_matrix import DenseMatrix
 from seeded import right_mult_matrix
 from test_scalars import dense_rref
 
@@ -304,7 +305,7 @@ def test_glued_basis_block_model():
         for mu in range(2):
             lhs = cov.projection(alpha) @ gbasis.operators[mu]
             rhs = locals_[alpha].operators[mu] @ cov.projection(alpha)
-            assert lhs.entries == rhs.entries
+            assert lhs == rhs
 
 
 def test_glob2loc_extracts_block():
@@ -442,7 +443,7 @@ def test_omega_glue_and_recover_block():
     gbasis, locals_ = glued_basis(cov, P, assigns)
     rng = random.Random(29)
     chart_forms = [rand_form(rng, locals_[alpha], 1) for alpha in (0, 1)]
-    glued = FormN.zero(gbasis, 1)
+    glued = FormN(gbasis, 1, {})
     for alpha, rho in enumerate(chart_forms):
         F = functional(P, cov, alpha)
         glued = glued + FormN(gbasis, 1, {key: F.apply(v) for key, v in rho.entries.items()})
@@ -488,7 +489,7 @@ def stacked_duality_rank(basis):
                     else:
                         col.extend(zero_vec(A.dim))
             cols.append(tuple(col))
-    M = Matrix.from_columns(cols, rows=len(zbasis) * basis.rank * A.dim)
+    M = DenseMatrix.from_columns(cols, rows=len(zbasis) * basis.rank * A.dim)
     return len(dense_rref(M.entries)[1]), basis.rank * A.dim
 
 

@@ -33,6 +33,7 @@ from nctangent.scalars import (
 )
 from nctangent.tangent import canonical_inner_model
 
+from dense_matrix import DenseMatrix
 from test_algebras import dense_multiply, terms_multiply, terms_of
 from test_calculus_routes import dense_koszul_d, operator_koszul_d
 from test_scalars import (
@@ -94,7 +95,7 @@ def mixed_matrix(draw, rows=None, cols=None):
     rows = draw(st.integers(0, 5)) if rows is None else rows
     cols = draw(st.integers(0, 5)) if cols is None else cols
     entries = draw(st.lists(mixed_vectors(cols), min_size=rows, max_size=rows))
-    return Matrix(entries, cols=cols)
+    return DenseMatrix(entries, cols=cols).to_matrix()
 
 
 # -- the accumulator ----------------------------------------------------------
@@ -195,14 +196,14 @@ def test_apply_matches_its_operator_route_on_mixed_denominators(M, data):
 def test_apply_sums_a_long_column_and_cancels():
     n = len(PRIMES)
     row = [Scalar(Fraction(1, p), Fraction(p % 5, p)) for p in PRIMES]
-    M = Matrix([row, [-a for a in row]] + [row[:-1] + [ZERO]])
+    M = DenseMatrix([row, [-a for a in row]] + [row[:-1] + [ZERO]]).to_matrix()
     v = tuple(Scalar(Fraction(k % 3, 12), Fraction(1, 11)) for k in range(n))
     got = M.apply(v)
     assert got == operator_apply(M, v)
     assert got[0] == -got[1] and got[0]
     assert got[2] == got[0] - row[-1] * v[-1]
     # the columns cancel in pairs on a vector with equal coordinates
-    N = Matrix([[a, -a] for a in row])
+    N = DenseMatrix([[a, -a] for a in row]).to_matrix()
     assert_zero(N.apply((Scalar(Fraction(3, 7), -1),) * 2))
 
 
@@ -220,14 +221,16 @@ def test_matmul_matches_its_operator_route_on_mixed_denominators(r, k, c, data):
     want = operator_matmul(M, N)
     assert (got.rows, got.cols) == (want.rows, want.cols) == (r, c)
     assert got == want
-    assert [triples(row) for row in got.entries] == [triples(row) for row in want.entries]
+    assert [triples(row) for row in DenseMatrix.of(got).entries] == [
+        triples(row) for row in DenseMatrix.of(want).entries
+    ]
 
 
 def test_matmul_cancels_to_zero_and_rejects_a_shape_mismatch():
     x = Scalar(Fraction(5, 12), Fraction(-2, 7))
-    M = Matrix([[x, x], [ONE, ONE]])
-    N = Matrix([[Scalar(Fraction(1, 11)), ZERO], [Scalar(Fraction(-1, 11)), ZERO]])
-    for row in (M @ N).entries:
+    M = DenseMatrix([[x, x], [ONE, ONE]]).to_matrix()
+    N = DenseMatrix([[Scalar(Fraction(1, 11)), ZERO], [Scalar(Fraction(-1, 11)), ZERO]]).to_matrix()
+    for row in DenseMatrix.of(M @ N).entries:
         assert_zero(row)
     with pytest.raises(ValueError, match="shape mismatch in product"):
         M @ Matrix.identity(3)
