@@ -401,9 +401,9 @@ def load_scenario(path):
     scn._glued = None
     for name, needs, build in SECTIONS:
         setattr(scn, name, None)
-        # a null connection is absent; any other null section is refused
-        # by its builder
-        if name not in data or data[name] is None and build is _build_connection:
+        # an absent section is skipped; a null one is refused like any
+        # other malformed section
+        if name not in data:
             continue
         missing = [need for need in needs if getattr(scn, need) is None]
         if missing:

@@ -289,7 +289,8 @@ def curvature_components(gamma):
     Gamma contraction, and the structure-constant term, over the nonzero
     Gamma entries only.  Each component sums on ints: the derivatives
     through the operators' nonzero columns, the contraction through the
-    multiply-accumulate kernel, the structure term through `_axpy`."""
+    multiply-accumulate kernel, the structure term through `_axpy`, over
+    the nonzero structure constants, each made once per call."""
     assign = gamma.assignment
     A = assign.algebra
     n = assign.d + 1
@@ -299,6 +300,13 @@ def curvature_components(gamma):
     for mu in range(n):
         cube = []
         for nu in range(n):
+            # sigma -> the ints (-a, -b, q) of minus the structure constant
+            # (a + b*i)/q of (mu, nu, sigma), for the nonzero ones only
+            constants = {}
+            for sigma in range(n):
+                c = structure_scalar(assign.kappa, mu, nu, sigma)
+                if c:
+                    constants[sigma] = (-c._a, -c._b, c._q)
             plane = []
             for lam in range(n):
                 row = []
@@ -319,12 +327,11 @@ def curvature_components(gamma):
                         ):
                             if g is not None and h is not None:
                                 A._mac(sums, g, h, c)
+                    for sigma, (a, b, q) in constants.items():
                         g = G.get((sigma, lam, tau))
                         if g is not None:
-                            c = structure_scalar(assign.kappa, mu, nu, sigma)
-                            if c:
-                                pairs = [(m, x) for m, x in enumerate(g) if x]
-                                _axpy(sums, -c._a, -c._b, c._q, pairs)
+                            pairs = [(m, x) for m, x in enumerate(g) if x]
+                            _axpy(sums, a, b, q, pairs)
                     row.append(_scalars(sums, A.dim))
                 plane.append(row)
             cube.append(plane)

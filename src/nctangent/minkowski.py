@@ -35,7 +35,12 @@ crossing, p_0^n moved past |beta| spatial factors, so the table holds
 each crossing with n + |beta| <= max_degree, each one `_cross` step from
 the one before it, and every product the antipode slots need is a
 crossing re-keyed.  Each table is then put over one common denominator,
-and the laws are summed on ints.
+and the laws are summed on ints.  Coassociativity and the counit law
+read each coproduct table split into its nonzero real and its nonzero
+imaginary entries, and sum real times real less imaginary times
+imaginary into the real sums, the mixed products into the imaginary
+sums.  This is one path for every kernel: the true coproduct rows are
+positive ints, so their imaginary tables are simply empty.
 
 kappa and the monomial keys are validated by the public constructors
 only; internal results are built by `_Combination._trusted`.
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
+from operator import add
 
 from nctangent.scalars import ONE, Immutable, Scalar, ZERO, _make, _reduced
 
@@ -431,11 +437,16 @@ def monomials_up_to(d, max_degree):
 
 
 def _over_lcm(tables):
-    """Each table, a list of rows (k, a, b, q) standing for (a + b*i)/q,
-    as a list of (k, a', b') over Q, the lcm of the q of all the rows;
-    returns Q and the tables."""
-    Q = lcm(*(q for rows in tables for *_, q in rows))
-    return Q, [[(k, a * (u := Q // q), b * u) for k, a, b, q in rows] for rows in tables]
+    """Each table, a list of rows (..., a, b, q) standing for (a + b*i)/q,
+    put over Q, the lcm of the q of all the rows: a row already over Q is
+    kept as it is, any other is rebuilt as (..., a*Q/q, b*Q/q, Q).
+    Returns Q and the tables."""
+    Q = lcm(*(row[-1] for rows in tables for row in rows))
+    return Q, [
+        [row if row[-1] == Q else (*row[:-3], row[-3] * (u := Q // row[-1]), row[-2] * u, Q)
+         for row in rows]
+        for rows in tables
+    ]
 
 
 def _slot_total(re, im, scale):
@@ -461,16 +472,24 @@ def hopf_axiom_check(d, kappa, max_degree):
     re-keyed.  Nothing outlives the call.
 
     The laws are summed on ints.  Each table is put once over its own
-    common denominator: the coproduct rows over dq (1 for the true
-    coproduct), the antipode rows over aq and the crossings over sq.
-    Coassociativity sums left minus right over dq^2, the counit slots
-    sum against the target dq, and each antipode slot sums over
-    dq*aq*sq and is reduced by `_slot_total` only where nonzero.  The
-    sums reuse each converted factor thousands of times, which is why
-    they do not go through the `scalars` accumulator `_axpy` and its
-    per-term denominator check: that made the sweep slower.  The
-    Scalar-sum sweep through the public `coproduct` and `antipode` is
-    the oracle `scalar_sum_sweep` in tests/test_minkowski.py.
+    common denominator by `_over_lcm`, which keeps the rows already over
+    it: the coproduct rows over dq (1 for the true coproduct), the
+    antipode rows over aq and the crossings over sq.  Each coproduct
+    table is then split, once per call, into its nonzero real and its
+    nonzero imaginary entries.  Coassociativity sums left minus right
+    over dq^2: real times real less imaginary times imaginary into the
+    real sums, the two mixed products into the imaginary sums, each loop
+    over nonzero entries only.  Every row of the true coproduct is a
+    positive int, so its imaginary tables are empty and no imaginary
+    product is made; a kernel with imaginary rows runs the same loops.
+    The counit law is one pass over the two parts of Delta(f), summing
+    both slots against the target dq at f.  Each antipode slot sums
+    Gaussian products over dq*aq*sq and is reduced by `_slot_total` only
+    where nonzero.  The sums reuse each converted factor thousands of
+    times, which is why they do not go through the `scalars` accumulator
+    `_axpy` and its per-term denominator check: that made the sweep
+    slower.  The Scalar-sum sweep through the public `coproduct` and
+    `antipode` is the oracle `scalar_sum_sweep` in tests/test_minkowski.py.
     """
     kappa = _kappa_of(kappa)
     ik = _i_over(kappa)
@@ -478,11 +497,10 @@ def hopf_axiom_check(d, kappa, max_degree):
     index = {key: i for i, key in enumerate(keys)}
     origin = index[((0,) * d, 0)]
     size = len(keys)
+    square = size * size
     delta, anti = [], []
     for key in keys:
-        delta.append(
-            [((index[k1], index[k2]), a, b, q) for k1, k2, a, b, q in _coproduct_rows(key)]
-        )
+        delta.append([(index[k1], index[k2], a, b, q) for k1, k2, a, b, q in _coproduct_rows(key)])
         beta, n = key
         s = -1 if (n + sum(beta)) % 2 else 1
         anti.append([(index[beta, t], s * a, s * b, q) for t, a, b, q in _reversed_rows(key, ik)])
@@ -494,51 +512,82 @@ def hopf_axiom_check(d, kappa, max_degree):
     dq, delta = _over_lcm(delta)
     aq, anti = _over_lcm(anti)
     scale = dq * aq * sq
-    # each product a * b the slots need, keyed (a, b), is its crossing
-    # re-keyed, made when first needed
+    # each coproduct table split into its nonzero real and its nonzero
+    # imaginary entries, rows (k1, k2, part), and the same parts keyed by
+    # the packed pair k1 * size + k2
+    real = [[(k1, k2, a) for k1, k2, a, _, _ in rows if a] for rows in delta]
+    imag = [[(k1, k2, b) for k1, k2, _, b, _ in rows if b] for rows in delta]
+    real_r, imag_r = (
+        [[(k1 * size + k2, c) for k1, k2, c in rows] for rows in part] for part in (real, imag)
+    )
+    # each product a * b the slots need, keyed a * size + b, is its
+    # crossing re-keyed, made when first needed
     products = {}
 
     def product_of(a, b):
         (gamma, n), (beta, m) = keys[a], keys[b]
-        merged = tuple(x + y for x, y in zip(gamma, beta))
-        return [(index[merged, t + m], va, vb) for t, va, vb in crossings[n][sum(beta)]]
+        merged = tuple(map(add, gamma, beta))
+        return [(index[merged, t + m], va, vb) for t, va, vb, _ in crossings[n][sum(beta)]]
 
     failures = []
     for i, key in enumerate(keys):
-        terms = delta[i]
+        # coassociativity: left minus right, each triple packed into one
+        # integer; real times real and imaginary times imaginary go to
+        # re, the mixed products to im
         re, im = {}, {}
-        for (k1, k2), ca, cb in terms:
-            for (a, b), ea, eb in delta[k1]:
-                # the triple (a, b, k2), packed into one integer
-                tk = (a * size + b) * size + k2
-                re[tk] = re.get(tk, 0) + ca * ea - cb * eb
-                im[tk] = im.get(tk, 0) + ca * eb + cb * ea
-            for (a, b), ea, eb in delta[k2]:
-                tk = (k1 * size + a) * size + b
-                re[tk] = re.get(tk, 0) - ca * ea + cb * eb
-                im[tk] = im.get(tk, 0) - ca * eb - cb * ea
+        for k1, k2, c in real[i]:
+            for p, e in real_r[k1]:
+                tk = p * size + k2
+                re[tk] = re.get(tk, 0) + c * e
+            for p, e in imag_r[k1]:
+                tk = p * size + k2
+                im[tk] = im.get(tk, 0) + c * e
+            base = k1 * square
+            for p, e in real_r[k2]:
+                tk = base + p
+                re[tk] = re.get(tk, 0) - c * e
+            for p, e in imag_r[k2]:
+                tk = base + p
+                im[tk] = im.get(tk, 0) - c * e
+        for k1, k2, c in imag[i]:
+            for p, e in real_r[k1]:
+                tk = p * size + k2
+                im[tk] = im.get(tk, 0) + c * e
+            for p, e in imag_r[k1]:
+                tk = p * size + k2
+                re[tk] = re.get(tk, 0) - c * e
+            base = k1 * square
+            for p, e in real_r[k2]:
+                tk = base + p
+                im[tk] = im.get(tk, 0) - c * e
+            for p, e in imag_r[k2]:
+                tk = base + p
+                re[tk] = re.get(tk, 0) + c * e
         if any(re.values()) or any(im.values()):
             failures.append(("coassociativity", key))
-        # each counit slot's real and imaginary sums, less the target dq at f
-        kept = ({i: -dq}, {}), ({i: -dq}, {})
-        for (k1, k2), ca, cb in terms:
-            for (re, im), k, other in ((kept[0], k1, k2), (kept[1], k2, k1)):
-                if other == origin:
-                    re[k] = re.get(k, 0) + ca
-                    im[k] = im.get(k, 0) + cb
-        if any(any(part.values()) for side in kept for part in side):
+        # the counit law in one pass over Delta(f): each slot's sums less
+        # the target dq at f, slot 2 keyed past the swept keys
+        re, im = {i: -dq, i + size: -dq}, {}
+        for sums, part in ((re, real[i]), (im, imag[i])):
+            for k1, k2, c in part:
+                if k2 == origin:
+                    sums[k1] = sums.get(k1, 0) + c
+                if k1 == origin:
+                    sums[k2 + size] = sums.get(k2 + size, 0) + c
+        if any(re.values()) or any(im.values()):
             failures.append(("counit", key))
         # the counit of a monomial: 1 at the unit, else 0
         target = {origin: ONE} if i == origin else {}
+        terms = delta[i]
         for slot in (1, 2):
             re, im = {}, {}
-            for (k1, k2), ca, cb in terms:
-                for x, ea, eb in anti[k1] if slot == 1 else anti[k2]:
+            for k1, k2, ca, cb, _ in terms:
+                for x, ea, eb, _ in anti[k1] if slot == 1 else anti[k2]:
                     sa, sb = ca * ea - cb * eb, ca * eb + cb * ea
-                    pair = (x, k2) if slot == 1 else (k1, x)
+                    pair = x * size + k2 if slot == 1 else k1 * size + x
                     made = products.get(pair)
                     if made is None:
-                        made = products[pair] = product_of(*pair)
+                        made = products[pair] = product_of(*divmod(pair, size))
                     for k, va, vb in made:
                         re[k] = re.get(k, 0) + sa * va - sb * vb
                         im[k] = im.get(k, 0) + sa * vb + sb * va

@@ -689,12 +689,30 @@ def test_a_section_without_a_section_it_needs_is_refused(tmp_path, scenario, mes
     assert str(err.value) == message
 
 
-def test_a_null_connection_is_absent_and_a_null_algebra_is_refused(tmp_path):
-    scn = cli.load_scenario(write_scenario(tmp_path, {"connection": None}))
-    assert [getattr(scn, name) for name in SECTION_NAMES] == [None] * len(SECTION_NAMES)
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"algebra": None}, "algebra section needs a 'model' field"),
+        (dict(block_scenario(), covering=None), "covering section needs an 'ideals' list"),
+        (
+            dict(block_scenario(), partition=None),
+            "partition section needs 'zetas' or type 'diagonal'/'blocks'",
+        ),
+        ({"algebra": M_2, "action": None}, "action section needs a 'type' field"),
+        (dict(block_scenario(), actions=None), "actions section must be a list"),
+        (
+            {"algebra": M_2, "action": {"type": "canonical", "N": 2}, "connection": None},
+            "connection section needs type 'zero'/'constant'/'seeded' or a grid",
+        ),
+        ({"connection": None}, "connection section needs an action section"),
+    ],
+    ids=["algebra", "covering", "partition", "action", "actions", "connection",
+         "connection-without-action"],
+)
+def test_a_null_section_is_refused_as_a_malformed_one(tmp_path, scenario, message):
     with pytest.raises(cli.ScenarioError) as err:
-        cli.load_scenario(write_scenario(tmp_path, {"algebra": None}))
-    assert str(err.value) == "algebra section needs a 'model' field"
+        cli.load_scenario(write_scenario(tmp_path, scenario))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

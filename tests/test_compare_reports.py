@@ -218,7 +218,7 @@ def test_cases_cover_sweeps_at_composite_kappa_above_the_workload_degrees(
     sweeps = tool._written(tmp_path, "hopf", tool.HOPF_SWEEPS)
     cases = {"shipped": [], "generated": [], "sweeps": sweeps}
     got = dict(tool._cases(tool._commands(cli), cases))
-    assert len(got) == len(sweeps) == 8
+    assert len(got) == len(sweeps) == 10
     swept = []
     real = cli.hopf_axiom_check
     monkeypatch.setattr(cli, "hopf_axiom_check", lambda *args: swept.append(args) or real(*args))
@@ -230,7 +230,9 @@ def test_cases_cover_sweeps_at_composite_kappa_above_the_workload_degrees(
         statuses = {c["id"]: c["status"] for c in json.loads(result.stdout)["checks"]}
         assert set(statuses.values()) == {"pass"} and "hopf:antipode" in statuses
     want = [(kappa, d, degree) for kappa in ("6/35", "35/6", "1/30")
-            for d, degree in ((2, 5), (3, 4))] + [("6/35", 1, 8), ("35/6", 1, 8)]
+            for d, degree in ((2, 5), (3, 4))] + [
+        (kappa, d, degree) for kappa in ("6/35", "35/6") for d, degree in ((1, 8), (3, 5))
+    ]
     assert sorted((str(kappa), d, degree) for d, kappa, degree in swept) == sorted(want)
 
 
@@ -252,7 +254,9 @@ def test_cases_cover_each_section_decision_of_the_loader(tmp_path):
         "actions-without-covering": (2, ["Error: actions section needs a covering section"]),
         "actions-without-partition": (2, ["Error: actions section needs a partition section"]),
         "connection-without-action": (2, ["Error: connection section needs an action section"]),
-        "null-connection-without-action": (0, []),
+        "null-connection-without-action": (
+            2, ["Error: connection section needs an action section"]
+        ),
         "null-algebra": (2, ["Error: algebra section needs a 'model' field"]),
         "partition-size-not-chart-count": (
             2, ["Error: partition has 3 elements but the covering has 2 charts"]

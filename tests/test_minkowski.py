@@ -838,7 +838,18 @@ def twisted_rows(key):
     return rows
 
 
-STRESS_MUTANTS = dict(MUTANTS, **{"twisted-coproduct": {"_coproduct_rows": twisted_rows}})
+def imaginary_rows(key):
+    """The coproduct rows times i: purely imaginary, so every
+    coassociativity term of the sweep is imaginary times imaginary.  i i
+    is on both sides of the law, so coassociativity holds; the counit
+    law fails on every key, and both antipode slots at the unit."""
+    return [(k1, k2, -b, a, q) for k1, k2, a, b, q in true_coproduct_rows(key)]
+
+
+STRESS_MUTANTS = dict(MUTANTS, **{
+    "twisted-coproduct": {"_coproduct_rows": twisted_rows},
+    "imaginary-coproduct": {"_coproduct_rows": imaginary_rows},
+})
 # composite numerators and denominators: the tables' common denominators
 # are products of several prime powers
 STRESS_KAPPAS = (Fraction(6, 35), Fraction(12, 7), Fraction(35, 6), Fraction(1, 30))
@@ -851,6 +862,10 @@ def test_int_sums_give_the_failures_of_the_scalar_sums(monkeypatch, mutant):
         # the twisted rows carry imaginary parts and denominators above 1
         rows = twisted_rows(((1, 0), 1))
         assert any(b for *_, b, _ in rows) and any(q > 1 for *_, q in rows)
+    if mutant == "imaginary-coproduct":
+        # every row is purely imaginary
+        rows = imaginary_rows(((1, 0), 1))
+        assert all(a == 0 and b for _, _, a, b, _ in rows)
     for name, value in STRESS_MUTANTS[mutant].items():
         monkeypatch.setattr(minkowski, name, value)
     for d, degree in HOPF_SWEEP_SLOTS:
@@ -861,6 +876,12 @@ def test_int_sums_give_the_failures_of_the_scalar_sums(monkeypatch, mutant):
             if mutant == "twisted-coproduct":
                 # the twist keeps coassociativity and the counit law
                 assert {name for name, _ in want} <= {"antipode slot 1", "antipode slot 2"}
+            if mutant == "imaginary-coproduct":
+                # a wrong sign in the imaginary times imaginary sums would
+                # read as a coassociativity failure
+                assert {name for name, _ in want} == {
+                    "counit", "antipode slot 1", "antipode slot 2"
+                }, (d, degree, kappa)
 
 
 @pytest.mark.parametrize("d, degree", HOPF_SWEEP_SLOTS + ((2, 5), (3, 4)))

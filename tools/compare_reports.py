@@ -12,10 +12,11 @@ and under `python -O`:
   which sweeps above the degrees of the scenarios and the workloads;
 * `hopf-check` at `--seed` 0 on the sweeps of `HOPF_SWEEPS`: kappa =
   6/35, 35/6 and 1/30 at (d, degree) = (2, 5) and (3, 4), and kappa =
-  6/35 and 35/6 at (d, degree) = (1, 8).  Their crossing, antipode and
-  coproduct tables are put over lcms of several prime powers, above the
-  kappa classes of the workloads; at degree 8 the antipode of p1 p0^7
-  has coefficients over 6^7 and 35^7;
+  6/35 and 35/6 at (d, degree) = (1, 8) and (3, 5).  Their crossing,
+  antipode and coproduct tables are put over lcms of several prime
+  powers, above the kappa classes of the workloads; at degree 8 the
+  antipode of p1 p0^7 has coefficients over 6^7 and 35^7, and (3, 5),
+  126 monomials, is the largest sweep compared;
 * `all` at `--seed` 0-3 on the scenarios that `perfbench/scenarios.py`
   generates for each workload and each given perfbench seed;
 * `all` at `--seed` 0-3 on the block sum M_2 + M_2 with the canonical
@@ -40,10 +41,10 @@ and under `python -O`:
   `glue:roundtrip` fails (exit 1);
 * `all` at `--seed` 0-3 on the scenarios of `LOADER_ERRORS`, which pin
   the loader's section decisions: each section without a section it
-  needs, a null algebra, a partition whose size is not the chart count,
-  an `actions` section that is not a list or has the wrong length (all
-  exit 2 with the reason on stderr), and a null connection without an
-  action, which loads.
+  needs, a null algebra, a null connection without an action (a null
+  section is refused like any malformed one), a partition whose size is
+  not the chart count, and an `actions` section that is not a list or
+  has the wrong length, all of which exit 2 with the reason on stderr.
 
 A case is its stdout with the `millis` values blanked, its exit code
 and its stderr.  Every case that differs between the trees is printed,
@@ -99,7 +100,7 @@ BLOCK_SUM = {
 
 # composite kappa: the sweep's common denominators are products of
 # several prime powers; at d = 1 and degree 8 the antipode of p1 p0^7
-# has coefficients over 6^7 and 35^7
+# has coefficients over 6^7 and 35^7; (3, 5) sweeps 126 monomials
 HOPF_SWEEPS = {
     "%s-d%d-degree%d" % (kappa.replace("/", "_"), d, degree): {
         "kappa": kappa, "d": d, "max_degree": degree,
@@ -107,7 +108,7 @@ HOPF_SWEEPS = {
     for kappa, d, degree in [
         (kappa, d, degree) for kappa in ("6/35", "35/6", "1/30")
         for d, degree in ((2, 5), (3, 4))
-    ] + [("6/35", 1, 8), ("35/6", 1, 8)]
+    ] + [(kappa, d, degree) for kappa in ("6/35", "35/6") for d, degree in ((1, 8), (3, 5))]
 }
 
 # coverings declared by `span` and `generators` ideals with vectors that
@@ -182,8 +183,8 @@ FAILURE_PATHS = {
 
 
 # each scenario section without a section it needs, and the other
-# decisions of `load_scenario` about whole sections; every scenario but
-# the null connection, which counts as absent, exits 2
+# decisions of `load_scenario` about whole sections; every scenario
+# exits 2
 M_2 = {"model": "matrix", "n": 2}
 M_2_M_2 = {"model": "sum", "terms": [M_2, M_2]}
 BLOCK_CHARTS = {"ideals": [{"type": "blocks", "kill": ["2"]},
